@@ -1,7 +1,10 @@
 """Command-line front door: run, check, verify, game, solve.
 
-Exit codes: 0 pass, 1 logical failure (rejected proof, counterexample,
-unwinnable game), 2 usage or I/O error, 3 enumeration budget exceeded.
+Exit codes: 0 pass; 1 logical failure (rejected proof, counterexample,
+unwinnable game, a strategy that cannot be extracted or breaks its own
+invariants, or a vacuous `game` / `solve` run whose trace has no initial
+refinement); 2 usage or I/O error or malformed input; 3 enumeration budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from .logic import all_logical_states, erase, lstate_from_text, satisfies
 from .machine import MachineState
 from .proof import check_proof
 from .semantics import EnumerationBudget, enumerate_traces
-from .soundness import ExtractedStrategy, drive_play, verify_corollary
+from .soundness import (ExtractedStrategy, ExtractionFailure, SoundnessAlarm,
+                        drive_play, verify_corollary)
 from .syntax import (FTrue, ParseError, Star, parse_program, parse_proof,
-                     parse_universe, program_to_text)
+                     parse_universe)
 from .traces import trace_to_lines
 
 
@@ -53,27 +57,23 @@ def _load_checked_proof(args, u):
     return node, result
 
 
+def _full_perm_states(u):
+    """The logical states over the universe that hold every slot whole."""
+    return [sigma for sigma in all_logical_states(u)
+            if all(p == 1 for _, (_, p) in sigma.stack.items() + sigma.heap.items())]
+
+
 def _full_perm_inits(pre, rho, u):
     """Initial logical states for the corollary: every full-permission state
     over the universe satisfying P * true."""
     want = Star(pre, FTrue())
-    out = []
-    for sigma in all_logical_states(u):
-        perms = [p for _, (_, p) in sigma.stack.items()] + \
-                [p for _, (_, p) in sigma.heap.items()]
-        if all(p == 1 for p in perms) and satisfies(sigma, want, rho, u):
-            out.append(sigma)
-    return out
+    return [sigma for sigma in _full_perm_states(u)
+            if satisfies(sigma, want, rho, u)]
 
 
 def _full_perm_machine_states(u):
-    seen = set()
-    for sigma in all_logical_states(u):
-        perms = [p for _, (_, p) in sigma.stack.items()] + \
-                [p for _, (_, p) in sigma.heap.items()]
-        if all(p == 1 for p in perms):
-            seen.add(MachineState(erase(sigma), frozenset()))
-    return sorted(seen, key=repr)
+    return sorted({MachineState(erase(sigma), frozenset())
+                   for sigma in _full_perm_states(u)}, key=repr)
 
 
 def cmd_run(args) -> int:
@@ -129,7 +129,6 @@ def cmd_verify(args) -> int:
     else:
         inits = _full_perm_inits(node.pre, result.valuation, u)
     report = verify_corollary(result, node, inits, u, maxlen=args.maxlen,
-                              parallelism=args.parallel,
                               emit_replays=args.emit_replays,
                               program_label=args.program,
                               proof_label=args.proof)
@@ -168,13 +167,17 @@ def cmd_game(args) -> int:
         lines.extend(replay_lines(play, t, strat.spec, u))
     else:
         lines.append("replay: no winning initial state (vacuous game)")
-    check = check_winning_strategy(strat, t, strat.spec, u, budget=args.budget)
+    if strat.initials:
+        check = check_winning_strategy(strat, t, strat.spec, u, budget=args.budget)
+        verdict, reason = check.verdict, check.reason
+    else:
+        verdict, reason = "vacuous", "no initial refinement"
     lines.append("")
-    lines.append(f"strategy check: {check.verdict} ({check.reason})")
+    lines.append(f"strategy check: {verdict} ({reason})")
     _write_out("\n".join(lines), args.output)
-    if check.verdict == "unknown":
+    if verdict == "unknown":
         return 3
-    return 0 if check.verdict == "pass" else 1
+    return 0 if verdict == "pass" else 1
 
 
 def cmd_solve(args) -> int:
@@ -199,6 +202,9 @@ def cmd_solve(args) -> int:
                    + sep_state_to_text(verdict.counterexample), args.output)
         return 1
     n = len(verdict.initials)
+    if n == 0:
+        _write_out("solver verdict: vacuous (no initial refinement)", args.output)
+        return 1
     _write_out(f"solver verdict: winning strategy found ({n} initial states)",
                args.output)
     return 0
@@ -240,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-extensions", action="store_true")
     p.add_argument("--inits", default=None,
                    help="file of initial logical states, one per line")
-    p.add_argument("--parallel", type=int, default=1,
-                   help="fan-out degree across traces")
     p.add_argument("--emit-replays", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -269,6 +273,9 @@ def main(argv=None) -> int:
     except (UsageError, ParseError) as exc:
         print(f"sepgame: {exc}", file=sys.stderr)
         return 2
+    except (ExtractionFailure, SoundnessAlarm) as exc:
+        print(f"sepgame: {exc}", file=sys.stderr)
+        return 1
     except EnumerationBudget as exc:
         print(f"sepgame: budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -3,9 +3,10 @@ Eve solver used as an independent oracle.
 
 A play over a trace of length p visits positions 1..2p+2; odd-to-even moves
 are Adam's (environment), even-to-odd moves are Eve's (one code step).  The
-checker and the solver enumerate Adam's choices as all separated-state
-refinements of the trace's next machine state that keep the code fragment, so
-everything stays within the universe's finite bounds.
+checker and the solver enumerate Adam's choices as the separated-state
+refinements of the trace's next machine state that keep the code fragment and
+satisfy the next position's predicate, so everything stays within the
+universe's finite bounds.
 """
 
 from __future__ import annotations
@@ -98,10 +99,9 @@ def is_winning_play(states: tuple, spec: WinningSpec, u: Universe) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _refinements(target: MachineState, code, dom_code: frozenset,
-                 pred: SeparatedPredicate, rho: fmap, u: Universe,
-                 winning_only: bool) -> tuple:
+                 pred: SeparatedPredicate, rho: fmap, u: Universe) -> tuple:
     """Separated states combining into `target` with the given code fragment
-    and code-held resources, paired with their winningness."""
+    and code-held resources that satisfy `pred`."""
     if not dom_code <= target.locked:
         return ()
     held_frame = target.locked - dom_code
@@ -123,18 +123,16 @@ def _refinements(target: MachineState, code, dom_code: frozenset,
             continue
         if combine(cand) != target:
             continue
-        win = sat_sep(cand, pred, rho, u)
-        if win or not winning_only:
-            out.append((cand, win))
+        if sat_sep(cand, pred, rho, u):
+            out.append(cand)
     return tuple(out)
 
 
 def adam_extensions(s: SeparatedState, target: MachineState,
-                    pred: SeparatedPredicate, rho: fmap, u: Universe,
-                    winning_only: bool = True) -> tuple:
-    """Legal Adam moves from s landing on refinements of the target state."""
-    return _refinements(target, s.code, s.dom_code(), pred, rho, u,
-                        winning_only)
+                    pred: SeparatedPredicate, rho: fmap, u: Universe) -> tuple:
+    """Legal Adam moves from s landing on refinements of the target state
+    that satisfy `pred`."""
+    return _refinements(target, s.code, s.dom_code(), pred, rho, u)
 
 
 def empty_winning_plays(source: MachineState, spec: WinningSpec,
@@ -147,8 +145,8 @@ def empty_winning_plays(source: MachineState, spec: WinningSpec,
         dom_candidates = [d | extra for d in dom_candidates
                           for extra in (frozenset(), frozenset([r]))]
     for dom_code in dom_candidates:
-        for cand, _ in _refinements(source, None, dom_code,
-                                    spec.predicate_at(1), spec.rho, u, True):
+        for cand in _refinements(source, None, dom_code,
+                                 spec.predicate_at(1), spec.rho, u):
             if is_winning_play((cand,), spec, u):
                 out.append(cand)
     return tuple(sorted(out, key=sep_state_to_text))
@@ -167,15 +165,13 @@ class CheckResult:
 
 
 def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
-                           budget: int = None,
-                           strict_adam: bool = False) -> CheckResult:
+                           budget: int = None) -> CheckResult:
     """Verify that a strategy is winning for the separation game of t.
 
     Checks: (a) every reachable play is winning and every Eve response is a
     legal move combining into the trace, (b) every empty winning play is
     accepted, (c) every winning Adam extension with a pending code step gets
-    an Eve response.  With strict_adam, additionally checks that the strategy
-    stays silent on losing Adam extensions.
+    an Eve response.
     """
     p = len(t)
     last = 2 * p + 2
@@ -210,17 +206,10 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
             continue
         target = trace_state(t, i + 1)
         pred = spec.predicate_at(i + 1)
-        ext = adam_extensions(s, target, pred, spec.rho, u,
-                              winning_only=not strict_adam)
         k = (i + 1) // 2
         step = t.steps[k - 1]
-        for s2, win in ext:
+        for s2 in adam_extensions(s, target, pred, spec.rho, u):
             responses = list(strat.respond(key, i + 1, s2))
-            if not win:
-                if responses:
-                    return CheckResult("fail", "response to a losing play",
-                                       play + (s2,))
-                continue
             if not responses:
                 return CheckResult(
                     "fail", f"no Eve response at position {i + 1}", play + (s2,))
@@ -287,7 +276,7 @@ class SolvedStrategy:
         target = trace_state(self.t, i + 1)
         pred = self.spec.predicate_at(i + 1)
         ok = True
-        for s2, _ in adam_extensions(s, target, pred, self.spec.rho, self.u):
+        for s2 in adam_extensions(s, target, pred, self.spec.rho, self.u):
             if not any(self.survives(i + 2, s3)
                        for s3 in self._eve_candidates(i + 1, s2)):
                 ok = False

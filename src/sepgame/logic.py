@@ -308,7 +308,14 @@ def lstate_from_text(text: str) -> LogicalState:
                 continue
             k, _, rest = chunk.partition("=")
             v, _, p = rest.partition("@")
-            out[int(k) if key_is_int else k] = (int(v), Fraction(p))
+            try:
+                key = int(k) if key_is_int else k
+                value, perm = int(v), Fraction(p)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad binding {chunk!r} in {text!r}") from None
+            if not 0 < perm <= 1:
+                raise ParseError(f"permission {perm} outside (0,1] in {text!r}")
+            out[key] = (value, perm)
         return out
 
     return LogicalState(fmap(pairs(sections[0], False)),

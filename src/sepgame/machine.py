@@ -97,8 +97,6 @@ class IAcquire:
 class IRelease:
     lock: str
 
-Instr = (IAssign, ILoad, IStore, INop, IAlloc, IDispose, IAcquire, IRelease)
-
 
 @dataclass(frozen=True)
 class Return:

@@ -26,7 +26,7 @@ class fmap(Mapping):
         return self._dict[key]
 
     def __iter__(self):
-        return iter(self.items_sorted_keys())
+        return iter([k for k, _ in self.items()])
 
     def __len__(self):
         return len(self._dict)
@@ -57,9 +57,6 @@ class fmap(Mapping):
             object.__setattr__(self, "_items", it)
         return it
 
-    def items_sorted_keys(self):
-        return [k for k, _ in self.items()]
-
     def set(self, key, value) -> "fmap":
         d = dict(self._dict)
         d[key] = value
@@ -69,6 +66,3 @@ class fmap(Mapping):
         d = dict(self._dict)
         del d[key]
         return fmap(d)
-
-
-EMPTY = fmap()

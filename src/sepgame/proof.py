@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .logic import def_formula, entails, is_precise
+from .logic import TOP, def_formula, entails, is_precise
 from .maps import fmap
 from .syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, EXTENSION_RULES,
                      FAnd, FEq, FFalse, FImplies, FNot, FOr, Forall, FTrue,
@@ -26,8 +25,6 @@ from .syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, EXTENSION_RULES
                      ResourceC, SeqC, Skip, Star, Store, Universe, Var, While,
                      WithWhen, bexpr_to_formula, expr_program_vars,
                      formula_free_logical_vars, is_logical_name)
-
-TOP = Fraction(1)
 
 
 @dataclass(frozen=True)

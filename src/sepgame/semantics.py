@@ -310,28 +310,6 @@ class HideTS(TransitionSystem):
                 yield Trace(source, steps, target)
 
 
-def ts_atom(m, u):
-    return AtomTS(m, u)
-
-def ts_seq(a, b):
-    return SeqTS(a, b)
-
-def ts_par(a, b):
-    return ParTS(a, b)
-
-def ts_hide(r, a):
-    return HideTS(r, a)
-
-def ts_inside(r, a, u):
-    return SeqTS(AtomTS(IAcquire(r), u), SeqTS(a, AtomTS(IRelease(r), u)))
-
-def ts_when(cond, want, a):
-    return WhenTS(cond, want, a)
-
-def ts_when_abort(cond):
-    return WhenAbortTS(cond)
-
-
 # --- denotation --------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -357,8 +335,9 @@ def denote(c, u: Universe) -> TransitionSystem:
         case ResourceC(r, body):
             return HideTS(r, denote(body, u))
         case WithWhen(r, b, body):
-            return UnionTS((WhenTS(b, True, ts_inside(r, denote(body, u), u)),
-                            WhenAbortTS(b)))
+            inside = SeqTS(AtomTS(IAcquire(r), u),
+                           SeqTS(denote(body, u), AtomTS(IRelease(r), u)))
+            return UnionTS((WhenTS(b, True, inside), WhenAbortTS(b)))
         case IfC(b, then, orelse):
             nop = lambda: AtomTS(INop(), u)
             return UnionTS((SeqTS(WhenTS(b, True, nop()), denote(then, u)),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .logic import (EMPTY_LSTATE, LogicalState, erase, lstate_from_text,
-                    lstate_to_text, tensor, tensor_all)
+                    lstate_to_text, tensor_all)
 from .machine import MachineState, MemoryState, Return, locks, locks_minus, \
     locks_plus, machine_step
 from .maps import fmap
@@ -47,10 +47,6 @@ class SeparatedState:
     def __post_init__(self):
         if big_tensor(self) is None:
             raise SeparationError("separated-state tensor is undefined")
-
-    def dom(self) -> frozenset:
-        return frozenset(r for r, e in self.resources.items()
-                         if isinstance(e, Available))
 
     def dom_code(self) -> frozenset:
         return frozenset(r for r, e in self.resources.items() if e == HELD_BY_CODE)

@@ -15,7 +15,8 @@ of the separated state and its premises' views:
   * with absorbs the resource's content on acquire and splits off a fragment
     satisfying the invariant on release (smallest candidate first);
   * conj plays its first premise and audits the second's claims, raising an
-    alarm on divergence.
+    alarm on divergence;
+  * consequence changes no move, so its premise lifts in its place.
 
 All choice points are resolved by deterministic search in enumeration order,
 so extraction is reproducible.  A failed search raises ExtractionFailure
@@ -26,24 +27,20 @@ have no response, and the game makes them unreachable for provable programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .game import (adam_extensions, empty_winning_plays, sat_sep,
                    trace_state, winning_spec, replay_lines)
-from .logic import (EMPTY_LSTATE, LogicalState, erase, satisfies, substates,
-                    tensor)
+from .logic import (EMPTY_LSTATE, TOP, LogicalState, erase, lstate_to_text,
+                    satisfies, substates, tensor)
 from .machine import ABORT, MachineState, eval_expr
 from .maps import fmap
 from .proof import ProofCheckResult, Sequent
-from .semantics import (AbortW, AtomW, BranchW, GateW, HideW, NOTIN, ParW,
-                        RETURNS, SeqLeftW, SeqSplitW, denote, enumerate_traces)
+from .semantics import (BranchW, GateW, HideW, NOTIN, ParW, RETURNS, SeqLeftW,
+                        SeqSplitW, denote, enumerate_traces)
 from .separation import (Available, HELD_BY_CODE, SeparatedState,
                          SeparationError, combine, legal_eve_move,
                          sep_state_to_text)
 from .syntax import FTrue, Star, Universe
 from .traces import ERR, Trace
-
-TOP = 1
 
 
 class ExtractionFailure(Exception):
@@ -54,10 +51,6 @@ class ExtractionFailure(Exception):
 
 class SoundnessAlarm(Exception):
     """The reconstructed lifting broke one of its own invariants."""
-
-
-def _sub_trace(t: Trace, start: int, stop: int, source, target) -> Trace:
-    return Trace(source, t.steps[start:stop], target)
 
 
 class _Lifter:
@@ -89,6 +82,25 @@ class _Lifter:
     def _child(self, index, t):
         node = self.node.children[index]
         return build_lifter(node, f"{self.path}.{index}", t, self.u, self.rho)
+
+    def _seq_parts(self, w, t: Trace):
+        """Decode the witness of a sequential composition on t into the first
+        command's sub-trace, the second's sub-trace and the second's witness;
+        the last two are None while the first command has not returned."""
+        if isinstance(w, SeqSplitW):
+            return (Trace(t.source, t.steps[:w.k], w.mid),
+                    Trace(w.mid, t.steps[w.k:], t.target), w.right)
+        if isinstance(w, SeqLeftW):
+            return t, None, None
+        self._fail(f"unexpected witness {type(w).__name__}")
+
+    def _first_split(self, code, fa, fb, reason):
+        """The first split (a, b) of the code fragment with a satisfying fa
+        and b satisfying fb."""
+        for a, b in substates(code, self.u):
+            if self._sat(a, fa) and self._sat(b, fb):
+                return a, b
+        self._fail(reason)
 
     def start(self, code: LogicalState):
         raise NotImplementedError
@@ -149,19 +161,12 @@ class AtomLifter(_Lifter):
 
 class SeqLifter(_Lifter):
     def _setup(self):
-        w = self.witness
-        if isinstance(w, SeqSplitW):
-            self.k0 = w.k
-            t1 = _sub_trace(self.t, 0, w.k, self.t.source, w.mid)
-            t2 = _sub_trace(self.t, w.k, None, w.mid, self.t.target)
-            self.left = self._child(0, t1)
+        t1, t2, _ = self._seq_parts(self.witness, self.t)
+        self.left = self._child(0, t1)
+        self.k0 = self.right = None
+        if t2 is not None:
+            self.k0 = len(t1)
             self.right = self._child(1, t2)
-        elif isinstance(w, SeqLeftW):
-            self.k0 = None
-            self.left = self._child(0, self.t)
-            self.right = None
-        else:
-            self._fail(f"unexpected witness {type(w).__name__}")
 
     def start(self, code):
         return ("L", self.left.start(code))
@@ -196,11 +201,10 @@ class ParLifter(_Lifter):
         self.right = self._child(1, t2)
 
     def start(self, code):
-        p1, p2 = self.node.children[0].pre, self.node.children[1].pre
-        for a, b in substates(code, self.u):
-            if self._sat(a, p1) and self._sat(b, p2):
-                return (a, b, self.left.start(a), self.right.start(b))
-        self._fail("no split of the code fragment satisfies both preconditions")
+        a, b = self._first_split(
+            code, self.node.children[0].pre, self.node.children[1].pre,
+            "no split of the code fragment satisfies both preconditions")
+        return (a, b, self.left.start(a), self.right.start(b))
 
     def eve(self, residue, k, code, resources):
         a, b, r1, r2 = residue
@@ -231,11 +235,10 @@ class FrameLifter(_Lifter):
         self.frame_formula = self.node.params["R"]
 
     def start(self, code):
-        pre = self.node.children[0].pre
-        for a, b in substates(code, self.u):
-            if self._sat(a, pre) and self._sat(b, self.frame_formula):
-                return (a, b, self.inner.start(a))
-        self._fail("no split of the code fragment matches P * R")
+        a, b = self._first_split(code, self.node.children[0].pre,
+                                 self.frame_formula,
+                                 "no split of the code fragment matches P * R")
+        return (a, b, self.inner.start(a))
 
     def eve(self, residue, k, code, resources):
         a, framed, r1 = residue
@@ -273,21 +276,6 @@ class ConjLifter(_Lifter):
         return code2, updates, (inner2,)
 
 
-class ConseqLifter(_Lifter):
-    def _setup(self):
-        self.inner = self._child(0, self.t)
-
-    def start(self, code):
-        return (self.inner.start(code),)
-
-    def eve(self, residue, k, code, resources):
-        out = self.inner.eve(residue[0], k, code, resources)
-        if out is None:
-            return None
-        code2, updates, inner2 = out
-        return code2, updates, (inner2,)
-
-
 class ResLifter(_Lifter):
     def _setup(self):
         w = self.witness
@@ -319,11 +307,9 @@ class ResLifter(_Lifter):
             self._fail("pre-image locks the bound resource outside the code's hold")
 
     def start(self, code):
-        pre = self.node.children[0].pre
-        for j, a in substates(code, self.u):
-            if self._sat(j, self.inv) and self._sat(a, pre):
-                return (("avail", j), a, self.inner.start(a))
-        self._fail("no split of the code fragment matches P * J")
+        j, a = self._first_split(code, self.inv, self.node.children[0].pre,
+                                 "no split of the code fragment matches P * J")
+        return (("avail", j), a, self.inner.start(a))
 
     def eve(self, residue, k, code, resources):
         virt, a, r1 = residue
@@ -359,7 +345,6 @@ class WithLifter(_Lifter):
         self.dead = False
         self.body = None
         self.body_len = 0
-        self.has_release = False
         w = self.witness
         if isinstance(w, BranchW) and w.index == 1:
             self.dead = True
@@ -367,23 +352,14 @@ class WithLifter(_Lifter):
         if not (isinstance(w, BranchW) and w.index == 0
                 and isinstance(w.inner, GateW)):
             self._fail(f"unexpected witness {type(w).__name__}")
-        inside = w.inner.inner
-        if isinstance(inside, SeqLeftW):
+        acquire, rest, w2 = self._seq_parts(w.inner.inner, self.t)
+        if rest is None:
             return  # at most the acquire step
-        if not (isinstance(inside, SeqSplitW) and inside.k == 1):
+        if len(acquire) != 1:
             self._fail("unexpected inside witness")
-        rest = _sub_trace(self.t, 1, None, inside.mid, self.t.target)
-        w2 = inside.right
-        if isinstance(w2, SeqLeftW):
-            self.body = self._child(0, rest)
-            self.body_len = len(rest)
-        elif isinstance(w2, SeqSplitW):
-            body_t = _sub_trace(rest, 0, w2.k, rest.source, w2.mid)
-            self.body = self._child(0, body_t)
-            self.body_len = w2.k
-            self.has_release = len(rest) > w2.k
-        else:
-            self._fail("unexpected inside witness")
+        body_t, _, _ = self._seq_parts(w2, rest)
+        self.body = self._child(0, body_t)
+        self.body_len = len(body_t)
 
     def start(self, code):
         return ("pre", None)
@@ -410,10 +386,10 @@ class WithLifter(_Lifter):
             code2, updates, inner2 = out
             return code2, updates, ("body", inner2)
         # the release step
-        for j, q in substates(code, self.u):
-            if self._sat(j, self.inv) and self._sat(q, self.node.post):
-                return q, {self.r: Available(j)}, ("done", None)
-        self._fail("no release split satisfies the invariant and postcondition")
+        j, q = self._first_split(
+            code, self.inv, self.node.post,
+            "no release split satisfies the invariant and postcondition")
+        return q, {self.r: Available(j)}, ("done", None)
 
 
 class IfLifter(_Lifter):
@@ -425,12 +401,11 @@ class IfLifter(_Lifter):
             return
         if not isinstance(w, BranchW):
             self._fail(f"unexpected witness {type(w).__name__}")
-        inner = w.inner
-        if isinstance(inner, SeqLeftW):
+        test, rest, _ = self._seq_parts(w.inner, self.t)
+        if rest is None:
             return  # only the branch-test step so far
-        if not (isinstance(inner, SeqSplitW) and inner.k == 1):
+        if len(test) != 1:
             self._fail("unexpected branch witness")
-        rest = _sub_trace(self.t, 1, None, inner.mid, self.t.target)
         self.body = self._child(w.index, rest)
 
     def start(self, code):
@@ -466,24 +441,16 @@ class WhileLifter(_Lifter):
         if w.index == 2:
             self.segments.append(("dead", None, 1))
             return
-        inner = w.inner
-        if isinstance(inner, SeqLeftW):
-            self.segments.append(("nop", None, 1))
-            return
-        if not (isinstance(inner, SeqSplitW) and inner.k == 1):
+        test, rest, w2 = self._seq_parts(w.inner, t_cur)
+        if rest is not None and len(test) != 1:
             self._fail("unexpected loop witness")
         self.segments.append(("nop", None, 1))
-        rest = _sub_trace(t_cur, 1, None, inner.mid, t_cur.target)
-        w2 = inner.right
-        if isinstance(w2, SeqLeftW):
-            self.segments.append(("body", self._child(0, rest), len(rest)))
-        elif isinstance(w2, SeqSplitW):
-            body_t = _sub_trace(rest, 0, w2.k, rest.source, w2.mid)
-            self.segments.append(("body", self._child(0, body_t), w2.k))
-            loop_t = _sub_trace(rest, w2.k, None, w2.mid, rest.target)
-            self._walk(w2.right, loop_t)
-        else:
-            self._fail("unexpected loop witness")
+        if rest is None:
+            return
+        body_t, loop_t, w3 = self._seq_parts(w2, rest)
+        self.segments.append(("body", self._child(0, body_t), len(body_t)))
+        if loop_t is not None:
+            self._walk(w3, loop_t)
 
     def start(self, code):
         return (0, None)
@@ -514,12 +481,14 @@ _LIFTERS = {
     "aff": AtomLifter, "store": AtomLifter, "load": AtomLifter,
     "ext_alloc": AtomLifter, "ext_dispose": AtomLifter, "ext_skip": AtomLifter,
     "seq": SeqLifter, "par": ParLifter, "frame": FrameLifter,
-    "conj": ConjLifter, "ext_conseq": ConseqLifter, "res": ResLifter,
+    "conj": ConjLifter, "res": ResLifter,
     "with": WithLifter, "if": IfLifter, "ext_while": WhileLifter,
 }
 
 
 def build_lifter(node, path, t, u, rho) -> _Lifter:
+    if node.tag == "ext_conseq":
+        return build_lifter(node.children[0], f"{path}.0", t, u, rho)
     cls = _LIFTERS.get(node.tag)
     if cls is None:
         raise ExtractionFailure(path, node.tag, "no lifting for this rule")
@@ -531,8 +500,7 @@ def build_lifter(node, path, t, u, rho) -> _Lifter:
 class ExtractedStrategy:
     """Winning strategy induced by a derivation tree on one trace."""
 
-    def __init__(self, node, t: Trace, u: Universe, rho: fmap,
-                 spec=None):
+    def __init__(self, node, t: Trace, u: Universe, rho: fmap):
         verdict, witness = denote(node.cmd, u).member(t)
         if verdict == NOTIN:
             raise ExtractionFailure("root", node.tag,
@@ -541,8 +509,8 @@ class ExtractedStrategy:
         self.t = t
         self.u = u
         self.rho = rho
-        self.spec = spec or winning_spec(node.pre, node.ctx, node.post, t,
-                                         verdict == RETURNS, rho)
+        self.spec = winning_spec(node.pre, node.ctx, node.post, t,
+                                 verdict == RETURNS, rho)
         self.lifter = build_lifter(node, "root", t, u, rho)
         self.initials = {}
         for s in empty_winning_plays(t.source, self.spec, u):
@@ -575,19 +543,6 @@ class ExtractedStrategy:
         return [(s2, key2)]
 
 
-def extract_strategy(check: ProofCheckResult, t: Trace, witness, u: Universe,
-                     node=None) -> ExtractedStrategy:
-    """Build the strategy of a checked proof for one trace.
-
-    `check` must be an accepted result; `node` is the proof tree it came from.
-    """
-    if not check.ok:
-        raise ExtractionFailure("root", "-", "proof was not accepted")
-    if node is None:
-        raise ExtractionFailure("root", "-", "proof node required")
-    return ExtractedStrategy(node, t, u, check.valuation)
-
-
 # --- driving plays and the corollary -------------------------------------------------
 
 def drive_play(strat, t: Trace, spec, u: Universe, initial=None):
@@ -608,13 +563,11 @@ def drive_play(strat, t: Trace, spec, u: Universe, initial=None):
     for i in range(1, 2 * p + 2, 2):
         target = trace_state(t, i + 1)
         pred = spec.predicate_at(i + 1)
-        nxt = None
         if combine(state) == target and sat_sep(state, pred, spec.rho, u):
             nxt = state
         else:
-            for cand, _ in adam_extensions(state, target, pred, spec.rho, u):
-                nxt = cand
-                break
+            nxt = next(iter(adam_extensions(state, target, pred, spec.rho, u)),
+                       None)
         if nxt is None:
             break
         state = nxt
@@ -630,17 +583,17 @@ def drive_play(strat, t: Trace, spec, u: Universe, initial=None):
 
 
 def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
-                     maxlen=None, parallelism=1, emit_replays=False,
+                     maxlen=None, emit_replays=False,
                      program_label="", proof_label="") -> dict:
     """Check both consequences of a proof with an empty context under the
     passive environment: no error steps, and returning traces end in a memory
     satisfying the postcondition star true, witnessed by the extracted play's
     final code fragment.
 
-    Trace checks fan out over a thread pool of the given size; results are
-    merged by trace index, so the report does not depend on the degree.
+    Failures list the initial states outside P * true first, then the failing
+    traces in enumeration order.  A strategy that cannot be extracted or
+    breaks its own invariants on a trace is a failure of that trace.
     """
-    from .logic import lstate_to_text
     report = {
         "program": program_label,
         "proof": proof_label,
@@ -661,59 +614,57 @@ def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
         return report
     rho = check.valuation
     pre_true = Star(seq.pre, FTrue())
-    jobs = []
+    starts = []
     for init in sorted(inits, key=lstate_to_text):
         label = lstate_to_text(init)
-        if not satisfies(init, pre_true, rho, u):
+        if satisfies(init, pre_true, rho, u):
+            starts.append((init, label))
+        else:
             report["failures"].append(
                 {"init": label, "reason": "initial state does not satisfy P * true"})
-            continue
-        start = MachineState(erase(init), frozenset())
-        for t, returning, w in enumerate_traces(node.cmd, [start], u,
-                                                maxlen=maxlen, policy="passive"):
-            jobs.append((init, label, t, returning))
-
-    def run_job(job):
-        init, label, t, returning = job
-        entry = {"init": label, "trace_len": len(t)}
-        if t.errored:
-            entry["reason"] = "error step in a passive-environment trace"
-            return returning, entry, None
-        strat = ExtractedStrategy(node, t, u, rho)
-        canonical = _canonical_initial(init, seq, strat, u, rho)
-        if canonical is None:
-            entry["reason"] = "no accepted initial refinement"
-            return returning, entry, None
-        play = drive_play(strat, t, strat.spec, u, initial=canonical)
-        if len(play) != 2 * len(t) + 2:
-            entry["reason"] = f"play stalled after {len(play)} states"
-            return returning, entry, play
-        if returning and not satisfies(play[-1].code, seq.post, rho, u):
-            entry["reason"] = "final code fragment violates the postcondition"
-            return returning, entry, play
-        return returning, None, play
-
-    if parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run_job, jobs))
-    else:
-        results = [run_job(j) for j in jobs]
 
     replays = []
-    for (init, label, t, _), (returning, failure, play) in zip(jobs, results):
-        report["traces_checked"] += 1
-        if returning:
-            report["returning"] += 1
-        if failure is not None:
-            report["failures"].append(failure)
-        if emit_replays and play is not None:
-            spec = winning_spec(seq.pre, seq.ctx, seq.post, t, returning, rho)
-            replays.append({"init": label, "trace_len": len(t),
-                            "lines": replay_lines(play, t, spec, u)})
+    for init, label in starts:
+        start = MachineState(erase(init), frozenset())
+        for t, returning, _ in enumerate_traces(node.cmd, [start], u,
+                                                maxlen=maxlen, policy="passive"):
+            report["traces_checked"] += 1
+            if returning:
+                report["returning"] += 1
+            reason, play = _trace_failure(node, seq, init, t, returning, u, rho)
+            if reason is not None:
+                report["failures"].append(
+                    {"init": label, "trace_len": len(t), "reason": reason})
+            if emit_replays and play is not None:
+                spec = winning_spec(seq.pre, seq.ctx, seq.post, t, returning, rho)
+                replays.append({"init": label, "trace_len": len(t),
+                                "lines": replay_lines(play, t, spec, u)})
     if emit_replays:
         report["replays"] = replays
     return report
+
+
+def _trace_failure(node, seq: Sequent, init, t: Trace, returning: bool,
+                   u: Universe, rho: fmap):
+    """Why one passive trace breaks the corollary, or None; and the play
+    driven along it, when there is one."""
+    if t.errored:
+        return "error step in a passive-environment trace", None
+    try:
+        strat = ExtractedStrategy(node, t, u, rho)
+        canonical = _canonical_initial(init, seq, strat, u, rho)
+        if canonical is None:
+            return "no accepted initial refinement", None
+        play = drive_play(strat, t, strat.spec, u, initial=canonical)
+    except ExtractionFailure as exc:
+        return f"extraction failed: {exc}", None
+    except SoundnessAlarm as exc:
+        return f"soundness alarm: {exc}", None
+    if len(play) != 2 * len(t) + 2:
+        return f"play stalled after {len(play)} states", play
+    if returning and not satisfies(play[-1].code, seq.post, rho, u):
+        return "final code fragment violates the postcondition", play
+    return None, play
 
 
 def _canonical_initial(init, seq: Sequent, strat: ExtractedStrategy,

@@ -9,7 +9,7 @@ used as cache keys everywhere else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .maps import fmap
@@ -42,8 +42,6 @@ class Mul:
     left: object
     right: object
 
-Expr = (Lit, Var, Add, Mul)
-
 
 @dataclass(frozen=True)
 class BTrue:
@@ -67,8 +65,6 @@ class BOr:
 class BEq:
     left: object
     right: object
-
-BExpr = (BTrue, BFalse, BAnd, BOr, BEq)
 
 
 # --- commands ----------------------------------------------------------------
@@ -132,9 +128,6 @@ class AllocC:
 @dataclass(frozen=True)
 class DisposeC:
     addr: object
-
-Command = (Assign, Load, Store, Skip, SeqC, ParC, While, ResourceC, WithWhen,
-           IfC, AllocC, DisposeC)
 
 
 # --- formulas ----------------------------------------------------------------
@@ -201,9 +194,6 @@ class FImplies:
     left: object
     right: object
 
-Formula = (Emp, FTrue, FFalse, FOr, FAnd, FNot, Forall, Exists, Star, Own,
-           PointsTo, FEq, FImplies)
-
 
 def is_logical_name(name: str) -> bool:
     return name[0].isupper()
@@ -253,25 +243,6 @@ def formula_free_logical_vars(f, bound=frozenset()) -> frozenset:
         case PointsTo(a, _, v):
             vs = expr_vars(a) | expr_vars(v)
             return frozenset(x for x in vs if is_logical_name(x)) - bound
-    raise TypeError(f)
-
-
-def formula_program_vars(f) -> frozenset:
-    match f:
-        case Emp() | FTrue() | FFalse():
-            return frozenset()
-        case Own(_, x):
-            return frozenset([x])
-        case FOr(l, r) | FAnd(l, r) | Star(l, r) | FImplies(l, r):
-            return formula_program_vars(l) | formula_program_vars(r)
-        case FNot(b):
-            return formula_program_vars(b)
-        case Forall(_, b) | Exists(_, b):
-            return formula_program_vars(b)
-        case FEq(l, r):
-            return expr_program_vars(l) | expr_program_vars(r)
-        case PointsTo(a, _, v):
-            return expr_program_vars(a) | expr_program_vars(v)
     raise TypeError(f)
 
 
@@ -886,8 +857,14 @@ def parse_universe(text: str) -> Universe:
             return entries.pop(key)[0]
         return default
 
+    def number(kind, text, key):
+        try:
+            return kind(text)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad {key} entry {text!r}") from None
+
     variables = tuple(split_list(get("vars", "")))
-    locations = tuple(int(x) for x in split_list(get("locs", "")))
+    locations = tuple(number(int, x, "locs") for x in split_list(get("locs", "")))
     vals_text = get("vals", "")
     if ".." in vals_text:
         lo, _, hi = vals_text.partition("..")
@@ -897,10 +874,11 @@ def parse_universe(text: str) -> Universe:
             raise ParseError(f"bad value range {vals_text!r}")
         values = tuple(range(lo, hi + 1))
     else:
-        values = tuple(int(x) for x in split_list(vals_text))
-    perms = tuple(sorted(Fraction(x) for x in split_list(get("perms", ""))))
+        values = tuple(number(int, x, "vals") for x in split_list(vals_text))
+    perms = tuple(sorted(number(Fraction, x, "perms")
+                         for x in split_list(get("perms", ""))))
     locks = tuple(split_list(get("locks", "")))
-    maxlen = int(get("maxlen", "6"))
+    maxlen = number(int, get("maxlen", "6"), "maxlen")
     env = get("env", "passive")
     if entries:
         key, (_, lineno) = next(iter(entries.items()))

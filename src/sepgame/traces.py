@@ -12,9 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import machine
-from .machine import (ERROR, INop, IAcquire, IRelease, MachineState, Return,
-                      instr_to_text, mstate_to_text, parse_instr, parse_mstate)
+from .machine import (INop, IAcquire, IRelease, MachineState, instr_to_text,
+                      mstate_to_text, parse_instr, parse_mstate)
 
 OK = "ok"
 ERR = "err"
@@ -56,33 +55,11 @@ class Trace:
     def errored(self) -> bool:
         return bool(self.steps) and self.steps[-1].status == ERR
 
-    @property
-    def returning_shape(self) -> bool:
-        return not self.errored
-
     def prefix(self, k: int) -> "Trace":
         """The length-k path prefix; its target is the next code state."""
         if k == len(self.steps):
             return self
         return Trace(self.source, self.steps[:k], self.steps[k].pre)
-
-
-def step_is_valid(step: CodeTransition, u) -> bool:
-    """Check a code transition against the machine-step relation.
-
-    An error step labelled nop is additionally accepted: it is the marker for
-    a failed boolean test, which no ordinary instruction produces.
-    """
-    outs = machine.machine_step(step.pre, step.instr, u)
-    if step.status == OK:
-        return Return(step.post) in outs
-    if ERROR in outs:
-        return True
-    return isinstance(step.instr, INop)
-
-
-def validate_trace(t: Trace, u) -> bool:
-    return all(step_is_valid(st, u) for st in t.steps)
 
 
 # --- algebra -------------------------------------------------------------------
@@ -113,14 +90,6 @@ def restrict(f, t: Trace) -> Trace:
 class Shuffle:
     """A monotone bijection {1..p} + {1..q} -> {1..p+q}, stored as fiber tags."""
     tags: tuple   # each tag is 1 or 2
-
-    @property
-    def p(self):
-        return sum(1 for t in self.tags if t == 1)
-
-    @property
-    def q(self):
-        return sum(1 for t in self.tags if t == 2)
 
     def left_positions(self) -> tuple:
         return tuple(i + 1 for i, t in enumerate(self.tags) if t == 1)

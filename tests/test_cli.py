@@ -1,0 +1,113 @@
+"""The documented exit codes of the command line, through `cli.main`.
+
+A return from `main` (rather than an exception escaping it) is what keeps a
+traceback off the terminal.
+"""
+
+import json
+
+import pytest
+
+from sepgame import cli
+
+from .conftest import CORPUS
+
+UNIVERSE = "vars = x\nlocs = 2\nvals = 0..1\nperms = 1/2, 1\nlocks = r\nmaxlen = 2\n"
+
+
+def _corpus(name, ext):
+    return str(CORPUS / f"{name}{ext}")
+
+
+def _verb(verb, name, *extra):
+    """argv for game, solve or verify on a corpus program."""
+    return [verb, _corpus(name, ".csl"), _corpus(name, ".proof"),
+            "-u", _corpus(name, ".uni"), "--allow-extensions", *extra]
+
+
+def _main(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("line", ["maxlen = abc", "locs = 2, q", "perms = 1/0",
+                                  "perms = 1/2, x", "vals = 0, b"])
+def test_malformed_universe_exits_2(tmp_path, capsys, line):
+    key, value = (part.strip() for part in line.split("="))
+    uni = tmp_path / "bad.uni"
+    uni.write_text("\n".join(line if ln.startswith(key) else ln
+                             for ln in UNIVERSE.splitlines()))
+    code, out, err = _main(["run", _corpus("framed_assign", ".csl"), "-u", str(uni)],
+                           capsys)
+    assert code == 2
+    assert err.startswith("sepgame: ") and len(err.splitlines()) == 1
+    assert repr(value.split(",")[-1].strip()) in err
+
+
+@pytest.mark.parametrize("state", ["{x=0@1|2=zz@1}", "{x=0@0|}", "{x=0@3/2|}",
+                                   "{x=0@1/0|}", "{x=0|}", "{q=1@1|x=0@1}"])
+def test_malformed_init_exits_2(capsys, state):
+    code, out, err = _main(["run", _corpus("framed_assign", ".csl"),
+                            "-u", _corpus("framed_assign", ".uni"), "--init", state],
+                           capsys)
+    assert code == 2
+    assert err.startswith("sepgame: ") and len(err.splitlines()) == 1
+
+
+def test_malformed_inits_file_exits_2(tmp_path, capsys):
+    inits = tmp_path / "bad.inits"
+    inits.write_text("{x=0@1,y=0@1|}\n{x=0@1|2=zz@1}\n")
+    code, out, err = _main(_verb("verify", "par_writes", "--inits", str(inits)),
+                           capsys)
+    assert code == 2
+    assert out == "" and err.startswith("sepgame: ")
+
+
+def test_parallel_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_verb("verify", "par_writes", "--parallel", "2"))
+    assert exc.value.code == 2
+
+
+def test_extraction_failure_is_a_report_entry(capsys):
+    code, out, err = _main(_verb("verify", "seq_load_store",
+                                 "--inits", _corpus("seq_load_store", ".inits")),
+                           capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["failures"]
+    assert report["failures"][0]["reason"].startswith(
+        "extraction failed: root.0.1 (frame): ")
+    assert err == ""
+
+
+@pytest.mark.parametrize("name, index, message", [
+    ("seq_load_store", "89", "sepgame: root.0.1 (frame): "),
+    ("conj_precise", "11", "sepgame: root: conj audit failed"),
+])
+def test_game_extraction_errors_exit_1(capsys, name, index, message):
+    code, out, err = _main(_verb("game", name, "--trace-index", index,
+                                 "--maxlen", "2"), capsys)
+    assert code == 1
+    assert err.startswith(message) and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("verb, line", [
+    ("game", "strategy check: vacuous (no initial refinement)"),
+    ("solve", "solver verdict: vacuous (no initial refinement)"),
+])
+def test_vacuous_game_and_solve_exit_1(capsys, verb, line):
+    code, out, err = _main(_verb(verb, "if_def", "--trace-index", "0"), capsys)
+    assert code == 1
+    assert out.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("verb, line", [
+    ("game", "strategy check: pass (explored 1 play nodes)"),
+    ("solve", "solver verdict: winning strategy found (1 initial states)"),
+])
+def test_covered_game_and_solve_exit_0(capsys, verb, line):
+    code, out, err = _main(_verb(verb, "if_def", "--trace-index", "10"), capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == line

@@ -151,7 +151,7 @@ def test_solver_strategy_plays_combine_into_the_trace(u):
     strat = solve_eve(t, spec, u)
     for s, key in strat.initial_nodes():
         assert combine(s) == t.source
-        for s2, win in adam_extensions(s, trace_state(t, 2),
+        for s2 in adam_extensions(s, trace_state(t, 2),
                                        spec.predicate_at(2), fmap(), u):
             for s3, _ in strat.respond(key, 2, s2):
                 assert combine(s3) == trace_state(t, 3)
