@@ -9,7 +9,8 @@ from sepgame.game import (CheckResult, NoWin, SeparatedPredicate, WinningSpec,
 from sepgame.logic import EMPTY_LSTATE, lstate
 from sepgame.machine import IAssign, IStore, machine_step, mstate
 from sepgame.maps import fmap
-from sepgame.separation import Available, HELD_BY_CODE, combine, sep_state
+from sepgame.separation import (Available, HELD_BY_CODE, combine, sep_state,
+                                sep_state_to_text)
 from sepgame.syntax import (FTrue, Lit, Own, Var, parse_formula,
                             parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace
@@ -170,3 +171,45 @@ def test_replay_lines_shape(u):
     assert lines[2].startswith("E x := 1")
     assert lines[3].startswith("A env")
     assert all(line.endswith("pass") for line in lines)
+
+
+# The order of Adam's moves is part of the contract: `drive_play` takes the
+# first refinement when the identity move does not satisfy the predicate.
+
+_ANY = SeparatedPredicate(FTrue(), fmap(), FTrue())
+_HALF_X = sep_state(code=lstate(stack={"x": (0, Fraction(1, 2))}),
+                    resources={"r": Available(EMPTY_LSTATE)},
+                    frame=lstate(stack={"x": (0, Fraction(1, 2))}))
+
+
+def test_adam_extension_order_unlocked(u):
+    target = mstate(stack={"x": 0}, heap={2: 1})
+    assert [sep_state_to_text(s) for s in
+            adam_extensions(_HALF_X, target, _ANY, fmap(), u)] == [
+        "code={x=0@1/2|} ; res=[r:avail{|}] ; frame={|2=1@1/2}",
+        "code={x=0@1/2|} ; res=[r:avail{|}] ; frame={|2=1@1}",
+        "code={x=0@1/2|} ; res=[r:avail{|2=1@1/2}] ; frame={|}",
+        "code={x=0@1/2|} ; res=[r:avail{|2=1@1/2}] ; frame={|2=1@1/2}",
+        "code={x=0@1/2|} ; res=[r:avail{|2=1@1}] ; frame={|}",
+        "code={x=0@1/2|} ; res=[r:avail{|}] ; frame={x=0@1/2|2=1@1/2}",
+        "code={x=0@1/2|} ; res=[r:avail{|}] ; frame={x=0@1/2|2=1@1}",
+        "code={x=0@1/2|} ; res=[r:avail{|2=1@1/2}] ; frame={x=0@1/2|}",
+        "code={x=0@1/2|} ; res=[r:avail{|2=1@1/2}] ; frame={x=0@1/2|2=1@1/2}",
+        "code={x=0@1/2|} ; res=[r:avail{|2=1@1}] ; frame={x=0@1/2|}",
+        "code={x=0@1/2|} ; res=[r:avail{x=0@1/2|}] ; frame={|2=1@1/2}",
+        "code={x=0@1/2|} ; res=[r:avail{x=0@1/2|}] ; frame={|2=1@1}",
+        "code={x=0@1/2|} ; res=[r:avail{x=0@1/2|2=1@1/2}] ; frame={|}",
+        "code={x=0@1/2|} ; res=[r:avail{x=0@1/2|2=1@1/2}] ; frame={|2=1@1/2}",
+        "code={x=0@1/2|} ; res=[r:avail{x=0@1/2|2=1@1}] ; frame={|}",
+    ]
+
+
+def test_adam_extension_order_locked(u):
+    target = mstate(stack={"x": 0, "y": 1}, locked={"r"})
+    assert [sep_state_to_text(s) for s in
+            adam_extensions(_HALF_X, target, _ANY, fmap(), u)] == [
+        "code={x=0@1/2|} ; res=[r:F] ; frame={y=1@1/2|}",
+        "code={x=0@1/2|} ; res=[r:F] ; frame={y=1@1|}",
+        "code={x=0@1/2|} ; res=[r:F] ; frame={x=0@1/2,y=1@1/2|}",
+        "code={x=0@1/2|} ; res=[r:F] ; frame={x=0@1/2,y=1@1|}",
+    ]

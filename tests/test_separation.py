@@ -130,3 +130,48 @@ def test_sep_state_text_round_trip():
     assert sep_state_from_text(sep_state_to_text(s)) == s
     held = sep_state(resources={"r": HELD_BY_CODE})
     assert sep_state_from_text(sep_state_to_text(held)) == held
+
+
+# The order in which Eve's moves are enumerated is part of the contract:
+# `drive_play` and the replays of `verify --emit-replays` take the first one.
+
+@pytest.fixture(scope="module")
+def u2():
+    return parse_universe("vars = x, y\nlocs = 2\nvals = 0..1\n"
+                          "perms = 1/2, 1\nlocks = r\nmaxlen = 2\n")
+
+
+def _eve_texts(s, m, target, u):
+    return [sep_state_to_text(s2) for s2 in enumerate_eve_moves(s, m, target, u)]
+
+
+def test_eve_move_order_assign(u2):
+    s = sep_state(code=lstate(stack={"x": (0, TOP)}),
+                  resources={"r": Available(EMPTY_LSTATE)})
+    assert _eve_texts(s, IAssign("x", Lit(1)), mstate(stack={"x": 1}), u2) == [
+        "code={x=1@1/2|} ; res=[r:avail{|}] ; frame={|}",
+        "code={x=1@1|} ; res=[r:avail{|}] ; frame={|}",
+    ]
+
+
+def test_eve_move_order_acquire(u2):
+    s = sep_state(code=lstate(stack={"x": (0, TOP)}),
+                  resources={"r": Available(lstate(stack={"y": (1, TOP)}))})
+    target = mstate(stack={"x": 0, "y": 1}, locked={"r"})
+    assert _eve_texts(s, IAcquire("r"), target, u2) == [
+        "code={x=0@1/2,y=1@1/2|} ; res=[r:C] ; frame={|}",
+        "code={x=0@1/2,y=1@1|} ; res=[r:C] ; frame={|}",
+        "code={x=0@1,y=1@1/2|} ; res=[r:C] ; frame={|}",
+        "code={x=0@1,y=1@1|} ; res=[r:C] ; frame={|}",
+    ]
+
+
+def test_eve_move_order_release(u2):
+    s = sep_state(code=lstate(stack={"x": (0, TOP)}), resources={"r": HELD_BY_CODE})
+    assert _eve_texts(s, IRelease("r"), mstate(stack={"x": 0}), u2) == [
+        "code={|} ; res=[r:avail{x=0@1/2|}] ; frame={|}",
+        "code={|} ; res=[r:avail{x=0@1|}] ; frame={|}",
+        "code={x=0@1/2|} ; res=[r:avail{|}] ; frame={|}",
+        "code={x=0@1/2|} ; res=[r:avail{x=0@1/2|}] ; frame={|}",
+        "code={x=0@1|} ; res=[r:avail{|}] ; frame={|}",
+    ]
