@@ -14,8 +14,9 @@ import json
 import sys
 
 from .game import NoWin, check_winning_strategy, replay_lines, solve_eve
-from .logic import all_logical_states, erase, lstate_from_text, satisfies
-from .machine import MachineState
+from .logic import (all_logical_states, erase, lstate_from_text, satisfies,
+                    slots)
+from .machine import MachineState, resolve_env_moves
 from .proof import check_proof
 from .semantics import EnumerationBudget, enumerate_traces
 from .soundness import (ExtractedStrategy, ExtractionFailure, SoundnessAlarm,
@@ -48,7 +49,33 @@ def _write_out(text: str, path=None):
 
 
 def _load_universe(path):
-    return parse_universe(_read(path))
+    u = parse_universe(_read(path))
+    for texts, states in zip(u.env_moves_text, resolve_env_moves(u)):
+        for text, s in zip(texts, states):
+            _check_in_universe(text, s, u)
+    return u
+
+
+def _check_in_universe(text, s: MachineState, u, perms=()):
+    """Reject a state that names a variable, location, value, permission or
+    lock the universe does not declare."""
+    mu = s.memory
+    unknown = ([f"variable {x}" for x in mu.stack if x not in u.variables]
+               + [f"location {loc}" for loc in mu.heap if loc not in u.locations]
+               + [f"value {v}" for _, v in mu.stack.items() + mu.heap.items()
+                  if v not in u.values]
+               + [f"permission {p}" for p in perms if p not in u.perms]
+               + [f"lock {r}" for r in sorted(s.locked) if r not in u.locks])
+    if unknown:
+        raise ParseError(f"{unknown[0]} of state {text!r} is not in the universe")
+
+
+def _read_lstate(text, u):
+    """A logical state given on the command line or in an inits file."""
+    sigma = lstate_from_text(text)
+    _check_in_universe(text, MachineState(erase(sigma), frozenset()), u,
+                       [p for *_, p in slots(sigma)])
+    return sigma
 
 
 def _load_checked_proof(args, u):
@@ -80,7 +107,7 @@ def cmd_run(args) -> int:
     u = _load_universe(args.universe)
     prog = parse_program(_read(args.program))
     if args.init is not None:
-        inits = [MachineState(erase(lstate_from_text(args.init)), frozenset())]
+        inits = [MachineState(erase(_read_lstate(args.init, u)), frozenset())]
     else:
         inits = _full_perm_machine_states(u)
         if args.first_init:
@@ -124,7 +151,7 @@ def cmd_verify(args) -> int:
                               sort_keys=True), args.output)
         return 1
     if args.inits is not None:
-        inits = [lstate_from_text(line) for line in _read(args.inits).splitlines()
+        inits = [_read_lstate(line, u) for line in _read(args.inits).splitlines()
                  if line.strip() and not line.strip().startswith("#")]
     else:
         inits = _full_perm_inits(node.pre, result.valuation, u)

@@ -14,13 +14,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .logic import EMPTY_LSTATE, satisfies
+from .logic import satisfies
 from .machine import MachineState, instr_to_text
 from .maps import fmap
 from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
-                         SeparatedState, SeparationError, combine,
-                         component_assignments, enumerate_eve_moves,
-                         legal_eve_move, sep_state_to_text)
+                         SeparatedState, combine, enumerate_eve_moves,
+                         legal_eve_move, sep_state_to_text, separations)
 from .syntax import FTrue, Universe
 from .traces import Trace
 
@@ -101,31 +100,14 @@ def is_winning_play(states: tuple, spec: WinningSpec, u: Universe) -> bool:
 def _refinements(target: MachineState, code, dom_code: frozenset,
                  pred: SeparatedPredicate, rho: fmap, u: Universe) -> tuple:
     """Separated states combining into `target` with the given code fragment
-    and code-held resources that satisfy `pred`."""
+    (None: any) and code-held resources that satisfy `pred`."""
     if not dom_code <= target.locked:
         return ()
-    held_frame = target.locked - dom_code
-    avail = sorted(set(u.locks) - target.locked)
-    out = []
-    fixed = code if code is not None else EMPTY_LSTATE
-    n = len(avail) + 1 + (1 if code is None else 0)
-    for parts in component_assignments(target.memory, fixed, n, u):
-        if code is None:
-            code_part, parts = parts[0], parts[1:]
-        else:
-            code_part = code
-        entries = {r: HELD_BY_CODE for r in dom_code}
-        entries |= {r: HELD_BY_FRAME for r in held_frame}
-        entries |= {r: Available(st) for r, st in zip(avail, parts[:-1])}
-        try:
-            cand = SeparatedState(code_part, fmap(entries), parts[-1])
-        except SeparationError:
-            continue
-        if combine(cand) != target:
-            continue
-        if sat_sep(cand, pred, rho, u):
-            out.append(cand)
-    return tuple(out)
+    entries = {r: None for r in set(u.locks) - target.locked}
+    entries |= {r: HELD_BY_FRAME for r in target.locked - dom_code}
+    entries |= {r: HELD_BY_CODE for r in dom_code}
+    return tuple(cand for cand in separations(target, code, entries, None, u)
+                 if sat_sep(cand, pred, rho, u))
 
 
 def adam_extensions(s: SeparatedState, target: MachineState,

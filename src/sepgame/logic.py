@@ -104,26 +104,28 @@ def _slot_splits(p: Fraction, perms) -> list:
     return out
 
 
-def _slots(sigma: LogicalState) -> list:
+def slots(sigma: LogicalState) -> list:
+    """The cells as (kind, key, value, share), stack ("s") before heap ("h")."""
     return ([("s", k, v, p) for k, (v, p) in sigma.stack.items()]
             + [("h", k, v, p) for k, (v, p) in sigma.heap.items()])
 
 
-def _from_slots(slots) -> LogicalState:
-    stack = {k: (v, p) for kind, k, v, p in slots if kind == "s" and p > 0}
-    heap = {k: (v, p) for kind, k, v, p in slots if kind == "h" and p > 0}
+def from_slots(cells) -> LogicalState:
+    """The logical state of (kind, key, value, share) cells with a share."""
+    stack = {k: (v, p) for kind, k, v, p in cells if kind == "s" and p > 0}
+    heap = {k: (v, p) for kind, k, v, p in cells if kind == "h" and p > 0}
     return LogicalState(fmap(stack), fmap(heap))
 
 
 @functools.lru_cache(maxsize=None)
 def _sub_pairs(sigma: LogicalState, u: Universe) -> tuple:
-    slots = _slots(sigma)
-    choices = [_slot_splits(p, u.perms) for _, _, _, p in slots]
+    cells = slots(sigma)
+    choices = [_slot_splits(p, u.perms) for _, _, _, p in cells]
     out = []
     for combo in itertools.product(*choices):
-        left = [(kind, k, v, p1) for (kind, k, v, _), (p1, _) in zip(slots, combo)]
-        right = [(kind, k, v, p2) for (kind, k, v, _), (_, p2) in zip(slots, combo)]
-        out.append((_from_slots(left), _from_slots(right)))
+        left = [(kind, k, v, p1) for (kind, k, v, _), (p1, _) in zip(cells, combo)]
+        right = [(kind, k, v, p2) for (kind, k, v, _), (_, p2) in zip(cells, combo)]
+        out.append((from_slots(left), from_slots(right)))
     return tuple(out)
 
 
@@ -234,7 +236,7 @@ def all_logical_states(u: Universe) -> tuple:
     out = []
     for combo in itertools.product(*slot_options):
         chosen = [c for c in combo if c is not None]
-        out.append(_from_slots(chosen))
+        out.append(from_slots(chosen))
     return tuple(out)
 
 

@@ -1,7 +1,10 @@
 """Memory states, machine states and the labelled machine-step relation.
 
-Steps either return a successor state or produce a runtime error; a blocked
-lock instruction produces no step at all, which is how `with` waits.
+The instructions that label steps are the syntax's atomic commands (assign,
+load, store, alloc, dispose) plus nop, acquire and release, which no command
+is written as.  Steps either return a successor state or produce a runtime
+error; a blocked lock instruction produces no step at all, which is how
+`with` waits.
 """
 
 from __future__ import annotations
@@ -9,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .maps import fmap
-from .syntax import (Add, BAnd, BEq, BFalse, BOr, BTrue, Lit, Mul, ParseError,
-                     Universe, Var, _Parser, expr_to_text)
+from .syntax import (Add, AllocC, Assign, BAnd, BEq, BFalse, BOr, BTrue,
+                     DisposeC, Lit, Load, Mul, ParseError, Store, Universe,
+                     Var, _Parser, program_to_text)
 
 
 class _Abort:
@@ -61,33 +65,12 @@ def mstate(stack=(), heap=(), locked=()) -> MachineState:
 
 # --- instructions -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IAssign:
-    var: str
-    expr: object
-
-@dataclass(frozen=True)
-class ILoad:
-    var: str
-    addr: object
-
-@dataclass(frozen=True)
-class IStore:
-    addr: object
-    expr: object
+# The atomic commands of the syntax (Assign, Load, Store, AllocC, DisposeC)
+# label their own steps; the three instructions below have no command form.
 
 @dataclass(frozen=True)
 class INop:
     pass
-
-@dataclass(frozen=True)
-class IAlloc:
-    var: str
-    expr: object
-
-@dataclass(frozen=True)
-class IDispose:
-    addr: object
 
 @dataclass(frozen=True)
 class IAcquire:
@@ -172,24 +155,24 @@ def machine_step(s: MachineState, m, u: Universe) -> frozenset:
     """
     mu, L = s.memory, s.locked
     match m:
-        case IAssign(x, e):
+        case Assign(x, e):
             v = eval_expr(e, mu)
             if v is ABORT or v not in u.values:
                 return frozenset([ERROR])
             return frozenset([Return(s.with_memory(mu.set_var(x, v)))])
-        case ILoad(x, e):
+        case Load(x, e):
             loc = eval_expr(e, mu)
             if loc is ABORT or loc not in mu.heap:
                 return frozenset([ERROR])
             return frozenset([Return(s.with_memory(mu.set_var(x, mu.heap[loc])))])
-        case IStore(a, e):
+        case Store(a, e):
             loc, v = eval_expr(a, mu), eval_expr(e, mu)
             if loc is ABORT or v is ABORT or loc not in mu.heap or v not in u.values:
                 return frozenset([ERROR])
             return frozenset([Return(s.with_memory(mu.set_cell(loc, v)))])
         case INop():
             return frozenset([Return(s)])
-        case IAlloc(x, e):
+        case AllocC(x, e):
             v = eval_expr(e, mu)
             if v is ABORT or v not in u.values:
                 return frozenset([ERROR])
@@ -199,7 +182,7 @@ def machine_step(s: MachineState, m, u: Universe) -> frozenset:
                     mu2 = MemoryState(mu.stack.set(x, loc), mu.heap.set(loc, v))
                     outs.append(Return(s.with_memory(mu2)))
             return frozenset(outs)
-        case IDispose(e):
+        case DisposeC(e):
             loc = eval_expr(e, mu)
             if loc is ABORT or loc not in mu.heap:
                 return frozenset([ERROR])
@@ -226,23 +209,13 @@ def mstate_to_text(s: MachineState) -> str:
 
 def instr_to_text(m) -> str:
     match m:
-        case IAssign(x, e):
-            return f"{x} := {expr_to_text(e)}"
-        case ILoad(x, e):
-            return f"{x} := [{expr_to_text(e)}]"
-        case IStore(a, e):
-            return f"[{expr_to_text(a)}] := {expr_to_text(e)}"
         case INop():
             return "nop"
-        case IAlloc(x, e):
-            return f"{x} := alloc({expr_to_text(e)})"
-        case IDispose(e):
-            return f"dispose({expr_to_text(e)})"
         case IAcquire(r):
             return f"acquire({r})"
         case IRelease(r):
             return f"release({r})"
-    raise TypeError(m)
+    return program_to_text(m)
 
 
 def parse_mstate(text: str) -> MachineState:
@@ -259,7 +232,10 @@ def parse_mstate(text: str) -> MachineState:
             if "=" not in chunk:
                 raise ParseError(f"bad binding {chunk!r}")
             k, _, v = chunk.partition("=")
-            out[int(k) if key_is_int else k] = int(v)
+            try:
+                out[int(k) if key_is_int else k] = int(v)
+            except ValueError:
+                raise ParseError(f"bad binding {chunk!r} in {text!r}") from None
         return out
 
     stack = pairs(sections[0], key_is_int=False)
@@ -272,48 +248,21 @@ def parse_instr(text: str):
     p = _Parser(text)
     if p.at_name("nop"):
         p.next()
-        p.eof()
-        return INop()
-    if p.at_name("acquire") or p.at_name("release"):
+        m = INop()
+    elif p.at_name("acquire") or p.at_name("release"):
         kind = p.next().text
         p.expect_sym("(")
         r = p.expect_name()
         p.expect_sym(")")
-        p.eof()
-        return IAcquire(r) if kind == "acquire" else IRelease(r)
-    if p.at_name("dispose"):
-        p.next()
-        p.expect_sym("(")
-        e = p.expr()
-        p.expect_sym(")")
-        p.eof()
-        return IDispose(e)
-    if p.at_sym("["):
-        p.next()
-        a = p.expr()
-        p.expect_sym("]")
-        p.expect_sym(":=")
-        e = p.expr()
-        p.eof()
-        return IStore(a, e)
-    x = p.expect_name()
-    p.expect_sym(":=")
-    if p.at_name("alloc"):
-        p.next()
-        p.expect_sym("(")
-        e = p.expr()
-        p.expect_sym(")")
-        p.eof()
-        return IAlloc(x, e)
-    if p.at_sym("["):
-        p.next()
-        e = p.expr()
-        p.expect_sym("]")
-        p.eof()
-        return ILoad(x, e)
-    e = p.expr()
+        m = IAcquire(r) if kind == "acquire" else IRelease(r)
+    else:
+        if p.at_sym("{"):
+            p.fail("expected an atomic command")
+        m = p.command_atom()
+        if not isinstance(m, (Assign, Load, Store, AllocC, DisposeC)):
+            raise ParseError(f"not an atomic command: {text!r}")
     p.eof()
-    return IAssign(x, e)
+    return m
 
 
 def resolve_env_moves(u: Universe) -> tuple:

@@ -12,8 +12,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .machine import (ABORT, ERROR, IAcquire, IAlloc, IAssign, IDispose,
-                      ILoad, INop, IRelease, IStore, MachineState,
+from .machine import (ABORT, ERROR, IAcquire, INop, IRelease, MachineState,
                       MemoryState, Return, eval_bool, instr_to_text,
                       machine_step, mstate_to_text, resolve_env_moves)
 from .maps import fmap
@@ -316,18 +315,10 @@ class HideTS(TransitionSystem):
 def denote(c, u: Universe) -> TransitionSystem:
     """The transition system of a command."""
     match c:
-        case Assign(x, e):
-            return AtomTS(IAssign(x, e), u)
-        case Load(x, a):
-            return AtomTS(ILoad(x, a), u)
-        case Store(a, e):
-            return AtomTS(IStore(a, e), u)
+        case Assign() | Load() | Store() | AllocC() | DisposeC():
+            return AtomTS(c, u)
         case Skip():
             return AtomTS(INop(), u)
-        case AllocC(x, e):
-            return AtomTS(IAlloc(x, e), u)
-        case DisposeC(e):
-            return AtomTS(IDispose(e), u)
         case SeqC(a, b):
             return SeqTS(denote(a, u), denote(b, u))
         case ParC(a, b):
@@ -354,16 +345,8 @@ def instruction_alphabet(c) -> tuple:
 
     def walk(node):
         match node:
-            case Assign(x, e):
-                out.add(IAssign(x, e))
-            case Load(x, a):
-                out.add(ILoad(x, a))
-            case Store(a, e):
-                out.add(IStore(a, e))
-            case AllocC(x, e):
-                out.add(IAlloc(x, e))
-            case DisposeC(e):
-                out.add(IDispose(e))
+            case Assign() | Load() | Store() | AllocC() | DisposeC():
+                out.add(node)
             case Skip():
                 pass
             case SeqC(a, b) | ParC(a, b):

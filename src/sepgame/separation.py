@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .logic import (EMPTY_LSTATE, LogicalState, erase, lstate_from_text,
-                    lstate_to_text, tensor_all)
+from .logic import (EMPTY_LSTATE, LogicalState, erase, from_slots,
+                    lstate_from_text, lstate_to_text, slots, tensor_all)
 from .machine import MachineState, MemoryState, Return, locks, locks_minus, \
     locks_plus, machine_step
 from .maps import fmap
@@ -51,9 +51,6 @@ class SeparatedState:
     def dom_code(self) -> frozenset:
         return frozenset(r for r, e in self.resources.items() if e == HELD_BY_CODE)
 
-    def dom_frame(self) -> frozenset:
-        return frozenset(r for r, e in self.resources.items() if e == HELD_BY_FRAME)
-
 
 def sep_state(code=EMPTY_LSTATE, resources=(), frame=EMPTY_LSTATE) -> SeparatedState:
     return SeparatedState(code, fmap(resources), frame)
@@ -73,10 +70,8 @@ def big_tensor(s: SeparatedState):
 
 def combine(s: SeparatedState) -> MachineState:
     """The homomorphism to machine states."""
-    sigma = big_tensor(s)
-    if sigma is None:
-        raise SeparationError("separated-state tensor is undefined")
-    return MachineState(erase(sigma), s.dom_code() | s.dom_frame())
+    held = frozenset(r for r, e in s.resources.items() if isinstance(e, HeldBy))
+    return MachineState(erase(big_tensor(s)), held)
 
 
 def legal_eve_move(s: SeparatedState, m, s2: SeparatedState, u: Universe) -> bool:
@@ -121,20 +116,8 @@ def permission_conserving(s: SeparatedState, s2: SeparatedState) -> bool:
 
 
 # --- bounded enumeration of separated states over a machine state ----------------
-
-def _memory_slots(mu: MemoryState):
-    return ([("s", k, v) for k, v in mu.stack.items()]
-            + [("h", k, v) for k, v in mu.heap.items()])
-
-
-def _assemble(slots, perms_per_slot, idx):
-    stack, heap = {}, {}
-    for (kind, key, value), qs in zip(slots, perms_per_slot):
-        q = qs[idx]
-        if q > 0:
-            (stack if kind == "s" else heap)[key] = (value, q)
-    return LogicalState(fmap(stack), fmap(heap))
-
+# `separations` builds them all: Adam's refinements (game._refinements) and
+# Eve's moves (enumerate_eve_moves) differ only in the pieces they fix.
 
 def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
                           u: Universe):
@@ -144,42 +127,57 @@ def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
     Yields n-tuples of LogicalState in a fixed order.  Yields nothing when the
     fixed component disagrees with mu.
     """
-    slots = _memory_slots(mu)
-    fixed_map = {("s", k): (v, p) for k, (v, p) in fixed.stack.items()} | \
-                {("h", k): (v, p) for k, (v, p) in fixed.heap.items()}
-    covered = set()
-    for kind_key, (v, _) in fixed_map.items():
-        covered.add(kind_key)
-    slot_keys = {(kind, key) for kind, key, _ in slots}
-    if not covered.issubset(slot_keys):
+    cells = ([("s", k, v) for k, v in mu.stack.items()]
+             + [("h", k, v) for k, v in mu.heap.items()])
+    fixed_cells = {(kind, k): (v, p) for kind, k, v, p in slots(fixed)}
+    if not fixed_cells.keys() <= {(kind, k) for kind, k, _ in cells}:
         return
-    for (kind, key, value) in slots:
-        entry = fixed_map.get((kind, key))
-        if entry is not None and entry[0] != value:
-            return
-
     zero = Fraction(0)
     shares = (zero,) + tuple(u.perms)
-
-    def slot_vectors(p0):
-        out = []
-        for qs in itertools.product(shares, repeat=n):
-            total = p0 + sum(qs)
-            if 0 < total <= 1:
-                out.append(qs)
-        return out
-
     options = []
-    for kind, key, value in slots:
-        entry = fixed_map.get((kind, key))
-        p0 = entry[1] if entry is not None else zero
-        vecs = slot_vectors(p0)
+    for kind, k, v in cells:
+        v0, p0 = fixed_cells.get((kind, k), (v, zero))
+        if v0 != v:
+            return
+        vecs = [qs for qs in itertools.product(shares, repeat=n)
+                if 0 < p0 + sum(qs) <= 1]
         if not vecs:
             return
         options.append(vecs)
 
     for choice in itertools.product(*options):
-        yield tuple(_assemble(slots, choice, i) for i in range(n))
+        yield tuple(from_slots([(kind, k, v, qs[i])
+                                for (kind, k, v), qs in zip(cells, choice)])
+                    for i in range(n))
+
+
+def separations(target: MachineState, code, resources: dict, frame,
+                u: Universe):
+    """The separated states that combine into `target` and agree with the
+    given code fragment, resource entries and frame.
+
+    A piece given as None is filled in by component_assignments, in the
+    order code, resources by name, frame.
+    """
+    missing = sorted(r for r, e in resources.items() if e is None)
+    given = [part for part in (code, frame) if part is not None]
+    given += [e.state for e in resources.values() if isinstance(e, Available)]
+    fixed = tensor_all(given)
+    if fixed is None:
+        return
+    n = (code is None) + len(missing) + (frame is None)
+    for parts in component_assignments(target.memory, fixed, n, u):
+        parts = iter(parts)
+        code_part = next(parts) if code is None else code
+        entries = dict(resources)
+        entries |= {r: Available(next(parts)) for r in missing}
+        frame_part = next(parts) if frame is None else frame
+        try:
+            cand = SeparatedState(code_part, fmap(entries), frame_part)
+        except SeparationError:
+            continue
+        if combine(cand) == target:
+            yield cand
 
 
 def enumerate_eve_moves(s: SeparatedState, m, target: MachineState,
@@ -189,7 +187,6 @@ def enumerate_eve_moves(s: SeparatedState, m, target: MachineState,
     if Return(target) not in machine_step(combine(s), m, u):
         return
     entries = dict(s.resources.items())
-    released = []
     for r in locks_plus(m):
         if not isinstance(entries.get(r), Available):
             return
@@ -197,25 +194,8 @@ def enumerate_eve_moves(s: SeparatedState, m, target: MachineState,
     for r in locks_minus(m):
         if entries.get(r) != HELD_BY_CODE:
             return
-        released.append(r)
-    fixed_parts = [s.frame]
-    fixed_parts += [e.state for r, e in entries.items()
-                    if isinstance(e, Available) and r not in released]
-    fixed = tensor_all(fixed_parts)
-    if fixed is None:
-        return
-    n = 1 + len(released)
-    for parts in component_assignments(target.memory, fixed, n, u):
-        code = parts[0]
-        res = dict(entries)
-        for r, st in zip(released, parts[1:]):
-            res[r] = Available(st)
-        try:
-            cand = SeparatedState(code, fmap(res), s.frame)
-        except SeparationError:
-            continue
-        if combine(cand) == target:
-            yield cand
+        entries[r] = None
+    yield from separations(target, None, entries, s.frame, u)
 
 
 # --- textual form ------------------------------------------------------------------

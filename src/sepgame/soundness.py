@@ -31,14 +31,14 @@ from .game import (adam_extensions, empty_winning_plays, sat_sep,
                    trace_state, winning_spec, replay_lines)
 from .logic import (EMPTY_LSTATE, TOP, LogicalState, erase, lstate_to_text,
                     satisfies, substates, tensor)
-from .machine import ABORT, MachineState, eval_expr
+from .machine import ABORT, IAcquire, IRelease, MachineState, eval_expr
 from .maps import fmap
 from .proof import ProofCheckResult, Sequent
 from .semantics import (BranchW, GateW, HideW, NOTIN, ParW, RETURNS, SeqLeftW,
                         SeqSplitW, denote, enumerate_traces)
-from .separation import (Available, HELD_BY_CODE, SeparatedState,
-                         SeparationError, combine, legal_eve_move,
-                         sep_state_to_text)
+from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
+                         SeparatedState, SeparationError, combine,
+                         legal_eve_move, sep_state_to_text)
 from .syntax import FTrue, Star, Universe
 from .traces import ERR, Trace
 
@@ -289,7 +289,6 @@ class ResLifter(_Lifter):
 
     def _check_bracketing(self):
         """The virtual resource must be locked exactly while the child holds it."""
-        from .machine import IAcquire, IRelease
         r = self.r
         held = False
         if r in self.pre_t.source.locked:
@@ -309,27 +308,21 @@ class ResLifter(_Lifter):
     def start(self, code):
         j, a = self._first_split(code, self.inv, self.node.children[0].pre,
                                  "no split of the code fragment matches P * J")
-        return (("avail", j), a, self.inner.start(a))
+        return (Available(j), a, self.inner.start(a))
 
     def eve(self, residue, k, code, resources):
         virt, a, r1 = residue
-        entry = Available(virt[1]) if virt[0] == "avail" else HELD_BY_CODE
-        view = resources.set(self.r, entry)
-        out = self.inner.eve(r1, k, a, view)
+        out = self.inner.eve(r1, k, a, resources.set(self.r, virt))
         if out is None:
             return None
         a2, updates, r1b = out
         updates = dict(updates)
         if self.r in updates:
-            new_entry = updates.pop(self.r)
-            if new_entry == HELD_BY_CODE:
-                virt = ("held",)
-            elif isinstance(new_entry, Available):
-                virt = ("avail", new_entry.state)
-            else:
+            virt = updates.pop(self.r)
+            if virt == HELD_BY_FRAME:
                 raise SoundnessAlarm(f"{self.path}: virtual resource went to the frame")
-        if virt[0] == "avail":
-            merged = tensor(a2, virt[1])
+        if isinstance(virt, Available):
+            merged = tensor(a2, virt.state)
             if merged is None:
                 raise SoundnessAlarm(
                     f"{self.path}: virtual resource content no longer composes")

@@ -3,10 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from sepgame.machine import (IAcquire, IAssign, INop, IRelease, MachineState,
+from sepgame.machine import (IAcquire, INop, IRelease, MachineState,
                              MemoryState, mstate)
 from sepgame.maps import fmap
-from sepgame.syntax import Lit, Var, parse_universe
+from sepgame.syntax import Assign, Lit, Var, parse_universe
 from sepgame.traces import OK, CodeTransition, Trace
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -46,7 +46,7 @@ class TraceGen:
             for locks in (frozenset(), frozenset(["r"])):
                 self.states.append(
                     MachineState(MemoryState(fmap({"x": x}), fmap()), locks))
-        self.instrs = [INop(), IAssign("x", Lit(1)), IAssign("x", Var("x")),
+        self.instrs = [INop(), Assign("x", Lit(1)), Assign("x", Var("x")),
                        IAcquire("r"), IRelease("r")]
 
     def state(self):

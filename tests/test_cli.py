@@ -111,3 +111,56 @@ def test_covered_game_and_solve_exit_0(capsys, verb, line):
     code, out, err = _main(_verb(verb, "if_def", "--trace-index", "10"), capsys)
     assert code == 0
     assert out.splitlines()[-1] == line
+
+
+MOVE_UNIVERSE = UNIVERSE.replace("maxlen = 2\n", "maxlen = 2\nenv = move-list\n")
+
+
+@pytest.mark.parametrize("move", ["{x=a | | } -> {x=1 | | }",
+                                  "{x=0 | 2=1/2 | } -> {x=1 | | }"])
+def test_malformed_move_line_exits_2(tmp_path, capsys, move):
+    uni = tmp_path / "moves.uni"
+    uni.write_text(MOVE_UNIVERSE + f"move = {move}\n")
+    code, out, err = _main(["run", _corpus("framed_assign", ".csl"), "-u", str(uni)],
+                           capsys)
+    assert code == 2
+    assert out == "" and err.startswith("sepgame: bad binding ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("move, what", [
+    ("{x=0 | | } -> {x=7 | | }", "value 7"),
+    ("{x=0 | | } -> {x=1 | | q}", "lock q"),
+    ("{q=0 | | } -> {x=1 | | }", "variable q"),
+    ("{x=0 | 9=0 | } -> {x=1 | | }", "location 9"),
+])
+def test_move_outside_the_universe_exits_2(tmp_path, capsys, move, what):
+    uni = tmp_path / "moves.uni"
+    uni.write_text(MOVE_UNIVERSE + f"move = {move}\n")
+    code, out, err = _main(["run", _corpus("framed_assign", ".csl"), "-u", str(uni)],
+                           capsys)
+    assert code == 2
+    assert out == "" and err.startswith(f"sepgame: {what} of state ")
+
+
+@pytest.mark.parametrize("state, what", [
+    ("{q=7@1|9=9@1}", "variable q"),
+    ("{x=0@1|9=0@1}", "location 9"),
+    ("{x=7@1|}", "value 7"),
+    ("{x=0@1/3|}", "permission 1/3"),
+])
+def test_init_outside_the_universe_exits_2(capsys, state, what):
+    code, out, err = _main(["run", _corpus("framed_assign", ".csl"),
+                            "-u", _corpus("framed_assign", ".uni"), "--init", state],
+                           capsys)
+    assert code == 2
+    assert out == "" and err.startswith(f"sepgame: {what} of state {state!r}")
+
+
+def test_inits_file_outside_the_universe_exits_2(tmp_path, capsys):
+    inits = tmp_path / "outside.inits"
+    inits.write_text("{x=0@1,y=0@1|}\n{x=0@1,y=0@1,z=0@1|}\n")
+    code, out, err = _main(_verb("verify", "par_writes", "--inits", str(inits)),
+                           capsys)
+    assert code == 2
+    assert out == "" and err.startswith("sepgame: variable z of state ")

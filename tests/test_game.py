@@ -7,11 +7,11 @@ from sepgame.game import (CheckResult, NoWin, SeparatedPredicate, WinningSpec,
                           empty_winning_plays, is_winning_play, replay_lines,
                           sat_sep, solve_eve, trace_state, winning_spec)
 from sepgame.logic import EMPTY_LSTATE, lstate
-from sepgame.machine import IAssign, IStore, machine_step, mstate
+from sepgame.machine import machine_step, mstate
 from sepgame.maps import fmap
 from sepgame.separation import (Available, HELD_BY_CODE, combine, sep_state,
                                 sep_state_to_text)
-from sepgame.syntax import (FTrue, Lit, Own, Var, parse_formula,
+from sepgame.syntax import (Assign, FTrue, Lit, Own, Store, Var, parse_formula,
                             parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace
 
@@ -26,8 +26,8 @@ def u():
 
 def _assign_trace(u, var="x", value=1, start=0):
     pre = mstate(stack={var: start})
-    (out,) = machine_step(pre, IAssign(var, Lit(value)), u)
-    step = CodeTransition(pre, IAssign(var, Lit(value)), out.state, OK)
+    (out,) = machine_step(pre, Assign(var, Lit(value)), u)
+    step = CodeTransition(pre, Assign(var, Lit(value)), out.state, OK)
     return Trace(pre, (step,), out.state)
 
 
@@ -133,7 +133,7 @@ def test_solver_reports_unliftable_error_step(u):
     # storing to an unallocated cell: the step errors, Eve has no move,
     # yet true-preconditioned initial plays exist, so no strategy can win
     pre = mstate(stack={"x": 0})
-    step = CodeTransition(pre, IStore(Lit(2), Lit(1)), pre, ERR)
+    step = CodeTransition(pre, Store(Lit(2), Lit(1)), pre, ERR)
     t = Trace(pre, (step,), pre)
     spec = winning_spec(FTrue(), fmap(), FTrue(), t, returning=False)
     verdict = solve_eve(t, spec, u)

@@ -3,15 +3,18 @@ import random
 
 import pytest
 
-from sepgame.machine import (ABORT, ERROR, IAcquire, IAlloc, IAssign,
-                             IDispose, ILoad, INop, IRelease, IStore,
+from sepgame.machine import (ABORT, ERROR, IAcquire, INop, IRelease,
                              MemoryState, Return, eval_bool, eval_expr,
                              instr_to_text, locks, locks_minus, locks_plus,
                              machine_step, mstate, mstate_to_text,
                              parse_instr, parse_mstate)
 from sepgame.maps import fmap
-from sepgame.syntax import (Add, BAnd, BEq, BFalse, BOr, BTrue, Lit, Var,
-                            parse_universe)
+from sepgame.semantics import instruction_alphabet
+from sepgame.syntax import (Add, AllocC, Assign, BAnd, BEq, BFalse, BOr, BTrue,
+                            DisposeC, Lit, Load, ParseError, Store, Var,
+                            parse_program, parse_universe)
+
+from .conftest import PROGRAMS, corpus_text
 
 
 def test_eval_expr_examples():
@@ -83,13 +86,13 @@ def u():
 
 def test_assign_step(u):
     s = mstate(stack={"x": 0})
-    outs = machine_step(s, IAssign("x", Lit(3)), u)
+    outs = machine_step(s, Assign("x", Lit(3)), u)
     assert outs == frozenset([Return(mstate(stack={"x": 3}))])
 
 
 def test_assign_out_of_range_is_error(u):
     s = mstate(stack={"x": 0})
-    assert machine_step(s, IAssign("x", Lit(9)), u) == frozenset([ERROR])
+    assert machine_step(s, Assign("x", Lit(9)), u) == frozenset([ERROR])
 
 
 def test_lock_side_conditions(u):
@@ -104,24 +107,24 @@ def test_lock_side_conditions(u):
 def test_store_unallocated_is_error(u):
     # reference interpreter: a store succeeds iff the location is a live cell
     s = mstate()
-    assert machine_step(s, IStore(Lit(2), Lit(1)), u) == frozenset([ERROR])
+    assert machine_step(s, Store(Lit(2), Lit(1)), u) == frozenset([ERROR])
     s2 = mstate(heap={2: 0})
-    assert machine_step(s2, IStore(Lit(2), Lit(1)), u) == \
+    assert machine_step(s2, Store(Lit(2), Lit(1)), u) == \
         frozenset([Return(mstate(heap={2: 1}))])
 
 
 def test_load_and_dispose(u):
     s = mstate(stack={"x": 0}, heap={2: 3})
-    assert machine_step(s, ILoad("x", Lit(2)), u) == \
+    assert machine_step(s, Load("x", Lit(2)), u) == \
         frozenset([Return(mstate(stack={"x": 3}, heap={2: 3}))])
-    assert machine_step(s, ILoad("x", Lit(3)), u) == frozenset([ERROR])
-    assert machine_step(s, IDispose(Lit(2)), u) == \
+    assert machine_step(s, Load("x", Lit(3)), u) == frozenset([ERROR])
+    assert machine_step(s, DisposeC(Lit(2)), u) == \
         frozenset([Return(mstate(stack={"x": 0}))])
 
 
 def test_alloc_nondeterminism(u):
     s = mstate(stack={"x": 0})
-    outs = machine_step(s, IAlloc("x", Lit(1)), u)
+    outs = machine_step(s, AllocC("x", Lit(1)), u)
     assert len(outs) == 2  # one per free location
     posts = {out.state for out in outs}
     assert mstate(stack={"x": 2}, heap={2: 1}) in posts
@@ -145,9 +148,9 @@ def _all_states(u):
                 yield mstate(stack=stack._dict, heap=heap._dict, locked=locked)
 
 
-_ALPHABET = [IAssign("x", Lit(1)), IAssign("x", Add(Var("x"), Lit(1))),
-             ILoad("x", Lit(2)), IStore(Lit(2), Var("x")), INop(),
-             IAlloc("x", Lit(0)), IDispose(Lit(2)), IAcquire("r"),
+_ALPHABET = [Assign("x", Lit(1)), Assign("x", Add(Var("x"), Lit(1))),
+             Load("x", Lit(2)), Store(Lit(2), Var("x")), INop(),
+             AllocC("x", Lit(0)), DisposeC(Lit(2)), IAcquire("r"),
              IRelease("r")]
 
 
@@ -178,8 +181,20 @@ def test_memory_and_lock_preservation(u):
                     assert out.state.locked == s.locked
 
 
+def _corpus_instructions():
+    for name in PROGRAMS:
+        yield from instruction_alphabet(parse_program(corpus_text(f"{name}.csl")))
+
+
 def test_state_and_instr_text_round_trip(u):
     for s in _all_states(u):
         assert parse_mstate(mstate_to_text(s)) == s
-    for m in _ALPHABET:
+    for m in _ALPHABET + list(_corpus_instructions()):
         assert parse_instr(instr_to_text(m)) == m
+
+
+@pytest.mark.parametrize("text", ["skip", "{ x := 1 }", "while true do skip",
+                                  "x := 1 ; x := 2", "nop nop", "acquire(r) x"])
+def test_parse_instr_rejects_non_atomic_text(text):
+    with pytest.raises(ParseError):
+        parse_instr(text)

@@ -2,13 +2,13 @@ import itertools
 
 import pytest
 
-from sepgame.machine import (IAssign, INop, MachineState, Return,
-                             machine_step, mstate)
+from sepgame.machine import INop, MachineState, Return, machine_step, mstate
 from sepgame.semantics import (IN, NOTIN, RETURNS, AtomTS, EnumerationBudget,
                                SeqSplitW, SeqTS, WhenAbortTS, WhenTS,
                                all_machine_states, denote, enumerate_traces,
                                instruction_alphabet)
-from sepgame.syntax import BEq, BTrue, Lit, Var, parse_program, parse_universe
+from sepgame.syntax import (Assign, BEq, BTrue, Lit, Var, parse_program,
+                            parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace
 
 
@@ -34,18 +34,18 @@ def _ok_step(pre, m, u):
 
 
 def test_atom_verdicts(u):
-    atom = AtomTS(IAssign("x", Lit(1)), u)
-    step = _ok_step(S0, IAssign("x", Lit(1)), u)
+    atom = AtomTS(Assign("x", Lit(1)), u)
+    step = _ok_step(S0, Assign("x", Lit(1)), u)
     t1 = Trace(S0, (step,), step.post)
     assert atom.member(t1)[0] == RETURNS
     empty = Trace(S0, (), S0)
     assert atom.member(empty)[0] == IN
-    t2 = Trace(S0, (step, _ok_step(step.post, IAssign("x", Lit(1)), u)), step.post)
+    t2 = Trace(S0, (step, _ok_step(step.post, Assign("x", Lit(1)), u)), step.post)
     assert atom.member(t2)[0] == NOTIN
 
 
 def test_atom_error_step_is_in_not_returns(u):
-    bad = IAssign("x", Lit(9))
+    bad = Assign("x", Lit(9))
     t = Trace(S0, (CodeTransition(S0, bad, S0, ERR),), S0)
     assert AtomTS(bad, u).member(t)[0] == IN
 
@@ -56,8 +56,8 @@ def test_seq_split_matches_brute_force_over_intermediates(u):
     sys = denote(prog, u)
     first = denote(parse_program("x := 1"), u)
     second = denote(parse_program("x := 2"), u)
-    s1 = _ok_step(S0, IAssign("x", Lit(1)), u)
-    s2 = _ok_step(s1.post, IAssign("x", Lit(2)), u)
+    s1 = _ok_step(S0, Assign("x", Lit(1)), u)
+    s2 = _ok_step(s1.post, Assign("x", Lit(2)), u)
     candidates = [
         Trace(S0, (s1, s2), s2.post),
         Trace(S0, (s1,), s1.post),

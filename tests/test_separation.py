@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from sepgame.logic import EMPTY_LSTATE, lstate, tensor
-from sepgame.machine import (IAcquire, IAssign, INop, IRelease, Return,
-                             machine_step, mstate)
+from sepgame.machine import (IAcquire, INop, IRelease, Return, machine_step,
+                             mstate)
 from sepgame.maps import fmap
 from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                                 SeparatedState, SeparationError, combine,
@@ -12,7 +12,7 @@ from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                                 legal_eve_move, permission_conserving,
                                 sep_state, sep_state_from_text,
                                 sep_state_to_text)
-from sepgame.syntax import Lit, parse_universe
+from sepgame.syntax import Assign, Lit, parse_universe
 
 HALF = Fraction(1, 2)
 TOP = Fraction(1)
@@ -61,7 +61,7 @@ def test_eve_moves_never_error(u):
     # an assignment whose value leaves the range has only an error step
     s = sep_state(code=lstate(stack={"x": (0, TOP)}),
                   resources={"r": Available(EMPTY_LSTATE)})
-    assert not legal_eve_move(s, IAssign("x", Lit(9)), s, u)
+    assert not legal_eve_move(s, Assign("x", Lit(9)), s, u)
 
 
 def test_adam_moves(u):
@@ -108,7 +108,7 @@ def test_enumerate_eve_moves_release_splits(u):
 def test_eve_moves_map_to_code_transitions(u):
     s = sep_state(code=lstate(stack={"x": (0, TOP)}),
                   resources={"r": Available(EMPTY_LSTATE)})
-    m = IAssign("x", Lit(1))
+    m = Assign("x", Lit(1))
     (out,) = machine_step(combine(s), m, u)
     moves = list(enumerate_eve_moves(s, m, out.state, u))
     for s2 in moves:
@@ -148,7 +148,7 @@ def _eve_texts(s, m, target, u):
 def test_eve_move_order_assign(u2):
     s = sep_state(code=lstate(stack={"x": (0, TOP)}),
                   resources={"r": Available(EMPTY_LSTATE)})
-    assert _eve_texts(s, IAssign("x", Lit(1)), mstate(stack={"x": 1}), u2) == [
+    assert _eve_texts(s, Assign("x", Lit(1)), mstate(stack={"x": 1}), u2) == [
         "code={x=1@1/2|} ; res=[r:avail{|}] ; frame={|}",
         "code={x=1@1|} ; res=[r:avail{|}] ; frame={|}",
     ]

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from sepgame.machine import IAssign, INop, IAcquire, IRelease, mstate
-from sepgame.syntax import Lit
+from sepgame.machine import INop, IAcquire, IRelease, mstate
+from sepgame.syntax import Assign, Lit
 from sepgame.traces import (ERR, OK, CodeTransition, Trace, TraceError, hide,
                             par_compose, par_compose_by_shuffle, restrict,
                             seq_compose, shuffles, trace_from_text,
@@ -18,7 +18,7 @@ S2 = mstate(stack={"x": 2})
 
 
 def _step(pre, post, instr=None):
-    return CodeTransition(pre, instr or IAssign("x", Lit(1)), post, OK)
+    return CodeTransition(pre, instr or Assign("x", Lit(1)), post, OK)
 
 
 def test_seq_compose_concatenates():
@@ -186,19 +186,19 @@ def test_hide_commutes_with_seq_and_restrict():
 
 
 def test_error_step_must_be_last():
-    err = CodeTransition(S0, IAssign("x", Lit(9)), S0, ERR)
+    err = CodeTransition(S0, Assign("x", Lit(9)), S0, ERR)
     with pytest.raises(TraceError):
         Trace(S0, (err, _step(S0, S1)), S1)
-    Trace(S0, (_step(S0, S1), CodeTransition(S1, IAssign("x", Lit(9)), S1, ERR)), S1)
+    Trace(S0, (_step(S0, S1), CodeTransition(S1, Assign("x", Lit(9)), S1, ERR)), S1)
 
 
 def test_error_keeps_pre_state():
     with pytest.raises(TraceError):
-        CodeTransition(S0, IAssign("x", Lit(9)), S1, ERR)
+        CodeTransition(S0, Assign("x", Lit(9)), S1, ERR)
 
 
 def test_seq_compose_rejects_steps_after_error():
-    err = Trace(S0, (CodeTransition(S0, IAssign("x", Lit(9)), S0, ERR),), S1)
+    err = Trace(S0, (CodeTransition(S0, Assign("x", Lit(9)), S0, ERR),), S1)
     cont = Trace(S1, (_step(S1, S2),), S2)
     with pytest.raises(TraceError):
         seq_compose(err, cont)
