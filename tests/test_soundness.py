@@ -2,8 +2,9 @@
 every non-error trace, the strategy checker, the brute-force solver as the
 oracle, and the corollary.
 
-The play-node counts pin what the checker explores, so a refactor of the
-game or the lifters that changes the search shows here.
+The play-node, solver-node and initial-refinement counts pin what the
+checker and the solver explore, so a refactor of the game or the lifters
+that changes the search shows here.
 """
 
 import pytest
@@ -19,13 +20,15 @@ from sepgame.syntax import parse_proof, parse_universe
 
 from .conftest import corpus_text
 
-# program -> (non-error traces, play nodes the checker explores over them)
+# program -> (non-error traces, play nodes the checker explores over them,
+#             nodes the solver explores, initial refinements of the
+#             extracted strategies)
 CHAIN = {
-    "par_writes": (10, 22),
-    "framed_assign": (4, 6),
-    "lock_transfer": (8, 20),
-    "if_def": (6, 12),
-    "while_count": (6, 13),
+    "par_writes": (10, 22, 46, 10),
+    "framed_assign": (4, 6, 6, 4),
+    "lock_transfer": (8, 20, 30, 8),
+    "if_def": (6, 12, 20, 6),
+    "while_count": (6, 13, 18, 6),
 }
 
 # Both fail because `own_1(x) * (x = X)` holds on no state (ROADMAP item 1).
@@ -51,9 +54,9 @@ def _load(name):
 
 def _chain(name):
     """Run the chain on every non-error passive trace from the corpus inits;
-    returns (traces, play nodes explored)."""
+    returns (traces, play nodes, solver nodes, initial refinements)."""
     u, node, check, inits = _load(name)
-    traces = nodes = 0
+    traces = nodes = solver_nodes = initials = 0
     for init in sorted(inits, key=lstate_to_text):
         start = MachineState(erase(init), frozenset())
         for t, _, _ in enumerate_traces(node.cmd, [start], u, policy="passive"):
@@ -67,7 +70,9 @@ def _chain(name):
             assert not isinstance(solved, (NoWin, str)), (name, solved)
             traces += 1
             nodes += int(result.reason.split()[1])
-    return traces, nodes
+            solver_nodes += solved._explored
+            initials += len(strat.initials)
+    return traces, nodes, solver_nodes, initials
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN))
