@@ -7,6 +7,15 @@ checker and the solver enumerate Adam's choices as the separated-state
 refinements of the trace's next machine state that keep the code fragment and
 satisfy the next position's predicate, so everything stays within the
 universe's finite bounds.
+
+Both Adam's refinements and Eve's moves are built by
+`separation.separations`, which chooses the unknown pieces one at a time
+(code, then resources by name, then frame) and drops a piece as soon as it
+fails its part of the next position's predicate (`piece_tests`): the code
+against pre, the frame against post, an available resource against its
+context invariant.  The full `sat_sep` check still runs on every state built.
+The solver builds Eve's moves from each (position, Adam state) once and keeps
+them for the rest of its run.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 from .logic import satisfies
 from .machine import MachineState, instr_to_text
 from .maps import fmap
-from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
+from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME, PieceTests,
                          SeparatedState, combine, enumerate_eve_moves,
                          legal_eve_move, sep_state_to_text, separations)
 from .syntax import FTrue, Universe
@@ -70,6 +79,16 @@ def sat_sep(s: SeparatedState, sp: SeparatedPredicate, rho: fmap,
     return True
 
 
+def piece_tests(sp: SeparatedPredicate, rho: fmap, u: Universe) -> PieceTests:
+    """sat_sep split into one test per piece, for building only the separated
+    states whose pieces can pass: the code against pre, the frame against
+    post, each available resource against its context invariant."""
+    def test(f):
+        return lambda part: satisfies(part, f, rho, u)
+    return PieceTests(test(sp.pre), fmap({r: test(f) for r, f in sp.ctx.items()}),
+                      test(sp.post))
+
+
 def trace_state(t: Trace, i: int) -> MachineState:
     """The machine state at position i (1-based) of the trace's path."""
     p = len(t)
@@ -106,7 +125,8 @@ def _refinements(target: MachineState, code, dom_code: frozenset,
     entries = {r: None for r in set(u.locks) - target.locked}
     entries |= {r: HELD_BY_FRAME for r in target.locked - dom_code}
     entries |= {r: HELD_BY_CODE for r in dom_code}
-    return tuple(cand for cand in separations(target, code, entries, None, u)
+    return tuple(cand for cand in separations(target, code, entries, None, u,
+                                              piece_tests(pred, rho, u))
                  if sat_sep(cand, pred, rho, u))
 
 
@@ -230,18 +250,22 @@ class SolvedStrategy:
         self.budget = budget
         self._explored = 0
         self._memo = {}
+        self._candidates = {}    # (position, Adam's state) -> Eve's moves
         self.initials = empty_winning_plays(t.source, spec, u)
 
     def _eve_candidates(self, position, state):
-        k = position // 2
-        step = self.t.steps[k - 1]
-        target = trace_state(self.t, position + 1)
-        pred = self.spec.predicate_at(position + 1)
-        out = []
-        for cand in enumerate_eve_moves(state, step.instr, target, self.u):
-            if sat_sep(cand, pred, self.spec.rho, self.u):
-                out.append(cand)
-        return out
+        key = (position, state)
+        hit = self._candidates.get(key)
+        if hit is None:
+            step = self.t.steps[position // 2 - 1]
+            target = trace_state(self.t, position + 1)
+            pred = self.spec.predicate_at(position + 1)
+            rho = self.spec.rho
+            moves = enumerate_eve_moves(state, step.instr, target, self.u,
+                                        piece_tests(pred, rho, self.u))
+            hit = self._candidates[key] = tuple(
+                cand for cand in moves if sat_sep(cand, pred, rho, self.u))
+        return hit
 
     def survives(self, i: int, s: SeparatedState) -> bool:
         """Eve can keep every winning Adam continuation alive from position i."""

@@ -389,14 +389,16 @@ def all_machine_states(u: Universe) -> tuple:
     return tuple(sorted(out, key=mstate_to_text))
 
 
-def env_successors(state: MachineState, u: Universe, policy=None) -> tuple:
-    policy = policy or u.env_policy
+def env_successors(state: MachineState, u: Universe, policy: str,
+                   moves: tuple) -> tuple:
+    """The states the environment may move to from `state`; `moves` holds the
+    universe's move list as machine-state pairs (resolve_env_moves)."""
     if policy == "passive":
         return (state,)
     if policy == "exhaustive":
         return all_machine_states(u)
     if policy == "move-list":
-        listed = tuple(post for pre, post in resolve_env_moves(u) if pre == state)
+        listed = tuple(post for pre, post in moves if pre == state)
         return (state,) + tuple(s for s in listed if s != state)
     raise ValueError(f"unknown env policy {policy!r}")
 
@@ -411,6 +413,8 @@ def enumerate_traces(c, inits, u: Universe, maxlen=None, policy=None,
     """
     sys = denote(c, u)
     maxlen = u.maxlen if maxlen is None else maxlen
+    policy = policy or u.env_policy
+    moves = resolve_env_moves(u) if policy == "move-list" else ()
     alphabet = instruction_alphabet(c)
     yielded = 0
 
@@ -438,9 +442,9 @@ def enumerate_traces(c, inits, u: Universe, maxlen=None, policy=None,
         if len(steps) >= maxlen or t.errored:
             return
         for step in candidates(cur):
-            for nxt in env_successors(step.post, u, policy):
+            for nxt in env_successors(step.post, u, policy, moves):
                 yield from walk(source, steps + (step,), nxt)
 
     for s0 in sorted(inits, key=mstate_to_text):
-        for c0 in env_successors(s0, u, policy):
+        for c0 in env_successors(s0, u, policy, moves):
             yield from walk(s0, (), c0)

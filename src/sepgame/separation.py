@@ -117,15 +117,38 @@ def permission_conserving(s: SeparatedState, s2: SeparatedState) -> bool:
 
 # --- bounded enumeration of separated states over a machine state ----------------
 # `separations` builds them all: Adam's refinements (game._refinements) and
-# Eve's moves (enumerate_eve_moves) differ only in the pieces they fix.
+# Eve's moves (enumerate_eve_moves) differ only in the pieces they fix and in
+# the tests the pieces must pass.
+
+@dataclass(frozen=True)
+class PieceTests:
+    """One optional test per unknown piece of a separated state: the code's,
+    each resource's (by lock name) and the frame's.  A test takes the piece's
+    LogicalState and returns whether the piece may stay; None tests nothing.
+    The code and frame tests are fields of their own, so a lock named like a
+    piece never takes that piece's test."""
+    code: object = None
+    resources: fmap = fmap()
+    frame: object = None
+
 
 def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
-                          u: Universe):
+                          u: Universe, tests=()):
     """Distribute the memory's slots over n unknown logical components, next to
     a fixed component, so that everything tensors and erases exactly to mu.
 
-    Yields n-tuples of LogicalState in a fixed order.  Yields nothing when the
-    fixed component disagrees with mu.
+    The components are chosen one at a time, in order.  For each component a
+    cell takes a share from {0} and the universe's permissions that keeps the
+    cell's total (the fixed share plus the earlier components' shares) at
+    most 1; the last component must also leave every cell's total above 0.
+    `tests`, when given, holds one test or None per component; component i
+    must pass tests[i] as soon as it is chosen, and one that fails is dropped
+    before the next component is chosen.
+
+    Yields n-tuples of LogicalState in a fixed cell-major order: by the first
+    cell's shares of components 0..n-1, then the second cell's, and so on,
+    each share ordered as 0 and then the universe's permissions.  Yields
+    nothing when the fixed component disagrees with mu.
     """
     cells = ([("s", k, v) for k, v in mu.stack.items()]
              + [("h", k, v) for k, v in mu.heap.items()])
@@ -134,30 +157,47 @@ def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
         return
     zero = Fraction(0)
     shares = (zero,) + tuple(u.perms)
-    options = []
+    totals = []
     for kind, k, v in cells:
         v0, p0 = fixed_cells.get((kind, k), (v, zero))
         if v0 != v:
             return
-        vecs = [qs for qs in itertools.product(shares, repeat=n)
-                if 0 < p0 + sum(qs) <= 1]
-        if not vecs:
-            return
-        options.append(vecs)
-
-    for choice in itertools.product(*options):
-        yield tuple(from_slots([(kind, k, v, qs[i])
-                                for (kind, k, v), qs in zip(cells, choice)])
-                    for i in range(n))
+        totals.append(p0)
+    # a partial assignment: (components so far, share indices per component,
+    # per-cell totals)
+    partial = [((), (), tuple(totals))]
+    for i, test in enumerate(tests or [None] * n):
+        last = i == n - 1
+        grown = []
+        for parts, picks, totals in partial:
+            options = [[j for j, q in enumerate(shares)
+                        if t + q <= 1 and (t + q > 0 or not last)]
+                       for t in totals]
+            for pick in itertools.product(*options):
+                part = from_slots([(kind, k, v, shares[j])
+                                   for (kind, k, v), j in zip(cells, pick)])
+                if test is not None and not test(part):
+                    continue
+                grown.append((parts + (part,), picks + (pick,),
+                              tuple(t + shares[j] for t, j in zip(totals, pick))))
+        partial = grown
+    partial = [a for a in partial if all(t > 0 for t in a[2])]
+    # cell-major order: by each cell's share indices in turn
+    partial.sort(key=lambda a: tuple(zip(*a[1])))
+    for parts, _, _ in partial:
+        yield parts
 
 
 def separations(target: MachineState, code, resources: dict, frame,
-                u: Universe):
+                u: Universe, tests: PieceTests = PieceTests()):
     """The separated states that combine into `target` and agree with the
     given code fragment, resource entries and frame.
 
     A piece given as None is filled in by component_assignments, in the
-    order code, resources by name, frame.
+    order code, resources by name, frame, and in its cell-major order.  Each
+    filled-in piece must pass its test from `tests` as soon as it is chosen,
+    so a piece that fails is never combined with the pieces after it.  Given
+    pieces are not tested.
     """
     missing = sorted(r for r, e in resources.items() if e is None)
     given = [part for part in (code, frame) if part is not None]
@@ -165,8 +205,11 @@ def separations(target: MachineState, code, resources: dict, frame,
     fixed = tensor_all(given)
     if fixed is None:
         return
-    n = (code is None) + len(missing) + (frame is None)
-    for parts in component_assignments(target.memory, fixed, n, u):
+    in_order = ([tests.code] if code is None else []) \
+        + [tests.resources.get(r) for r in missing] \
+        + ([tests.frame] if frame is None else [])
+    for parts in component_assignments(target.memory, fixed, len(in_order),
+                                       u, in_order):
         parts = iter(parts)
         code_part = next(parts) if code is None else code
         entries = dict(resources)
@@ -181,9 +224,10 @@ def separations(target: MachineState, code, resources: dict, frame,
 
 
 def enumerate_eve_moves(s: SeparatedState, m, target: MachineState,
-                        u: Universe):
+                        u: Universe, tests: PieceTests = PieceTests()):
     """All separated states reachable by a legal Eve move labelled m that
-    combine into the given machine state."""
+    combine into the given machine state and whose new code fragment and
+    released resources pass their `tests`."""
     if Return(target) not in machine_step(combine(s), m, u):
         return
     entries = dict(s.resources.items())
@@ -195,7 +239,7 @@ def enumerate_eve_moves(s: SeparatedState, m, target: MachineState,
         if entries.get(r) != HELD_BY_CODE:
             return
         entries[r] = None
-    yield from separations(target, None, entries, s.frame, u)
+    yield from separations(target, None, entries, s.frame, u, tests)
 
 
 # --- textual form ------------------------------------------------------------------

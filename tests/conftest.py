@@ -1,3 +1,4 @@
+import importlib.util
 import random
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from sepgame.syntax import Assign, Lit, Var, parse_universe
 from sepgame.traces import OK, CodeTransition, Trace
 
 CORPUS = Path(__file__).parent / "corpus"
+BENCH = Path(__file__).parent.parent / "bench"
 
 PROGRAMS = ["par_writes", "framed_assign", "lock_transfer", "seq_load_store",
             "conj_precise", "if_def", "while_count"]
@@ -34,6 +36,14 @@ def micro_universe():
 
 def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text()
+
+
+def bench_script(name: str):
+    """The script bench/<name>.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TraceGen:

@@ -1,19 +1,29 @@
+import contextlib
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from sepgame.game import (CheckResult, NoWin, SeparatedPredicate, WinningSpec,
-                          adam_extensions, check_winning_strategy,
-                          empty_winning_plays, is_winning_play, replay_lines,
-                          sat_sep, solve_eve, trace_state, winning_spec)
-from sepgame.logic import EMPTY_LSTATE, lstate
-from sepgame.machine import machine_step, mstate
+from sepgame import game, separation
+from sepgame.game import (CheckResult, NoWin, SeparatedPredicate,
+                          SolvedStrategy, WinningSpec, adam_extensions,
+                          check_winning_strategy, empty_winning_plays,
+                          is_winning_play, replay_lines, sat_sep, solve_eve,
+                          trace_state, winning_spec)
+from sepgame.logic import (EMPTY_LSTATE, erase, from_slots, lstate,
+                           lstate_from_text, lstate_to_text, slots)
+from sepgame.machine import MachineState, machine_step, mstate
 from sepgame.maps import fmap
-from sepgame.separation import (Available, HELD_BY_CODE, combine, sep_state,
-                                sep_state_to_text)
+from sepgame.proof import check_proof
+from sepgame.semantics import enumerate_traces
+from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
+                                combine, enumerate_eve_moves, sep_state,
+                                sep_state_to_text, separations)
 from sepgame.syntax import (Assign, FTrue, Lit, Own, Store, Var, parse_formula,
-                            parse_universe)
+                            parse_proof, parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace
+
+from .conftest import PROGRAMS, corpus_text
 
 TOP = Fraction(1)
 
@@ -213,3 +223,117 @@ def test_adam_extension_order_locked(u):
         "code={x=0@1/2|} ; res=[r:F] ; frame={x=0@1/2,y=1@1/2|}",
         "code={x=0@1/2|} ; res=[r:F] ; frame={x=0@1/2,y=1@1|}",
     ]
+
+
+# --- building pieces under their tests changes no answer ----------------------------
+
+def _every_assignment(mu, fixed, n, u, tests=()):
+    """component_assignments without tests, written out the plain way: every
+    vector of n shares per cell whose total lies in (0,1], cell-major."""
+    cells = ([("s", k, v) for k, v in mu.stack.items()]
+             + [("h", k, v) for k, v in mu.heap.items()])
+    fixed_cells = {(kind, k): (v, p) for kind, k, v, p in slots(fixed)}
+    if not fixed_cells.keys() <= {(kind, k) for kind, k, _ in cells}:
+        return
+    shares = (Fraction(0),) + tuple(u.perms)
+    options = []
+    for kind, k, v in cells:
+        v0, p0 = fixed_cells.get((kind, k), (v, Fraction(0)))
+        if v0 != v:
+            return
+        options.append([qs for qs in itertools.product(shares, repeat=n)
+                        if 0 < p0 + sum(qs) <= 1])
+    for choice in itertools.product(*options):
+        yield tuple(from_slots([(kind, k, v, qs[i])
+                                for (kind, k, v), qs in zip(cells, choice)])
+                    for i in range(n))
+
+
+@contextlib.contextmanager
+def _unpruned():
+    """separations as it builds every separated state and tests none."""
+    real = separation.component_assignments
+    separation.component_assignments = _every_assignment
+    try:
+        yield
+    finally:
+        separation.component_assignments = real
+
+
+def _unpruned_refinements(target, code, dom_code, pred, rho, u):
+    """Adam's refinements as every separated state, filtered by sat_sep."""
+    if not dom_code <= target.locked:
+        return ()
+    entries = {r: None for r in set(u.locks) - target.locked}
+    entries |= {r: HELD_BY_FRAME for r in target.locked - dom_code}
+    entries |= {r: HELD_BY_CODE for r in dom_code}
+    with _unpruned():
+        return tuple(cand for cand in separations(target, code, entries, None, u)
+                     if sat_sep(cand, pred, rho, u))
+
+
+def _unpruned_eve_moves(t, spec, position, s, u):
+    """Eve's moves as every separated state, filtered by sat_sep."""
+    pred = spec.predicate_at(position + 1)
+    with _unpruned():
+        return tuple(cand for cand in enumerate_eve_moves(
+            s, t.steps[position // 2 - 1].instr, trace_state(t, position + 1), u)
+            if sat_sep(cand, pred, spec.rho, u))
+
+
+class _Recording:
+    """A strategy that records the Adam states the checker asks it about."""
+
+    def __init__(self, strat):
+        self.strat = strat
+        self.asked = []
+
+    def initial_nodes(self):
+        return self.strat.initial_nodes()
+
+    def respond(self, key, position, state):
+        self.asked.append((position, state))
+        return self.strat.respond(key, position, state)
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_pruned_moves_equal_filtered_separations(name, monkeypatch):
+    """At every position the checker and the solver visit, on every
+    non-error trace from the corpus inits, Adam's refinements and the
+    solver's Eve moves equal the unpruned separations filtered by sat_sep,
+    in the same order."""
+    u = parse_universe(corpus_text(f"{name}.uni"))
+    node = parse_proof(corpus_text(f"{name}.proof"))
+    rho = check_proof(node, u, allow_extensions=True).valuation
+    inits = [lstate_from_text(line)
+             for line in corpus_text(f"{name}.inits").splitlines() if line.strip()]
+    adam_calls = []
+    real_adam_extensions = game.adam_extensions
+
+    def recording(s, target, pred, rho, u):
+        out = real_adam_extensions(s, target, pred, rho, u)
+        adam_calls.append((s, target, pred, rho, out))
+        return out
+    monkeypatch.setattr(game, "adam_extensions", recording)
+
+    eve_checked = 0
+    for init in sorted(inits, key=lstate_to_text):
+        start = MachineState(erase(init), frozenset())
+        for t, returning, _ in enumerate_traces(node.cmd, [start], u,
+                                                policy="passive"):
+            if t.errored:
+                continue
+            spec = winning_spec(node.pre, node.ctx, node.post, t, returning, rho)
+            pred = spec.predicate_at(1)
+            assert game._refinements(t.source, None, frozenset(), pred, rho, u) \
+                == _unpruned_refinements(t.source, None, frozenset(), pred, rho, u)
+            solver = SolvedStrategy(t, spec, u)
+            strat = _Recording(solver)
+            check_winning_strategy(strat, t, spec, u)
+            for position, s in strat.asked:
+                assert solver._eve_candidates(position, s) \
+                    == _unpruned_eve_moves(t, spec, position, s, u)
+            eve_checked += len(strat.asked)
+    for s, target, pred, rho, out in adam_calls:
+        assert out == _unpruned_refinements(target, s.code, s.dom_code(), pred, rho, u)
+    assert adam_calls and eve_checked

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from sepgame import machine
 from sepgame.machine import INop, MachineState, Return, machine_step, mstate
 from sepgame.semantics import (IN, NOTIN, RETURNS, AtomTS, EnumerationBudget,
                                SeqSplitW, SeqTS, WhenAbortTS, WhenTS,
@@ -10,6 +11,8 @@ from sepgame.semantics import (IN, NOTIN, RETURNS, AtomTS, EnumerationBudget,
 from sepgame.syntax import (Assign, BEq, BTrue, Lit, Var, parse_program,
                             parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace
+
+from .conftest import corpus_text
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +231,25 @@ def test_resource_traces_never_mention_lock(u):
         states = [t.source, t.target] + \
             [s for st in t.steps for s in (st.pre, st.post)]
         assert all("r" not in s.locked for s in states)
+
+
+def test_move_lines_are_parsed_once_per_enumeration(monkeypatch):
+    """Under `env = move-list` the move lines are resolved into machine
+    states once, not again at every environment step."""
+    u = parse_universe(corpus_text("lock_transfer.uni").replace(
+        "env = passive", "env = move-list\n"
+        "move = {x=0 | | } -> {x=1 | | }\n"
+        "move = {x=1 | | r} -> {x=0 | | r}"))
+    calls = []
+    real_parse_mstate = machine.parse_mstate
+
+    def counting(text):
+        calls.append(text)
+        return real_parse_mstate(text)
+    monkeypatch.setattr(machine, "parse_mstate", counting)
+    prog = parse_program(corpus_text("lock_transfer.csl"))
+    traces = [t for t, _, _ in enumerate_traces(prog, [mstate(stack={"x": 0})], u)]
+    moved = [t for t in traces
+             if any(a.post != b.pre for a, b in zip(t.steps, t.steps[1:]))]
+    assert moved, "no trace takes an environment move"
+    assert len(calls) == 4

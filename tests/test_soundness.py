@@ -7,6 +7,8 @@ checker and the solver explore, so a refactor of the game or the lifters
 that changes the search shows here.
 """
 
+import re
+
 import pytest
 
 from sepgame.game import NoWin, check_winning_strategy, solve_eve
@@ -18,7 +20,7 @@ from sepgame.soundness import (ExtractedStrategy, ExtractionFailure,
                                SoundnessAlarm, verify_corollary)
 from sepgame.syntax import parse_proof, parse_universe
 
-from .conftest import corpus_text
+from .conftest import bench_script, corpus_text
 
 # program -> (non-error traces, play nodes the checker explores over them,
 #             nodes the solver explores, initial refinements of the
@@ -91,3 +93,26 @@ def test_corollary_reports_no_failures(name):
     report = verify_corollary(check, node, inits, u)
     assert report["failures"] == []
     assert report["traces_checked"] > 0
+
+
+def test_chain_with_a_lock_named_code(tmp_path, capsys):
+    """The piece tests of a separated state are keyed by the piece, not by a
+    name: a lock named `code` takes its context invariant, not the code's
+    precondition.  lock_transfer with its lock `r` renamed gives the same
+    chain as the original."""
+    for ext in ("csl", "uni", "inits", "proof"):
+        text = corpus_text(f"lock_transfer.{ext}")
+        # every `r` but the (res ...) node's `r:` field label
+        (tmp_path / f"lock_transfer.{ext}").write_text(
+            re.sub(r"(?m)(?<!^    )\br\b", "code", text))
+    renamed = (tmp_path / "lock_transfer.proof").read_text()
+    assert "r: code" in renamed and "[code: own_1(x)]" in renamed
+    assert "locks = code" in (tmp_path / "lock_transfer.uni").read_text()
+
+    chain = bench_script("chain")
+    code = chain.main([str(tmp_path / "lock_transfer.csl"),
+                       str(tmp_path / "lock_transfer.proof"),
+                       "-u", str(tmp_path / "lock_transfer.uni")])
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "total 80 traces, 1480 play nodes, all pass"
+    assert code == 0
