@@ -15,8 +15,8 @@ from fractions import Fraction
 from .maps import fmap
 from .syntax import (Add, Emp, Exists, FAnd, FEq, FFalse, FImplies, FNot,
                      FOr, Forall, FTrue, Lit, Mul, Own, ParseError, PointsTo,
-                     Star, Universe, Var, bexpr_program_vars, is_logical_name,
-                     perm_to_text)
+                     Star, Universe, Var, bexpr_program_vars,
+                     expr_program_vars, is_logical_name, perm_to_text)
 from .machine import MemoryState
 
 TOP = Fraction(1)
@@ -203,8 +203,7 @@ def _sat(sigma, f, rho, u) -> bool:
             entry = sigma.stack._dict.get(x)
             return entry is not None and entry[1] == p
         case FEq(l, r):
-            fv = {v for v in _expr_vars_cached(l) | _expr_vars_cached(r)
-                  if not is_logical_name(v)}
+            fv = expr_program_vars(l) | expr_program_vars(r)
             if not fv.issubset(set(sigma.stack)):
                 return False
             return eval_formula_expr(l, sigma, rho) == eval_formula_expr(r, sigma, rho)
@@ -215,12 +214,6 @@ def _sat(sigma, f, rho, u) -> bool:
                 return False
             return sigma.heap._dict.get(va) == (vv, p)
     raise TypeError(f)
-
-
-@functools.lru_cache(maxsize=None)
-def _expr_vars_cached(e):
-    from .syntax import expr_vars
-    return expr_vars(e)
 
 
 # --- bounded enumeration: all states, precision, entailment ----------------------
@@ -242,11 +235,6 @@ def all_logical_states(u: Universe) -> tuple:
 
 def is_precise(f, u: Universe, rho: fmap = fmap()) -> bool:
     """At most one substate of any enumerable state satisfies the formula."""
-    return _is_precise(f, u, rho)
-
-
-@functools.lru_cache(maxsize=None)
-def _is_precise(f, u, rho) -> bool:
     for sigma in all_logical_states(u):
         found = None
         for cand in sub_lstates(sigma, u):
@@ -260,11 +248,6 @@ def _is_precise(f, u, rho) -> bool:
 def entails(p, q, u: Universe, rho: fmap = fmap()) -> bool:
     """Bounded semantic entailment: every enumerable state satisfying p
     satisfies q."""
-    return _entails(p, q, u, rho)
-
-
-@functools.lru_cache(maxsize=None)
-def _entails(p, q, u, rho) -> bool:
     for sigma in all_logical_states(u):
         if _sat(sigma, p, rho, u) and not _sat(sigma, q, rho, u):
             return False

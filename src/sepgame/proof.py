@@ -14,10 +14,10 @@ use is reported.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
-from .logic import TOP, def_formula, entails, is_precise
+from .logic import (TOP, UncoveredLogicalVariable, def_formula, entails,
+                    is_precise)
 from .maps import fmap
 from .syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, EXTENSION_RULES,
                      FAnd, FEq, FFalse, FImplies, FNot, FOr, Forall, FTrue,
@@ -91,7 +91,6 @@ def _norm(f, env, depth):
     raise TypeError(f)
 
 
-@functools.lru_cache(maxsize=None)
 def normalize(f):
     return _norm(f, {}, 0)
 
@@ -168,7 +167,13 @@ def check_proof(node: ProofNode, u: Universe,
         if missing:
             complain(path, n.tag, f"logical variables not instantiated: {missing}")
         handler = _HANDLERS.get(n.tag)
-        handler(n, path, u, rho, complain)
+        try:
+            handler(n, path, u, rho, complain)
+        except UncoveredLogicalVariable:
+            # A side condition over an uninstantiated variable cannot be
+            # decided; the variable is reported above.
+            if not missing:
+                raise
         for i, child in enumerate(n.children):
             check(child, f"{path}.{i}")
 

@@ -2,13 +2,18 @@
 
 Each combinator decides membership of a trace by the defining set equation and
 produces a witness explaining how the trace was recognized; witnesses drive
-strategy extraction later.  Membership distinguishes three verdicts: NOTIN,
-IN (running) and RETURNS (finished successfully).
+strategy extraction later.  Every system's member(t) returns (verdict, witness
+or None), with three verdicts: NOTIN, IN (running) and RETURNS (finished
+successfully).
+
+Membership is a pure function of the system and the trace, recomputed on every
+call and never stored: a combinator's witness nests the witnesses its children
+answered for the sub-traces it asked about, and the module keeps no state
+between calls.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -71,33 +76,14 @@ class BranchW:
 
 # --- transition systems -----------------------------------------------------------
 
-class TransitionSystem:
-    """Base recognizer; subclasses implement _member."""
-
-    def __init__(self):
-        self._memo = {}
-
-    def member(self, t: Trace):
-        """Return (verdict, witness or None)."""
-        hit = self._memo.get(t)
-        if hit is None:
-            hit = self._member(t)
-            self._memo[t] = hit
-        return hit
-
-    def _member(self, t):
-        raise NotImplementedError
-
-
-class AtomTS(TransitionSystem):
+class AtomTS:
     """Traces executing a single instruction, plus their length-0 prefixes."""
 
     def __init__(self, instr, u: Universe):
-        super().__init__()
         self.instr = instr
         self.u = u
 
-    def _member(self, t):
+    def member(self, t):
         if len(t) == 0:
             outs = machine_step(t.target, self.instr, self.u)
             return (IN, AtomW()) if outs else (NOTIN, None)
@@ -121,13 +107,12 @@ def _split(t: Trace, k: int):
     return Trace(t.source, t.steps[:k], mid), Trace(mid, t.steps[k:], t.target), mid
 
 
-class SeqTS(TransitionSystem):
+class SeqTS:
     def __init__(self, first, second):
-        super().__init__()
         self.first = first
         self.second = second
 
-    def _member(self, t):
+    def member(self, t):
         best = (NOTIN, None)
         for k in range(len(t) + 1):
             t1, t2, mid = _split(t, k)
@@ -145,13 +130,12 @@ class SeqTS(TransitionSystem):
         return best
 
 
-class ParTS(TransitionSystem):
+class ParTS:
     def __init__(self, left, right):
-        super().__init__()
         self.left = left
         self.right = right
 
-    def _member(self, t):
+    def member(self, t):
         best = (NOTIN, None)
         n = len(t)
         for p in range(n + 1):
@@ -171,16 +155,15 @@ class ParTS(TransitionSystem):
         return best
 
 
-class WhenTS(TransitionSystem):
+class WhenTS:
     """Gate a system on the boolean value at the first code-visible state."""
 
     def __init__(self, cond, want: bool, inner):
-        super().__init__()
         self.cond = cond
         self.want = want
         self.inner = inner
 
-    def _member(self, t):
+    def member(self, t):
         state = t.steps[0].pre if t.steps else t.target
         if eval_bool(self.cond, state.memory) is not self.want:
             return (NOTIN, None)
@@ -188,15 +171,14 @@ class WhenTS(TransitionSystem):
         return (v, GateW(w)) if v != NOTIN else (NOTIN, None)
 
 
-class WhenAbortTS(TransitionSystem):
+class WhenAbortTS:
     """The dedicated system for a failing boolean test: a single non-returning
     error step labelled nop at a state where the test aborts."""
 
     def __init__(self, cond):
-        super().__init__()
         self.cond = cond
 
-    def _member(self, t):
+    def member(self, t):
         if len(t) == 0:
             if eval_bool(self.cond, t.target.memory) is ABORT:
                 return (IN, AbortW())
@@ -209,12 +191,11 @@ class WhenAbortTS(TransitionSystem):
         return (NOTIN, None)
 
 
-class UnionTS(TransitionSystem):
+class UnionTS:
     def __init__(self, branches):
-        super().__init__()
         self.branches = tuple(branches)
 
-    def _member(self, t):
+    def member(self, t):
         best = (NOTIN, None)
         for i, sys in enumerate(self.branches):
             v, w = sys.member(t)
@@ -225,13 +206,12 @@ class UnionTS(TransitionSystem):
         return best
 
 
-class WhileTS(TransitionSystem):
+class WhileTS:
     """Least fixpoint of the loop functional, computed exactly on finite traces:
     each unfolding consumes the branch-test nop, so recursion strictly shortens
     the trace."""
 
     def __init__(self, cond, body, u: Universe):
-        super().__init__()
         self.cond = cond
         self.body = body
         self.u = u
@@ -242,11 +222,11 @@ class WhileTS(TransitionSystem):
             WhenAbortTS(cond),
         ))
 
-    def _member(self, t):
+    def member(self, t):
         return self.unfolding.member(t)
 
 
-class HideTS(TransitionSystem):
+class HideTS:
     """Pre-image search under lock hiding.
 
     For every state slot the search decides whether the hidden lock is held,
@@ -256,11 +236,10 @@ class HideTS(TransitionSystem):
     """
 
     def __init__(self, lock, inner):
-        super().__init__()
         self.lock = lock
         self.inner = inner
 
-    def _member(self, t):
+    def member(self, t):
         r = self.lock
         states = [t.source] + [x for st in t.steps for x in (st.pre, st.post)] \
             + [t.target]
@@ -311,32 +290,37 @@ class HideTS(TransitionSystem):
 
 # --- denotation --------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def denote(c, u: Universe) -> TransitionSystem:
-    """The transition system of a command."""
-    match c:
-        case Assign() | Load() | Store() | AllocC() | DisposeC():
-            return AtomTS(c, u)
-        case Skip():
-            return AtomTS(INop(), u)
-        case SeqC(a, b):
-            return SeqTS(denote(a, u), denote(b, u))
-        case ParC(a, b):
-            return ParTS(denote(a, u), denote(b, u))
-        case ResourceC(r, body):
-            return HideTS(r, denote(body, u))
-        case WithWhen(r, b, body):
-            inside = SeqTS(AtomTS(IAcquire(r), u),
-                           SeqTS(denote(body, u), AtomTS(IRelease(r), u)))
-            return UnionTS((WhenTS(b, True, inside), WhenAbortTS(b)))
-        case IfC(b, then, orelse):
-            nop = lambda: AtomTS(INop(), u)
-            return UnionTS((SeqTS(WhenTS(b, True, nop()), denote(then, u)),
-                            SeqTS(WhenTS(b, False, nop()), denote(orelse, u)),
-                            WhenAbortTS(b)))
-        case While(b, body):
-            return WhileTS(b, denote(body, u), u)
-    raise TypeError(c)
+def denote(c, u: Universe):
+    """The transition system of a command.  The recursion stays inside, so a
+    wrapper around `denote` sees one call per system built, not one per
+    sub-command (bench/tracer.py counts membership tests on what it returns)."""
+
+    def ts(c):
+        match c:
+            case Assign() | Load() | Store() | AllocC() | DisposeC():
+                return AtomTS(c, u)
+            case Skip():
+                return AtomTS(INop(), u)
+            case SeqC(a, b):
+                return SeqTS(ts(a), ts(b))
+            case ParC(a, b):
+                return ParTS(ts(a), ts(b))
+            case ResourceC(r, body):
+                return HideTS(r, ts(body))
+            case WithWhen(r, b, body):
+                inside = SeqTS(AtomTS(IAcquire(r), u),
+                               SeqTS(ts(body), AtomTS(IRelease(r), u)))
+                return UnionTS((WhenTS(b, True, inside), WhenAbortTS(b)))
+            case IfC(b, then, orelse):
+                nop = lambda: AtomTS(INop(), u)
+                return UnionTS((SeqTS(WhenTS(b, True, nop()), ts(then)),
+                                SeqTS(WhenTS(b, False, nop()), ts(orelse)),
+                                WhenAbortTS(b)))
+            case While(b, body):
+                return WhileTS(b, ts(body), u)
+        raise TypeError(c)
+
+    return ts(c)
 
 
 def instruction_alphabet(c) -> tuple:
@@ -370,7 +354,6 @@ def instruction_alphabet(c) -> tuple:
     return tuple(sorted(out, key=instr_to_text))
 
 
-@functools.lru_cache(maxsize=None)
 def all_machine_states(u: Universe) -> tuple:
     """Every machine state over the universe (exhaustive environments only)."""
     var_opts = [[None] + [(x, v) for v in u.values] for x in u.variables]
@@ -389,16 +372,16 @@ def all_machine_states(u: Universe) -> tuple:
     return tuple(sorted(out, key=mstate_to_text))
 
 
-def env_successors(state: MachineState, u: Universe, policy: str,
-                   moves: tuple) -> tuple:
-    """The states the environment may move to from `state`; `moves` holds the
-    universe's move list as machine-state pairs (resolve_env_moves)."""
+def env_successors(state: MachineState, policy: str, env: tuple) -> tuple:
+    """The states the environment may move to from `state`; `env` is the
+    policy's environment resolved once per enumeration: every machine state
+    (exhaustive) or the move list as machine-state pairs (move-list)."""
     if policy == "passive":
         return (state,)
     if policy == "exhaustive":
-        return all_machine_states(u)
+        return env
     if policy == "move-list":
-        listed = tuple(post for pre, post in moves if pre == state)
+        listed = tuple(post for pre, post in env if pre == state)
         return (state,) + tuple(s for s in listed if s != state)
     raise ValueError(f"unknown env policy {policy!r}")
 
@@ -414,7 +397,8 @@ def enumerate_traces(c, inits, u: Universe, maxlen=None, policy=None,
     sys = denote(c, u)
     maxlen = u.maxlen if maxlen is None else maxlen
     policy = policy or u.env_policy
-    moves = resolve_env_moves(u) if policy == "move-list" else ()
+    env = (all_machine_states(u) if policy == "exhaustive"
+           else resolve_env_moves(u) if policy == "move-list" else ())
     alphabet = instruction_alphabet(c)
     yielded = 0
 
@@ -442,9 +426,9 @@ def enumerate_traces(c, inits, u: Universe, maxlen=None, policy=None,
         if len(steps) >= maxlen or t.errored:
             return
         for step in candidates(cur):
-            for nxt in env_successors(step.post, u, policy, moves):
+            for nxt in env_successors(step.post, policy, env):
                 yield from walk(source, steps + (step,), nxt)
 
     for s0 in sorted(inits, key=mstate_to_text):
-        for c0 in env_successors(s0, u, policy, moves):
+        for c0 in env_successors(s0, policy, env):
             yield from walk(s0, (), c0)

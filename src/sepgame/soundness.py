@@ -494,17 +494,13 @@ class ExtractedStrategy:
     """Winning strategy induced by a derivation tree on one trace."""
 
     def __init__(self, node, t: Trace, u: Universe, rho: fmap):
-        verdict, witness = denote(node.cmd, u).member(t)
-        if verdict == NOTIN:
-            raise ExtractionFailure("root", node.tag,
-                                    "trace is not in the program's denotation")
         self.node = node
         self.t = t
         self.u = u
         self.rho = rho
-        self.spec = winning_spec(node.pre, node.ctx, node.post, t,
-                                 verdict == RETURNS, rho)
         self.lifter = build_lifter(node, "root", t, u, rho)
+        self.spec = winning_spec(node.pre, node.ctx, node.post, t,
+                                 self.lifter.returning, rho)
         self.initials = {}
         for s in empty_winning_plays(t.source, self.spec, u):
             self.initials[s] = self.lifter.start(s.code)

@@ -309,6 +309,13 @@ class Universe:
             raise ParseError("empty resource alphabet")
         if not self.perms:
             raise ParseError("empty permission set")
+        for kind, items in (("variable", self.variables),
+                            ("location", self.locations),
+                            ("value", self.values), ("permission", self.perms),
+                            ("lock", self.locks)):
+            repeated = [x for i, x in enumerate(items) if x in items[:i]]
+            if repeated:
+                raise ParseError(f"repeated {kind} {repeated[0]}")
         if Fraction(1) not in self.perms:
             raise ParseError("permission set must contain 1")
         for p in self.perms:

@@ -164,3 +164,39 @@ def test_inits_file_outside_the_universe_exits_2(tmp_path, capsys):
                            capsys)
     assert code == 2
     assert out == "" and err.startswith("sepgame: variable z of state ")
+
+
+@pytest.mark.parametrize("line, what", [
+    ("vars = x, x", "variable x"), ("locs = 2, 2", "location 2"),
+    ("vals = 0, 1, 1", "value 1"), ("perms = 1/2, 1, 1", "permission 1"),
+    ("perms = 1/2, 2/4, 1", "permission 1/2"), ("locks = r, r", "lock r"),
+])
+def test_repeated_universe_entry_exits_2(tmp_path, capsys, line, what):
+    key = line.split("=")[0].strip()
+    uni = tmp_path / "repeated.uni"
+    uni.write_text("\n".join(line if ln.startswith(key) else ln
+                             for ln in UNIVERSE.splitlines()))
+    code, out, err = _main(["run", _corpus("framed_assign", ".csl"), "-u", str(uni)],
+                           capsys)
+    assert code == 2
+    assert out == "" and err == f"sepgame: repeated {what}\n"
+
+
+UNINSTANTIATED = """(ext_conseq pre: own_1(x) * (X = 1) cmd: x := 1
+  post: own_1(x) * (x = X)
+  (aff pre: own_1(x) * (X = 1) cmd: x := 1 post: own_1(x) * (x = X)))
+"""
+
+
+@pytest.mark.parametrize("verb", ["check", "verify"])
+def test_uninstantiated_logical_variable_is_reported(tmp_path, capsys, verb):
+    proof = tmp_path / "no_val.proof"
+    proof.write_text(UNINSTANTIATED)
+    program = [_corpus("framed_assign", ".csl")] if verb == "verify" else []
+    code, out, err = _main([verb, *program, str(proof), "-u",
+                            _corpus("framed_assign", ".uni"), "--allow-extensions"],
+                           capsys)
+    assert code == 1 and err == ""
+    assert [(v["node_path"], v["reason"]) for v in json.loads(out)] == [
+        ("root", "logical variables not instantiated: ['X']"),
+        ("root.0", "logical variables not instantiated: ['X']")]
