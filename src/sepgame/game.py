@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .logic import satisfies
 from .machine import MachineState, instr_to_text
 from .maps import fmap
+from .semantics import EnumerationBudget
 from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME, PieceTests,
                          SeparatedState, combine, enumerate_eve_moves,
                          legal_eve_move, sep_state_to_text, separations)
@@ -275,7 +276,7 @@ class SolvedStrategy:
             return hit
         self._explored += 1
         if self.budget is not None and self._explored > self.budget:
-            raise EnumerationBudgetExceeded()
+            raise EnumerationBudget(f"more than {self.budget} solver nodes")
         p = len(self.t)
         if i >= 2 * p + 1:
             return True
@@ -298,10 +299,6 @@ class SolvedStrategy:
                 if self.survives(position + 1, s3)]
 
 
-class EnumerationBudgetExceeded(Exception):
-    pass
-
-
 def solve_eve(t: Trace, spec: WinningSpec, u: Universe, budget=None):
     """Exhaustive search for a winning Eve strategy; returns a strategy,
     NoWin with a counterexample initial state, or "unknown" on budget."""
@@ -310,7 +307,7 @@ def solve_eve(t: Trace, spec: WinningSpec, u: Universe, budget=None):
         for s in strat.initials:
             if not strat.survives(1, s):
                 return NoWin(s)
-    except EnumerationBudgetExceeded:
+    except EnumerationBudget:
         return "unknown"
     return strat
 

@@ -2,14 +2,20 @@
 
 Each combinator decides membership of a trace by the defining set equation and
 produces a witness explaining how the trace was recognized; witnesses drive
-strategy extraction later.  Every system's member(t) returns (verdict, witness
-or None), with three verdicts: NOTIN, IN (running) and RETURNS (finished
-successfully).
+strategy extraction later.  Every system's member(t) returns an answer
+(verdict, witness or None), with three verdicts: NOTIN, IN (running) and
+RETURNS (finished successfully).
 
 Membership is a pure function of the system and the trace, recomputed on every
-call and never stored: a combinator's witness nests the witnesses its children
-answered for the sub-traces it asked about, and the module keeps no state
-between calls.
+call and never stored.  A combinator's witness nests the answers its children
+gave for the sub-traces it asked about, verdict and witness together, so a
+consumer of the witness never has to ask a child again; the module keeps no
+state between calls.
+
+Every system holds every length-0 trace, whatever its target: a thread that
+waits for a lock its sibling holds, or for a `when` test to become true, has
+run nothing yet, so atomic commands accept their empty prefix where they are
+blocked and `when` gates only a trace that has a step.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ class EnumerationBudget(Exception):
 
 
 # --- membership witnesses -------------------------------------------------------
+# Fields other than k, mid, shuffle, preimage and index hold a child's answer.
 
 @dataclass(frozen=True)
 class AtomW:
@@ -77,7 +84,8 @@ class BranchW:
 # --- transition systems -----------------------------------------------------------
 
 class AtomTS:
-    """Traces executing a single instruction, plus their length-0 prefixes."""
+    """Traces executing a single instruction, plus their length-0 prefixes,
+    which may end where the instruction is blocked."""
 
     def __init__(self, instr, u: Universe):
         self.instr = instr
@@ -85,8 +93,7 @@ class AtomTS:
 
     def member(self, t):
         if len(t) == 0:
-            outs = machine_step(t.target, self.instr, self.u)
-            return (IN, AtomW()) if outs else (NOTIN, None)
+            return (IN, AtomW())
         if len(t) == 1:
             st = t.steps[0]
             if st.instr != self.instr:
@@ -116,17 +123,17 @@ class SeqTS:
         best = (NOTIN, None)
         for k in range(len(t) + 1):
             t1, t2, mid = _split(t, k)
-            v1, w1 = self.first.member(t1)
-            if v1 != RETURNS:
+            a1 = self.first.member(t1)
+            if a1[0] != RETURNS:
                 continue
-            v2, w2 = self.second.member(t2)
-            if v2 == RETURNS:
-                return (RETURNS, SeqSplitW(k, mid, w1, w2))
-            if v2 == IN and best[0] == NOTIN:
-                best = (IN, SeqSplitW(k, mid, w1, w2))
-        v1, w1 = self.first.member(t)
-        if v1 != NOTIN:
-            return (IN, SeqLeftW(w1))
+            a2 = self.second.member(t2)
+            if a2[0] == RETURNS:
+                return (RETURNS, SeqSplitW(k, mid, a1, a2))
+            if a2[0] == IN and best[0] == NOTIN:
+                best = (IN, SeqSplitW(k, mid, a1, a2))
+        a1 = self.first.member(t)
+        if a1[0] != NOTIN:
+            return (IN, SeqLeftW(a1))
         return best
 
 
@@ -142,21 +149,22 @@ class ParTS:
             for omega in shuffles(p, n - p):
                 t1 = restrict(omega.left_positions(), t)
                 t2 = restrict(omega.right_positions(), t)
-                v1, w1 = self.left.member(t1)
-                if v1 == NOTIN:
+                a1 = self.left.member(t1)
+                if a1[0] == NOTIN:
                     continue
-                v2, w2 = self.right.member(t2)
-                if v2 == NOTIN:
+                a2 = self.right.member(t2)
+                if a2[0] == NOTIN:
                     continue
-                if v1 == RETURNS and v2 == RETURNS:
-                    return (RETURNS, ParW(omega, w1, w2))
+                if a1[0] == RETURNS and a2[0] == RETURNS:
+                    return (RETURNS, ParW(omega, a1, a2))
                 if best[0] == NOTIN:
-                    best = (IN, ParW(omega, w1, w2))
+                    best = (IN, ParW(omega, a1, a2))
         return best
 
 
 class WhenTS:
-    """Gate a system on the boolean value at the first code-visible state."""
+    """Gate a system on the boolean value at the pre-state of the first step;
+    a trace without steps is not gated."""
 
     def __init__(self, cond, want: bool, inner):
         self.cond = cond
@@ -164,11 +172,10 @@ class WhenTS:
         self.inner = inner
 
     def member(self, t):
-        state = t.steps[0].pre if t.steps else t.target
-        if eval_bool(self.cond, state.memory) is not self.want:
+        if t.steps and eval_bool(self.cond, t.steps[0].pre.memory) is not self.want:
             return (NOTIN, None)
-        v, w = self.inner.member(t)
-        return (v, GateW(w)) if v != NOTIN else (NOTIN, None)
+        a = self.inner.member(t)
+        return (a[0], GateW(a)) if a[0] != NOTIN else (NOTIN, None)
 
 
 class WhenAbortTS:
@@ -180,9 +187,7 @@ class WhenAbortTS:
 
     def member(self, t):
         if len(t) == 0:
-            if eval_bool(self.cond, t.target.memory) is ABORT:
-                return (IN, AbortW())
-            return (NOTIN, None)
+            return (IN, AbortW())
         if len(t) == 1:
             st = t.steps[0]
             if (st.status == ERR and isinstance(st.instr, INop)
@@ -198,11 +203,11 @@ class UnionTS:
     def member(self, t):
         best = (NOTIN, None)
         for i, sys in enumerate(self.branches):
-            v, w = sys.member(t)
-            if v == RETURNS:
-                return (RETURNS, BranchW(i, w))
-            if v == IN and best[0] == NOTIN:
-                best = (IN, BranchW(i, w))
+            a = sys.member(t)
+            if a[0] == RETURNS:
+                return (RETURNS, BranchW(i, a))
+            if a[0] == IN and best[0] == NOTIN:
+                best = (IN, BranchW(i, a))
         return best
 
 
@@ -229,10 +234,12 @@ class WhileTS:
 class HideTS:
     """Pre-image search under lock hiding.
 
-    For every state slot the search decides whether the hidden lock is held,
-    and every ok nop step may have been an acquire or a release of it.  Slots
-    prefer continuity with the previous slot, which makes the first witness
-    the well-bracketed one.
+    The hidden lock belongs to the code: only the body's own acquire and
+    release move it (Brookes, TCS 2007).  So a pre-image is well-bracketed:
+    the lock is free at the source, an ok nop step may instead be an acquire
+    of it while it is free or a release while it is held, and every other
+    step, every environment gap and the target keep it as it was.  At each
+    step the plain nop comes first.
     """
 
     def __init__(self, lock, inner):
@@ -247,11 +254,11 @@ class HideTS:
             return (NOTIN, None)
         best = (NOTIN, None)
         for cand in self._preimages(t):
-            v, w = self.inner.member(cand)
-            if v == RETURNS:
-                return (RETURNS, HideW(cand, w))
-            if v == IN and best[0] == NOTIN:
-                best = (IN, HideW(cand, w))
+            a = self.inner.member(cand)
+            if a[0] == RETURNS:
+                return (RETURNS, HideW(cand, a))
+            if a[0] == IN and best[0] == NOTIN:
+                best = (IN, HideW(cand, a))
         return best
 
     def _preimages(self, t):
@@ -260,32 +267,21 @@ class HideTS:
         def add(s, held):
             return s.with_locked(s.locked | {r}) if held else s
 
-        def step_options(st, prev):
-            if st.status == OK and isinstance(st.instr, INop):
-                free = [(st.pre, INop(), st.post, OK),
-                        (st.pre, IAcquire(r), add(st.post, True), OK)]
-                held = [(add(st.pre, True), INop(), add(st.post, True), OK),
-                        (add(st.pre, True), IRelease(r), st.post, OK)]
-                return held + free if prev else free + held
-            # any other instruction keeps its label; its lock footprint does
-            # not involve r, so pre and post agree on r
-            return [(add(st.pre, h), st.instr, add(st.post, h), st.status)
-                    for h in (prev, not prev)]
-
-        def gen(k, prev, acc):
+        def gen(k, held, acc):
             if k == len(t.steps):
-                for held in (prev, not prev):
-                    yield tuple(acc), add(t.target, held)
+                yield Trace(t.source, tuple(acc), add(t.target, held))
                 return
-            for pre, instr, post, status in step_options(t.steps[k], prev):
-                acc.append(CodeTransition(pre, instr, post, status))
-                yield from gen(k + 1, r in post.locked, acc)
+            st = t.steps[k]
+            options = [(st.instr, held)]
+            if st.status == OK and isinstance(st.instr, INop):
+                options.append((IRelease(r), False) if held else (IAcquire(r), True))
+            for instr, after in options:
+                acc.append(CodeTransition(add(st.pre, held), instr,
+                                          add(st.post, after), st.status))
+                yield from gen(k + 1, after, acc)
                 acc.pop()
 
-        for src_held in (False, True):
-            source = add(t.source, src_held)
-            for steps, target in gen(0, src_held, []):
-                yield Trace(source, steps, target)
+        yield from gen(0, False, [])
 
 
 # --- denotation --------------------------------------------------------------------

@@ -11,12 +11,18 @@ of the separated state and its premises' views:
   * frame carries a framed fragment untouched through the whole play;
   * res replays the child on the hide pre-image from the witness, keeping the
     bound resource's content virtually inside the code fragment so the
-    projected moves are identities on the visible state;
+    projected moves are identities on the visible state; the semantics only
+    offers well-bracketed pre-images, so the virtual resource is locked
+    exactly while the child holds it;
   * with absorbs the resource's content on acquire and splits off a fragment
     satisfying the invariant on release (smallest candidate first);
   * conj plays its first premise and audits the second's claims, raising an
     alarm on divergence;
   * consequence changes no move, so its premise lifts in its place.
+
+Membership is decided once, for the root: a lifter takes its trace's answer
+(verdict and witness) from its parent, which reads it off its own witness,
+and frame, conj and consequence hand their own answer to their premise.
 
 All choice points are resolved by deterministic search in enumeration order,
 so extraction is reproducible.  A failed search raises ExtractionFailure
@@ -31,7 +37,7 @@ from .game import (adam_extensions, empty_winning_plays, sat_sep,
                    trace_state, winning_spec, replay_lines)
 from .logic import (EMPTY_LSTATE, TOP, LogicalState, erase, lstate_to_text,
                     satisfies, substates, tensor)
-from .machine import ABORT, IAcquire, IRelease, MachineState, eval_expr
+from .machine import ABORT, MachineState, eval_expr
 from .maps import fmap
 from .proof import ProofCheckResult, Sequent
 from .semantics import (BranchW, GateW, HideW, NOTIN, ParW, RETURNS, SeqLeftW,
@@ -40,7 +46,7 @@ from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                          SeparatedState, SeparationError, combine,
                          legal_eve_move, sep_state_to_text)
 from .syntax import FTrue, Star, Universe
-from .traces import ERR, Trace
+from .traces import ERR, Trace, restrict
 
 
 class ExtractionFailure(Exception):
@@ -56,18 +62,15 @@ class SoundnessAlarm(Exception):
 class _Lifter:
     """One proof node driving one (sub)trace."""
 
-    def __init__(self, node, path, t: Trace, u: Universe, rho: fmap):
+    def __init__(self, node, path, t: Trace, u: Universe, rho: fmap, answer):
         self.node = node
         self.path = path
         self.t = t
         self.u = u
         self.rho = rho
-        verdict, witness = denote(node.cmd, u).member(t)
-        if verdict == NOTIN:
-            raise ExtractionFailure(path, node.tag,
-                                    "trace is not in the command's denotation")
-        self.returning = verdict == RETURNS
-        self.witness = witness
+        self.answer = answer
+        self.returning = answer[0] == RETURNS
+        self.witness = answer[1]
         self._setup()
 
     def _setup(self):
@@ -79,19 +82,20 @@ class _Lifter:
     def _sat(self, sigma, f):
         return satisfies(sigma, f, self.rho, self.u)
 
-    def _child(self, index, t):
+    def _child(self, index, t, answer):
         node = self.node.children[index]
-        return build_lifter(node, f"{self.path}.{index}", t, self.u, self.rho)
+        return build_lifter(node, f"{self.path}.{index}", t, self.u, self.rho,
+                            answer)
 
     def _seq_parts(self, w, t: Trace):
         """Decode the witness of a sequential composition on t into the first
-        command's sub-trace, the second's sub-trace and the second's witness;
-        the last two are None while the first command has not returned."""
+        command's sub-trace and answer and the second's; the last two are None
+        while the first command has not returned."""
         if isinstance(w, SeqSplitW):
-            return (Trace(t.source, t.steps[:w.k], w.mid),
+            return (Trace(t.source, t.steps[:w.k], w.mid), w.left,
                     Trace(w.mid, t.steps[w.k:], t.target), w.right)
         if isinstance(w, SeqLeftW):
-            return t, None, None
+            return t, w.inner, None, None
         self._fail(f"unexpected witness {type(w).__name__}")
 
     def _first_split(self, code, fa, fb, reason):
@@ -161,12 +165,12 @@ class AtomLifter(_Lifter):
 
 class SeqLifter(_Lifter):
     def _setup(self):
-        t1, t2, _ = self._seq_parts(self.witness, self.t)
-        self.left = self._child(0, t1)
+        t1, a1, t2, a2 = self._seq_parts(self.witness, self.t)
+        self.left = self._child(0, t1, a1)
         self.k0 = self.right = None
         if t2 is not None:
             self.k0 = len(t1)
-            self.right = self._child(1, t2)
+            self.right = self._child(1, t2, a2)
 
     def start(self, code):
         return ("L", self.left.start(code))
@@ -194,11 +198,10 @@ class ParLifter(_Lifter):
         if not isinstance(w, ParW):
             self._fail(f"unexpected witness {type(w).__name__}")
         self.route = w.shuffle.tags
-        from .traces import restrict
         t1 = restrict(w.shuffle.left_positions(), self.t)
         t2 = restrict(w.shuffle.right_positions(), self.t)
-        self.left = self._child(0, t1)
-        self.right = self._child(1, t2)
+        self.left = self._child(0, t1, w.left)
+        self.right = self._child(1, t2, w.right)
 
     def start(self, code):
         a, b = self._first_split(
@@ -231,7 +234,7 @@ class ParLifter(_Lifter):
 
 class FrameLifter(_Lifter):
     def _setup(self):
-        self.inner = self._child(0, self.t)
+        self.inner = self._child(0, self.t, self.answer)
         self.frame_formula = self.node.params["R"]
 
     def start(self, code):
@@ -254,7 +257,7 @@ class FrameLifter(_Lifter):
 
 class ConjLifter(_Lifter):
     def _setup(self):
-        self.inner = self._child(0, self.t)
+        self.inner = self._child(0, self.t, self.answer)
         self.audit_pre = self.node.children[1].pre
         self.audit_post = self.node.children[1].post
 
@@ -283,27 +286,7 @@ class ResLifter(_Lifter):
             self._fail(f"unexpected witness {type(w).__name__}")
         self.r = self.node.params["r"]
         self.inv = self.node.params["inv"]
-        self.pre_t = w.preimage
-        self._check_bracketing()
-        self.inner = self._child(0, self.pre_t)
-
-    def _check_bracketing(self):
-        """The virtual resource must be locked exactly while the child holds it."""
-        r = self.r
-        held = False
-        if r in self.pre_t.source.locked:
-            self._fail("pre-image starts with the bound resource locked")
-        for st in self.pre_t.steps:
-            if (r in st.pre.locked) != held:
-                self._fail("pre-image locks the bound resource outside the code's hold")
-            if isinstance(st.instr, IAcquire) and st.instr.lock == r:
-                held = True
-            elif isinstance(st.instr, IRelease) and st.instr.lock == r:
-                held = False
-            if (r in st.post.locked) != held:
-                self._fail("pre-image locks the bound resource outside the code's hold")
-        if (r in self.pre_t.target.locked) != held:
-            self._fail("pre-image locks the bound resource outside the code's hold")
+        self.inner = self._child(0, w.preimage, w.inner)
 
     def start(self, code):
         j, a = self._first_split(code, self.inv, self.node.children[0].pre,
@@ -343,15 +326,15 @@ class WithLifter(_Lifter):
             self.dead = True
             return
         if not (isinstance(w, BranchW) and w.index == 0
-                and isinstance(w.inner, GateW)):
+                and isinstance(w.inner[1], GateW)):
             self._fail(f"unexpected witness {type(w).__name__}")
-        acquire, rest, w2 = self._seq_parts(w.inner.inner, self.t)
+        acquire, _, rest, inside = self._seq_parts(w.inner[1].inner[1], self.t)
         if rest is None:
             return  # at most the acquire step
         if len(acquire) != 1:
             self._fail("unexpected inside witness")
-        body_t, _, _ = self._seq_parts(w2, rest)
-        self.body = self._child(0, body_t)
+        body_t, body, _, _ = self._seq_parts(inside[1], rest)
+        self.body = self._child(0, body_t, body)
         self.body_len = len(body_t)
 
     def start(self, code):
@@ -394,12 +377,12 @@ class IfLifter(_Lifter):
             return
         if not isinstance(w, BranchW):
             self._fail(f"unexpected witness {type(w).__name__}")
-        test, rest, _ = self._seq_parts(w.inner, self.t)
+        test, _, rest, branch = self._seq_parts(w.inner[1], self.t)
         if rest is None:
             return  # only the branch-test step so far
         if len(test) != 1:
             self._fail("unexpected branch witness")
-        self.body = self._child(w.index, rest)
+        self.body = self._child(w.index, rest, branch)
 
     def start(self, code):
         return ("test", None)
@@ -434,16 +417,16 @@ class WhileLifter(_Lifter):
         if w.index == 2:
             self.segments.append(("dead", None, 1))
             return
-        test, rest, w2 = self._seq_parts(w.inner, t_cur)
+        test, _, rest, unfolded = self._seq_parts(w.inner[1], t_cur)
         if rest is not None and len(test) != 1:
             self._fail("unexpected loop witness")
         self.segments.append(("nop", None, 1))
         if rest is None:
             return
-        body_t, loop_t, w3 = self._seq_parts(w2, rest)
-        self.segments.append(("body", self._child(0, body_t), len(body_t)))
+        body_t, body, loop_t, loop = self._seq_parts(unfolded[1], rest)
+        self.segments.append(("body", self._child(0, body_t, body), len(body_t)))
         if loop_t is not None:
-            self._walk(w3, loop_t)
+            self._walk(loop[1], loop_t)
 
     def start(self, code):
         return (0, None)
@@ -479,13 +462,15 @@ _LIFTERS = {
 }
 
 
-def build_lifter(node, path, t, u, rho) -> _Lifter:
+def build_lifter(node, path, t, u, rho, answer) -> _Lifter:
+    """The lifter of a proof node on trace t, whose answer (verdict, witness)
+    from the node's command the caller already holds."""
     if node.tag == "ext_conseq":
-        return build_lifter(node.children[0], f"{path}.0", t, u, rho)
+        return build_lifter(node.children[0], f"{path}.0", t, u, rho, answer)
     cls = _LIFTERS.get(node.tag)
     if cls is None:
         raise ExtractionFailure(path, node.tag, "no lifting for this rule")
-    return cls(node, path, t, u, rho)
+    return cls(node, path, t, u, rho, answer)
 
 
 # --- the extracted strategy ---------------------------------------------------------
@@ -498,7 +483,11 @@ class ExtractedStrategy:
         self.t = t
         self.u = u
         self.rho = rho
-        self.lifter = build_lifter(node, "root", t, u, rho)
+        answer = denote(node.cmd, u).member(t)
+        if answer[0] == NOTIN:
+            raise ExtractionFailure("root", node.tag,
+                                    "trace is not in the command's denotation")
+        self.lifter = build_lifter(node, "root", t, u, rho, answer)
         self.spec = winning_spec(node.pre, node.ctx, node.post, t,
                                  self.lifter.returning, rho)
         self.initials = {}

@@ -13,10 +13,10 @@ from sepgame.traces import OK, CodeTransition, Trace
 CORPUS = Path(__file__).parent / "corpus"
 BENCH = Path(__file__).parent.parent / "bench"
 
-PROGRAMS = ["par_writes", "framed_assign", "lock_transfer", "seq_load_store",
-            "conj_precise", "if_def", "while_count"]
+PROGRAMS = ["par_writes", "framed_assign", "lock_transfer", "lock_pair",
+            "seq_load_store", "conj_precise", "if_def", "while_count"]
 EMPTY_CTX_PROGRAMS = ["par_writes", "framed_assign", "lock_transfer",
-                      "seq_load_store", "if_def", "while_count"]
+                      "lock_pair", "seq_load_store", "if_def", "while_count"]
 
 
 @pytest.fixture(scope="session")

@@ -3,14 +3,16 @@ import itertools
 import pytest
 
 from sepgame import machine
-from sepgame.machine import INop, MachineState, Return, machine_step, mstate
+from sepgame.logic import erase, lstate_from_text
+from sepgame.machine import (IAcquire, INop, IRelease, MachineState, Return,
+                             instr_to_text, machine_step, mstate)
 from sepgame.semantics import (IN, NOTIN, RETURNS, AtomTS, EnumerationBudget,
-                               SeqSplitW, SeqTS, WhenAbortTS, WhenTS,
+                               HideW, SeqSplitW, SeqTS, WhenAbortTS, WhenTS,
                                all_machine_states, denote, enumerate_traces,
                                instruction_alphabet)
 from sepgame.syntax import (Assign, BEq, BTrue, Lit, Var, parse_program,
                             parse_universe)
-from sepgame.traces import ERR, OK, CodeTransition, Trace
+from sepgame.traces import ERR, OK, CodeTransition, Trace, hide, par_compose
 
 from .conftest import corpus_text
 
@@ -253,3 +255,91 @@ def test_move_lines_are_parsed_once_per_enumeration(monkeypatch):
              if any(a.post != b.pre for a, b in zip(t.steps, t.steps[1:]))]
     assert moved, "no trace takes an environment move"
     assert len(calls) == 4
+
+
+# --- waiting threads and the trace algebra as oracle -------------------------------
+
+LOCK_PAIR = "with r when true do x := 1 || with r when true do x := 2"
+
+
+def _labels(t):
+    return " ; ".join(instr_to_text(st.instr) for st in t.steps)
+
+
+def test_waiting_threads_keep_their_empty_prefix():
+    """A thread blocked on its sibling's lock, or on a `when` test that is
+    still false, has run nothing: its empty prefix is in its denotation, so
+    the parallel composition keeps the trace."""
+    u = parse_universe(corpus_text("lock_transfer.uni"))
+    held = mstate(stack={"x": 0}, locked={"r"})
+    assert AtomTS(IAcquire("r"), u).member(Trace(S0, (), held))[0] == IN
+    gate = WhenTS(BEq(Var("x"), Lit(1)), True, AtomTS(INop(), u))
+    assert gate.member(Trace(S0, (), S0))[0] == IN
+
+    traces = list(enumerate_traces(parse_program(LOCK_PAIR), [S0], u))
+    assert len(traces) == 12
+    serial = "acquire(r) ; x := {} ; release(r) ; acquire(r) ; x := {} ; release(r)"
+    assert sorted((_labels(t), t.target.memory.stack["x"])
+                  for t, ret, _ in traces if ret) == [
+        (serial.format(1, 2), 2), (serial.format(2, 1), 1)]
+
+    traces = list(enumerate_traces(
+        parse_program("with r when x = 1 do x := 2 || x := 1"), [S0], u))
+    assert len(traces) == 5
+    assert [_labels(t) for t, ret, _ in traces if ret] == [
+        "x := 1 ; acquire(r) ; x := 2 ; release(r)"]
+
+
+def test_interleavings_of_thread_traces_are_members():
+    """Oracle: every interleaving (par_compose) of a returning trace of each
+    thread returns in the parallel composition, and each of its prefixes is
+    a member.  Thread 2 starts from thread 1's final state; the environment
+    carries the state across the gap."""
+    u = parse_universe(corpus_text("lock_transfer.uni"))
+    prog = parse_program(LOCK_PAIR)
+    whole = denote(prog, u)
+    (t1,) = [t for t, ret, _ in enumerate_traces(prog.left, [S0], u) if ret]
+    (t2,) = [t for t, ret, _ in enumerate_traces(prog.right, [t1.target], u)
+             if ret]
+    end = t2.target
+    interleavings = par_compose(Trace(S0, t1.steps, end), Trace(S0, t2.steps, end))
+    assert len(interleavings) == 20
+    for t in interleavings:
+        assert whole.member(t)[0] == RETURNS, _labels(t)
+        for k in range(len(t)):
+            assert whole.member(t.prefix(k))[0] != NOTIN, (_labels(t), k)
+
+
+def _well_bracketed(r, t):
+    """r is free at the source and changes only at the trace's own acquire
+    and release steps of r."""
+    held = False
+    if r in t.source.locked:
+        return False
+    for st in t.steps:
+        if (r in st.pre.locked) != held:
+            return False
+        if st.instr == IAcquire(r):
+            held = True
+        elif st.instr == IRelease(r):
+            held = False
+        if (r in st.post.locked) != held:
+            return False
+    return (r in t.target.locked) == held
+
+
+@pytest.mark.parametrize("name", ["lock_transfer", "lock_pair"])
+def test_hide_preimages_are_well_bracketed(name):
+    """Oracle: the pre-image in every HideW witness keeps the bound lock on
+    the code's side, and hiding it gives back the trace."""
+    u = parse_universe(corpus_text(f"{name}.uni"))
+    prog = parse_program(corpus_text(f"{name}.csl"))
+    inits = [MachineState(erase(lstate_from_text(line)), frozenset())
+             for line in corpus_text(f"{name}.inits").splitlines() if line.strip()]
+    seen = 0
+    for t, _, w in enumerate_traces(prog, inits, u):
+        assert isinstance(w, HideW)
+        assert _well_bracketed(prog.lock, w.preimage), _labels(w.preimage)
+        assert hide(prog.lock, w.preimage) == t
+        seen += 1
+    assert seen > 1

@@ -19,6 +19,7 @@ from sepgame.semantics import enumerate_traces
 from sepgame.soundness import (ExtractedStrategy, ExtractionFailure,
                                SoundnessAlarm, verify_corollary)
 from sepgame.syntax import parse_proof, parse_universe
+from sepgame.traces import Trace
 
 from .conftest import bench_script, corpus_text
 
@@ -29,6 +30,7 @@ CHAIN = {
     "par_writes": (10, 22, 46, 10),
     "framed_assign": (4, 6, 6, 4),
     "lock_transfer": (8, 20, 30, 8),
+    "lock_pair": (12, 53, 133, 12),
     "if_def": (6, 12, 20, 6),
     "while_count": (6, 13, 18, 6),
 }
@@ -93,6 +95,19 @@ def test_corollary_reports_no_failures(name):
     report = verify_corollary(check, node, inits, u)
     assert report["failures"] == []
     assert report["traces_checked"] > 0
+
+
+def test_extraction_decides_membership_at_the_root():
+    """A trace outside the program's denotation fails at the root, before
+    any lifter is built: one more step after the program has returned."""
+    u, node, check, inits = _load("lock_transfer")
+    start = MachineState(erase(inits[0]), frozenset())
+    t = next(t for t, ret, _ in enumerate_traces(node.cmd, [start], u) if ret)
+    longer = Trace(t.source, t.steps + t.steps[-1:], t.target)
+    with pytest.raises(ExtractionFailure) as info:
+        ExtractedStrategy(node, longer, u, check.valuation)
+    assert (info.value.path, info.value.rule) == ("root", "ext_conseq")
+    assert info.value.reason == "trace is not in the command's denotation"
 
 
 def test_chain_with_a_lock_named_code(tmp_path, capsys):
