@@ -163,27 +163,32 @@ def cmd_verify(args) -> int:
     return 0 if not report["failures"] else 1
 
 
-def _pick_trace(prog, u, index, maxlen=None):
-    inits = _full_perm_machine_states(u)
-    for i, (t, ret, w) in enumerate(enumerate_traces(prog, inits, u,
-                                                     maxlen=maxlen)):
-        if i == index:
-            return t, ret, w
-    raise UsageError(f"trace index {index} out of range")
-
-
-def cmd_game(args) -> int:
+def _strategy_on_trace(args):
+    """The universe, the trace at --trace-index, whether it returns and the
+    strategy extracted from the checked proof on it; None, once reported,
+    when the proof is rejected or proves another program."""
     u = _load_universe(args.universe)
     prog = parse_program(_read(args.program))
     node, result = _load_checked_proof(args, u)
     if not result.ok:
         print("proof rejected; run `sepgame check` for details", file=sys.stderr)
-        return 1
+        return None
     if node.cmd != prog:
         print("program does not match the proof's conclusion", file=sys.stderr)
+        return None
+    traces = enumerate_traces(prog, _full_perm_machine_states(u), u,
+                              maxlen=args.maxlen)
+    for i, (t, ret, _) in enumerate(traces):
+        if i == args.trace_index:
+            return u, t, ret, ExtractedStrategy(node, t, u, result.valuation)
+    raise UsageError(f"trace index {args.trace_index} out of range")
+
+
+def cmd_game(args) -> int:
+    picked = _strategy_on_trace(args)
+    if picked is None:
         return 1
-    t, ret, w = _pick_trace(prog, u, args.trace_index, args.maxlen)
-    strat = ExtractedStrategy(node, t, u, result.valuation)
+    u, t, ret, strat = picked
     lines = [f"trace {args.trace_index} length={len(t)} "
              f"returning={'yes' if ret else 'no'}"]
     lines.extend(trace_to_lines(t))
@@ -208,17 +213,10 @@ def cmd_game(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    u = _load_universe(args.universe)
-    prog = parse_program(_read(args.program))
-    node, result = _load_checked_proof(args, u)
-    if not result.ok:
-        print("proof rejected; run `sepgame check` for details", file=sys.stderr)
+    picked = _strategy_on_trace(args)
+    if picked is None:
         return 1
-    if node.cmd != prog:
-        print("program does not match the proof's conclusion", file=sys.stderr)
-        return 1
-    t, ret, w = _pick_trace(prog, u, args.trace_index, args.maxlen)
-    strat = ExtractedStrategy(node, t, u, result.valuation)
+    u, t, _, strat = picked
     verdict = solve_eve(t, strat.spec, u, budget=args.budget)
     if verdict == "unknown":
         _write_out("solver verdict: unknown (budget exceeded)", args.output)

@@ -12,8 +12,9 @@ Both Adam's refinements and Eve's moves are built by
 `separation.separations`, which chooses the unknown pieces one at a time
 (code, then resources by name, then frame) and drops a piece as soon as it
 fails its part of the next position's predicate (`piece_tests`): the code
-against pre, the frame against post, an available resource against its
-context invariant.  The full `sat_sep` check still runs on every state built.
+against pre, an available resource against its context invariant; the
+frame is unconstrained.  The full `sat_sep` check still runs on every state
+built.
 The solver builds Eve's moves from each (position, Adam state) once and keeps
 them for the rest of its run.
 """
@@ -38,7 +39,6 @@ from .traces import Trace
 class SeparatedPredicate:
     pre: object
     ctx: fmap        # lockname -> Formula
-    post: object
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,10 @@ class WinningSpec:
     def predicate_at(self, i: int) -> SeparatedPredicate:
         last = 2 * self.trace_len + 2
         if i == 1:
-            return SeparatedPredicate(self.pre, self.ctx, FTrue())
+            return SeparatedPredicate(self.pre, self.ctx)
         if i == last and self.returning:
-            return SeparatedPredicate(self.post, self.ctx, FTrue())
-        return SeparatedPredicate(FTrue(), self.ctx, FTrue())
+            return SeparatedPredicate(self.post, self.ctx)
+        return SeparatedPredicate(FTrue(), self.ctx)
 
 
 def winning_spec(pre, ctx, post, t: Trace, returning: bool,
@@ -67,11 +67,9 @@ def winning_spec(pre, ctx, post, t: Trace, returning: bool,
 
 def sat_sep(s: SeparatedState, sp: SeparatedPredicate, rho: fmap,
             u: Universe) -> bool:
-    """Code satisfies pre, frame satisfies post, every available resource
-    satisfies its context invariant."""
+    """Code satisfies pre and every available resource satisfies its
+    context invariant; the frame is unconstrained."""
     if not satisfies(s.code, sp.pre, rho, u):
-        return False
-    if not satisfies(s.frame, sp.post, rho, u):
         return False
     for r, entry in s.resources.items():
         if isinstance(entry, Available) and r in sp.ctx:
@@ -82,12 +80,11 @@ def sat_sep(s: SeparatedState, sp: SeparatedPredicate, rho: fmap,
 
 def piece_tests(sp: SeparatedPredicate, rho: fmap, u: Universe) -> PieceTests:
     """sat_sep split into one test per piece, for building only the separated
-    states whose pieces can pass: the code against pre, the frame against
-    post, each available resource against its context invariant."""
+    states whose pieces can pass: the code against pre, each available
+    resource against its context invariant."""
     def test(f):
         return lambda part: satisfies(part, f, rho, u)
-    return PieceTests(test(sp.pre), fmap({r: test(f) for r, f in sp.ctx.items()}),
-                      test(sp.post))
+    return PieceTests(test(sp.pre), fmap({r: test(f) for r, f in sp.ctx.items()}))
 
 
 def trace_state(t: Trace, i: int) -> MachineState:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .maps import fmap
-from .syntax import (Add, AllocC, Assign, BAnd, BEq, BFalse, BOr, BTrue,
-                     DisposeC, Lit, Load, Mul, ParseError, Store, Universe,
-                     Var, _Parser, program_to_text)
+from .syntax import (Add, AllocC, Assign, DisposeC, FAnd, FEq, FFalse, FOr,
+                     FTrue, Lit, Load, Mul, ParseError, Store, Universe, Var,
+                     _Parser, program_to_text)
 
 
 class _Abort:
@@ -112,23 +112,23 @@ def eval_expr(e, mu: MemoryState):
 
 
 def eval_bool(b, mu: MemoryState):
-    """Three-valued evaluation: True, False or ABORT.
+    """Three-valued evaluation of a test: True, False or ABORT.
 
     Evaluation is strict: every subexpression is evaluated, so an unallocated
     variable aborts even under `true or ...`.
     """
     match b:
-        case BTrue():
+        case FTrue():
             return True
-        case BFalse():
+        case FFalse():
             return False
-        case BAnd(l, r):
+        case FAnd(l, r):
             vl, vr = eval_bool(l, mu), eval_bool(r, mu)
             return ABORT if vl is ABORT or vr is ABORT else (vl and vr)
-        case BOr(l, r):
+        case FOr(l, r):
             vl, vr = eval_bool(l, mu), eval_bool(r, mu)
             return ABORT if vl is ABORT or vr is ABORT else (vl or vr)
-        case BEq(l, r):
+        case FEq(l, r):
             vl, vr = eval_expr(l, mu), eval_expr(r, mu)
             return ABORT if vl is ABORT or vr is ABORT else (vl == vr)
     raise TypeError(b)

@@ -23,7 +23,7 @@ from .syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, EXTENSION_RULES
                      FAnd, FEq, FFalse, FImplies, FNot, FOr, Forall, FTrue,
                      IfC, Lit, Load, Mul, Own, ParC, PointsTo, ProofNode,
                      ResourceC, SeqC, Skip, Star, Store, Universe, Var, While,
-                     WithWhen, bexpr_to_formula, expr_program_vars,
+                     WithWhen, expr_program_vars,
                      formula_free_logical_vars, is_logical_name)
 
 
@@ -273,14 +273,13 @@ def _check_if(n, path, u, rho, complain):
     if not entails(n.pre, def_formula(b, u), u, rho):
         complain(path, n.tag, "side condition P => def(B) fails")
     c1, c2 = n.children
-    bf = bexpr_to_formula(b)
     if c1.cmd != n.cmd.then or c2.cmd != n.cmd.orelse:
         complain(path, n.tag, "premise commands do not match the branches")
     if not (ctx_match(c1.ctx, n.ctx) and ctx_match(c2.ctx, n.ctx)):
         complain(path, n.tag, "premise contexts differ from the conclusion's")
-    if not formulas_match(c1.pre, FAnd(n.pre, bf)):
+    if not formulas_match(c1.pre, FAnd(n.pre, b)):
         complain(path, n.tag, "then-premise precondition is not P /\\ B")
-    if not formulas_match(c2.pre, FAnd(n.pre, FNot(bf))):
+    if not formulas_match(c2.pre, FAnd(n.pre, FNot(b))):
         complain(path, n.tag, "else-premise precondition is not P /\\ not B")
     if not (formulas_match(c1.post, n.post) and formulas_match(c2.post, n.post)):
         complain(path, n.tag, "premise postconditions differ from the conclusion's")
@@ -339,7 +338,7 @@ def _check_with(n, path, u, rho, complain):
         complain(path, n.tag, "premise command is not the block body")
     if not ctx_match(child.ctx, n.ctx.remove(r)):
         complain(path, n.tag, "premise context is not the conclusion's minus r")
-    if not formulas_match(child.pre, FAnd(Star(n.pre, j), bexpr_to_formula(b))):
+    if not formulas_match(child.pre, FAnd(Star(n.pre, j), b)):
         complain(path, n.tag, "premise precondition is not (P * J) /\\ B")
     if not formulas_match(child.post, Star(n.post, j)):
         complain(path, n.tag, "premise postcondition is not Q * J")
@@ -394,11 +393,11 @@ def _check_ext_while(n, path, u, rho, complain):
         complain(path, n.tag, "premise command is not the loop body")
     if not ctx_match(child.ctx, n.ctx):
         complain(path, n.tag, "premise context differs from the conclusion's")
-    if not formulas_match(child.pre, FAnd(inv, bexpr_to_formula(b))):
+    if not formulas_match(child.pre, FAnd(inv, b)):
         complain(path, n.tag, "premise precondition is not I /\\ B")
     if not formulas_match(child.post, inv):
         complain(path, n.tag, "premise must re-establish the invariant")
-    if not formulas_match(n.post, FAnd(inv, FNot(bexpr_to_formula(b)))):
+    if not formulas_match(n.post, FAnd(inv, FNot(b))):
         complain(path, n.tag, "conclusion postcondition is not I /\\ not B")
 
 

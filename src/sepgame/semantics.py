@@ -15,7 +15,13 @@ state between calls.
 Every system holds every length-0 trace, whatever its target: a thread that
 waits for a lock its sibling holds, or for a `when` test to become true, has
 run nothing yet, so atomic commands accept their empty prefix where they are
-blocked and `when` gates only a trace that has a step.
+blocked and a guard tests only a trace that has a step.
+
+`if`, `while` and `with` are one system, GuardTS: the test's value at the
+first step picks an arm, a first instruction (nop, or the acquire of `with`)
+followed by a continuation.  Its witness GuardW holds the value (ABORT for the
+single error step of a failing test) and the continuation's answer on the rest
+of the trace.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ class EnumerationBudget(Exception):
 
 
 # --- membership witnesses -------------------------------------------------------
-# Fields other than k, mid, shuffle, preimage and index hold a child's answer.
+# Fields other than k, mid, shuffle, preimage and value hold a child's answer.
 
 @dataclass(frozen=True)
 class AtomW:
@@ -68,17 +74,9 @@ class HideW:
     inner: object
 
 @dataclass(frozen=True)
-class GateW:
-    inner: object
-
-@dataclass(frozen=True)
-class AbortW:
-    pass
-
-@dataclass(frozen=True)
-class BranchW:
-    index: int
-    inner: object
+class GuardW:
+    value: object    # the test's value at the first step; None before it
+    rest: object     # the continuation's answer after the test step, or None
 
 
 # --- transition systems -----------------------------------------------------------
@@ -162,73 +160,45 @@ class ParTS:
         return best
 
 
-class WhenTS:
-    """Gate a system on the boolean value at the pre-state of the first step;
-    a trace without steps is not gated."""
+class GuardTS:
+    """A guarded command: the test's value at the pre-state of the first step
+    picks an arm (first instruction, continuation or None) from `arms`.
 
-    def __init__(self, cond, want: bool, inner):
+    A length-0 trace is in, since a thread waiting on a false test has run
+    nothing.  A test that aborts has one trace more: a single error step
+    labelled nop.  Otherwise the first step is the arm's instruction,
+    stepping ok; without a continuation the one-step trace returns, and with
+    one the rest of the trace takes the continuation's answer, a one-step
+    trace being in.  A loop is the guard whose True arm continues into the
+    guard itself: each unfolding consumes a step, so recursion ends.
+    """
+
+    def __init__(self, cond, arms: dict, u: Universe):
         self.cond = cond
-        self.want = want
-        self.inner = inner
-
-    def member(self, t):
-        if t.steps and eval_bool(self.cond, t.steps[0].pre.memory) is not self.want:
-            return (NOTIN, None)
-        a = self.inner.member(t)
-        return (a[0], GateW(a)) if a[0] != NOTIN else (NOTIN, None)
-
-
-class WhenAbortTS:
-    """The dedicated system for a failing boolean test: a single non-returning
-    error step labelled nop at a state where the test aborts."""
-
-    def __init__(self, cond):
-        self.cond = cond
+        self.arms = arms
+        self.u = u
 
     def member(self, t):
         if len(t) == 0:
-            return (IN, AbortW())
+            return (IN, GuardW(None, None))
+        st = t.steps[0]
+        value = eval_bool(self.cond, st.pre.memory)
+        if value is ABORT:
+            if len(t) == 1 and st.status == ERR and isinstance(st.instr, INop):
+                return (IN, GuardW(ABORT, None))
+            return (NOTIN, None)
+        if value not in self.arms:
+            return (NOTIN, None)
+        instr, cont = self.arms[value]
+        if not (st.instr == instr and st.status == OK
+                and Return(st.post) in machine_step(st.pre, instr, self.u)):
+            return (NOTIN, None)
         if len(t) == 1:
-            st = t.steps[0]
-            if (st.status == ERR and isinstance(st.instr, INop)
-                    and eval_bool(self.cond, st.pre.memory) is ABORT):
-                return (IN, AbortW())
-        return (NOTIN, None)
-
-
-class UnionTS:
-    def __init__(self, branches):
-        self.branches = tuple(branches)
-
-    def member(self, t):
-        best = (NOTIN, None)
-        for i, sys in enumerate(self.branches):
-            a = sys.member(t)
-            if a[0] == RETURNS:
-                return (RETURNS, BranchW(i, a))
-            if a[0] == IN and best[0] == NOTIN:
-                best = (IN, BranchW(i, a))
-        return best
-
-
-class WhileTS:
-    """Least fixpoint of the loop functional, computed exactly on finite traces:
-    each unfolding consumes the branch-test nop, so recursion strictly shortens
-    the trace."""
-
-    def __init__(self, cond, body, u: Universe):
-        self.cond = cond
-        self.body = body
-        self.u = u
-        nop = AtomTS(INop(), u)
-        self.unfolding = UnionTS((
-            SeqTS(WhenTS(cond, True, nop), SeqTS(body, self)),
-            WhenTS(cond, False, nop),
-            WhenAbortTS(cond),
-        ))
-
-    def member(self, t):
-        return self.unfolding.member(t)
+            return (RETURNS if cont is None else IN, GuardW(value, None))
+        if cont is None:
+            return (NOTIN, None)
+        a = cont.member(Trace(t.steps[1].pre, t.steps[1:], t.target))
+        return (a[0], GuardW(value, a)) if a[0] != NOTIN else (NOTIN, None)
 
 
 class HideTS:
@@ -304,16 +274,16 @@ def denote(c, u: Universe):
             case ResourceC(r, body):
                 return HideTS(r, ts(body))
             case WithWhen(r, b, body):
-                inside = SeqTS(AtomTS(IAcquire(r), u),
-                               SeqTS(ts(body), AtomTS(IRelease(r), u)))
-                return UnionTS((WhenTS(b, True, inside), WhenAbortTS(b)))
+                inside = SeqTS(ts(body), AtomTS(IRelease(r), u))
+                return GuardTS(b, {True: (IAcquire(r), inside)}, u)
             case IfC(b, then, orelse):
-                nop = lambda: AtomTS(INop(), u)
-                return UnionTS((SeqTS(WhenTS(b, True, nop()), ts(then)),
-                                SeqTS(WhenTS(b, False, nop()), ts(orelse)),
-                                WhenAbortTS(b)))
+                return GuardTS(b, {True: (INop(), ts(then)),
+                                   False: (INop(), ts(orelse))}, u)
             case While(b, body):
-                return WhileTS(b, ts(body), u)
+                loop = GuardTS(b, {}, u)
+                loop.arms = {True: (INop(), SeqTS(ts(body), loop)),
+                             False: (INop(), None)}
+                return loop
         raise TypeError(c)
 
     return ts(c)

@@ -122,14 +122,13 @@ def permission_conserving(s: SeparatedState, s2: SeparatedState) -> bool:
 
 @dataclass(frozen=True)
 class PieceTests:
-    """One optional test per unknown piece of a separated state: the code's,
-    each resource's (by lock name) and the frame's.  A test takes the piece's
-    LogicalState and returns whether the piece may stay; None tests nothing.
-    The code and frame tests are fields of their own, so a lock named like a
-    piece never takes that piece's test."""
+    """One optional test per unknown piece of a separated state other than
+    the frame: the code's and each resource's (by lock name).  A test takes
+    the piece's LogicalState and returns whether the piece may stay; None
+    tests nothing.  The code test is a field of its own, so a lock named like
+    a piece never takes that piece's test."""
     code: object = None
     resources: fmap = fmap()
-    frame: object = None
 
 
 def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
@@ -195,9 +194,9 @@ def separations(target: MachineState, code, resources: dict, frame,
 
     A piece given as None is filled in by component_assignments, in the
     order code, resources by name, frame, and in its cell-major order.  Each
-    filled-in piece must pass its test from `tests` as soon as it is chosen,
-    so a piece that fails is never combined with the pieces after it.  Given
-    pieces are not tested.
+    filled-in piece but the frame must pass its test from `tests` as soon as
+    it is chosen, so a piece that fails is never combined with the pieces
+    after it.  Given pieces are not tested.
     """
     missing = sorted(r for r, e in resources.items() if e is None)
     given = [part for part in (code, frame) if part is not None]
@@ -207,7 +206,7 @@ def separations(target: MachineState, code, resources: dict, frame,
         return
     in_order = ([tests.code] if code is None else []) \
         + [tests.resources.get(r) for r in missing] \
-        + ([tests.frame] if frame is None else [])
+        + ([None] if frame is None else [])
     for parts in component_assignments(target.memory, fixed, len(in_order),
                                        u, in_order):
         parts = iter(parts)

@@ -14,8 +14,12 @@ of the separated state and its premises' views:
     projected moves are identities on the visible state; the semantics only
     offers well-bracketed pre-images, so the virtual resource is locked
     exactly while the child holds it;
-  * with absorbs the resource's content on acquire and splits off a fragment
-    satisfying the invariant on release (smallest candidate first);
+  * if, while and with read the guard's witness (`_guard_parts`): the
+    test's value picks the premise and a failed test admits no move; the
+    test nop of if and while is an identity move and while lifts its body
+    once per unfolding; with absorbs the resource's content on acquire and
+    splits off a fragment satisfying the invariant on release (smallest
+    candidate first);
   * conj plays its first premise and audits the second's claims, raising an
     alarm on divergence;
   * consequence changes no move, so its premise lifts in its place.
@@ -40,8 +44,8 @@ from .logic import (EMPTY_LSTATE, TOP, LogicalState, erase, lstate_to_text,
 from .machine import ABORT, MachineState, eval_expr
 from .maps import fmap
 from .proof import ProofCheckResult, Sequent
-from .semantics import (BranchW, GateW, HideW, NOTIN, ParW, RETURNS, SeqLeftW,
-                        SeqSplitW, denote, enumerate_traces)
+from .semantics import (HideW, NOTIN, ParW, RETURNS, SeqLeftW, SeqSplitW,
+                        denote, enumerate_traces)
 from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                          SeparatedState, SeparationError, combine,
                          legal_eve_move, sep_state_to_text)
@@ -97,6 +101,15 @@ class _Lifter:
         if isinstance(w, SeqLeftW):
             return t, w.inner, None, None
         self._fail(f"unexpected witness {type(w).__name__}")
+
+    def _guard_parts(self, w, t: Trace):
+        """Decode the witness of a guarded command on t into the test's value
+        (None before the test step, ABORT when the test failed) and the
+        continuation's sub-trace and answer, both None until the continuation
+        has a step."""
+        if w.rest is None:
+            return w.value, None, None
+        return w.value, Trace(t.steps[1].pre, t.steps[1:], t.target), w.rest
 
     def _first_split(self, code, fa, fb, reason):
         """The first split (a, b) of the code fragment with a satisfying fa
@@ -318,21 +331,12 @@ class WithLifter(_Lifter):
     def _setup(self):
         self.r = self.node.cmd.lock
         self.inv = self.node.ctx[self.r]
-        self.dead = False
         self.body = None
         self.body_len = 0
-        w = self.witness
-        if isinstance(w, BranchW) and w.index == 1:
-            self.dead = True
-            return
-        if not (isinstance(w, BranchW) and w.index == 0
-                and isinstance(w.inner[1], GateW)):
-            self._fail(f"unexpected witness {type(w).__name__}")
-        acquire, _, rest, inside = self._seq_parts(w.inner[1].inner[1], self.t)
+        value, rest, inside = self._guard_parts(self.witness, self.t)
+        self.dead = value is ABORT
         if rest is None:
             return  # at most the acquire step
-        if len(acquire) != 1:
-            self._fail("unexpected inside witness")
         body_t, body, _, _ = self._seq_parts(inside[1], rest)
         self.body = self._child(0, body_t, body)
         self.body_len = len(body_t)
@@ -370,19 +374,11 @@ class WithLifter(_Lifter):
 
 class IfLifter(_Lifter):
     def _setup(self):
-        w = self.witness
-        self.dead = isinstance(w, BranchW) and w.index == 2
+        value, rest, branch = self._guard_parts(self.witness, self.t)
+        self.dead = value is ABORT
         self.body = None
-        if self.dead:
-            return
-        if not isinstance(w, BranchW):
-            self._fail(f"unexpected witness {type(w).__name__}")
-        test, _, rest, branch = self._seq_parts(w.inner[1], self.t)
-        if rest is None:
-            return  # only the branch-test step so far
-        if len(test) != 1:
-            self._fail("unexpected branch witness")
-        self.body = self._child(w.index, rest, branch)
+        if rest is not None:
+            self.body = self._child(0 if value else 1, rest, branch)
 
     def start(self, code):
         return ("test", None)
@@ -407,20 +403,10 @@ class WhileLifter(_Lifter):
         self._walk(self.witness, self.t)
 
     def _walk(self, w, t_cur):
-        if len(t_cur) == 0:
+        value, rest, unfolded = self._guard_parts(w, t_cur)
+        if value is None:
             return
-        if not isinstance(w, BranchW):
-            self._fail(f"unexpected witness {type(w).__name__}")
-        if w.index == 1:
-            self.segments.append(("nop", None, 1))
-            return
-        if w.index == 2:
-            self.segments.append(("dead", None, 1))
-            return
-        test, _, rest, unfolded = self._seq_parts(w.inner[1], t_cur)
-        if rest is not None and len(test) != 1:
-            self._fail("unexpected loop witness")
-        self.segments.append(("nop", None, 1))
+        self.segments.append(("dead" if value is ABORT else "nop", None, 1))
         if rest is None:
             return
         body_t, body, loop_t, loop = self._seq_parts(unfolded[1], rest)

@@ -4,6 +4,12 @@ This module owns the shared AST vocabulary.  Program variables start with a
 lowercase letter, logical (ghost) variables with an uppercase one.  All AST
 nodes are frozen dataclasses, so they hash and compare structurally and can be
 used as cache keys everywhere else.
+
+The test of an `if`, `while` or `with` is a formula over true, false, and, or
+and `=` of expressions: the logic reads it as the formula B of its rules, and
+the machine evaluates it (`machine.eval_bool`).  Its grammar stays the
+program's own (`and`/`or` group to the right, as in formulas), so
+`parse_bexpr(s) == parse_formula(s)` for every test s.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ class ParseError(Exception):
         super().__init__(message + where)
 
 
-# --- arithmetic and boolean expressions -------------------------------------
+# --- arithmetic expressions --------------------------------------------------
 
 @dataclass(frozen=True)
 class Lit:
@@ -39,30 +45,6 @@ class Add:
 
 @dataclass(frozen=True)
 class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class BTrue:
-    pass
-
-@dataclass(frozen=True)
-class BFalse:
-    pass
-
-@dataclass(frozen=True)
-class BAnd:
-    left: object
-    right: object
-
-@dataclass(frozen=True)
-class BOr:
-    left: object
-    right: object
-
-@dataclass(frozen=True)
-class BEq:
     left: object
     right: object
 
@@ -216,12 +198,13 @@ def expr_program_vars(e) -> frozenset:
 
 
 def bexpr_program_vars(b) -> frozenset:
+    """Program variables of a test: a formula over true, false, and, or and =."""
     match b:
-        case BTrue() | BFalse():
+        case FTrue() | FFalse():
             return frozenset()
-        case BAnd(l, r) | BOr(l, r):
+        case FAnd(l, r) | FOr(l, r):
             return bexpr_program_vars(l) | bexpr_program_vars(r)
-        case BEq(l, r):
+        case FEq(l, r):
             return expr_program_vars(l) | expr_program_vars(r)
     raise TypeError(b)
 
@@ -244,22 +227,6 @@ def formula_free_logical_vars(f, bound=frozenset()) -> frozenset:
             vs = expr_vars(a) | expr_vars(v)
             return frozenset(x for x in vs if is_logical_name(x)) - bound
     raise TypeError(f)
-
-
-def bexpr_to_formula(b):
-    """Embed a boolean program expression into the formula language."""
-    match b:
-        case BTrue():
-            return FTrue()
-        case BFalse():
-            return FFalse()
-        case BAnd(l, r):
-            return FAnd(bexpr_to_formula(l), bexpr_to_formula(r))
-        case BOr(l, r):
-            return FOr(bexpr_to_formula(l), bexpr_to_formula(r))
-        case BEq(l, r):
-            return FEq(l, r)
-    raise TypeError(b)
 
 
 # --- derivation trees ---------------------------------------------------------
@@ -469,29 +436,29 @@ class _Parser:
             return e
         self.fail("expected an expression")
 
-    # boolean expressions
+    # tests: formulas over true, false, and, or and =
 
     def bexpr(self):
         b = self.bexpr_and()
-        while self.at_name("or"):
+        if self.at_name("or"):
             self.next()
-            b = BOr(b, self.bexpr_and())
+            return FOr(b, self.bexpr())
         return b
 
     def bexpr_and(self):
         b = self.bexpr_atom()
-        while self.at_name("and"):
+        if self.at_name("and"):
             self.next()
-            b = BAnd(b, self.bexpr_atom())
+            return FAnd(b, self.bexpr_and())
         return b
 
     def bexpr_atom(self):
         if self.at_name("true"):
             self.next()
-            return BTrue()
+            return FTrue()
         if self.at_name("false"):
             self.next()
-            return BFalse()
+            return FFalse()
         if self.at_sym("("):
             save = self.pos
             self.next()
@@ -504,7 +471,7 @@ class _Parser:
         left = self.expr()
         self.expect_sym("=")
         right = self.expr()
-        return BEq(left, right)
+        return FEq(left, right)
 
     # commands
 
@@ -919,25 +886,6 @@ def expr_to_text(e, level=0) -> str:
     raise TypeError(e)
 
 
-def bexpr_to_text(b, level=0) -> str:
-    # level 0 = or position, 1 = and position, 2 = atom position
-    match b:
-        case BTrue():
-            return "true"
-        case BFalse():
-            return "false"
-        case BOr(l, r):
-            s = f"{bexpr_to_text(l, 1)} or {bexpr_to_text(r, 1)}"
-            return f"({s})" if level > 0 else s
-        case BAnd(l, r):
-            s = f"{bexpr_to_text(l, 2)} and {bexpr_to_text(r, 2)}"
-            return f"({s})" if level > 1 else s
-        case BEq(l, r):
-            s = f"{expr_to_text(l)} = {expr_to_text(r)}"
-            return f"({s})" if level > 1 else s
-    raise TypeError(b)
-
-
 def program_to_text(c, level=0) -> str:
     # level 0 = par position, 1 = seq position, 2 = single-command position
     match c:
@@ -956,13 +904,13 @@ def program_to_text(c, level=0) -> str:
         case Store(a, e):
             return f"[{expr_to_text(a)}] := {expr_to_text(e)}"
         case While(b, body):
-            return f"while {bexpr_to_text(b)} do {program_to_text(body, 2)}"
+            return f"while {formula_to_text(b)} do {program_to_text(body, 2)}"
         case ResourceC(r, body):
             return f"resource {r} do {program_to_text(body, 2)}"
         case WithWhen(r, b, body):
-            return f"with {r} when {bexpr_to_text(b)} do {program_to_text(body, 2)}"
+            return f"with {r} when {formula_to_text(b)} do {program_to_text(body, 2)}"
         case IfC(b, t, e):
-            return (f"if {bexpr_to_text(b)} then {program_to_text(t, 2)}"
+            return (f"if {formula_to_text(b)} then {program_to_text(t, 2)}"
                     f" else {program_to_text(e, 2)}")
         case AllocC(x, e):
             return f"{x} := alloc({expr_to_text(e)})"

@@ -2,12 +2,10 @@ import importlib.util
 import random
 from pathlib import Path
 
-import pytest
-
 from sepgame.machine import (IAcquire, INop, IRelease, MachineState,
                              MemoryState, mstate)
 from sepgame.maps import fmap
-from sepgame.syntax import Assign, Lit, Var, parse_universe
+from sepgame.syntax import Assign, Lit, Var
 from sepgame.traces import OK, CodeTransition, Trace
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -15,23 +13,6 @@ BENCH = Path(__file__).parent.parent / "bench"
 
 PROGRAMS = ["par_writes", "framed_assign", "lock_transfer", "lock_pair",
             "seq_load_store", "conj_precise", "if_def", "while_count"]
-EMPTY_CTX_PROGRAMS = ["par_writes", "framed_assign", "lock_transfer",
-                      "lock_pair", "seq_load_store", "if_def", "while_count"]
-
-
-@pytest.fixture(scope="session")
-def tiny_universe():
-    return parse_universe(
-        "vars = x, y\nlocs = 2\nvals = 0..3\nperms = 1/2, 1\nlocks = r\n"
-        "maxlen = 4\nenv = passive\n")
-
-
-@pytest.fixture(scope="session")
-def micro_universe():
-    # small enough for exhaustive sweeps
-    return parse_universe(
-        "vars = x\nlocs = 2\nvals = 0..1\nperms = 1/2, 1\nlocks = r\n"
-        "maxlen = 2\nenv = passive\n")
 
 
 def corpus_text(name: str) -> str:

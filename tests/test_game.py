@@ -51,12 +51,11 @@ def test_winning_spec_indexing(u):
     spec1 = winning_spec(Own(TOP, "x"), fmap(), Own(TOP, "x"), t1, returning=False)
     assert spec1.predicate_at(4).pre == FTrue()       # non-returning last
     assert spec1.predicate_at(2).pre == FTrue()       # interior
-    assert spec1.predicate_at(3).post == FTrue()
 
 
 def test_sat_sep(u):
     ctx = fmap({"r": Own(TOP, "y")})
-    sp = SeparatedPredicate(Own(TOP, "x"), ctx, FTrue())
+    sp = SeparatedPredicate(Own(TOP, "x"), ctx)
     good = sep_state(code=lstate(stack={"x": (0, TOP)}),
                      resources={"r": Available(lstate(stack={"y": (0, TOP)}))})
     assert sat_sep(good, sp, fmap(), u)
@@ -186,7 +185,7 @@ def test_replay_lines_shape(u):
 # The order of Adam's moves is part of the contract: `drive_play` takes the
 # first refinement when the identity move does not satisfy the predicate.
 
-_ANY = SeparatedPredicate(FTrue(), fmap(), FTrue())
+_ANY = SeparatedPredicate(FTrue(), fmap())
 _HALF_X = sep_state(code=lstate(stack={"x": (0, Fraction(1, 2))}),
                     resources={"r": Available(EMPTY_LSTATE)},
                     frame=lstate(stack={"x": (0, Fraction(1, 2))}))

@@ -10,8 +10,8 @@ from sepgame.machine import (ABORT, ERROR, IAcquire, INop, IRelease,
                              parse_instr, parse_mstate)
 from sepgame.maps import fmap
 from sepgame.semantics import instruction_alphabet
-from sepgame.syntax import (Add, AllocC, Assign, BAnd, BEq, BFalse, BOr, BTrue,
-                            DisposeC, Lit, Load, ParseError, Store, Var,
+from sepgame.syntax import (Add, AllocC, Assign, DisposeC, FAnd, FEq, FFalse,
+                            FOr, FTrue, Lit, Load, ParseError, Store, Var,
                             parse_program, parse_universe)
 
 from .conftest import PROGRAMS, corpus_text
@@ -37,38 +37,38 @@ def _oracle_bool(b, mu):
         return a + c if isinstance(e, Add) else a * c
 
     table = {
-        BTrue: lambda: True,
-        BFalse: lambda: False,
+        FTrue: lambda: True,
+        FFalse: lambda: False,
     }
     if type(b) in table:
         return table[type(b)]()
-    if isinstance(b, BEq):
+    if isinstance(b, FEq):
         l, r = expr(b.left), expr(b.right)
         return ABORT if ABORT in (l, r) else l == r
     l, r = _oracle_bool(b.left, mu), _oracle_bool(b.right, mu)
     if l is ABORT or r is ABORT:
         return ABORT
-    return (l and r) if isinstance(b, BAnd) else (l or r)
+    return (l and r) if isinstance(b, FAnd) else (l or r)
 
 
 def test_eval_bool_examples():
     mu1 = MemoryState(fmap({"x": 1}), fmap())
-    assert eval_bool(BEq(Var("x"), Lit(1)), mu1) is True
+    assert eval_bool(FEq(Var("x"), Lit(1)), mu1) is True
     # strict evaluation aborts even under a true disjunct
-    assert eval_bool(BOr(BTrue(), BEq(Var("y"), Lit(0))), MemoryState()) is ABORT
-    assert eval_bool(BFalse(), mu1) is False
+    assert eval_bool(FOr(FTrue(), FEq(Var("y"), Lit(0))), MemoryState()) is ABORT
+    assert eval_bool(FFalse(), mu1) is False
 
 
 def test_eval_bool_against_truth_table_oracle():
     rng = random.Random(5)
-    atoms = [BTrue(), BFalse(), BEq(Var("x"), Lit(0)), BEq(Var("y"), Lit(1)),
-             BEq(Add(Var("x"), Var("y")), Lit(1))]
+    atoms = [FTrue(), FFalse(), FEq(Var("x"), Lit(0)), FEq(Var("y"), Lit(1)),
+             FEq(Add(Var("x"), Var("y")), Lit(1))]
     stacks = [fmap(), fmap({"x": 0}), fmap({"y": 1}), fmap({"x": 0, "y": 1})]
 
     def rand_bexpr(depth):
         if depth == 0 or rng.random() < 0.4:
             return rng.choice(atoms)
-        cls = rng.choice([BAnd, BOr])
+        cls = rng.choice([FAnd, FOr])
         return cls(rand_bexpr(depth - 1), rand_bexpr(depth - 1))
 
     for _ in range(500):

@@ -40,7 +40,7 @@ def test_formulas_match_alpha():
 
 def test_normalization_is_sound_semantically(u):
     pairs = [
-        ("own_1(x) * (x = 1) * own_1(y)", "own_1(y) * own_1(x) * (x = 1)"),
+        ("(own_1(x) and x = 1) * own_1(y)", "own_1(y) * (own_1(x) and x = 1)"),
         ("emp and true", "true and emp"),
         ("exists X. own_1(x) * (X = 1)", "exists Z. (Z = 1) * own_1(x)"),
     ]

@@ -7,10 +7,10 @@ from sepgame.logic import erase, lstate_from_text
 from sepgame.machine import (IAcquire, INop, IRelease, MachineState, Return,
                              instr_to_text, machine_step, mstate)
 from sepgame.semantics import (IN, NOTIN, RETURNS, AtomTS, EnumerationBudget,
-                               HideW, SeqSplitW, SeqTS, WhenAbortTS, WhenTS,
+                               GuardTS, HideW, SeqSplitW, SeqTS,
                                all_machine_states, denote, enumerate_traces,
                                instruction_alphabet)
-from sepgame.syntax import (Assign, BEq, BTrue, Lit, Var, parse_program,
+from sepgame.syntax import (Assign, FEq, FTrue, Lit, Var, parse_program,
                             parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace, hide, par_compose
 
@@ -91,9 +91,13 @@ def test_seq_split_matches_brute_force_over_intermediates(u):
     assert v == RETURNS and isinstance(w, SeqSplitW) and w.k == 1
 
 
+def _when(cond, u):
+    """The guard that runs nop when cond holds and has no arm otherwise."""
+    return GuardTS(cond, {True: (INop(), None)}, u)
+
+
 def test_when_gates_on_first_code_state(u):
-    atom = AtomTS(INop(), u)
-    gated = WhenTS(BEq(Var("x"), Lit(0)), True, atom)
+    gated = _when(FEq(Var("x"), Lit(0)), u)
     step = _ok_step(S0, INop(), u)
     t = Trace(S0, (step,), S0)
     assert gated.member(t)[0] == RETURNS
@@ -102,7 +106,7 @@ def test_when_gates_on_first_code_state(u):
 
 
 def test_when_true_passthrough(u):
-    sys = WhenTS(BTrue(), True, AtomTS(INop(), u))
+    sys = _when(FTrue(), u)
     plain = AtomTS(INop(), u)
     step = _ok_step(S0, INop(), u)
     for t in [Trace(S0, (), S0), Trace(S0, (step,), S0)]:
@@ -110,7 +114,10 @@ def test_when_true_passthrough(u):
 
 
 def test_when_abort_recognizes_failed_tests(u):
-    sys = WhenAbortTS(BEq(Var("y"), Lit(0)))
+    def branch(cond):
+        return GuardTS(cond, {True: (INop(), None), False: (INop(), None)}, u)
+
+    sys = branch(FEq(Var("y"), Lit(0)))
     t = Trace(S0, (CodeTransition(S0, INop(), S0, ERR),), S0)
     v, w = sys.member(t)
     assert v == IN
@@ -118,7 +125,25 @@ def test_when_abort_recognizes_failed_tests(u):
     ok_t = Trace(S0, (_ok_step(S0, INop(), u),), S0)
     assert sys.member(ok_t)[0] == NOTIN
     # a true test never aborts
-    assert WhenAbortTS(BTrue()).member(t)[0] == NOTIN
+    assert branch(FTrue()).member(t)[0] == NOTIN
+
+
+# (program, traces, returning, errored) from the empty state and from x = 0
+# under an exhaustive environment
+GUARD_COUNTS = [
+    ("if x = 0 then x := 1 else skip", 8460, 7776, 216),
+    ("while x = 0 do x := 1", 4572, 216, 216),
+    ("with r when x = 0 do x := 1", 2304, 0, 216),
+    ("resource r do with r when x = 1 do x := 0", 612, 0, 54),
+]
+
+
+@pytest.mark.parametrize("text, traces, returning, errored", GUARD_COUNTS)
+def test_guard_trace_counts(u_micro, text, traces, returning, errored):
+    found = list(enumerate_traces(parse_program(text), [mstate(), S0], u_micro,
+                                  policy="exhaustive"))
+    assert (len(found), sum(ret for _, ret, _ in found),
+            sum(t.errored for t, _, _ in found)) == (traces, returning, errored)
 
 
 def test_denote_skip_is_nop(u):
@@ -273,7 +298,7 @@ def test_waiting_threads_keep_their_empty_prefix():
     u = parse_universe(corpus_text("lock_transfer.uni"))
     held = mstate(stack={"x": 0}, locked={"r"})
     assert AtomTS(IAcquire("r"), u).member(Trace(S0, (), held))[0] == IN
-    gate = WhenTS(BEq(Var("x"), Lit(1)), True, AtomTS(INop(), u))
+    gate = _when(FEq(Var("x"), Lit(1)), u)
     assert gate.member(Trace(S0, (), S0))[0] == IN
 
     traces = list(enumerate_traces(parse_program(LOCK_PAIR), [S0], u))

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from sepgame.syntax import (Add, AllocC, Assign, BAnd, BEq, BFalse, BOr,
-                            BTrue, DisposeC, Emp, Exists, FAnd, FEq, FFalse,
-                            FImplies, FNot, FOr, Forall, FTrue, IfC, Lit,
-                            Load, Mul, Own, ParC, ParseError, PointsTo,
-                            ProofNode, ResourceC, SeqC, Skip, Star, Store,
-                            Universe, Var, While, WithWhen, formula_to_text,
-                            parse_formula, parse_program, parse_proof,
-                            parse_universe, program_to_text, proof_to_text,
-                            universe_to_text)
+from sepgame.syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, FAnd,
+                            FEq, FFalse, FImplies, FNot, FOr, Forall, FTrue,
+                            IfC, Lit, Load, Mul, Own, ParC, ParseError,
+                            PointsTo, ProofNode, ResourceC, SeqC, Skip, Star,
+                            Store, Universe, Var, While, WithWhen,
+                            formula_to_text, parse_bexpr, parse_formula,
+                            parse_program, parse_proof, parse_universe,
+                            program_to_text, proof_to_text, universe_to_text)
+
+from .conftest import PROGRAMS, corpus_text
 
 
 def test_parse_parallel_assigns():
@@ -21,7 +22,7 @@ def test_parse_parallel_assigns():
 
 def test_parse_resource_with():
     c = parse_program("resource r do with r when true do x := x + 1")
-    assert c == ResourceC("r", WithWhen("r", BTrue(),
+    assert c == ResourceC("r", WithWhen("r", FTrue(),
                                         Assign("x", Add(Var("x"), Lit(1)))))
 
 
@@ -121,9 +122,9 @@ def _rand_prog_expr(rng, depth):
 
 def _rand_bexpr(rng, depth):
     if depth == 0 or rng.random() < 0.4:
-        return rng.choice([BTrue(), BFalse(),
-                           BEq(_rand_prog_expr(rng, 1), _rand_prog_expr(rng, 1))])
-    cls = rng.choice([BAnd, BOr])
+        return rng.choice([FTrue(), FFalse(),
+                           FEq(_rand_prog_expr(rng, 1), _rand_prog_expr(rng, 1))])
+    cls = rng.choice([FAnd, FOr])
     return cls(_rand_bexpr(rng, depth - 1), _rand_bexpr(rng, depth - 1))
 
 
@@ -187,8 +188,34 @@ def test_formula_round_trip_random():
         assert parse_formula(formula_to_text(f)) == f
 
 
+def _tests_of(c):
+    """The tests of every if, while and with in a command."""
+    match c:
+        case IfC(b, then, orelse):
+            return [b] + _tests_of(then) + _tests_of(orelse)
+        case While(b, body) | WithWhen(_, b, body):
+            return [b] + _tests_of(body)
+        case SeqC(a, b) | ParC(a, b):
+            return _tests_of(a) + _tests_of(b)
+        case ResourceC(_, body):
+            return _tests_of(body)
+    return []
+
+
+def test_tests_parse_as_formulas():
+    corpus = [b for name in PROGRAMS
+              for b in _tests_of(parse_program(corpus_text(f"{name}.csl")))]
+    assert len(corpus) == 5
+    rng = random.Random(9)
+    for b in corpus + [_rand_bexpr(rng, 3) for _ in range(300)]:
+        text = formula_to_text(b)
+        assert parse_bexpr(text) == parse_formula(text) == b
+    for text in ("x = 0 or y = 1 and true", "true and false and x = y",
+                 "(x = 0 or y = 0) or x + 1 = y * 2"):
+        assert parse_bexpr(text) == parse_formula(text)
+
+
 def test_proof_round_trip():
-    from .conftest import corpus_text
     for name in ("par_writes", "lock_transfer", "seq_load_store", "if_def"):
         node = parse_proof(corpus_text(f"{name}.proof"))
         assert parse_proof(proof_to_text(node)) == node
