@@ -300,6 +300,8 @@ def lstate_from_text(text: str) -> LogicalState:
                 raise ParseError(f"bad binding {chunk!r} in {text!r}") from None
             if not 0 < perm <= 1:
                 raise ParseError(f"permission {perm} outside (0,1] in {text!r}")
+            if key in out:
+                raise ParseError(f"repeated binding {key} in {text!r}")
             out[key] = (value, perm)
         return out
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .maps import fmap
 from .syntax import (Add, AllocC, Assign, DisposeC, FAnd, FEq, FFalse, FOr,
                      FTrue, Lit, Load, Mul, ParseError, Store, Universe, Var,
-                     _Parser, program_to_text)
+                     program_to_text)
 
 
 class _Abort:
@@ -233,36 +233,18 @@ def parse_mstate(text: str) -> MachineState:
                 raise ParseError(f"bad binding {chunk!r}")
             k, _, v = chunk.partition("=")
             try:
-                out[int(k) if key_is_int else k] = int(v)
+                key, value = int(k) if key_is_int else k, int(v)
             except ValueError:
                 raise ParseError(f"bad binding {chunk!r} in {text!r}") from None
+            if key in out:
+                raise ParseError(f"repeated binding {key} in {text!r}")
+            out[key] = value
         return out
 
     stack = pairs(sections[0], key_is_int=False)
     heap = pairs(sections[1], key_is_int=True)
     locked = frozenset(sections[2].split())
     return MachineState(MemoryState(fmap(stack), fmap(heap)), locked)
-
-
-def parse_instr(text: str):
-    p = _Parser(text)
-    if p.at_name("nop"):
-        p.next()
-        m = INop()
-    elif p.at_name("acquire") or p.at_name("release"):
-        kind = p.next().text
-        p.expect_sym("(")
-        r = p.expect_name()
-        p.expect_sym(")")
-        m = IAcquire(r) if kind == "acquire" else IRelease(r)
-    else:
-        if p.at_sym("{"):
-            p.fail("expected an atomic command")
-        m = p.command_atom()
-        if not isinstance(m, (Assign, Load, Store, AllocC, DisposeC)):
-            raise ParseError(f"not an atomic command: {text!r}")
-    p.eof()
-    return m
 
 
 def resolve_env_moves(u: Universe) -> tuple:

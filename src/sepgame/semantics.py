@@ -129,7 +129,7 @@ class SeqTS:
                 return (RETURNS, SeqSplitW(k, mid, a1, a2))
             if a2[0] == IN and best[0] == NOTIN:
                 best = (IN, SeqSplitW(k, mid, a1, a2))
-        a1 = self.first.member(t)
+        # the last split, k = len(t), left a1 as first's answer on all of t
         if a1[0] != NOTIN:
             return (IN, SeqLeftW(a1))
         return best

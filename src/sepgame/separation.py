@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .logic import (EMPTY_LSTATE, LogicalState, erase, from_slots,
-                    lstate_from_text, lstate_to_text, slots, tensor_all)
+                    lstate_to_text, slots, tensor_all)
 from .machine import MachineState, MemoryState, Return, locks, locks_minus, \
     locks_plus, machine_step
 from .maps import fmap
-from .syntax import ParseError, Universe
+from .syntax import Universe
 
 
 class SeparationError(Exception):
@@ -253,28 +253,3 @@ def sep_state_to_text(s: SeparatedState) -> str:
     res = " ".join(parts)
     return (f"code={lstate_to_text(s.code)} ; res=[{res}] ; "
             f"frame={lstate_to_text(s.frame)}")
-
-
-def sep_state_from_text(text: str) -> SeparatedState:
-    try:
-        code_part, res_part, frame_part = text.split(";")
-        code = lstate_from_text(code_part.split("=", 1)[1])
-        frame = lstate_from_text(frame_part.split("=", 1)[1])
-        res_body = res_part.split("=", 1)[1].strip()
-        if not (res_body.startswith("[") and res_body.endswith("]")):
-            raise ValueError
-        entries = {}
-        chunks = res_body[1:-1].split()
-        for chunk in chunks:
-            name, _, rest = chunk.partition(":")
-            if rest == "C":
-                entries[name] = HELD_BY_CODE
-            elif rest == "F":
-                entries[name] = HELD_BY_FRAME
-            elif rest.startswith("avail"):
-                entries[name] = Available(lstate_from_text(rest[len("avail"):]))
-            else:
-                raise ValueError
-        return SeparatedState(code, fmap(entries), frame)
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"bad separated state {text!r}") from exc

@@ -14,12 +14,13 @@ of the separated state and its premises' views:
     projected moves are identities on the visible state; the semantics only
     offers well-bracketed pre-images, so the virtual resource is locked
     exactly while the child holds it;
-  * if, while and with read the guard's witness (`_guard_parts`): the
-    test's value picks the premise and a failed test admits no move; the
-    test nop of if and while is an identity move and while lifts its body
-    once per unfolding; with absorbs the resource's content on acquire and
-    splits off a fragment satisfying the invariant on release (smallest
-    candidate first);
+  * if, while and with are one GuardLifter over the guard's witness: the
+    test's value picks the premise (the arm of if, the body of while and
+    with, lifted once per unfolding) and a failed test admits no move; the
+    guard's own steps move by their instruction: the test nop is an
+    identity, with's acquire absorbs the resource's content and its release
+    splits off a fragment satisfying the invariant (smallest candidate
+    first);
   * conj plays its first premise and audits the second's claims, raising an
     alarm on divergence;
   * consequence changes no move, so its premise lifts in its place.
@@ -41,7 +42,7 @@ from .game import (adam_extensions, empty_winning_plays, sat_sep,
                    trace_state, winning_spec, replay_lines)
 from .logic import (EMPTY_LSTATE, TOP, LogicalState, erase, lstate_to_text,
                     satisfies, substates, tensor)
-from .machine import ABORT, MachineState, eval_expr
+from .machine import ABORT, IAcquire, IRelease, MachineState, eval_expr
 from .maps import fmap
 from .proof import ProofCheckResult, Sequent
 from .semantics import (HideW, NOTIN, ParW, RETURNS, SeqLeftW, SeqSplitW,
@@ -101,15 +102,6 @@ class _Lifter:
         if isinstance(w, SeqLeftW):
             return t, w.inner, None, None
         self._fail(f"unexpected witness {type(w).__name__}")
-
-    def _guard_parts(self, w, t: Trace):
-        """Decode the witness of a guarded command on t into the test's value
-        (None before the test step, ABORT when the test failed) and the
-        continuation's sub-trace and answer, both None until the continuation
-        has a step."""
-        if w.rest is None:
-            return w.value, None, None
-        return w.value, Trace(t.steps[1].pre, t.steps[1:], t.target), w.rest
 
     def _first_split(self, code, fa, fb, reason):
         """The first split (a, b) of the code fragment with a satisfying fa
@@ -223,26 +215,19 @@ class ParLifter(_Lifter):
         return (a, b, self.left.start(a), self.right.start(b))
 
     def eve(self, residue, k, code, resources):
-        a, b, r1, r2 = residue
         tag = self.route[k - 1]
         local = sum(1 for x in self.route[:k] if x == tag)
-        if tag == 1:
-            out = self.left.eve(r1, local, a, resources)
-            if out is None:
-                return None
-            a2, updates, r1b = out
-            merged = tensor(a2, b)
-            if merged is None:
-                raise SoundnessAlarm(f"{self.path}: parallel components no longer compose")
-            return merged, updates, (a2, b, r1b, r2)
-        out = self.right.eve(r2, local, b, resources)
+        side = tag - 1       # shuffle tags are 1 (left) and 2 (right)
+        parts, inners = list(residue[:2]), list(residue[2:])
+        out = (self.left, self.right)[side].eve(inners[side], local,
+                                                parts[side], resources)
         if out is None:
             return None
-        b2, updates, r2b = out
-        merged = tensor(a, b2)
+        parts[side], updates, inners[side] = out
+        merged = tensor(*parts)
         if merged is None:
             raise SoundnessAlarm(f"{self.path}: parallel components no longer compose")
-        return merged, updates, (a, b2, r1, r2b)
+        return merged, updates, (*parts, *inners)
 
 
 class FrameLifter(_Lifter):
@@ -327,92 +312,34 @@ class ResLifter(_Lifter):
         return merged, updates, (virt, a2, r1b)
 
 
-class WithLifter(_Lifter):
+class GuardLifter(_Lifter):
+    """if, while and with: the guard's witness unfolded into segments
+    (premise lifter or None, length).  Each unfolding has the guard's own
+    step, then the premise's run (if: the arm the test's value picks; while
+    and with: the body part of the continuation), then with's release or
+    while's next unfolding.  A premise starts on the first step of its
+    segment; a step without a premise moves as its instruction says."""
+
     def _setup(self):
-        self.r = self.node.cmd.lock
-        self.inv = self.node.ctx[self.r]
-        self.body = None
-        self.body_len = 0
-        value, rest, inside = self._guard_parts(self.witness, self.t)
-        self.dead = value is ABORT
-        if rest is None:
-            return  # at most the acquire step
-        body_t, body, _, _ = self._seq_parts(inside[1], rest)
-        self.body = self._child(0, body_t, body)
-        self.body_len = len(body_t)
-
-    def start(self, code):
-        return ("pre", None)
-
-    def eve(self, residue, k, code, resources):
-        if self.dead:
-            return None
-        if k == 1:
-            entry = resources[self.r]
-            if not isinstance(entry, Available):
-                raise SoundnessAlarm(
-                    f"{self.path}: acquire move without an available resource")
-            merged = tensor(code, entry.state)
-            if merged is None:
-                raise SoundnessAlarm(
-                    f"{self.path}: resource content does not compose with the code")
-            inner = self.body.start(merged) if self.body is not None else None
-            return merged, {self.r: HELD_BY_CODE}, ("body", inner)
-        if k <= 1 + self.body_len:
-            _, inner = residue
-            out = self.body.eve(inner, k - 1, code, resources)
-            if out is None:
-                return None
-            code2, updates, inner2 = out
-            return code2, updates, ("body", inner2)
-        # the release step
-        j, q = self._first_split(
-            code, self.inv, self.node.post,
-            "no release split satisfies the invariant and postcondition")
-        return q, {self.r: Available(j)}, ("done", None)
-
-
-class IfLifter(_Lifter):
-    def _setup(self):
-        value, rest, branch = self._guard_parts(self.witness, self.t)
-        self.dead = value is ABORT
-        self.body = None
-        if rest is not None:
-            self.body = self._child(0 if value else 1, rest, branch)
-
-    def start(self, code):
-        return ("test", None)
-
-    def eve(self, residue, k, code, resources):
-        if self.dead:
-            return None
-        if k == 1:
-            inner = self.body.start(code) if self.body is not None else None
-            return code, {}, ("branch", inner)
-        _, inner = residue
-        out = self.body.eve(inner, k - 1, code, resources)
-        if out is None:
-            return None
-        code2, updates, inner2 = out
-        return code2, updates, ("branch", inner2)
-
-
-class WhileLifter(_Lifter):
-    def _setup(self):
-        self.segments = []   # ("nop", None) | ("body", lifter) | ("dead", None)
-        self._walk(self.witness, self.t)
-
-    def _walk(self, w, t_cur):
-        value, rest, unfolded = self._guard_parts(w, t_cur)
-        if value is None:
-            return
-        self.segments.append(("dead" if value is ABORT else "nop", None, 1))
-        if rest is None:
-            return
-        body_t, body, loop_t, loop = self._seq_parts(unfolded[1], rest)
-        self.segments.append(("body", self._child(0, body_t, body), len(body_t)))
-        if loop_t is not None:
-            self._walk(loop[1], loop_t)
+        self.segments = []
+        w, t = self.witness, self.t
+        while w.value is not None:
+            self.segments.append((None, 1))
+            if w.rest is None:
+                return
+            rest_t = Trace(t.steps[1].pre, t.steps[1:], t.target)
+            if self.node.tag == "if":
+                self.segments.append(
+                    (self._child(0 if w.value else 1, rest_t, w.rest), len(rest_t)))
+                return
+            body_t, body, t, after = self._seq_parts(w.rest[1], rest_t)
+            self.segments.append((self._child(0, body_t, body), len(body_t)))
+            if t is None:
+                return
+            if self.node.tag == "with":
+                self.segments.append((None, 1))
+                return
+            w = after[1]
 
     def start(self, code):
         return (0, None)
@@ -420,17 +347,15 @@ class WhileLifter(_Lifter):
     def eve(self, residue, k, code, resources):
         seg_idx, inner = residue
         offset = k
-        for idx, (kind, lifter, length) in enumerate(self.segments):
+        for idx, (lifter, length) in enumerate(self.segments):
             if offset <= length:
                 break
             offset -= length
         else:
             return None
-        if kind == "dead":
-            return None
-        if kind == "nop":
-            return code, {}, (idx, None)
-        if inner is None or idx != seg_idx:
+        if lifter is None:
+            return self._own_step(self.t.steps[k - 1], idx, code, resources)
+        if idx != seg_idx:
             inner = lifter.start(code)
         out = lifter.eve(inner, offset, code, resources)
         if out is None:
@@ -438,13 +363,36 @@ class WhileLifter(_Lifter):
         code2, updates, inner2 = out
         return code2, updates, (idx, inner2)
 
+    def _own_step(self, step, idx, code, resources):
+        """The guard's test, acquire or release step; an error step (a
+        failed test) has no move."""
+        if step.status == ERR:
+            return None
+        m = step.instr
+        if isinstance(m, IAcquire):
+            entry = resources[m.lock]
+            if not isinstance(entry, Available):
+                raise SoundnessAlarm(
+                    f"{self.path}: acquire move without an available resource")
+            merged = tensor(code, entry.state)
+            if merged is None:
+                raise SoundnessAlarm(
+                    f"{self.path}: resource content does not compose with the code")
+            return merged, {m.lock: HELD_BY_CODE}, (idx, None)
+        if isinstance(m, IRelease):
+            j, q = self._first_split(
+                code, self.node.ctx[m.lock], self.node.post,
+                "no release split satisfies the invariant and postcondition")
+            return q, {m.lock: Available(j)}, (idx, None)
+        return code, {}, (idx, None)
+
 
 _LIFTERS = {
     "aff": AtomLifter, "store": AtomLifter, "load": AtomLifter,
     "ext_alloc": AtomLifter, "ext_dispose": AtomLifter, "ext_skip": AtomLifter,
     "seq": SeqLifter, "par": ParLifter, "frame": FrameLifter,
     "conj": ConjLifter, "res": ResLifter,
-    "with": WithLifter, "if": IfLifter, "ext_while": WhileLifter,
+    "with": GuardLifter, "if": GuardLifter, "ext_while": GuardLifter,
 }
 
 

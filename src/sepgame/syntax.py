@@ -8,8 +8,8 @@ used as cache keys everywhere else.
 The test of an `if`, `while` or `with` is a formula over true, false, and, or
 and `=` of expressions: the logic reads it as the formula B of its rules, and
 the machine evaluates it (`machine.eval_bool`).  Its grammar stays the
-program's own (`and`/`or` group to the right, as in formulas), so
-`parse_bexpr(s) == parse_formula(s)` for every test s.
+program's own (`and`/`or` group to the right, as in formulas), so a test
+parses to the formula `parse_formula` reads from the same text.
 """
 
 from __future__ import annotations
@@ -725,7 +725,11 @@ class _Parser:
         self.expect_sym("[")
         entries = {}
         while not self.at_sym("]"):
+            t = self.peek()
             name = self.expect_name()
+            if name in entries:
+                raise ParseError(f"repeated binding {name} in context",
+                                 t.line, t.col)
             self.expect_sym(":")
             entries[name] = self.formula()
             if self.at_sym(","):
@@ -741,6 +745,9 @@ class _Parser:
             name = self.expect_name()
             if not is_logical_name(name):
                 raise ParseError(f"logical variable expected, found {name!r}",
+                                 t.line, t.col)
+            if name in entries:
+                raise ParseError(f"repeated binding {name} in valuation",
                                  t.line, t.col)
             self.expect_sym("=")
             v = self.next()
@@ -792,13 +799,6 @@ def parse_proof(text: str) -> ProofNode:
     node = p.proof()
     p.eof()
     return node
-
-
-def parse_bexpr(text: str):
-    p = _Parser(text)
-    b = p.bexpr()
-    p.eof()
-    return b
 
 
 def parse_universe(text: str) -> Universe:

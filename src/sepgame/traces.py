@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .machine import (INop, IAcquire, IRelease, MachineState, instr_to_text,
-                      mstate_to_text, parse_instr, parse_mstate)
+                      mstate_to_text)
 
 OK = "ok"
 ERR = "err"
@@ -162,32 +162,3 @@ def trace_to_lines(t: Trace) -> list:
                      f"{instr_to_text(st.instr)} ; {mstate_to_text(st.post)}")
     lines.append(f"target {mstate_to_text(t.target)}")
     return lines
-
-
-def trace_to_text(t: Trace) -> str:
-    return "\n".join(trace_to_lines(t)) + "\n"
-
-
-def trace_from_text(text: str) -> Trace:
-    source = target = None
-    steps = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        kind, _, rest = line.partition(" ")
-        if kind == "source":
-            source = parse_mstate(rest)
-        elif kind == "target":
-            target = parse_mstate(rest)
-        elif kind == "step":
-            status, _, body = rest.partition(" ")
-            pre_text, instr_text, post_text = (p.strip() for p in body.split(";"))
-            steps.append(CodeTransition(parse_mstate(pre_text),
-                                        parse_instr(instr_text),
-                                        parse_mstate(post_text), status))
-        else:
-            raise TraceError(f"bad trace line {line!r}")
-    if source is None or target is None:
-        raise TraceError("trace needs source and target lines")
-    return Trace(source, tuple(steps), target)

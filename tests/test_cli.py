@@ -182,6 +182,37 @@ def test_repeated_universe_entry_exits_2(tmp_path, capsys, line, what):
     assert out == "" and err == f"sepgame: repeated {what}\n"
 
 
+AFF = ("(aff {ctx}pre: own_1(x) * (X = 1) cmd: x := 1 post: own_1(x) * (x = X) "
+       "val: [{val}])\n")
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("init", "{x=0@1,x=1@1|}", "repeated binding x in '{x=0@1,x=1@1|}'"),
+    ("init", "{x=0@1|2=0@1,2=1@1}", "repeated binding 2 in '{x=0@1|2=0@1,2=1@1}'"),
+    ("move", "{x=0 x=1 | | } -> {x=1 | | }", "repeated binding x in '{x=0 x=1 | | }'"),
+    ("proof", AFF.format(ctx="", val="X = 2, X = 1"),
+     "repeated binding X in valuation at 1:"),
+    ("proof", AFF.format(ctx="ctx: [r: emp, r: own_1(x)] ", val="X = 1"),
+     "repeated binding r in context at 1:"),
+])
+def test_repeated_binding_exits_2(tmp_path, capsys, kind, text, message):
+    program, uni = _corpus("framed_assign", ".csl"), _corpus("framed_assign", ".uni")
+    if kind == "init":
+        argv = ["run", program, "-u", uni, "--init", text]
+    elif kind == "move":
+        moves = tmp_path / "moves.uni"
+        moves.write_text(MOVE_UNIVERSE + f"move = {text}\n")
+        argv = ["run", program, "-u", str(moves)]
+    else:
+        proof = tmp_path / "repeated.proof"
+        proof.write_text(text)
+        argv = ["check", str(proof), "-u", uni]
+    code, out, err = _main(argv, capsys)
+    assert code == 2
+    assert out == "" and err.startswith(f"sepgame: {message}")
+    assert len(err.splitlines()) == 1
+
+
 UNINSTANTIATED = """(ext_conseq pre: own_1(x) * (X = 1) cmd: x := 1
   post: own_1(x) * (x = X)
   (aff pre: own_1(x) * (X = 1) cmd: x := 1 post: own_1(x) * (x = X)))

@@ -1,5 +1,5 @@
 """Every name that src/sepgame or tests/conftest.py defines is used
-somewhere else.
+somewhere else, and a package name that only the tests use says why.
 
 A module-level function, class or constant, or (in the package) a method
 that is not a dunder, counts as used when the package, the tests or the
@@ -8,6 +8,10 @@ a string that is exactly the name (the bench's tracer patches functions by
 name).  A pytest fixture also counts as used when a function takes a
 parameter of its name.  Imports alone do not count, and comments are
 invisible to `ast`.
+
+A public package name that only the tests read, directly or through other
+such names, is listed in TEST_ONLY with its reason; a private helper goes
+with its reader.  A listed name is read by neither the package nor the bench.
 """
 
 import ast
@@ -18,6 +22,25 @@ PACKAGE = ROOT / "src" / "sepgame"
 CONFTEST = ROOT / "tests" / "conftest.py"
 SEARCHED = (ROOT / "src", ROOT / "tests", ROOT / "bench")
 ALLOWED = {"__version__"}
+TEST_ONLY = {
+    "lstate": "test constructor of logical states",
+    "mstate": "test constructor of machine states",
+    "sep_state": "test constructor of separated states",
+    "legal_adam_move": "the paper's definition of Adam's moves, which the "
+                       "game enumerates directly",
+    "permission_conserving": "the paper's permission-conservation condition "
+                             "on moves, a diagnostic beside legal_eve_move",
+    "parse_formula": "parser convenience for writing formulas in tests",
+    "proof_to_text": "printer for the proof round-trip test",
+    "universe_to_text": "printer for the universe round-trip test",
+    "Trace.prefix": "trace-algebra oracle for prefix closure",
+    "seq_compose": "trace-algebra oracle for sequential composition",
+    "par_compose": "trace-algebra oracle for parallel composition",
+    "par_compose_by_shuffle": "par_compose keyed by shuffle, for the "
+                              "interleaving oracle",
+    "hide": "trace-algebra oracle for lock hiding",
+    "hide_state": "the state half of hide",
+}
 
 
 def _is_dunder(name):
@@ -25,14 +48,15 @@ def _is_dunder(name):
 
 
 def _definitions(tree, methods=True):
-    """(name, defining node) for the names the guard covers."""
+    """(name, defining node) for the names the guard covers; a method's name
+    is qualified by its class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
         if isinstance(node, ast.ClassDef) and methods:
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
-                    yield item.name, item
+                    yield f"{node.name}.{item.name}", item
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -58,7 +82,9 @@ def _is_fixture(node):
         "fixture" in ast.unparse(d) for d in node.decorator_list)
 
 
-def dead_names():
+def _readers():
+    """(defining file, first and last line, name, (file, line) reads of the
+    name outside its own definition) for every name the guard covers."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
              for base in SEARCHED for path in sorted(base.rglob("*.py"))}
     uses, params = {}, {}
@@ -71,19 +97,52 @@ def dead_names():
     covered = [(path, _definitions(trees[path]))
                for path in sorted(PACKAGE.rglob("*.py"))]
     covered.append((CONFTEST, _definitions(trees[CONFTEST], methods=False)))
-    dead = []
     for path, definitions in covered:
         for name, node in definitions:
             if name in ALLOWED:
                 continue
-            found = uses.get(name, []) + (params.get(name, [])
+            attr = name.rpartition(".")[2]
+            found = uses.get(attr, []) + (params.get(attr, [])
                                           if _is_fixture(node) else [])
-            outside = [(p, line) for p, line in found
-                       if p != path or not node.lineno <= line <= node.end_lineno]
-            if not outside:
-                dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
-    return dead
+            span = (node.lineno, node.end_lineno)
+            yield path, span, name, [
+                (p, line) for p, line in found
+                if p != path or not span[0] <= line <= span[1]]
+
+
+def dead_names():
+    return [f"{path.relative_to(ROOT)}:{span[0]} {name}"
+            for path, span, name, readers in _readers() if not readers]
+
+
+def _test_only_names():
+    """The package names read only by files under tests/, directly or
+    through other package names that only the tests read."""
+    tests = ROOT / "tests"
+    package = [d for d in _readers() if PACKAGE in d[0].parents and d[3]]
+    found, spans = set(), []
+
+    def test_side(p, line):
+        return tests in p.parents or any(
+            p == q and a <= line <= b for q, (a, b) in spans)
+
+    grew = True
+    while grew:
+        grew = False
+        for path, span, name, readers in package:
+            if name not in found and all(test_side(*r) for r in readers):
+                found.add(name)
+                spans.append((path, span))
+                grew = True
+    return found
 
 
 def test_every_defined_name_is_used():
     assert dead_names() == []
+
+
+def test_test_only_names_are_listed():
+    found = {name for name in _test_only_names()
+             if not name.rpartition(".")[2].startswith("_")}
+    assert sorted(found - TEST_ONLY.keys()) == [], "read only by tests, not listed"
+    assert sorted(TEST_ONLY.keys() - found) == [], "listed, but read by src or bench"

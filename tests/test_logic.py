@@ -10,8 +10,8 @@ from sepgame.logic import (EMPTY_LSTATE, LogicalState, all_logical_states,
 from sepgame.machine import MemoryState, mstate
 from sepgame.maps import fmap
 from sepgame.syntax import (Emp, Exists, FAnd, FEq, FNot, Forall, FTrue, Lit,
-                            Own, PointsTo, Star, Var, parse_bexpr,
-                            parse_formula, parse_universe)
+                            Own, PointsTo, Star, Var, parse_formula,
+                            parse_universe)
 
 HALF = Fraction(1, 2)
 TOP = Fraction(1)
@@ -129,8 +129,8 @@ def test_is_precise_verdicts(u1):
 
 def test_entails_examples(u):
     p = FAnd(Own(TOP, "x"), FEq(Var("x"), Lit(1)))
-    assert entails(p, def_formula(parse_bexpr("x = 2"), u), u)
-    assert not entails(Emp(), def_formula(parse_bexpr("x = 0"), u), u)
+    assert entails(p, def_formula(parse_formula("x = 2"), u), u)
+    assert not entails(Emp(), def_formula(parse_formula("x = 0"), u), u)
     assert entails(p, p, u)
 
 

@@ -7,11 +7,11 @@ from sepgame.machine import (ABORT, ERROR, IAcquire, INop, IRelease,
                              MemoryState, Return, eval_bool, eval_expr,
                              instr_to_text, locks, locks_minus, locks_plus,
                              machine_step, mstate, mstate_to_text,
-                             parse_instr, parse_mstate)
+                             parse_mstate)
 from sepgame.maps import fmap
 from sepgame.semantics import instruction_alphabet
 from sepgame.syntax import (Add, AllocC, Assign, DisposeC, FAnd, FEq, FFalse,
-                            FOr, FTrue, Lit, Load, ParseError, Store, Var,
+                            FOr, FTrue, Lit, Load, Store, Var,
                             parse_program, parse_universe)
 
 from .conftest import PROGRAMS, corpus_text
@@ -181,20 +181,21 @@ def test_memory_and_lock_preservation(u):
                     assert out.state.locked == s.locked
 
 
-def _corpus_instructions():
-    for name in PROGRAMS:
-        yield from instruction_alphabet(parse_program(corpus_text(f"{name}.csl")))
-
-
 def test_state_and_instr_text_round_trip(u):
     for s in _all_states(u):
         assert parse_mstate(mstate_to_text(s)) == s
-    for m in _ALPHABET + list(_corpus_instructions()):
-        assert parse_instr(instr_to_text(m)) == m
-
-
-@pytest.mark.parametrize("text", ["skip", "{ x := 1 }", "while true do skip",
-                                  "x := 1 ; x := 2", "nop nop", "acquire(r) x"])
-def test_parse_instr_rejects_non_atomic_text(text):
-    with pytest.raises(ParseError):
-        parse_instr(text)
+    assert [instr_to_text(m) for m in _ALPHABET] == [
+        "x := 1", "x := x + 1", "x := [2]", "[2] := x", "nop", "x := alloc(0)",
+        "dispose(2)", "acquire(r)", "release(r)"]
+    assert {name: [instr_to_text(m) for m in instruction_alphabet(
+                parse_program(corpus_text(f"{name}.csl")))]
+            for name in PROGRAMS} == {
+        "par_writes": ["nop", "x := 1", "y := 1"],
+        "framed_assign": ["nop", "x := 1"],
+        "lock_transfer": ["acquire(r)", "nop", "release(r)", "x := 1"],
+        "lock_pair": ["acquire(r)", "nop", "release(r)", "x := 1", "x := 2"],
+        "seq_load_store": ["[3] := x", "nop", "x := [2]"],
+        "conj_precise": ["nop", "x := 1"],
+        "if_def": ["nop", "y := 0", "y := 1"],
+        "while_count": ["nop", "x := 1"],
+    }

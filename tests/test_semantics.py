@@ -91,6 +91,23 @@ def test_seq_split_matches_brute_force_over_intermediates(u):
     assert v == RETURNS and isinstance(w, SeqSplitW) and w.k == 1
 
 
+def test_seq_asks_its_first_command_once_per_split(u):
+    sys = denote(parse_program("x := 1 ; y := 1"), u)
+    first, calls = sys.first, []
+
+    class Counting:
+        def member(self, t):
+            calls.append(t)
+            return first.member(t)
+
+    sys.first = Counting()
+    s1 = _ok_step(S0, Assign("x", Lit(1)), u)
+    for t in (Trace(S0, (), S0), Trace(S0, (s1,), s1.post)):
+        calls.clear()
+        assert sys.member(t)[0] == IN
+        assert len(calls) == len(t) + 1
+
+
 def _when(cond, u):
     """The guard that runs nop when cond holds and has no arm otherwise."""
     return GuardTS(cond, {True: (INop(), None)}, u)

@@ -10,8 +10,7 @@ from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                                 SeparatedState, SeparationError, combine,
                                 enumerate_eve_moves, legal_adam_move,
                                 legal_eve_move, permission_conserving,
-                                sep_state, sep_state_from_text,
-                                sep_state_to_text)
+                                sep_state, sep_state_to_text)
 from sepgame.syntax import Assign, Lit, parse_universe
 
 HALF = Fraction(1, 2)
@@ -121,15 +120,6 @@ def test_eve_moves_map_to_code_transitions(u):
     assert sep_state(code=lstate(stack={"x": (1, TOP)}),
                      resources={"r": Available(EMPTY_LSTATE)}) in conserving
     assert len(conserving) < len(moves)
-
-
-def test_sep_state_text_round_trip():
-    s = sep_state(code=lstate(stack={"x": (1, HALF)}),
-                  resources={"r": Available(lstate(heap={2: (3, TOP)}))},
-                  frame=lstate(stack={"x": (1, HALF), "y": (0, TOP)}))
-    assert sep_state_from_text(sep_state_to_text(s)) == s
-    held = sep_state(resources={"r": HELD_BY_CODE})
-    assert sep_state_from_text(sep_state_to_text(held)) == held
 
 
 # The order in which Eve's moves are enumerated is part of the contract:

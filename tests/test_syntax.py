@@ -8,7 +8,7 @@ from sepgame.syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, FAnd,
                             IfC, Lit, Load, Mul, Own, ParC, ParseError,
                             PointsTo, ProofNode, ResourceC, SeqC, Skip, Star,
                             Store, Universe, Var, While, WithWhen,
-                            formula_to_text, parse_bexpr, parse_formula,
+                            formula_to_text, parse_formula,
                             parse_program, parse_proof, parse_universe,
                             program_to_text, proof_to_text, universe_to_text)
 
@@ -202,6 +202,10 @@ def _tests_of(c):
     return []
 
 
+def _test_of(text):
+    return parse_program(f"while {text} do skip").cond
+
+
 def test_tests_parse_as_formulas():
     corpus = [b for name in PROGRAMS
               for b in _tests_of(parse_program(corpus_text(f"{name}.csl")))]
@@ -209,10 +213,10 @@ def test_tests_parse_as_formulas():
     rng = random.Random(9)
     for b in corpus + [_rand_bexpr(rng, 3) for _ in range(300)]:
         text = formula_to_text(b)
-        assert parse_bexpr(text) == parse_formula(text) == b
+        assert _test_of(text) == parse_formula(text) == b
     for text in ("x = 0 or y = 1 and true", "true and false and x = y",
                  "(x = 0 or y = 0) or x + 1 = y * 2"):
-        assert parse_bexpr(text) == parse_formula(text)
+        assert _test_of(text) == parse_formula(text)
 
 
 def test_proof_round_trip():

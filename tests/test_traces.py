@@ -7,8 +7,7 @@ from sepgame.machine import INop, IAcquire, IRelease, mstate
 from sepgame.syntax import Assign, Lit
 from sepgame.traces import (ERR, OK, CodeTransition, Trace, TraceError, hide,
                             par_compose, par_compose_by_shuffle, restrict,
-                            seq_compose, shuffles, trace_from_text,
-                            trace_to_text)
+                            seq_compose, shuffles)
 from .conftest import TraceGen
 
 
@@ -202,10 +201,3 @@ def test_seq_compose_rejects_steps_after_error():
     cont = Trace(S1, (_step(S1, S2),), S2)
     with pytest.raises(TraceError):
         seq_compose(err, cont)
-
-
-def test_trace_serialization_round_trip():
-    gen = TraceGen(seed=31)
-    for _ in range(100):
-        t = gen.trace()
-        assert trace_from_text(trace_to_text(t)) == t
