@@ -1,14 +1,21 @@
 """Permissions, logical states, the separation tensor and formula satisfaction.
 
 Permissions are rationals in (0,1] under addition; 1 is the write permission
-and admits no multiple.  Quantifiers, substate splits, precision and
-entailment are all decided by bounded enumeration over a declared universe.
+and admits no multiple.  Quantifiers and substate splits range over a declared
+universe.  Precision and entailment are decided on models: the set of
+universe states satisfying a formula, a bitmask over the states' indices, built
+from the formula's structure (atoms state by state, connectives and
+quantifiers as bit operations, `*` over each state's splits as index pairs).
+Only a formula with a logical variable the valuation leaves unbound is
+decided by scanning the universe state by state, so that the variable is
+reported when an evaluation reaches it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +23,8 @@ from .maps import fmap
 from .syntax import (Add, Emp, Exists, FAnd, FEq, FFalse, FImplies, FNot,
                      FOr, Forall, FTrue, Lit, Mul, Own, ParseError, PointsTo,
                      Star, Universe, Var, bexpr_program_vars,
-                     expr_program_vars, is_logical_name, perm_to_text)
+                     expr_program_vars, formula_free_logical_vars,
+                     is_logical_name, perm_to_text)
 from .machine import MemoryState
 
 TOP = Fraction(1)
@@ -136,11 +144,6 @@ def substates(sigma: LogicalState, u: Universe):
     return iter(_sub_pairs(sigma, u))
 
 
-def sub_lstates(sigma: LogicalState, u: Universe) -> tuple:
-    """Distinct left components of all splits of sigma, smallest first."""
-    return tuple(a for a, _ in _sub_pairs(sigma, u))
-
-
 # --- satisfaction ----------------------------------------------------------------
 
 def eval_formula_expr(e, sigma: LogicalState, rho: fmap):
@@ -180,8 +183,6 @@ def _sat(sigma, f, rho, u) -> bool:
             return True
         case FFalse():
             return False
-        case Emp():
-            return sigma.is_empty()
         case FAnd(l, r):
             return _sat(sigma, l, rho, u) and _sat(sigma, r, rho, u)
         case FOr(l, r):
@@ -199,6 +200,14 @@ def _sat(sigma, f, rho, u) -> bool:
                 if _sat(a, l, rho, u) and _sat(b, r, rho, u):
                     return True
             return False
+    return _atom(sigma, f, rho)
+
+
+def _atom(sigma: LogicalState, f, rho: fmap) -> bool:
+    """Satisfaction of emp, ownership, equality and points-to."""
+    match f:
+        case Emp():
+            return sigma.is_empty()
         case Own(p, x):
             entry = sigma.stack._dict.get(x)
             return entry is not None and entry[1] == p
@@ -216,9 +225,8 @@ def _sat(sigma, f, rho, u) -> bool:
     raise TypeError(f)
 
 
-# --- bounded enumeration: all states, precision, entailment ----------------------
+# --- the indexed universe: states, splits and models -------------------------------
 
-@functools.lru_cache(maxsize=None)
 def all_logical_states(u: Universe) -> tuple:
     """Every logical state over the universe's alphabets, values and permissions."""
     slot_options = []
@@ -233,25 +241,142 @@ def all_logical_states(u: Universe) -> tuple:
     return tuple(out)
 
 
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+_ONE_ZERO = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _flags(mask: int, n: int) -> bytes:
+    """Byte i is 1 when bit i of the mask is set."""
+    return format(mask, f"0{n}b")[::-1].encode().translate(_ZERO_ONE)
+
+
+def _mask(flags) -> int:
+    """The bitmask whose bit i is set when flags[i] is true."""
+    return int(bytes(flags).translate(_ONE_ZERO)[::-1], 2)
+
+
+class UniverseTable:
+    """A universe indexed once: its states in `all_logical_states` order, the
+    splits of each state as (left index, right index) pairs in `_sub_pairs`
+    order, and the models of formulas as bitmasks over the state indices."""
+
+    def __init__(self, u: Universe):
+        self.u = u
+        self.states = all_logical_states(u)
+        self.full = (1 << len(self.states)) - 1
+        self.splits = self._index_splits()
+        self._models = {}
+
+    def _index_splits(self) -> tuple:
+        """A state's index has one mixed-radix digit per slot, variables before
+        locations: 0 for an absent cell, else 1 + value index * |perms| + perm
+        index.  Each slot's `_slot_splits` gives the digit pairs of its share."""
+        u = self.u
+        radix = 1 + len(u.values) * len(u.perms)
+        nvars, n = len(u.variables), len(u.variables) + len(u.locations)
+        # `slots` lists cells by sorted key, stack before heap
+        order = (sorted(range(nvars), key=lambda k: u.variables[k])
+                 + sorted(range(nvars, n), key=lambda k: u.locations[k - nvars]))
+        options = []           # options[k][digit]: (left, right) index parts
+        for k in range(n):
+            weight = radix ** (n - 1 - k)
+            per_digit = [((0, 0),)]
+            for value in range(len(u.values)):
+                part = {p: (1 + value * len(u.perms) + i) * weight
+                        for i, p in enumerate(u.perms)}
+                part[0] = 0
+                for p in u.perms:
+                    per_digit.append(tuple((part[p1], part[p2])
+                                           for p1, p2 in _slot_splits(p, u.perms)))
+            options.append(per_digit)
+        out = []
+        for digits in itertools.product(range(radix), repeat=n):
+            pairs = [(0, 0)]
+            for k in order:
+                if digits[k]:
+                    pairs = [(a + x, b + y) for a, b in pairs
+                             for x, y in options[k][digits[k]]]
+            out.append(tuple(pairs))
+        return tuple(out)
+
+    def models(self, f, rho: fmap = fmap()) -> int:
+        """The states satisfying f under rho, as a bitmask over their indices."""
+        key = (f, rho)
+        found = self._models.get(key)
+        if found is None:
+            found = self._models[key] = self._decide(f, rho)
+        return found
+
+    def _decide(self, f, rho: fmap) -> int:
+        match f:
+            case FTrue():
+                return self.full
+            case FFalse():
+                return 0
+            case FAnd(l, r):
+                return self.models(l, rho) & self.models(r, rho)
+            case FOr(l, r):
+                return self.models(l, rho) | self.models(r, rho)
+            case FNot(b):
+                return self.full & ~self.models(b, rho)
+            case FImplies(l, r):
+                return (self.full & ~self.models(l, rho)) | self.models(r, rho)
+            case Forall(x, body):
+                return functools.reduce(operator.and_, (self.models(body, rho.set(x, v))
+                                                        for v in self.u.values))
+            case Exists(x, body):
+                return functools.reduce(operator.or_, (self.models(body, rho.set(x, v))
+                                                       for v in self.u.values))
+            case Star(l, r):
+                return self._star(self.models(l, rho), self.models(r, rho))
+        return _mask(_atom(sigma, f, rho) for sigma in self.states)
+
+    def _star(self, left: int, right: int) -> int:
+        """Bit i is set iff some split (a, b) of state i has a in left and b
+        in right."""
+        if not left or not right:
+            return 0
+        n = len(self.states)
+        lf, rf = _flags(left, n), _flags(right, n)
+        return _mask(any(lf[a] and rf[b] for a, b in pairs) for pairs in self.splits)
+
+
+@functools.lru_cache(maxsize=None)
+def universe_table(u: Universe) -> UniverseTable:
+    return UniverseTable(u)
+
+
+def _unbound(rho: fmap, *formulas) -> bool:
+    """Whether a formula has a free logical variable that rho does not bind."""
+    return any(formula_free_logical_vars(f).difference(rho) for f in formulas)
+
+
+# --- precision and entailment --------------------------------------------------------
+
 def is_precise(f, u: Universe, rho: fmap = fmap()) -> bool:
     """At most one substate of any enumerable state satisfies the formula."""
-    for sigma in all_logical_states(u):
-        found = None
-        for cand in sub_lstates(sigma, u):
-            if _sat(cand, f, rho, u):
-                if found is not None and cand != found:
-                    return False
-                found = cand
-    return True
+    table = universe_table(u)
+    if _unbound(rho, f):
+        for sigma in table.states:
+            found = None
+            for cand, _ in _sub_pairs(sigma, u):
+                if _sat(cand, f, rho, u):
+                    if found is not None and cand != found:
+                        return False
+                    found = cand
+        return True
+    flags = _flags(table.models(f, rho), len(table.states))
+    return all(sum(flags[a] for a, _ in pairs) <= 1 for pairs in table.splits)
 
 
 def entails(p, q, u: Universe, rho: fmap = fmap()) -> bool:
     """Bounded semantic entailment: every enumerable state satisfying p
     satisfies q."""
-    for sigma in all_logical_states(u):
-        if _sat(sigma, p, rho, u) and not _sat(sigma, q, rho, u):
-            return False
-    return True
+    table = universe_table(u)
+    if _unbound(rho, p, q):
+        return all(_sat(sigma, q, rho, u) for sigma in table.states
+                   if _sat(sigma, p, rho, u))
+    return table.models(p, rho) & ~table.models(q, rho) == 0
 
 
 def def_formula(b, u: Universe):

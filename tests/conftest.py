@@ -2,8 +2,7 @@ import importlib.util
 import random
 from pathlib import Path
 
-from sepgame.machine import (IAcquire, INop, IRelease, MachineState,
-                             MemoryState, mstate)
+from sepgame.machine import IAcquire, INop, IRelease, MachineState, MemoryState
 from sepgame.maps import fmap
 from sepgame.syntax import Assign, Lit, Var
 from sepgame.traces import OK, CodeTransition, Trace

@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from sepgame import game, separation
-from sepgame.game import (CheckResult, NoWin, SeparatedPredicate,
-                          SolvedStrategy, WinningSpec, adam_extensions,
-                          check_winning_strategy, empty_winning_plays,
-                          is_winning_play, replay_lines, sat_sep, solve_eve,
-                          trace_state, winning_spec)
+from sepgame.game import (NoWin, SeparatedPredicate, SolvedStrategy,
+                          adam_extensions, check_winning_strategy,
+                          empty_winning_plays, is_winning_play, replay_lines,
+                          sat_sep, solve_eve, trace_state, winning_spec)
 from sepgame.logic import (EMPTY_LSTATE, erase, from_slots, lstate,
                            lstate_from_text, lstate_to_text, slots)
 from sepgame.machine import MachineState, machine_step, mstate
@@ -19,7 +18,7 @@ from sepgame.semantics import enumerate_traces
 from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                                 combine, enumerate_eve_moves, sep_state,
                                 sep_state_to_text, separations)
-from sepgame.syntax import (Assign, FTrue, Lit, Own, Store, Var, parse_formula,
+from sepgame.syntax import (Assign, FTrue, Lit, Own, Store, parse_formula,
                             parse_proof, parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace
 

@@ -1,17 +1,18 @@
-import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from sepgame.logic import (EMPTY_LSTATE, LogicalState, all_logical_states,
-                           def_formula, entails, erase, is_precise, lstate,
-                           lstate_from_text, lstate_to_text, perm_add,
-                           satisfies, sub_lstates, substates, tensor)
-from sepgame.machine import MemoryState, mstate
+from sepgame.logic import (EMPTY_LSTATE, UncoveredLogicalVariable,
+                           all_logical_states, def_formula, entails, erase,
+                           is_precise, lstate, lstate_from_text,
+                           lstate_to_text, perm_add, satisfies, substates,
+                           tensor, universe_table)
+from sepgame.machine import MemoryState
 from sepgame.maps import fmap
-from sepgame.syntax import (Emp, Exists, FAnd, FEq, FNot, Forall, FTrue, Lit,
-                            Own, PointsTo, Star, Var, parse_formula,
-                            parse_universe)
+from sepgame.syntax import (Emp, Exists, FAnd, FEq, FFalse, FImplies, FNot,
+                            FOr, Forall, FTrue, Lit, Own, PointsTo, Star, Var,
+                            parse_formula, parse_universe)
 
 HALF = Fraction(1, 2)
 TOP = Fraction(1)
@@ -132,6 +133,91 @@ def test_entails_examples(u):
     assert entails(p, def_formula(parse_formula("x = 2"), u), u)
     assert not entails(Emp(), def_formula(parse_formula("x = 0"), u), u)
     assert entails(p, p, u)
+
+
+# --- models on the indexed universe against the state-by-state scan ---------------
+
+ORACLE_UNIVERSES = [
+    "vars = y, x\nlocs = 1\nvals = 0..1\nperms = 1/2, 1\nlocks = r\n",
+    "vars = x\nlocs = 1\nvals = 0..1\nperms = 1/3, 2/3, 1\nlocks = r\n",
+]
+
+
+def _random_formula(rng, u, depth, bound=()):
+    """A formula over the universe's variables, locations and values and the
+    logical variables its quantifiers bind, nested at most `depth` deep."""
+    def expr():
+        return rng.choice([Lit(rng.choice(u.values)), Lit(rng.choice(u.locations)),
+                           Var(rng.choice(u.variables)), *map(Var, bound)])
+
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([
+            lambda: Own(rng.choice(u.perms), rng.choice(u.variables)),
+            lambda: PointsTo(expr(), rng.choice(u.perms), expr()),
+            lambda: FEq(expr(), expr()),
+            Emp, FTrue, FFalse])()
+    sub = lambda: _random_formula(rng, u, depth - 1, bound)
+    kind = rng.choice(["and", "or", "not", "implies", "star", "exists", "forall"])
+    if kind in ("exists", "forall"):
+        name = "XYZ"[len(bound)]
+        body = _random_formula(rng, u, depth - 1, bound + (name,))
+        return (Exists if kind == "exists" else Forall)(name, body)
+    if kind == "not":
+        return FNot(sub())
+    op = {"and": FAnd, "or": FOr, "implies": FImplies, "star": Star}[kind]
+    return op(sub(), sub())
+
+
+def _scan_entails(p, q, u, rho=fmap()):
+    return all(satisfies(sigma, q, rho, u) for sigma in all_logical_states(u)
+               if satisfies(sigma, p, rho, u))
+
+
+def _scan_precise(f, u, rho=fmap()):
+    return all(sum(satisfies(a, f, rho, u) for a, _ in substates(sigma, u)) <= 1
+               for sigma in all_logical_states(u))
+
+
+@pytest.mark.parametrize("text", ORACLE_UNIVERSES, ids=["halves", "thirds"])
+def test_models_entails_and_precision_match_the_scan(text):
+    u = parse_universe(text)
+    table = universe_table(u)
+    assert table.states == all_logical_states(u)
+    for sigma, pairs in zip(table.states, table.splits):
+        assert [(table.states[a], table.states[b]) for a, b in pairs] == \
+            list(substates(sigma, u))
+    rng = random.Random(2017)
+    formulas = [_random_formula(rng, u, 3) for _ in range(40)]
+    # two satisfying substates in a state with x at 1: imprecise
+    formulas.append(parse_formula("emp or (own_1(x) and not (own_1(x) * not emp))"))
+    for f in formulas:
+        models = table.models(f)
+        assert [bool(models >> i & 1) for i in range(len(table.states))] == \
+            [satisfies(sigma, f, fmap(), u) for sigma in table.states], f
+    pairs = list(zip(formulas, formulas[1:]))
+    pairs += [(f, FOr(f, g)) for f, g in pairs[:10]]
+    entailed = [entails(p, q, u) for p, q in pairs]
+    assert entailed == [_scan_entails(p, q, u) for p, q in pairs]
+    precise = [is_precise(f, u) for f in formulas]
+    assert precise == [_scan_precise(f, u) for f in formulas]
+    assert len(set(entailed)) == 2 and len(set(precise)) == 2
+
+
+def test_unbound_logical_variable_is_met_as_in_the_scan(u1):
+    free = FEq(Var("X"), Lit(1))
+    never = FAnd(Own(TOP, "x"), Emp())
+    # no state satisfies the premise, so the scan never evaluates X
+    assert entails(never, free, u1) and _scan_entails(never, free, u1)
+    assert is_precise(FAnd(never, free), u1)
+    assert _scan_precise(FAnd(never, free), u1)
+    with pytest.raises(UncoveredLogicalVariable):
+        entails(FTrue(), free, u1)
+    with pytest.raises(UncoveredLogicalVariable):
+        is_precise(free, u1)
+    # bound by the valuation, the same formulas are decided on models
+    rho = fmap({"X": 1})
+    assert entails(FTrue(), free, u1, rho) == _scan_entails(FTrue(), free, u1, rho)
+    assert is_precise(free, u1, rho) == _scan_precise(free, u1, rho)
 
 
 def test_tensor_commutative_associative_cancellative(u1):

@@ -1,9 +1,7 @@
 import pytest
 
 from sepgame.logic import entails
-from sepgame.maps import fmap
-from sepgame.proof import (Sequent, check_proof, ctx_match, formulas_match,
-                           normalize)
+from sepgame.proof import check_proof, formulas_match, normalize
 from sepgame.syntax import (parse_formula, parse_proof, parse_universe,
                             proof_to_text)
 from .conftest import CORPUS, PROGRAMS, corpus_text

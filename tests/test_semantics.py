@@ -1,13 +1,11 @@
-import itertools
-
 import pytest
 
 from sepgame import machine
 from sepgame.logic import erase, lstate_from_text
-from sepgame.machine import (IAcquire, INop, IRelease, MachineState, Return,
+from sepgame.machine import (IAcquire, INop, IRelease, MachineState,
                              instr_to_text, machine_step, mstate)
 from sepgame.semantics import (IN, NOTIN, RETURNS, AtomTS, EnumerationBudget,
-                               GuardTS, HideW, SeqSplitW, SeqTS,
+                               GuardTS, HideW, SeqSplitW,
                                all_machine_states, denote, enumerate_traces,
                                instruction_alphabet)
 from sepgame.syntax import (Assign, FEq, FTrue, Lit, Var, parse_program,

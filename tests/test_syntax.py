@@ -6,8 +6,8 @@ import pytest
 from sepgame.syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, FAnd,
                             FEq, FFalse, FImplies, FNot, FOr, Forall, FTrue,
                             IfC, Lit, Load, Mul, Own, ParC, ParseError,
-                            PointsTo, ProofNode, ResourceC, SeqC, Skip, Star,
-                            Store, Universe, Var, While, WithWhen,
+                            PointsTo, ResourceC, SeqC, Skip, Star, Store, Var,
+                            While, WithWhen,
                             formula_to_text, parse_formula,
                             parse_program, parse_proof, parse_universe,
                             program_to_text, proof_to_text, universe_to_text)

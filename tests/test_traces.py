@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sepgame.machine import INop, IAcquire, IRelease, mstate
+from sepgame.machine import INop, IAcquire, mstate
 from sepgame.syntax import Assign, Lit
 from sepgame.traces import (ERR, OK, CodeTransition, Trace, TraceError, hide,
                             par_compose, par_compose_by_shuffle, restrict,
