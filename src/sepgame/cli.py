@@ -14,8 +14,8 @@ import json
 import sys
 
 from .game import NoWin, check_winning_strategy, replay_lines, solve_eve
-from .logic import (all_logical_states, erase, lstate_from_text, satisfies,
-                    slots)
+from .logic import (all_logical_states, erase, lstate_from_text, slots,
+                    universe_table)
 from .machine import MachineState, resolve_env_moves
 from .proof import check_proof
 from .semantics import EnumerationBudget, enumerate_traces
@@ -92,10 +92,12 @@ def _full_perm_states(u):
 
 def _full_perm_inits(pre, rho, u):
     """Initial logical states for the corollary: every full-permission state
-    over the universe satisfying P * true."""
-    want = Star(pre, FTrue())
-    return [sigma for sigma in _full_perm_states(u)
-            if satisfies(sigma, want, rho, u)]
+    over the universe satisfying P * true, read off the universe table's
+    models (rho binds every logical variable of an accepted proof)."""
+    table = universe_table(u)
+    models = table.models(Star(pre, FTrue()), rho)
+    chosen = {sigma for i, sigma in enumerate(table.states) if models >> i & 1}
+    return [sigma for sigma in _full_perm_states(u) if sigma in chosen]
 
 
 def _full_perm_machine_states(u):

@@ -8,13 +8,13 @@ refinements of the trace's next machine state that keep the code fragment and
 satisfy the next position's predicate, so everything stays within the
 universe's finite bounds.
 
-Both Adam's refinements and Eve's moves are built by
-`separation.separations`, which chooses the unknown pieces one at a time
-(code, then resources by name, then frame) and drops a piece as soon as it
-fails its part of the next position's predicate (`piece_tests`): the code
-against pre, an available resource against its context invariant; the
-frame is unconstrained.  The full `sat_sep` check still runs on every state
-built.
+A position's predicate has one definition, `piece_test`: the code against
+pre, an available resource against its context invariant; the frame is
+unconstrained.  `sat_sep` asks it of every piece of a whole state.  Both
+Adam's refinements and Eve's moves are built by `separation.separations`,
+which tests the pieces it is given once and chooses the unknown ones one at
+a time (code, then resources by name, then frame), dropping a piece as soon
+as it fails its test, so every state it builds satisfies the predicate.
 The solver builds Eve's moves from each (position, Adam state) once and keeps
 them for the rest of its run.
 """
@@ -28,7 +28,7 @@ from .logic import satisfies
 from .machine import MachineState, instr_to_text
 from .maps import fmap
 from .semantics import EnumerationBudget
-from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME, PieceTests,
+from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                          SeparatedState, combine, enumerate_eve_moves,
                          legal_eve_move, sep_state_to_text, separations)
 from .syntax import FTrue, Universe
@@ -65,26 +65,24 @@ def winning_spec(pre, ctx, post, t: Trace, returning: bool,
     return WinningSpec(pre, fmap(ctx), post, len(t), returning, rho)
 
 
+def piece_test(sp: SeparatedPredicate, rho: fmap, u: Universe):
+    """The predicate's test of one piece of a separated state, as
+    `test(piece, part)`: the code (piece None) against pre, an available
+    resource (its lock name) against its context invariant.  The frame is
+    never tested, and neither is a resource the context does not name."""
+    def test(piece, part):
+        f = sp.pre if piece is None else sp.ctx._dict.get(piece)
+        return f is None or satisfies(part, f, rho, u)
+    return test
+
+
 def sat_sep(s: SeparatedState, sp: SeparatedPredicate, rho: fmap,
             u: Universe) -> bool:
-    """Code satisfies pre and every available resource satisfies its
-    context invariant; the frame is unconstrained."""
-    if not satisfies(s.code, sp.pre, rho, u):
-        return False
-    for r, entry in s.resources.items():
-        if isinstance(entry, Available) and r in sp.ctx:
-            if not satisfies(entry.state, sp.ctx[r], rho, u):
-                return False
-    return True
-
-
-def piece_tests(sp: SeparatedPredicate, rho: fmap, u: Universe) -> PieceTests:
-    """sat_sep split into one test per piece, for building only the separated
-    states whose pieces can pass: the code against pre, each available
-    resource against its context invariant."""
-    def test(f):
-        return lambda part: satisfies(part, f, rho, u)
-    return PieceTests(test(sp.pre), fmap({r: test(f) for r, f in sp.ctx.items()}))
+    """Every piece of the state passes its `piece_test`."""
+    test = piece_test(sp, rho, u)
+    return test(None, s.code) and all(
+        test(r, entry.state) for r, entry in s.resources.items()
+        if isinstance(entry, Available))
 
 
 def trace_state(t: Trace, i: int) -> MachineState:
@@ -123,9 +121,8 @@ def _refinements(target: MachineState, code, dom_code: frozenset,
     entries = {r: None for r in set(u.locks) - target.locked}
     entries |= {r: HELD_BY_FRAME for r in target.locked - dom_code}
     entries |= {r: HELD_BY_CODE for r in dom_code}
-    return tuple(cand for cand in separations(target, code, entries, None, u,
-                                              piece_tests(pred, rho, u))
-                 if sat_sep(cand, pred, rho, u))
+    return tuple(separations(target, code, entries, None, u,
+                             piece_test(pred, rho, u)))
 
 
 def adam_extensions(s: SeparatedState, target: MachineState,
@@ -257,12 +254,10 @@ class SolvedStrategy:
         if hit is None:
             step = self.t.steps[position // 2 - 1]
             target = trace_state(self.t, position + 1)
-            pred = self.spec.predicate_at(position + 1)
-            rho = self.spec.rho
-            moves = enumerate_eve_moves(state, step.instr, target, self.u,
-                                        piece_tests(pred, rho, self.u))
+            test = piece_test(self.spec.predicate_at(position + 1),
+                              self.spec.rho, self.u)
             hit = self._candidates[key] = tuple(
-                cand for cand in moves if sat_sep(cand, pred, rho, self.u))
+                enumerate_eve_moves(state, step.instr, target, self.u, test))
         return hit
 
     def survives(self, i: int, s: SeparatedState) -> bool:

@@ -171,7 +171,7 @@ def eval_formula_expr(e, sigma: LogicalState, rho: fmap):
     raise TypeError(e)
 
 
-def satisfies(sigma: LogicalState, f, rho: fmap = fmap(), u: Universe = None) -> bool:
+def satisfies(sigma: LogicalState, f, rho: fmap, u: Universe) -> bool:
     """The satisfaction judgement between a logical state and a formula."""
     return _sat(sigma, f, rho, u)
 

@@ -155,6 +155,8 @@ def check_proof(node: ProofNode, u: Universe,
             if key in n.params:
                 yield n.params[key]
 
+    undecided, reported = [], []
+
     def check(n: ProofNode, path: str):
         if n.tag in EXTENSION_RULES:
             extensions.append((path, n.tag))
@@ -165,19 +167,21 @@ def check_proof(node: ProofNode, u: Universe,
             free |= formula_free_logical_vars(f)
         missing = sorted(free - set(valuation))
         if missing:
+            reported.append(path)
             complain(path, n.tag, f"logical variables not instantiated: {missing}")
         handler = _HANDLERS.get(n.tag)
         try:
             handler(n, path, u, rho, complain)
-        except UncoveredLogicalVariable:
+        except UncoveredLogicalVariable as exc:
             # A side condition over an uninstantiated variable cannot be
-            # decided; the variable is reported above.
-            if not missing:
-                raise
+            # decided; the node whose formula holds it reports the variable.
+            undecided.append(exc)
         for i, child in enumerate(n.children):
             check(child, f"{path}.{i}")
 
     check(node, "root")
+    if undecided and not reported:
+        raise undecided[0]
     ok = not violations
     sequent = Sequent(node.ctx, node.pre, node.cmd, node.post) if ok else None
     return ProofCheckResult(ok, sequent, rho, violations, tuple(extensions))

@@ -117,18 +117,8 @@ def permission_conserving(s: SeparatedState, s2: SeparatedState) -> bool:
 
 # --- bounded enumeration of separated states over a machine state ----------------
 # `separations` builds them all: Adam's refinements (game._refinements) and
-# Eve's moves (enumerate_eve_moves) differ only in the pieces they fix and in
-# the tests the pieces must pass.
-
-@dataclass(frozen=True)
-class PieceTests:
-    """One optional test per unknown piece of a separated state other than
-    the frame: the code's and each resource's (by lock name).  A test takes
-    the piece's LogicalState and returns whether the piece may stay; None
-    tests nothing.  The code test is a field of its own, so a lock named like
-    a piece never takes that piece's test."""
-    code: object = None
-    resources: fmap = fmap()
+# Eve's moves (enumerate_eve_moves) differ only in the pieces they fix.  The
+# pieces' tests come from the game (game.piece_test).
 
 
 def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
@@ -188,15 +178,18 @@ def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
 
 
 def separations(target: MachineState, code, resources: dict, frame,
-                u: Universe, tests: PieceTests = PieceTests()):
+                u: Universe, test=None):
     """The separated states that combine into `target` and agree with the
     given code fragment, resource entries and frame.
 
-    A piece given as None is filled in by component_assignments, in the
-    order code, resources by name, frame, and in its cell-major order.  Each
-    filled-in piece but the frame must pass its test from `tests` as soon as
-    it is chosen, so a piece that fails is never combined with the pieces
-    after it.  Given pieces are not tested.
+    `test(piece, part)`, when given, decides whether a piece may stay: the
+    piece is None for the code and a lock name for an available resource;
+    the frame is never tested.  The given code and available resources are
+    tested once, before anything is enumerated.  A piece given as None is
+    filled in by component_assignments, in the order code, resources by
+    name, frame, and in its cell-major order, and must pass its test as soon
+    as it is chosen, so a piece that fails is never combined with the pieces
+    after it.  Every state yielded thus passes the test on every piece.
     """
     missing = sorted(r for r, e in resources.items() if e is None)
     given = [part for part in (code, frame) if part is not None]
@@ -204,29 +197,29 @@ def separations(target: MachineState, code, resources: dict, frame,
     fixed = tensor_all(given)
     if fixed is None:
         return
-    in_order = ([tests.code] if code is None else []) \
-        + [tests.resources.get(r) for r in missing] \
-        + ([None] if frame is None else [])
-    for parts in component_assignments(target.memory, fixed, len(in_order),
-                                       u, in_order):
+    pieces = ([None] if code is None else []) + missing
+    tests = [None] * (len(pieces) + (frame is None))
+    if test is not None:
+        if code is not None and not test(None, code):
+            return
+        if not all(test(r, e.state) for r, e in resources.items()
+                   if isinstance(e, Available)):
+            return
+        tests[:len(pieces)] = [functools.partial(test, piece) for piece in pieces]
+    for parts in component_assignments(target.memory, fixed, len(tests), u, tests):
         parts = iter(parts)
         code_part = next(parts) if code is None else code
         entries = dict(resources)
         entries |= {r: Available(next(parts)) for r in missing}
         frame_part = next(parts) if frame is None else frame
-        try:
-            cand = SeparatedState(code_part, fmap(entries), frame_part)
-        except SeparationError:
-            continue
-        if combine(cand) == target:
-            yield cand
+        yield SeparatedState(code_part, fmap(entries), frame_part)
 
 
 def enumerate_eve_moves(s: SeparatedState, m, target: MachineState,
-                        u: Universe, tests: PieceTests = PieceTests()):
+                        u: Universe, test=None):
     """All separated states reachable by a legal Eve move labelled m that
-    combine into the given machine state and whose new code fragment and
-    released resources pass their `tests`."""
+    combine into the given machine state and whose code fragment and
+    available resources pass `test` (see separations)."""
     if Return(target) not in machine_step(combine(s), m, u):
         return
     entries = dict(s.resources.items())
@@ -238,7 +231,7 @@ def enumerate_eve_moves(s: SeparatedState, m, target: MachineState,
         if entries.get(r) != HELD_BY_CODE:
             return
         entries[r] = None
-    yield from separations(target, None, entries, s.frame, u, tests)
+    yield from separations(target, None, entries, s.frame, u, test)
 
 
 # --- textual form ------------------------------------------------------------------

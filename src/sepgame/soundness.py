@@ -5,22 +5,24 @@ Every rule becomes a lifter that translates moves between the parent's view
 of the separated state and its premises' views:
 
   * axioms update the code fragment by the instruction's footprint;
-  * seq delegates to its first premise until the witness's split point;
   * par splits the code fragment once at the start and routes each step
     through the witness's shuffle, the idle sibling acting as extra frame;
-  * frame carries a framed fragment untouched through the whole play;
+    frame is the same ParLifter with one premise taking every step, its
+    framed fragment a sibling that never moves;
   * res replays the child on the hide pre-image from the witness, keeping the
     bound resource's content virtually inside the code fragment so the
     projected moves are identities on the visible state; the semantics only
     offers well-bracketed pre-images, so the virtual resource is locked
     exactly while the child holds it;
-  * if, while and with are one GuardLifter over the guard's witness: the
-    test's value picks the premise (the arm of if, the body of while and
-    with, lifted once per unfolding) and a failed test admits no move; the
-    guard's own steps move by their instruction: the test nop is an
-    identity, with's acquire absorbs the resource's content and its release
-    splits off a fragment satisfying the invariant (smallest candidate
-    first);
+  * seq, if, while and with are one GuardLifter, which cuts the trace into
+    segments at the witness's split points and hands each segment to its
+    premise, started on the segment's first step: seq's left premise, then
+    its right premise once the left has returned; a guard's test value
+    picks the premise (the arm of if, the body of while and with, lifted
+    once per unfolding) and a failed test admits no move; the guard's own
+    steps move by their instruction: the test nop is an identity, with's
+    acquire absorbs the resource's content and its release splits off a
+    fragment satisfying the invariant (smallest candidate first);
   * conj plays its first premise and audits the second's claims, raising an
     alarm on divergence;
   * consequence changes no move, so its premise lifts in its place.
@@ -92,17 +94,6 @@ class _Lifter:
         return build_lifter(node, f"{self.path}.{index}", t, self.u, self.rho,
                             answer)
 
-    def _seq_parts(self, w, t: Trace):
-        """Decode the witness of a sequential composition on t into the first
-        command's sub-trace and answer and the second's; the last two are None
-        while the first command has not returned."""
-        if isinstance(w, SeqSplitW):
-            return (Trace(t.source, t.steps[:w.k], w.mid), w.left,
-                    Trace(w.mid, t.steps[w.k:], t.target), w.right)
-        if isinstance(w, SeqLeftW):
-            return t, w.inner, None, None
-        self._fail(f"unexpected witness {type(w).__name__}")
-
     def _first_split(self, code, fa, fb, reason):
         """The first split (a, b) of the code fragment with a satisfying fa
         and b satisfying fb."""
@@ -168,89 +159,49 @@ class AtomLifter(_Lifter):
         return new_code, {}, ()
 
 
-class SeqLifter(_Lifter):
-    def _setup(self):
-        t1, a1, t2, a2 = self._seq_parts(self.witness, self.t)
-        self.left = self._child(0, t1, a1)
-        self.k0 = self.right = None
-        if t2 is not None:
-            self.k0 = len(t1)
-            self.right = self._child(1, t2, a2)
-
-    def start(self, code):
-        return ("L", self.left.start(code))
-
-    def eve(self, residue, k, code, resources):
-        phase, inner = residue
-        if phase == "L":
-            out = self.left.eve(inner, k, code, resources)
-            if out is None:
-                return None
-            code2, updates, inner2 = out
-            if self.k0 is not None and k == self.k0:
-                return code2, updates, ("R", self.right.start(code2))
-            return code2, updates, ("L", inner2)
-        out = self.right.eve(inner, k - self.k0, code, resources)
-        if out is None:
-            return None
-        code2, updates, inner2 = out
-        return code2, updates, ("R", inner2)
-
-
 class ParLifter(_Lifter):
+    """par and frame: the code fragment is split once at the start into one
+    part per premise, and each step moves the part the witness's shuffle
+    routes it to.  frame has one premise and routes every step to it; its
+    second part is the framed fragment, which no step moves."""
+
     def _setup(self):
+        if self.node.tag == "frame":
+            self.route = (1,) * len(self.t)
+            self.lifters = (self._child(0, self.t, self.answer),)
+            self.pres = (self.node.children[0].pre, self.node.params["R"])
+            self.no_split = "no split of the code fragment matches P * R"
+            self.apart = "framed fragment no longer composes"
+            return
         w = self.witness
         if not isinstance(w, ParW):
             self._fail(f"unexpected witness {type(w).__name__}")
         self.route = w.shuffle.tags
         t1 = restrict(w.shuffle.left_positions(), self.t)
         t2 = restrict(w.shuffle.right_positions(), self.t)
-        self.left = self._child(0, t1, w.left)
-        self.right = self._child(1, t2, w.right)
+        self.lifters = (self._child(0, t1, w.left), self._child(1, t2, w.right))
+        self.pres = (self.node.children[0].pre, self.node.children[1].pre)
+        self.no_split = "no split of the code fragment satisfies both preconditions"
+        self.apart = "parallel components no longer compose"
 
     def start(self, code):
-        a, b = self._first_split(
-            code, self.node.children[0].pre, self.node.children[1].pre,
-            "no split of the code fragment satisfies both preconditions")
-        return (a, b, self.left.start(a), self.right.start(b))
+        parts = self._first_split(code, *self.pres, self.no_split)
+        return (*parts, *(lifter.start(part)
+                          for lifter, part in zip(self.lifters, parts)))
 
     def eve(self, residue, k, code, resources):
         tag = self.route[k - 1]
         local = sum(1 for x in self.route[:k] if x == tag)
         side = tag - 1       # shuffle tags are 1 (left) and 2 (right)
         parts, inners = list(residue[:2]), list(residue[2:])
-        out = (self.left, self.right)[side].eve(inners[side], local,
-                                                parts[side], resources)
+        out = self.lifters[side].eve(inners[side], local, parts[side], resources)
         if out is None:
             return None
         parts[side], updates, inners[side] = out
         merged = tensor(*parts)
         if merged is None:
-            raise SoundnessAlarm(f"{self.path}: parallel components no longer compose")
+            raise SoundnessAlarm(f"{self.path}: {self.apart}")
         return merged, updates, (*parts, *inners)
-
-
-class FrameLifter(_Lifter):
-    def _setup(self):
-        self.inner = self._child(0, self.t, self.answer)
-        self.frame_formula = self.node.params["R"]
-
-    def start(self, code):
-        a, b = self._first_split(code, self.node.children[0].pre,
-                                 self.frame_formula,
-                                 "no split of the code fragment matches P * R")
-        return (a, b, self.inner.start(a))
-
-    def eve(self, residue, k, code, resources):
-        a, framed, r1 = residue
-        out = self.inner.eve(r1, k, a, resources)
-        if out is None:
-            return None
-        a2, updates, r1b = out
-        merged = tensor(a2, framed)
-        if merged is None:
-            raise SoundnessAlarm(f"{self.path}: framed fragment no longer composes")
-        return merged, updates, (a2, framed, r1b)
 
 
 class ConjLifter(_Lifter):
@@ -313,16 +264,23 @@ class ResLifter(_Lifter):
 
 
 class GuardLifter(_Lifter):
-    """if, while and with: the guard's witness unfolded into segments
-    (premise lifter or None, length).  Each unfolding has the guard's own
-    step, then the premise's run (if: the arm the test's value picks; while
-    and with: the body part of the continuation), then with's release or
-    while's next unfolding.  A premise starts on the first step of its
-    segment; a step without a premise moves as its instruction says."""
+    """seq, if, while and with: the witness unfolded into segments (premise
+    lifter or None, length).  seq has the left premise's run, then the right
+    premise's once the left has returned.  Each unfolding of a guard has the
+    guard's own step, then the premise's run (if: the arm the test's value
+    picks; while and with: the body part of the continuation), then with's
+    release or while's next unfolding.  A premise starts on the first step
+    of its segment; a step without a premise moves as its instruction says."""
 
     def _setup(self):
         self.segments = []
         w, t = self.witness, self.t
+        if self.node.tag == "seq":
+            t1, a1, t2, a2 = self._seq_parts(w, t)
+            self.segments.append((self._child(0, t1, a1), len(t1)))
+            if t2 is not None:
+                self.segments.append((self._child(1, t2, a2), len(t2)))
+            return
         while w.value is not None:
             self.segments.append((None, 1))
             if w.rest is None:
@@ -341,8 +299,19 @@ class GuardLifter(_Lifter):
                 return
             w = after[1]
 
+    def _seq_parts(self, w, t: Trace):
+        """Decode the witness of a sequential composition on t into the first
+        command's sub-trace and answer and the second's; the last two are None
+        while the first command has not returned."""
+        if isinstance(w, SeqSplitW):
+            return (Trace(t.source, t.steps[:w.k], w.mid), w.left,
+                    Trace(w.mid, t.steps[w.k:], t.target), w.right)
+        if isinstance(w, SeqLeftW):
+            return t, w.inner, None, None
+        self._fail(f"unexpected witness {type(w).__name__}")
+
     def start(self, code):
-        return (0, None)
+        return (None, None)     # no segment yet: the first step starts one
 
     def eve(self, residue, k, code, resources):
         seg_idx, inner = residue
@@ -390,7 +359,7 @@ class GuardLifter(_Lifter):
 _LIFTERS = {
     "aff": AtomLifter, "store": AtomLifter, "load": AtomLifter,
     "ext_alloc": AtomLifter, "ext_dispose": AtomLifter, "ext_skip": AtomLifter,
-    "seq": SeqLifter, "par": ParLifter, "frame": FrameLifter,
+    "seq": GuardLifter, "par": ParLifter, "frame": ParLifter,
     "conj": ConjLifter, "res": ResLifter,
     "with": GuardLifter, "if": GuardLifter, "ext_while": GuardLifter,
 }

@@ -77,8 +77,9 @@ def test_extraction_failure_is_a_report_entry(capsys):
     assert code == 1
     report = json.loads(out)
     assert report["failures"]
-    assert report["failures"][0]["reason"].startswith(
-        "extraction failed: root.0.1 (frame): ")
+    assert report["failures"][0]["reason"] == (
+        "extraction failed: root.0.1 (frame): "
+        "no split of the code fragment matches P * R")
     assert err == ""
 
 
@@ -219,15 +220,33 @@ UNINSTANTIATED = """(ext_conseq pre: own_1(x) * (X = 1) cmd: x := 1
 """
 
 
-@pytest.mark.parametrize("verb", ["check", "verify"])
-def test_uninstantiated_logical_variable_is_reported(tmp_path, capsys, verb):
+# only the premise names X, so the consequence's side condition at the root
+# cannot be decided; the premise reports the variable
+PREMISE_ONLY = """(ext_conseq pre: own_1(x) cmd: x := 1 post: own_1(x)
+  (aff pre: own_1(x) * (X = 1) cmd: x := 1 post: own_1(x) * (x = X)))
+"""
+
+
+def _check_framed_assign(tmp_path, capsys, verb, text):
+    """check or verify of a proof text on framed_assign: exit code, the
+    violations as (node path, rule, reason) and stderr."""
     proof = tmp_path / "no_val.proof"
-    proof.write_text(UNINSTANTIATED)
+    proof.write_text(text)
     program = [_corpus("framed_assign", ".csl")] if verb == "verify" else []
     code, out, err = _main([verb, *program, str(proof), "-u",
                             _corpus("framed_assign", ".uni"), "--allow-extensions"],
                            capsys)
-    assert code == 1 and err == ""
-    assert [(v["node_path"], v["reason"]) for v in json.loads(out)] == [
-        ("root", "logical variables not instantiated: ['X']"),
-        ("root.0", "logical variables not instantiated: ['X']")]
+    return code, [(v["node_path"], v["rule"], v["reason"]) for v in json.loads(out)], err
+
+
+@pytest.mark.parametrize("verb", ["check", "verify"])
+def test_uninstantiated_logical_variable_is_reported(tmp_path, capsys, verb):
+    assert _check_framed_assign(tmp_path, capsys, verb, UNINSTANTIATED) == (1, [
+        ("root", "ext_conseq", "logical variables not instantiated: ['X']"),
+        ("root.0", "aff", "logical variables not instantiated: ['X']")], "")
+
+
+@pytest.mark.parametrize("verb", ["check", "verify"])
+def test_variable_of_a_premise_alone_is_reported(tmp_path, capsys, verb):
+    assert _check_framed_assign(tmp_path, capsys, verb, PREMISE_ONLY) == (1, [
+        ("root.0", "aff", "logical variables not instantiated: ['X']")], "")

@@ -16,8 +16,10 @@ SPANS = tracer.FUNCTION_SPANS | tracer.GENERATOR_SPANS
 # Places the tracer still lists although nothing calls through them any more.
 # game stopped calling component_assignments when separation.separations
 # became the one builder of separated states; the span keeps its live place,
-# separation's own module global.
-GONE = {("sepgame.game", "component_assignments")}
+# separation's own module global.  cli stopped calling satisfies when the
+# corollary's initial states came to be read off the universe table's models;
+# the logic.satisfies span keeps its places in game, soundness and logic.
+GONE = {("sepgame.game", "component_assignments"), ("sepgame.cli", "satisfies")}
 
 SPAN_PLACES = sorted({(name, place, attr)
                       for name, places in SPANS.items()
