@@ -2,9 +2,10 @@
 
 Exit codes: 0 pass; 1 logical failure (rejected proof, counterexample,
 unwinnable game, a strategy that cannot be extracted or breaks its own
-invariants, or a vacuous `game` / `solve` run whose trace has no initial
-refinement); 2 usage or I/O error or malformed input; 3 enumeration budget
-exceeded.
+invariants, a vacuous `game` / `solve` run whose trace has no initial
+refinement, or a vacuous `verify` run that checks no trace and finds no
+failure); 2 usage or I/O error or malformed input, a negative `--maxlen`,
+`--max-traces` or `--budget` included; 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -162,6 +163,9 @@ def cmd_verify(args) -> int:
                               program_label=args.program,
                               proof_label=args.proof)
     _write_out(json.dumps(report, indent=2, sort_keys=True), args.output)
+    if not report["traces_checked"] and not report["failures"]:
+        print("verify: vacuous (no trace checked)", file=sys.stderr)
+        return 1
     return 0 if not report["failures"] else 1
 
 
@@ -296,6 +300,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for option in ("maxlen", "max_traces", "budget"):
+            if getattr(args, option, None) is not None and getattr(args, option) < 0:
+                raise UsageError(f"--{option.replace('_', '-')} must be >= 0")
         return args.func(args)
     except (UsageError, ParseError) as exc:
         print(f"sepgame: {exc}", file=sys.stderr)

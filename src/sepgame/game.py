@@ -14,7 +14,8 @@ unconstrained.  `sat_sep` asks it of every piece of a whole state.  Both
 Adam's refinements and Eve's moves are built by `separation.separations`,
 which tests the pieces it is given once and chooses the unknown ones one at
 a time (code, then resources by name, then frame), dropping a piece as soon
-as it fails its test, so every state it builds satisfies the predicate.
+as it fails its test (a universe-table state: its bit of the formula's
+models), so every state it builds satisfies the predicate.
 The solver builds Eve's moves from each (position, Adam state) once and keeps
 them for the rest of its run.
 """
@@ -65,24 +66,25 @@ def winning_spec(pre, ctx, post, t: Trace, returning: bool,
     return WinningSpec(pre, fmap(ctx), post, len(t), returning, rho)
 
 
-def piece_test(sp: SeparatedPredicate, rho: fmap, u: Universe):
-    """The predicate's test of one piece of a separated state, as
-    `test(piece, part)`: the code (piece None) against pre, an available
-    resource (its lock name) against its context invariant.  The frame is
-    never tested, and neither is a resource the context does not name."""
-    def test(piece, part):
+def piece_test(sp: SeparatedPredicate, rho: fmap):
+    """The pair (formula, rho) a piece of a separated state must satisfy, as
+    `test(piece)`: pre for the code (piece None), the context invariant for
+    an available resource (its lock name); None for the frame and for a
+    resource the context does not name."""
+    def test(piece):
         f = sp.pre if piece is None else sp.ctx._dict.get(piece)
-        return f is None or satisfies(part, f, rho, u)
+        return None if f is None else (f, rho)
     return test
 
 
 def sat_sep(s: SeparatedState, sp: SeparatedPredicate, rho: fmap,
             u: Universe) -> bool:
-    """Every piece of the state passes its `piece_test`."""
-    test = piece_test(sp, rho, u)
-    return test(None, s.code) and all(
-        test(r, entry.state) for r, entry in s.resources.items()
-        if isinstance(entry, Available))
+    """Every piece of the state satisfies its `piece_test`."""
+    test = piece_test(sp, rho)
+    pieces = [(test(None), s.code)]
+    pieces += [(test(r), e.state) for r, e in s.resources.items()
+               if isinstance(e, Available)]
+    return all(t is None or satisfies(part, *t, u) for t, part in pieces)
 
 
 def trace_state(t: Trace, i: int) -> MachineState:
@@ -121,8 +123,7 @@ def _refinements(target: MachineState, code, dom_code: frozenset,
     entries = {r: None for r in set(u.locks) - target.locked}
     entries |= {r: HELD_BY_FRAME for r in target.locked - dom_code}
     entries |= {r: HELD_BY_CODE for r in dom_code}
-    return tuple(separations(target, code, entries, None, u,
-                             piece_test(pred, rho, u)))
+    return tuple(separations(target, code, entries, None, u, piece_test(pred, rho)))
 
 
 def adam_extensions(s: SeparatedState, target: MachineState,
@@ -254,8 +255,7 @@ class SolvedStrategy:
         if hit is None:
             step = self.t.steps[position // 2 - 1]
             target = trace_state(self.t, position + 1)
-            test = piece_test(self.spec.predicate_at(position + 1),
-                              self.spec.rho, self.u)
+            test = piece_test(self.spec.predicate_at(position + 1), self.spec.rho)
             hit = self._candidates[key] = tuple(
                 enumerate_eve_moves(state, step.instr, target, self.u, test))
         return hit

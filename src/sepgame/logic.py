@@ -2,13 +2,15 @@
 
 Permissions are rationals in (0,1] under addition; 1 is the write permission
 and admits no multiple.  Quantifiers and substate splits range over a declared
-universe.  Precision and entailment are decided on models: the set of
-universe states satisfying a formula, a bitmask over the states' indices, built
-from the formula's structure (atoms state by state, connectives and
-quantifiers as bit operations, `*` over each state's splits as index pairs).
-Only a formula with a logical variable the valuation leaves unbound is
-decided by scanning the universe state by state, so that the variable is
-reported when an evaluation reaches it.
+universe.  Satisfaction, precision and entailment are decided on models: the
+set of universe states satisfying a formula, a bitmask over the states'
+indices, built from the formula's structure (atoms state by state,
+connectives and quantifiers as bit operations, `*` over each state's splits
+as index pairs); a state satisfies a formula when its index's bit is set.
+Only a state outside the table (a cell whose share is no permission, such as
+3/4 under 1/4, 1/2 and 1, or whose value or variable the universe does not
+declare) or a logical variable the valuation leaves unbound is decided state
+by state, so that the variable is reported where it is met.
 """
 
 from __future__ import annotations
@@ -172,7 +174,16 @@ def eval_formula_expr(e, sigma: LogicalState, rho: fmap):
 
 
 def satisfies(sigma: LogicalState, f, rho: fmap, u: Universe) -> bool:
-    """The satisfaction judgement between a logical state and a formula."""
+    """The satisfaction judgement between a logical state and a formula: the
+    state's bit of the formula's models; `_sat` for a state outside the
+    universe table, or when the models meet a variable rho leaves unbound."""
+    table = universe_table(u)
+    i = table.index.get(sigma)
+    if i is not None:
+        try:
+            return table.models(f, rho) >> i & 1 == 1
+        except UncoveredLogicalVariable:
+            pass
     return _sat(sigma, f, rho, u)
 
 
@@ -256,41 +267,47 @@ def _mask(flags) -> int:
 
 
 class UniverseTable:
-    """A universe indexed once: its states in `all_logical_states` order, the
-    splits of each state as (left index, right index) pairs in `_sub_pairs`
-    order, and the models of formulas as bitmasks over the state indices."""
+    """A universe indexed once: its states in `all_logical_states` order, each
+    state's index, the splits of each state as (left index, right index)
+    pairs in `_sub_pairs` order, and the models of formulas as bitmasks over
+    the state indices.  A state's index has one mixed-radix digit per slot,
+    variables before locations: 0 for an absent cell, else 1 + value index *
+    |perms| + perm index; `parts` holds each cell's digits times its weight."""
 
     def __init__(self, u: Universe):
         self.u = u
         self.states = all_logical_states(u)
         self.full = (1 << len(self.states)) - 1
+        self.radix = 1 + len(u.values) * len(u.perms)
+        self.cells = [("s", x) for x in u.variables] + [("h", loc) for loc in u.locations]
+        # (kind, key, value) -> index parts at share 0, then at each permission
+        self.parts = {(kind, key, value): (0,) + tuple(
+            (1 + v * len(u.perms) + i) * self.radix ** (len(self.cells) - 1 - k)
+            for i in range(len(u.perms)))
+            for k, (kind, key) in enumerate(self.cells) for v, value in enumerate(u.values)}
         self.splits = self._index_splits()
         self._models = {}
 
+    @functools.cached_property
+    def index(self) -> dict:
+        return {sigma: i for i, sigma in enumerate(self.states)}
+
     def _index_splits(self) -> tuple:
-        """A state's index has one mixed-radix digit per slot, variables before
-        locations: 0 for an absent cell, else 1 + value index * |perms| + perm
-        index.  Each slot's `_slot_splits` gives the digit pairs of its share."""
-        u = self.u
-        radix = 1 + len(u.values) * len(u.perms)
-        nvars, n = len(u.variables), len(u.variables) + len(u.locations)
+        """Each slot's `_slot_splits` gives the digit pairs of its share."""
+        u, cells = self.u, self.cells
         # `slots` lists cells by sorted key, stack before heap
-        order = (sorted(range(nvars), key=lambda k: u.variables[k])
-                 + sorted(range(nvars, n), key=lambda k: u.locations[k - nvars]))
+        order = sorted(range(len(cells)), key=lambda k: (cells[k][0] == "h", cells[k][1]))
         options = []           # options[k][digit]: (left, right) index parts
-        for k in range(n):
-            weight = radix ** (n - 1 - k)
+        for kind, key in cells:
             per_digit = [((0, 0),)]
-            for value in range(len(u.values)):
-                part = {p: (1 + value * len(u.perms) + i) * weight
-                        for i, p in enumerate(u.perms)}
-                part[0] = 0
+            for value in u.values:
+                part = dict(zip((0,) + u.perms, self.parts[kind, key, value]))
                 for p in u.perms:
                     per_digit.append(tuple((part[p1], part[p2])
                                            for p1, p2 in _slot_splits(p, u.perms)))
             options.append(per_digit)
         out = []
-        for digits in itertools.product(range(radix), repeat=n):
+        for digits in itertools.product(range(self.radix), repeat=len(cells)):
             pairs = [(0, 0)]
             for k in order:
                 if digits[k]:

@@ -8,12 +8,11 @@ forgetting permissions and locking exactly the held resources.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .logic import (EMPTY_LSTATE, LogicalState, erase, from_slots,
-                    lstate_to_text, slots, tensor_all)
+from .logic import (EMPTY_LSTATE, LogicalState, erase, from_slots, lstate_to_text,
+                    satisfies, slots, tensor_all, universe_table)
 from .machine import MachineState, MemoryState, Return, locks, locks_minus, \
     locks_plus, machine_step
 from .maps import fmap
@@ -126,55 +125,77 @@ def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
     """Distribute the memory's slots over n unknown logical components, next to
     a fixed component, so that everything tensors and erases exactly to mu.
 
-    The components are chosen one at a time, in order.  For each component a
-    cell takes a share from {0} and the universe's permissions that keeps the
-    cell's total (the fixed share plus the earlier components' shares) at
-    most 1; the last component must also leave every cell's total above 0.
-    `tests`, when given, holds one test or None per component; component i
-    must pass tests[i] as soon as it is chosen, and one that fails is dropped
-    before the next component is chosen.
+    Each component is chosen, in order, as an index into
+    `universe_table(u).states`, a cell's share adding its `parts` entry;
+    a cell no universe state holds (an undeclared value, such as an
+    allocated location, or variable) adds a digit above the table's indices.
+    Shares are integers over the lcm of the permission and fixed-share
+    denominators.  A cell takes a share from {0} and the permissions that
+    keeps its total at most 1, and above 0 after the last component.
+    tests[i], when given, is None or a pair (formula, rho) that component i
+    must satisfy (a table state: its bit of the models) as soon as it is
+    chosen; one that does not is dropped before the next is chosen.
 
-    Yields n-tuples of LogicalState in a fixed cell-major order: by the first
-    cell's shares of components 0..n-1, then the second cell's, and so on,
-    each share ordered as 0 and then the universe's permissions.  Yields
-    nothing when the fixed component disagrees with mu.
+    Yields n-tuples of LogicalStates, the table's own where it holds them,
+    cell-major: by the first cell's shares of components 0..n-1, then the
+    second cell's, and so on, each share ordered as 0 and then the
+    permissions.  Yields nothing when the fixed component disagrees with mu.
     """
+    table = universe_table(u)
+    size = len(table.states)
     cells = ([("s", k, v) for k, v in mu.stack.items()]
              + [("h", k, v) for k, v in mu.heap.items()])
     fixed_cells = {(kind, k): (v, p) for kind, k, v, p in slots(fixed)}
     if not fixed_cells.keys() <= {(kind, k) for kind, k, _ in cells}:
         return
-    zero = Fraction(0)
-    shares = (zero,) + tuple(u.perms)
-    totals = []
+    scale = math.lcm(*(p.denominator for p in u.perms),
+                     *(p.denominator for _, p in fixed_cells.values()))
+    shares = (0,) + tuple(int(p * scale) for p in u.perms)
+    totals, parts, off_table = [], [], []
     for kind, k, v in cells:
-        v0, p0 = fixed_cells.get((kind, k), (v, zero))
+        v0, p0 = fixed_cells.get((kind, k), (v, 0))
         if v0 != v:
             return
-        totals.append(p0)
-    # a partial assignment: (components so far, share indices per component,
-    # per-cell totals)
-    partial = [((), (), tuple(totals))]
+        totals.append(int(p0 * scale))
+        part = table.parts.get((kind, k, v))
+        if part is None:
+            weight = size * len(shares) ** len(off_table)
+            part = tuple(j * weight for j in range(len(shares)))
+            off_table.append((kind, k, v))
+        parts.append(part)
+
+    def piece(a):
+        if a < size:
+            return table.states[a]
+        rest, a = divmod(a, size)
+        return from_slots(slots(table.states[a]) + [
+            (*cell, ((0,) + u.perms)[rest // len(shares) ** m % len(shares)])
+            for m, cell in enumerate(off_table)])
+
+    # (indices so far, per-cell totals, sort key: one digit per share, cell-major)
+    partial = [((), tuple(totals), 0)]
     for i, test in enumerate(tests or [None] * n):
         last = i == n - 1
+        places = [len(shares) ** ((len(cells) - c) * n - 1 - i)
+                  for c in range(len(cells))]
+        f, rho = test or (None, None)
+        mask = None if test is None else table.models(f, rho)
         grown = []
-        for parts, picks, totals in partial:
-            options = [[j for j, q in enumerate(shares)
-                        if t + q <= 1 and (t + q > 0 or not last)]
-                       for t in totals]
-            for pick in itertools.product(*options):
-                part = from_slots([(kind, k, v, shares[j])
-                                   for (kind, k, v), j in zip(cells, pick)])
-                if test is not None and not test(part):
-                    continue
-                grown.append((parts + (part,), picks + (pick,),
-                              tuple(t + shares[j] for t, j in zip(totals, pick))))
+        for chosen, totals, order in partial:
+            picks = [(0, (), order)]
+            for t, part, place in zip(totals, parts, places):
+                options = [(part[j], t + q, j * place) for j, q in enumerate(shares)
+                           if t + q <= scale and (t + q > 0 or not last)]
+                picks = [(a + x, ts + (t2,), o + y)
+                         for a, ts, o in picks for x, t2, y in options]
+            grown += [(chosen + (a,), ts, o) for a, ts, o in picks
+                      if mask is None or (mask >> a & 1 if a < size
+                                          else satisfies(piece(a), f, rho, u))]
         partial = grown
-    partial = [a for a in partial if all(t > 0 for t in a[2])]
-    # cell-major order: by each cell's share indices in turn
-    partial.sort(key=lambda a: tuple(zip(*a[1])))
-    for parts, _, _ in partial:
-        yield parts
+    partial.sort(key=lambda a: a[2])
+    for chosen, totals, _ in partial:
+        if all(totals):
+            yield tuple(piece(a) for a in chosen)
 
 
 def separations(target: MachineState, code, resources: dict, frame,
@@ -182,14 +203,13 @@ def separations(target: MachineState, code, resources: dict, frame,
     """The separated states that combine into `target` and agree with the
     given code fragment, resource entries and frame.
 
-    `test(piece, part)`, when given, decides whether a piece may stay: the
-    piece is None for the code and a lock name for an available resource;
-    the frame is never tested.  The given code and available resources are
-    tested once, before anything is enumerated.  A piece given as None is
-    filled in by component_assignments, in the order code, resources by
-    name, frame, and in its cell-major order, and must pass its test as soon
-    as it is chosen, so a piece that fails is never combined with the pieces
-    after it.  Every state yielded thus passes the test on every piece.
+    `test(piece)`, when given, is None or the pair (formula, rho) a piece
+    must satisfy: the piece is None for the code and a lock name for an
+    available resource; the frame is never tested.  The given code and
+    available resources are tested once, before anything is enumerated.  A
+    piece given as None is filled in by component_assignments, in the order
+    code, resources by name, frame, and must pass its test as soon as it is
+    chosen.  Every state yielded thus passes the test on every piece.
     """
     missing = sorted(r for r, e in resources.items() if e is None)
     given = [part for part in (code, frame) if part is not None]
@@ -200,12 +220,12 @@ def separations(target: MachineState, code, resources: dict, frame,
     pieces = ([None] if code is None else []) + missing
     tests = [None] * (len(pieces) + (frame is None))
     if test is not None:
-        if code is not None and not test(None, code):
+        known = [(test(None), code)] if code is not None else []
+        known += [(test(r), e.state) for r, e in resources.items()
+                  if isinstance(e, Available)]
+        if not all(t is None or satisfies(part, *t, u) for t, part in known):
             return
-        if not all(test(r, e.state) for r, e in resources.items()
-                   if isinstance(e, Available)):
-            return
-        tests[:len(pieces)] = [functools.partial(test, piece) for piece in pieces]
+        tests[:len(pieces)] = [test(piece) for piece in pieces]
     for parts in component_assignments(target.memory, fixed, len(tests), u, tests):
         parts = iter(parts)
         code_part = next(parts) if code is None else code

@@ -104,6 +104,30 @@ def test_vacuous_game_and_solve_exit_1(capsys, verb, line):
     assert out.splitlines()[-1] == line
 
 
+def test_vacuous_verify_exits_1(capsys):
+    code, out, err = _main(_verb("verify", "par_writes", "--inits", "/dev/null"),
+                           capsys)
+    assert code == 1
+    assert json.loads(out)["traces_checked"] == 0
+    assert err == "verify: vacuous (no trace checked)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", _corpus("par_writes", ".csl"), "-u", _corpus("par_writes", ".uni"),
+     "--maxlen", "-2"],
+    ["run", _corpus("par_writes", ".csl"), "-u", _corpus("par_writes", ".uni"),
+     "--max-traces", "-1"],
+    _verb("game", "if_def", "--trace-index", "10", "--budget", "-3"),
+    _verb("solve", "if_def", "--trace-index", "10", "--budget", "-3"),
+], ids=["maxlen", "max-traces", "game-budget", "solve-budget"])
+def test_negative_count_option_exits_2(capsys, argv):
+    option = argv[-2]
+    code, out, err = _main(argv, capsys)
+    assert code == 2
+    assert out == "" and err == f"sepgame: {option} must be >= 0\n"
+    assert _main(argv[:-1] + ["0"], capsys)[0] != 2
+
+
 @pytest.mark.parametrize("verb, line", [
     ("game", "strategy check: pass (explored 1 play nodes)"),
     ("solve", "solver verdict: winning strategy found (1 initial states)"),
@@ -112,6 +136,27 @@ def test_covered_game_and_solve_exit_0(capsys, verb, line):
     code, out, err = _main(_verb(verb, "if_def", "--trace-index", "10"), capsys)
     assert code == 0
     assert out.splitlines()[-1] == line
+
+
+ALLOC_PROOF = """(ext_alloc pre: own_1(x) * (X = 0) cmd: x := alloc(0)
+           post: own_1(x) * (x |-> X) val: [X = 0])
+"""
+
+
+@pytest.mark.parametrize("verb, line", [
+    ("game", "strategy check: pass (explored 18 play nodes)"),
+    ("solve", "solver verdict: winning strategy found (9 initial states)"),
+])
+def test_game_and_solve_past_an_allocation(tmp_path, capsys, verb, line):
+    """After `x := alloc(0)` on tiny.uni, x holds location 2, a value outside
+    vals, so the code's piece is no universe state: Eve still moves onto it."""
+    (tmp_path / "a.csl").write_text("x := alloc(0)\n")
+    (tmp_path / "a.proof").write_text(ALLOC_PROOF)
+    code, out, err = _main([verb, str(tmp_path / "a.csl"), str(tmp_path / "a.proof"),
+                            "-u", _corpus("tiny", ".uni"), "--allow-extensions",
+                            "--trace-index", "16"], capsys)
+    assert (code, out.splitlines()[-1], err) == (0, line, "")
+    assert verb == "solve" or "step ok {x=0 y=0 |  | } ; x := alloc(0) ; {x=2 y=0 | 2=0 | }" in out
 
 
 MOVE_UNIVERSE = UNIVERSE.replace("maxlen = 2\n", "maxlen = 2\nenv = move-list\n")

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,10 @@ from sepgame.game import (NoWin, SeparatedPredicate, SolvedStrategy,
                           adam_extensions, check_winning_strategy,
                           empty_winning_plays, is_winning_play, replay_lines,
                           sat_sep, solve_eve, trace_state, winning_spec)
-from sepgame.logic import (EMPTY_LSTATE, erase, from_slots, lstate,
-                           lstate_from_text, lstate_to_text, slots)
-from sepgame.machine import MachineState, machine_step, mstate
+from sepgame.logic import (EMPTY_LSTATE, _sat, erase, from_slots, lstate,
+                           lstate_from_text, lstate_to_text, slots,
+                           universe_table)
+from sepgame.machine import MachineState, MemoryState, machine_step, mstate
 from sepgame.maps import fmap
 from sepgame.proof import check_proof
 from sepgame.semantics import enumerate_traces
@@ -23,6 +25,7 @@ from sepgame.syntax import (Assign, FTrue, Lit, Own, Store, parse_formula,
 from sepgame.traces import ERR, OK, CodeTransition, Trace
 
 from .conftest import PROGRAMS, corpus_text
+from .test_logic import _random_formula
 
 TOP = Fraction(1)
 
@@ -245,6 +248,49 @@ def _every_assignment(mu, fixed, n, u, tests=()):
         yield tuple(from_slots([(kind, k, v, qs[i])
                                 for (kind, k, v), qs in zip(cells, choice)])
                     for i in range(n))
+
+
+@pytest.mark.parametrize("perms", ["1/4, 1/2, 1", "1/3, 2/3, 1"])
+def test_indexed_builder_equals_the_filtered_product(perms):
+    """On permissions the corpus never uses, component_assignments (pieces as
+    universe-table indices, tests as model bits) yields the plain share
+    product filtered by _sat, in the same order, as the table's own states
+    wherever the table holds them.  Memories may hold cells no universe state
+    holds: a value outside vals (an allocated location) or an undeclared
+    variable."""
+    u = parse_universe(f"vars = x, y\nlocs = 1\nvals = 0..1\nperms = {perms}\n"
+                       "locks = r\n")
+    table = universe_table(u)
+    rng = random.Random(2017)
+    cells = [("s", x) for x in u.variables] + [("h", loc) for loc in u.locations]
+    # fixed shares include sums that are no permission, such as 3/4
+    sums = sorted({p + q for p in u.perms for q in (0, *u.perms) if p + q <= 1})
+    yielded = off_table = 0
+    for _ in range(200):
+        n = rng.choice([1, 2, 3])
+        held = {cell: rng.choice(u.values) if rng.random() < 0.9 else 2
+                for cell in rng.sample(cells + [("s", "z")],
+                                       rng.randint(0, 3 if n < 3 else 2))}
+        mu = MemoryState(fmap({k: v for (kind, k), v in held.items() if kind == "s"}),
+                         fmap({k: v for (kind, k), v in held.items() if kind == "h"}))
+        # mostly agreeing with mu; now and then a value or a cell it lacks
+        fixed = from_slots([(kind, k, held.get((kind, k), 0) if rng.random() < 0.9
+                             else rng.choice(u.values), rng.choice(sums))
+                            for kind, k in rng.sample(cells, rng.randint(0, 2))
+                            if (kind, k) in held or rng.random() < 0.1])
+        tests = [None if rng.random() < 0.5 else (_random_formula(rng, u, 2), fmap())
+                 for _ in range(n)]
+        got = list(separation.component_assignments(mu, fixed, n, u, tests))
+        assert got == [parts for parts in _every_assignment(mu, fixed, n, u)
+                       if all(t is None or _sat(part, *t, u)
+                              for part, t in zip(parts, tests))]
+        for part in (part for parts in got for part in parts):
+            if part in table.index:
+                assert part is table.states[table.index[part]]
+            else:
+                off_table += 1
+        yielded += len(got)
+    assert yielded > 2000 and off_table > 100
 
 
 @contextlib.contextmanager

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepgame.logic import (EMPTY_LSTATE, UncoveredLogicalVariable,
+from sepgame.logic import (EMPTY_LSTATE, UncoveredLogicalVariable, _sat,
                            all_logical_states, def_formula, entails, erase,
                            is_precise, lstate, lstate_from_text,
                            lstate_to_text, perm_add, satisfies, substates,
@@ -168,13 +168,14 @@ def _random_formula(rng, u, depth, bound=()):
     return op(sub(), sub())
 
 
+# the scans decide satisfaction state by state (`_sat`), not on the models
 def _scan_entails(p, q, u, rho=fmap()):
-    return all(satisfies(sigma, q, rho, u) for sigma in all_logical_states(u)
-               if satisfies(sigma, p, rho, u))
+    return all(_sat(sigma, q, rho, u) for sigma in all_logical_states(u)
+               if _sat(sigma, p, rho, u))
 
 
 def _scan_precise(f, u, rho=fmap()):
-    return all(sum(satisfies(a, f, rho, u) for a, _ in substates(sigma, u)) <= 1
+    return all(sum(_sat(a, f, rho, u) for a, _ in substates(sigma, u)) <= 1
                for sigma in all_logical_states(u))
 
 
@@ -192,8 +193,10 @@ def test_models_entails_and_precision_match_the_scan(text):
     formulas.append(parse_formula("emp or (own_1(x) and not (own_1(x) * not emp))"))
     for f in formulas:
         models = table.models(f)
-        assert [bool(models >> i & 1) for i in range(len(table.states))] == \
-            [satisfies(sigma, f, fmap(), u) for sigma in table.states], f
+        scan = [_sat(sigma, f, fmap(), u) for sigma in table.states]
+        assert [bool(models >> i & 1) for i in range(len(table.states))] == scan, f
+        # satisfaction of a table state is a bit test that agrees with the scan
+        assert [satisfies(sigma, f, fmap(), u) for sigma in table.states] == scan, f
     pairs = list(zip(formulas, formulas[1:]))
     pairs += [(f, FOr(f, g)) for f, g in pairs[:10]]
     entailed = [entails(p, q, u) for p, q in pairs]
@@ -218,6 +221,28 @@ def test_unbound_logical_variable_is_met_as_in_the_scan(u1):
     rho = fmap({"X": 1})
     assert entails(FTrue(), free, u1, rho) == _scan_entails(FTrue(), free, u1, rho)
     assert is_precise(free, u1, rho) == _scan_precise(free, u1, rho)
+
+
+def test_satisfies_off_the_table():
+    u = parse_universe("vars = x\nlocs = 1\nvals = 0..1\n"
+                       "perms = 1/4, 1/2, 1\nlocks = r\n")
+    three_quarters = lstate(stack={"x": (1, Fraction(3, 4))})
+    assert three_quarters not in universe_table(u).index
+    quarter, half = Own(Fraction(1, 4), "x"), Own(HALF, "x")
+    assert satisfies(three_quarters, Star(quarter, half), fmap(), u)
+    assert not satisfies(three_quarters, Star(half, half), fmap(), u)
+    assert satisfies(three_quarters, Own(Fraction(3, 4), "x"), fmap(), u)
+    # a value the universe does not declare, such as an allocated location
+    located = lstate(stack={"x": (2, TOP)})
+    assert located not in universe_table(u).index
+    assert satisfies(located, Own(TOP, "x"), fmap(), u)
+    assert not satisfies(located, Star(Own(TOP, "x"), Own(TOP, "x")), fmap(), u)
+    # an unbound logical variable is reported only where an evaluation meets it
+    free = FEq(Var("x"), Var("X"))
+    assert not satisfies(lstate(heap={1: (0, TOP)}), free, fmap(), u)
+    with pytest.raises(UncoveredLogicalVariable):
+        satisfies(lstate(stack={"x": (0, TOP)}), free, fmap(), u)
+    assert satisfies(lstate(stack={"x": (0, TOP)}), free, fmap({"X": 0}), u)
 
 
 def test_tensor_commutative_associative_cancellative(u1):
