@@ -22,8 +22,8 @@ from .proof import check_proof
 from .semantics import EnumerationBudget, enumerate_traces
 from .soundness import (ExtractedStrategy, ExtractionFailure, SoundnessAlarm,
                         drive_play, verify_corollary)
-from .syntax import (FTrue, ParseError, Star, parse_program, parse_proof,
-                     parse_universe)
+from .syntax import (AllocC, Assign, FTrue, Load, ParseError, Star, Var,
+                     parse_program, parse_proof, parse_universe, subterms)
 from .traces import trace_to_lines
 
 
@@ -71,6 +71,19 @@ def _check_in_universe(text, s: MachineState, u, perms=()):
         raise ParseError(f"{unknown[0]} of state {text!r} is not in the universe")
 
 
+def _load_program(args):
+    """The universe, and the program, which names no variable the universe
+    does not declare."""
+    u = _load_universe(args.universe)
+    prog = parse_program(_read(args.program))
+    named = {n.name if isinstance(n, Var) else n.var for n in subterms(prog)
+             if isinstance(n, (Var, Assign, Load, AllocC))}
+    unknown = sorted(named - set(u.variables))
+    if unknown:
+        raise ParseError(f"variable {unknown[0]} of the program is not in the universe")
+    return u, prog
+
+
 def _read_lstate(text, u):
     """A logical state given on the command line or in an inits file."""
     sigma = lstate_from_text(text)
@@ -107,8 +120,7 @@ def _full_perm_machine_states(u):
 
 
 def cmd_run(args) -> int:
-    u = _load_universe(args.universe)
-    prog = parse_program(_read(args.program))
+    u, prog = _load_program(args)
     if args.init is not None:
         inits = [MachineState(erase(_read_lstate(args.init, u)), frozenset())]
     else:
@@ -143,8 +155,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    u = _load_universe(args.universe)
-    prog = parse_program(_read(args.program))
+    u, prog = _load_program(args)
     node, result = _load_checked_proof(args, u)
     if result.ok and node.cmd != prog:
         print("program does not match the proof's conclusion", file=sys.stderr)
@@ -173,8 +184,7 @@ def _strategy_on_trace(args):
     """The universe, the trace at --trace-index, whether it returns and the
     strategy extracted from the checked proof on it; None, once reported,
     when the proof is rejected or proves another program."""
-    u = _load_universe(args.universe)
-    prog = parse_program(_read(args.program))
+    u, prog = _load_program(args)
     node, result = _load_checked_proof(args, u)
     if not result.ok:
         print("proof rejected; run `sepgame check` for details", file=sys.stderr)

@@ -24,9 +24,8 @@ from fractions import Fraction
 from .maps import fmap
 from .syntax import (Add, Emp, Exists, FAnd, FEq, FFalse, FImplies, FNot,
                      FOr, Forall, FTrue, Lit, Mul, Own, ParseError, PointsTo,
-                     Star, Universe, Var, bexpr_program_vars,
-                     expr_program_vars, formula_free_logical_vars,
-                     is_logical_name, perm_to_text)
+                     Star, Universe, Var, expr_program_vars,
+                     formula_free_logical_vars, is_logical_name, perm_to_text)
 from .machine import MemoryState
 
 TOP = Fraction(1)
@@ -400,7 +399,7 @@ def def_formula(b, u: Universe):
     """Ownership of every free variable of a boolean expression, at any
     permission from the universe's set."""
     conjuncts = []
-    for x in sorted(bexpr_program_vars(b)):
+    for x in sorted(expr_program_vars(b)):
         owns = None
         for p in u.perms:
             owns = Own(p, x) if owns is None else FOr(owns, Own(p, x))

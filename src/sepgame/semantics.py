@@ -1,16 +1,20 @@
-"""Transition systems as trace recognizers and enumerators.
+"""Transition systems as incremental trace recognizers, and trace enumeration.
 
-Each combinator decides membership of a trace by the defining set equation and
-produces a witness explaining how the trace was recognized; witnesses drive
-strategy extraction later.  Every system's member(t) returns an answer
-(verdict, witness or None), with three verdicts: NOTIN, IN (running) and
-RETURNS (finished successfully).
+A system reads a trace from left to right: start(source) gives a residual,
+step(residual, transition) the residual after one more code step, or None
+when no trace with these steps is a member, and answer(residual, target) the
+answer (verdict, witness or None) on the trace ending at target, with three
+verdicts: NOTIN, IN (running) and RETURNS (finished successfully).  member(t)
+folds step over the steps of t; enumerate_traces carries the residual down
+its walk, reading each candidate step once and skipping every extension of a
+step that left no residual.  Returning is not final: a returning trace may
+extend to members.
 
-Membership is a pure function of the system and the trace, recomputed on every
-call and never stored.  A combinator's witness nests the answers its children
-gave for the sub-traces it asked about, verdict and witness together, so a
-consumer of the witness never has to ask a child again; the module keeps no
-state between calls.
+A residual holds the live alternatives of the defining set equation (split
+points, shuffles, pre-images) in witness preference order: the first that
+returns wins, else the first that is in.  A witness drives strategy
+extraction and nests its children's answers, so no consumer asks a child
+again.  The module keeps no state between calls.
 
 Every system holds every length-0 trace, whatever its target: a thread that
 waits for a lock its sibling holds, or for a `when` test to become true, has
@@ -34,8 +38,8 @@ from .machine import (ABORT, ERROR, IAcquire, INop, IRelease, MachineState,
                       machine_step, mstate_to_text, resolve_env_moves)
 from .maps import fmap
 from .syntax import (AllocC, Assign, DisposeC, IfC, Load, ParC, ResourceC,
-                     SeqC, Skip, Store, Universe, While, WithWhen)
-from .traces import CodeTransition, ERR, OK, Trace, restrict, shuffles
+                     SeqC, Skip, Store, Universe, While, WithWhen, subterms)
+from .traces import CodeTransition, ERR, OK, Trace, shuffles
 
 NOTIN, IN, RETURNS = 0, 1, 2
 
@@ -81,86 +85,114 @@ class GuardW:
 
 # --- transition systems -----------------------------------------------------------
 
-class AtomTS:
+def _prefer(answers):
+    """The first returning answer, else the first that is in, else NOTIN."""
+    best = (NOTIN, None)
+    for a in answers:
+        if a[0] == RETURNS:
+            return a
+        if a[0] == IN and best[0] == NOTIN:
+            best = a
+    return best
+
+
+class _System:
+    def start(self, source):
+        return ()
+
+    def member(self, t):
+        r = self.start(t.source)
+        for st in t.steps:
+            r = self.step(r, st)
+            if r is None:
+                return (NOTIN, None)
+        return self.answer(r, t.target)
+
+
+class AtomTS(_System):
     """Traces executing a single instruction, plus their length-0 prefixes,
-    which may end where the instruction is blocked."""
+    which may end where the instruction is blocked.  The residual is () before
+    the step and (the one-step trace's verdict,) after it."""
 
     def __init__(self, instr, u: Universe):
         self.instr = instr
         self.u = u
 
-    def member(self, t):
-        if len(t) == 0:
-            return (IN, AtomW())
-        if len(t) == 1:
-            st = t.steps[0]
-            if st.instr != self.instr:
-                return (NOTIN, None)
-            outs = machine_step(st.pre, self.instr, self.u)
-            if st.status == OK and Return(st.post) in outs:
-                return (RETURNS, AtomW())
-            if st.status == ERR and ERROR in outs:
-                return (IN, AtomW())
-        return (NOTIN, None)
+    def step(self, r, st):
+        if r or st.instr != self.instr:
+            return None
+        outs = machine_step(st.pre, self.instr, self.u)
+        if st.status == OK and Return(st.post) in outs:
+            return (RETURNS,)
+        return (IN,) if st.status == ERR and ERROR in outs else None
+
+    def answer(self, r, target):
+        return (r[0] if r else IN, AtomW())
 
 
-def _split(t: Trace, k: int):
-    """Split at step k; the intermediate state is the pre-state of the suffix's
-    first step (or the target), which is sound because environment edges are
-    total."""
-    mid = t.steps[k].pre if k < len(t.steps) else t.target
-    return Trace(t.source, t.steps[:k], mid), Trace(mid, t.steps[k:], t.target), mid
+class SeqTS(_System):
+    """The residual is (steps read, first's residual or None, splits).  A split
+    (k, mid, first's answer, second's residual) opens at each k where first
+    returns, mid being step k's pre-state or the target (environment edges
+    are total)."""
 
-
-class SeqTS:
     def __init__(self, first, second):
         self.first = first
         self.second = second
 
-    def member(self, t):
-        best = (NOTIN, None)
-        for k in range(len(t) + 1):
-            t1, t2, mid = _split(t, k)
-            a1 = self.first.member(t1)
-            if a1[0] != RETURNS:
-                continue
-            a2 = self.second.member(t2)
-            if a2[0] == RETURNS:
-                return (RETURNS, SeqSplitW(k, mid, a1, a2))
-            if a2[0] == IN and best[0] == NOTIN:
-                best = (IN, SeqSplitW(k, mid, a1, a2))
-        # the last split, k = len(t), left a1 as first's answer on all of t
-        if a1[0] != NOTIN:
-            return (IN, SeqLeftW(a1))
-        return best
+    def start(self, source):
+        return (0, self.first.start(source), ())
+
+    def step(self, r, st):
+        n, left, splits = r
+        if left is not None:
+            a1 = self.first.answer(left, st.pre)
+            if a1[0] == RETURNS:
+                splits += ((n, st.pre, a1, self.second.start(st.pre)),)
+            left = self.first.step(left, st)
+        splits = tuple((k, mid, a1, nxt) for k, mid, a1, right in splits
+                       for nxt in (self.second.step(right, st),) if nxt is not None)
+        return (n + 1, left, splits) if left is not None or splits else None
+
+    def answer(self, r, target):
+        n, left, splits = r
+        a1 = (NOTIN, None) if left is None else self.first.answer(left, target)
+        if a1[0] == RETURNS:
+            splits += ((n, target, a1, self.second.start(target)),)
+        best = _prefer((a2[0], SeqSplitW(k, mid, b1, a2)) for k, mid, b1, right in splits
+                       for a2 in (self.second.answer(right, target),))
+        return (IN, SeqLeftW(a1)) if best[0] != RETURNS and a1[0] != NOTIN else best
 
 
-class ParTS:
+class ParTS(_System):
+    """The residual maps the shuffle tags of each live interleaving to the
+    pair of its threads' residuals; answers come in the order of `shuffles`."""
+
     def __init__(self, left, right):
         self.left = left
         self.right = right
 
-    def member(self, t):
-        best = (NOTIN, None)
-        n = len(t)
-        for p in range(n + 1):
-            for omega in shuffles(p, n - p):
-                t1 = restrict(omega.left_positions(), t)
-                t2 = restrict(omega.right_positions(), t)
-                a1 = self.left.member(t1)
-                if a1[0] == NOTIN:
-                    continue
-                a2 = self.right.member(t2)
-                if a2[0] == NOTIN:
-                    continue
-                if a1[0] == RETURNS and a2[0] == RETURNS:
-                    return (RETURNS, ParW(omega, a1, a2))
-                if best[0] == NOTIN:
-                    best = (IN, ParW(omega, a1, a2))
-        return best
+    def start(self, source):
+        return {(): (self.left.start(source), self.right.start(source))}
+
+    def step(self, r, st):
+        live = {tags + (1,): (n1, r2) for tags, (r1, r2) in r.items()
+                for n1 in (self.left.step(r1, st),) if n1 is not None}
+        live.update({tags + (2,): (r1, n2) for tags, (r1, r2) in r.items()
+                     for n2 in (self.right.step(r2, st),) if n2 is not None})
+        return live or None
+
+    def answer(self, r, target):
+        n = len(next(iter(r)))
+        return _prefer((min(a1[0], a2[0]), ParW(omega, a1, a2))
+                       for p in range(n + 1) for omega in shuffles(p, n - p)
+                       if omega.tags in r
+                       for a1 in (self.left.answer(r[omega.tags][0], target),)
+                       if a1[0] != NOTIN
+                       for a2 in (self.right.answer(r[omega.tags][1], target),))
 
 
-class GuardTS:
+class GuardTS(_System):
     """A guarded command: the test's value at the pre-state of the first step
     picks an arm (first instruction, continuation or None) from `arms`.
 
@@ -170,7 +202,9 @@ class GuardTS:
     stepping ok; without a continuation the one-step trace returns, and with
     one the rest of the trace takes the continuation's answer, a one-step
     trace being in.  A loop is the guard whose True arm continues into the
-    guard itself: each unfolding consumes a step, so recursion ends.
+    guard itself: each unfolding consumes a step, so recursion ends.  The
+    residual is () before the test step, then (value, the continuation's
+    residual, or None until its first step).
     """
 
     def __init__(self, cond, arms: dict, u: Universe):
@@ -178,80 +212,81 @@ class GuardTS:
         self.arms = arms
         self.u = u
 
-    def member(self, t):
-        if len(t) == 0:
-            return (IN, GuardW(None, None))
-        st = t.steps[0]
+    def step(self, r, st):
+        if r:
+            value, rest = r
+            cont = self.arms.get(value, (None, None))[1]
+            rest = None if cont is None else cont.step(
+                cont.start(st.pre) if rest is None else rest, st)
+            return None if rest is None else (value, rest)
         value = eval_bool(self.cond, st.pre.memory)
         if value is ABORT:
-            if len(t) == 1 and st.status == ERR and isinstance(st.instr, INop):
-                return (IN, GuardW(ABORT, None))
-            return (NOTIN, None)
-        if value not in self.arms:
-            return (NOTIN, None)
-        instr, cont = self.arms[value]
-        if not (st.instr == instr and st.status == OK
+            return (ABORT, None) if st.status == ERR and st.instr == INop() else None
+        instr = self.arms.get(value, (None, None))[0]
+        if (st.instr == instr and st.status == OK
                 and Return(st.post) in machine_step(st.pre, instr, self.u)):
-            return (NOTIN, None)
-        if len(t) == 1:
-            return (RETURNS if cont is None else IN, GuardW(value, None))
-        if cont is None:
-            return (NOTIN, None)
-        a = cont.member(Trace(t.steps[1].pre, t.steps[1:], t.target))
+            return (value, None)
+        return None
+
+    def answer(self, r, target):
+        if not r:
+            return (IN, GuardW(None, None))
+        value, rest = r
+        cont = self.arms.get(value, (None, None))[1]
+        if rest is None:
+            return (IN if cont or value is ABORT else RETURNS, GuardW(value, None))
+        a = cont.answer(rest, target)
         return (a[0], GuardW(value, a)) if a[0] != NOTIN else (NOTIN, None)
 
 
-class HideTS:
-    """Pre-image search under lock hiding.
+class HideTS(_System):
+    """Pre-images under lock hiding.
 
     The hidden lock belongs to the code: only the body's own acquire and
     release move it (Brookes, TCS 2007).  So a pre-image is well-bracketed:
     the lock is free at the source, an ok nop step may instead be an acquire
     of it while it is free or a release while it is held, and every other
     step, every environment gap and the target keep it as it was.  At each
-    step the plain nop comes first.
+    step the plain nop comes first.  The residual is the source and the live
+    pre-images in that order: (held, pre-image steps, the body's residual).
     """
 
     def __init__(self, lock, inner):
         self.lock = lock
         self.inner = inner
 
-    def member(self, t):
-        r = self.lock
-        states = [t.source] + [x for st in t.steps for x in (st.pre, st.post)] \
-            + [t.target]
-        if any(r in s.locked for s in states):
-            return (NOTIN, None)
-        best = (NOTIN, None)
-        for cand in self._preimages(t):
-            a = self.inner.member(cand)
-            if a[0] == RETURNS:
-                return (RETURNS, HideW(cand, a))
-            if a[0] == IN and best[0] == NOTIN:
-                best = (IN, HideW(cand, a))
-        return best
+    def _add(self, s, held):
+        return s.with_locked(s.locked | {self.lock}) if held else s
 
-    def _preimages(self, t):
-        r = self.lock
+    def start(self, source):
+        free = self.lock not in source.locked
+        return (source, ((False, (), self.inner.start(source)),) if free else ())
 
-        def add(s, held):
-            return s.with_locked(s.locked | {r}) if held else s
-
-        def gen(k, held, acc):
-            if k == len(t.steps):
-                yield Trace(t.source, tuple(acc), add(t.target, held))
-                return
-            st = t.steps[k]
+    def step(self, r, st):
+        source, alts = r
+        if self.lock in st.pre.locked or self.lock in st.post.locked:
+            return None
+        live = []
+        for held, steps, r1 in alts:
             options = [(st.instr, held)]
             if st.status == OK and isinstance(st.instr, INop):
-                options.append((IRelease(r), False) if held else (IAcquire(r), True))
+                options.append((IRelease(self.lock), False) if held
+                               else (IAcquire(self.lock), True))
             for instr, after in options:
-                acc.append(CodeTransition(add(st.pre, held), instr,
-                                          add(st.post, after), st.status))
-                yield from gen(k + 1, after, acc)
-                acc.pop()
+                image = CodeTransition(self._add(st.pre, held), instr,
+                                       self._add(st.post, after), st.status)
+                nxt = self.inner.step(r1, image)
+                if nxt is not None:
+                    live.append((after, steps + (image,), nxt))
+        return (source, tuple(live)) if live else None
 
-        yield from gen(0, False, [])
+    def answer(self, r, target):
+        source, alts = r
+        if self.lock in target.locked:
+            return (NOTIN, None)
+        return _prefer((a[0], HideW(Trace(source, steps, end), a))
+                       for held, steps, r1 in alts for end in (self._add(target, held),)
+                       for a in (self.inner.answer(r1, end),))
 
 
 # --- denotation --------------------------------------------------------------------
@@ -259,7 +294,9 @@ class HideTS:
 def denote(c, u: Universe):
     """The transition system of a command.  The recursion stays inside, so a
     wrapper around `denote` sees one call per system built, not one per
-    sub-command (bench/tracer.py counts membership tests on what it returns)."""
+    sub-command (bench/tracer.py counts membership tests on what it returns,
+    through a wrapper that offers only `member`; enumerate_traces builds
+    through `_system`, which that wrapper leaves alone)."""
 
     def ts(c):
         match c:
@@ -289,53 +326,30 @@ def denote(c, u: Universe):
     return ts(c)
 
 
+_system = denote
+
+
 def instruction_alphabet(c) -> tuple:
     """The instructions that can label steps of the command's traces."""
     out = {INop()}
-
-    def walk(node):
-        match node:
-            case Assign() | Load() | Store() | AllocC() | DisposeC():
-                out.add(node)
-            case Skip():
-                pass
-            case SeqC(a, b) | ParC(a, b):
-                walk(a)
-                walk(b)
-            case ResourceC(_, body):
-                walk(body)
-            case WithWhen(r, _, body):
-                out.add(IAcquire(r))
-                out.add(IRelease(r))
-                walk(body)
-            case IfC(_, a, b):
-                walk(a)
-                walk(b)
-            case While(_, body):
-                walk(body)
-            case _:
-                raise TypeError(node)
-
-    walk(c)
+    for node in subterms(c):
+        if isinstance(node, (Assign, Load, Store, AllocC, DisposeC)):
+            out.add(node)
+        elif isinstance(node, WithWhen):
+            out |= {IAcquire(node.lock), IRelease(node.lock)}
     return tuple(sorted(out, key=instr_to_text))
 
 
 def all_machine_states(u: Universe) -> tuple:
     """Every machine state over the universe (exhaustive environments only)."""
-    var_opts = [[None] + [(x, v) for v in u.values] for x in u.variables]
-    loc_opts = [[None] + [(l, v) for v in u.values] for l in u.locations]
-    lock_opts = []
-    for k in range(len(u.locks) + 1):
-        lock_opts.extend(itertools.combinations(sorted(u.locks), k))
-    out = []
-    for vs in itertools.product(*var_opts):
-        stack = fmap({x: v for item in vs if item is not None for x, v in [item]})
-        for ls in itertools.product(*loc_opts):
-            heap = fmap({l: v for item in ls if item is not None for l, v in [item]})
-            mu = MemoryState(stack, heap)
-            for locks in lock_opts:
-                out.append(MachineState(mu, frozenset(locks)))
-    return tuple(sorted(out, key=mstate_to_text))
+    def maps(keys):
+        return [fmap(item for item in items if item) for items in itertools.product(
+            *([None] + [(k, v) for v in u.values] for k in keys))]
+    locks = [frozenset(c) for k in range(len(u.locks) + 1)
+             for c in itertools.combinations(sorted(u.locks), k)]
+    return tuple(sorted((MachineState(MemoryState(stack, heap), held)
+                         for stack in maps(u.variables) for heap in maps(u.locations)
+                         for held in locks), key=mstate_to_text))
 
 
 def env_successors(state: MachineState, policy: str, env: tuple) -> tuple:
@@ -347,8 +361,7 @@ def env_successors(state: MachineState, policy: str, env: tuple) -> tuple:
     if policy == "exhaustive":
         return env
     if policy == "move-list":
-        listed = tuple(post for pre, post in env if pre == state)
-        return (state,) + tuple(s for s in listed if s != state)
+        return (state,) + tuple(post for pre, post in env if pre == state != post)
     raise ValueError(f"unknown env policy {policy!r}")
 
 
@@ -360,41 +373,44 @@ def enumerate_traces(c, inits, u: Universe, maxlen=None, policy=None,
     Yields (trace, returns, witness) in a fixed order.  Exceeding max_traces
     raises EnumerationBudget rather than truncating silently.
     """
-    sys = denote(c, u)
+    sys = _system(c, u)
     maxlen = u.maxlen if maxlen is None else maxlen
     policy = policy or u.env_policy
     env = (all_machine_states(u) if policy == "exhaustive"
            else resolve_env_moves(u) if policy == "move-list" else ())
     alphabet = instruction_alphabet(c)
     yielded = 0
+    memo = {}
 
     def candidates(cur):
-        for m in alphabet:
-            for out in sorted(machine_step(cur, m, u),
-                              key=lambda o: "" if o is ERROR
-                              else mstate_to_text(o.state)):
-                if out is ERROR:
-                    yield CodeTransition(cur, m, cur, ERR)
-                else:
-                    yield CodeTransition(cur, m, out.state, OK)
-        yield CodeTransition(cur, INop(), cur, ERR)
+        if cur not in memo:
+            memo[cur] = [CodeTransition(cur, m, cur, ERR) if out is ERROR
+                         else CodeTransition(cur, m, out.state, OK)
+                         for m in alphabet
+                         for out in sorted(machine_step(cur, m, u),
+                                           key=lambda o: "" if o is ERROR
+                                           else mstate_to_text(o.state))
+                         ] + [CodeTransition(cur, INop(), cur, ERR)]
+        return memo[cur]
 
-    def walk(source, steps, cur):
+    def walk(source, steps, cur, r):
         nonlocal yielded
-        t = Trace(source, steps, cur)
-        v, w = sys.member(t)
+        v, w = sys.answer(r, cur)
         if v == NOTIN:
             return
         if max_traces is not None and yielded >= max_traces:
             raise EnumerationBudget(f"more than {max_traces} traces")
         yielded += 1
+        t = Trace(source, steps, cur)
         yield t, v == RETURNS, w
         if len(steps) >= maxlen or t.errored:
             return
         for step in candidates(cur):
-            for nxt in env_successors(step.post, policy, env):
-                yield from walk(source, steps + (step,), nxt)
+            nxt = sys.step(r, step)
+            if nxt is not None:
+                for c1 in env_successors(step.post, policy, env):
+                    yield from walk(source, steps + (step,), c1, nxt)
 
     for s0 in sorted(inits, key=mstate_to_text):
         for c0 in env_successors(s0, policy, env):
-            yield from walk(s0, (), c0)
+            yield from walk(s0, (), c0, sys.start(s0))

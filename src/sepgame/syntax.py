@@ -15,7 +15,7 @@ parses to the formula `parse_formula` reads from the same text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, is_dataclass
 from fractions import Fraction
 
 from .maps import fmap
@@ -181,32 +181,27 @@ def is_logical_name(name: str) -> bool:
     return name[0].isupper()
 
 
+def subterms(node):
+    """The node and every command, expression and test below it."""
+    yield node
+    for child in (v for v in vars(node).values() if is_dataclass(v)):
+        yield from subterms(child)
+
+
 def expr_vars(e) -> frozenset:
-    """All variable names (program and logical) occurring in an expression."""
+    """All variable names (program and logical) in an expression or a test."""
     match e:
-        case Lit():
-            return frozenset()
         case Var(name):
             return frozenset([name])
-        case Add(a, b) | Mul(a, b):
+        case Lit() | FTrue() | FFalse():
+            return frozenset()
+        case Add(a, b) | Mul(a, b) | FAnd(a, b) | FOr(a, b) | FEq(a, b):
             return expr_vars(a) | expr_vars(b)
     raise TypeError(e)
 
 
 def expr_program_vars(e) -> frozenset:
     return frozenset(v for v in expr_vars(e) if not is_logical_name(v))
-
-
-def bexpr_program_vars(b) -> frozenset:
-    """Program variables of a test: a formula over true, false, and, or and =."""
-    match b:
-        case FTrue() | FFalse():
-            return frozenset()
-        case FAnd(l, r) | FOr(l, r):
-            return bexpr_program_vars(l) | bexpr_program_vars(r)
-        case FEq(l, r):
-            return expr_program_vars(l) | expr_program_vars(r)
-    raise TypeError(b)
 
 
 def formula_free_logical_vars(f, bound=frozenset()) -> frozenset:
@@ -292,6 +287,10 @@ class Universe:
             raise ParseError(f"unknown env policy {self.env_policy!r}")
         if self.maxlen < 0:
             raise ParseError("maxlen must be >= 0")
+        object.__setattr__(self, "_hash", hash(astuple(self)))   # a cache key
+
+    def __hash__(self):
+        return self._hash
 
 
 # --- tokenizer ----------------------------------------------------------------

@@ -212,6 +212,18 @@ def test_inits_file_outside_the_universe_exits_2(tmp_path, capsys):
     assert out == "" and err.startswith("sepgame: variable z of state ")
 
 
+@pytest.mark.parametrize("verb", ["run", "verify", "game", "solve"])
+def test_program_outside_the_universe_exits_2(tmp_path, capsys, verb):
+    prog = tmp_path / "undeclared.csl"
+    prog.write_text("x := 1 ; z := 1\n")
+    proof = [] if verb == "run" else [_corpus("if_def", ".proof")]
+    index = ["--trace-index", "0"] if verb in ("game", "solve") else []
+    code, out, err = _main([verb, str(prog), *proof, "-u", _corpus("if_def", ".uni"),
+                            *index], capsys)
+    assert code == 2
+    assert out == "" and err == "sepgame: variable z of the program is not in the universe\n"
+
+
 @pytest.mark.parametrize("line, what", [
     ("vars = x, x", "variable x"), ("locs = 2, 2", "location 2"),
     ("vals = 0, 1, 1", "value 1"), ("perms = 1/2, 1, 1", "permission 1"),

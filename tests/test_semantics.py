@@ -2,17 +2,20 @@ import pytest
 
 from sepgame import machine
 from sepgame.logic import erase, lstate_from_text
-from sepgame.machine import (IAcquire, INop, IRelease, MachineState,
-                             instr_to_text, machine_step, mstate)
+from sepgame.machine import (ABORT, ERROR, IAcquire, INop, IRelease,
+                             MachineState, Return, eval_bool, instr_to_text,
+                             machine_step, mstate)
 from sepgame.semantics import (IN, NOTIN, RETURNS, AtomTS, EnumerationBudget,
-                               GuardTS, HideW, SeqSplitW,
+                               AtomW, GuardTS, GuardW, HideTS, HideW, ParTS, ParW,
+                               SeqLeftW, SeqSplitW, SeqTS,
                                all_machine_states, denote, enumerate_traces,
                                instruction_alphabet)
 from sepgame.syntax import (Assign, FEq, FTrue, Lit, Var, parse_program,
                             parse_universe)
-from sepgame.traces import ERR, OK, CodeTransition, Trace, hide, par_compose
+from sepgame.traces import (ERR, OK, CodeTransition, Trace, hide, par_compose,
+                            restrict, seq_compose, shuffles)
 
-from .conftest import corpus_text
+from .conftest import PROGRAMS, corpus_text
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +28,14 @@ def u():
 def u_micro():
     return parse_universe("vars = x\nlocs = 2\nvals = 0..1\n"
                           "perms = 1\nlocks = r\nmaxlen = 2\n")
+
+
+@pytest.fixture(scope="module")
+def u_moves():
+    """u_micro at maxlen 6, with an environment that flips x either way."""
+    return parse_universe("vars = x\nlocs = 2\nvals = 0..1\nperms = 1\nlocks = r\n"
+                          "maxlen = 6\nenv = move-list\n"
+                          "move = {x=0 | | } -> {x=1 | | }\nmove = {x=1 | | } -> {x=0 | | }\n")
 
 
 S0 = mstate(stack={"x": 0})
@@ -94,9 +105,11 @@ def test_seq_asks_its_first_command_once_per_split(u):
     first, calls = sys.first, []
 
     class Counting:
-        def member(self, t):
-            calls.append(t)
-            return first.member(t)
+        start, step = first.start, first.step
+
+        def answer(self, r, target):
+            calls.append(target)
+            return first.answer(r, target)
 
     sys.first = Counting()
     s1 = _ok_step(S0, Assign("x", Lit(1)), u)
@@ -153,12 +166,39 @@ GUARD_COUNTS = [
 ]
 
 
+# the same for parallel composition and a resource around it
+PAR_COUNTS = [
+    ("skip || while x = 0 do skip", 15156, 6480, 4104),
+    ("x := 1 || x := 0", 24660, 23328, 0),
+    ("resource r do { skip || with r when true do skip }", 1638, 0, 0),
+]
+
+
 @pytest.mark.parametrize("text, traces, returning, errored", GUARD_COUNTS)
 def test_guard_trace_counts(u_micro, text, traces, returning, errored):
     found = list(enumerate_traces(parse_program(text), [mstate(), S0], u_micro,
                                   policy="exhaustive"))
     assert (len(found), sum(ret for _, ret, _ in found),
             sum(t.errored for t, _, _ in found)) == (traces, returning, errored)
+
+
+@pytest.mark.parametrize("text, traces, returning, errored", PAR_COUNTS)
+def test_par_trace_counts(u_micro, text, traces, returning, errored):
+    test_guard_trace_counts(u_micro, text, traces, returning, errored)
+
+
+def test_returning_is_not_final(u_micro, u_moves):
+    """A returning trace can have member extensions: the loop's test may
+    come after skip returned, so neither member nor the enumeration may stop
+    at RETURNS."""
+    prog = parse_program("skip || while x = 0 do skip")
+    sys = denote(prog, u_micro)
+    nop0, nop1 = _ok_step(S0, INop(), u_micro), _ok_step(S5, INop(), u_micro)
+    t = Trace(S0, (nop0, nop1), S5)
+    longer = Trace(S0, (nop0, nop1, nop1), S5)
+    assert (sys.member(t)[0], sys.member(longer)[0]) == (RETURNS, IN)
+    found = {t: ret for t, ret, _ in enumerate_traces(prog, [S0], u_moves)}
+    assert (found[t], found[longer]) == (True, False)
 
 
 def test_denote_skip_is_nop(u):
@@ -228,6 +268,7 @@ def test_returns_decompose_through_witnesses(u):
         t2 = Trace(w.mid, t.steps[w.k:], t.target)
         assert first.member(t1)[0] == RETURNS
         assert second.member(t2)[0] == RETURNS
+        assert seq_compose(t1, t2) == t
 
 
 def test_enumerate_and_member_agree(u_micro):
@@ -383,3 +424,152 @@ def test_hide_preimages_are_well_bracketed(name):
         assert hide(prog.lock, w.preimage) == t
         seen += 1
     assert seen > 1
+
+
+# --- the search-based membership of earlier versions as oracle ------------------
+
+def _search_member(sys, t):
+    """(verdict, witness) of t by search: every split point of a sequential
+    composition, every shuffle of a parallel one, every pre-image under
+    hiding, each asked about from scratch."""
+    if isinstance(sys, AtomTS):
+        if len(t) == 0:
+            return (IN, AtomW())
+        if len(t) == 1:
+            st = t.steps[0]
+            if st.instr != sys.instr:
+                return (NOTIN, None)
+            outs = machine_step(st.pre, sys.instr, sys.u)
+            if st.status == OK and Return(st.post) in outs:
+                return (RETURNS, AtomW())
+            if st.status == ERR and ERROR in outs:
+                return (IN, AtomW())
+        return (NOTIN, None)
+    if isinstance(sys, SeqTS):
+        best = (NOTIN, None)
+        for k in range(len(t) + 1):
+            mid = t.steps[k].pre if k < len(t.steps) else t.target
+            t1, t2 = Trace(t.source, t.steps[:k], mid), Trace(mid, t.steps[k:], t.target)
+            a1 = _search_member(sys.first, t1)
+            if a1[0] != RETURNS:
+                continue
+            a2 = _search_member(sys.second, t2)
+            if a2[0] == RETURNS:
+                return (RETURNS, SeqSplitW(k, mid, a1, a2))
+            if a2[0] == IN and best[0] == NOTIN:
+                best = (IN, SeqSplitW(k, mid, a1, a2))
+        if a1[0] != NOTIN:
+            return (IN, SeqLeftW(a1))
+        return best
+    if isinstance(sys, ParTS):
+        best = (NOTIN, None)
+        n = len(t)
+        for p in range(n + 1):
+            for omega in shuffles(p, n - p):
+                a1 = _search_member(sys.left, restrict(omega.left_positions(), t))
+                if a1[0] == NOTIN:
+                    continue
+                a2 = _search_member(sys.right, restrict(omega.right_positions(), t))
+                if a2[0] == NOTIN:
+                    continue
+                if a1[0] == RETURNS and a2[0] == RETURNS:
+                    return (RETURNS, ParW(omega, a1, a2))
+                if best[0] == NOTIN:
+                    best = (IN, ParW(omega, a1, a2))
+        return best
+    if isinstance(sys, GuardTS):
+        if len(t) == 0:
+            return (IN, GuardW(None, None))
+        st = t.steps[0]
+        value = eval_bool(sys.cond, st.pre.memory)
+        if value is ABORT:
+            if len(t) == 1 and st.status == ERR and isinstance(st.instr, INop):
+                return (IN, GuardW(ABORT, None))
+            return (NOTIN, None)
+        if value not in sys.arms:
+            return (NOTIN, None)
+        instr, cont = sys.arms[value]
+        if not (st.instr == instr and st.status == OK
+                and Return(st.post) in machine_step(st.pre, instr, sys.u)):
+            return (NOTIN, None)
+        if len(t) == 1:
+            return (RETURNS if cont is None else IN, GuardW(value, None))
+        if cont is None:
+            return (NOTIN, None)
+        a = _search_member(cont, Trace(t.steps[1].pre, t.steps[1:], t.target))
+        return (a[0], GuardW(value, a)) if a[0] != NOTIN else (NOTIN, None)
+    assert isinstance(sys, HideTS)
+    r = sys.lock
+    states = [t.source] + [x for st in t.steps for x in (st.pre, st.post)] + [t.target]
+    if any(r in s.locked for s in states):
+        return (NOTIN, None)
+
+    def add(s, held):
+        return s.with_locked(s.locked | {r}) if held else s
+
+    def preimages(k, held, acc):
+        if k == len(t.steps):
+            yield Trace(t.source, tuple(acc), add(t.target, held))
+            return
+        st = t.steps[k]
+        options = [(st.instr, held)]
+        if st.status == OK and isinstance(st.instr, INop):
+            options.append((IRelease(r), False) if held else (IAcquire(r), True))
+        for instr, after in options:
+            acc.append(CodeTransition(add(st.pre, held), instr, add(st.post, after),
+                                      st.status))
+            yield from preimages(k + 1, after, acc)
+            acc.pop()
+
+    best = (NOTIN, None)
+    for cand in preimages(0, False, []):
+        a = _search_member(sys.inner, cand)
+        if a[0] == RETURNS:
+            return (RETURNS, HideW(cand, a))
+        if a[0] == IN and best[0] == NOTIN:
+            best = (IN, HideW(cand, a))
+    return best
+
+
+def _agrees_with_search(prog, inits, u, policy=None):
+    """The enumerated traces hold every prefix of each of them, and on each
+    one enumerate_traces, member and the search give one (verdict, witness);
+    returns how many traces were checked."""
+    sys = denote(prog, u)
+    found = {t: (RETURNS if ret else IN, w)
+             for t, ret, w in enumerate_traces(prog, inits, u, policy=policy)}
+    for t, answer in found.items():
+        assert all(t.prefix(k) in found for k in range(len(t))), _labels(t)
+        assert sys.member(t) == answer == _search_member(sys, t), _labels(t)
+    return len(found)
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_member_agrees_with_search_on_the_corpus(name):
+    u = parse_universe(corpus_text(f"{name}.uni"))
+    inits = [MachineState(erase(lstate_from_text(line)), frozenset())
+             for line in corpus_text(f"{name}.inits").splitlines() if line.strip()]
+    assert _agrees_with_search(parse_program(corpus_text(f"{name}.csl")), inits, u)
+
+
+@pytest.mark.parametrize("text", [text for text, *_ in PAR_COUNTS + GUARD_COUNTS])
+def test_member_agrees_with_search_under_exhaustive_environment(u_micro, text):
+    assert _agrees_with_search(parse_program(text), [mstate(), S0], u_micro,
+                               policy="exhaustive")
+
+
+# sequences whose first command returns and goes on (live splits side by
+# side, a split that returns against a first command still in), and guard
+# and sequence continuations whose first step changes the state, which the
+# source of a pre-image records
+CRAFTED = [
+    "{ skip || while x = 0 do skip } ; while x = 1 do skip",
+    "{ skip || while x = 0 do skip } ; skip ; skip",
+    "if x = 0 then resource r do x := 1 else skip",
+    "skip ; resource r do { x := 1 || skip }",
+]
+
+
+@pytest.mark.parametrize("text", CRAFTED)
+def test_member_agrees_with_search_under_environment_moves(u_moves, text):
+    assert _agrees_with_search(parse_program(text), [S0, S5], u_moves)
