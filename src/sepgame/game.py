@@ -8,16 +8,18 @@ refinements of the trace's next machine state that keep the code fragment and
 satisfy the next position's predicate, so everything stays within the
 universe's finite bounds.
 
-A position's predicate has one definition, `piece_test`: the code against
-pre, an available resource against its context invariant; the frame is
-unconstrained.  `sat_sep` asks it of every piece of a whole state.  Both
+A position's predicate has one definition, `separation.piece_test`: the code
+against pre, an available resource against its context invariant; the frame
+is unconstrained.  `sat_sep` asks it of every piece of a whole state.  Both
 Adam's refinements and Eve's moves are built by `separation.separations`,
 which tests the pieces it is given once and chooses the unknown ones one at
 a time (code, then resources by name, then frame), dropping a piece as soon
 as it fails its test (a universe-table state: its bit of the formula's
 models), so every state it builds satisfies the predicate.
-The solver builds Eve's moves from each (position, Adam state) once and keeps
-them for the rest of its run.
+`separations` is memoised per process, which is sound since it is a pure
+function of immutable arguments returning immutable states: the checker and
+solver of every trace share its families, and traces that are prefixes of
+one another build each once.  A solver keeps Eve's moves per Adam state.
 """
 
 from __future__ import annotations
@@ -30,16 +32,11 @@ from .machine import MachineState, instr_to_text
 from .maps import fmap
 from .semantics import EnumerationBudget
 from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
-                         SeparatedState, combine, enumerate_eve_moves,
-                         legal_eve_move, sep_state_to_text, separations)
+                         SeparatedPredicate, SeparatedState, combine,
+                         enumerate_eve_moves, legal_eve_move, piece_test,
+                         sep_state_to_text, separations)
 from .syntax import FTrue, Universe
 from .traces import Trace
-
-
-@dataclass(frozen=True)
-class SeparatedPredicate:
-    pre: object
-    ctx: fmap        # lockname -> Formula
 
 
 @dataclass(frozen=True)
@@ -64,17 +61,6 @@ class WinningSpec:
 def winning_spec(pre, ctx, post, t: Trace, returning: bool,
                  rho: fmap = fmap()) -> WinningSpec:
     return WinningSpec(pre, fmap(ctx), post, len(t), returning, rho)
-
-
-def piece_test(sp: SeparatedPredicate, rho: fmap):
-    """The pair (formula, rho) a piece of a separated state must satisfy, as
-    `test(piece)`: pre for the code (piece None), the context invariant for
-    an available resource (its lock name); None for the frame and for a
-    resource the context does not name."""
-    def test(piece):
-        f = sp.pre if piece is None else sp.ctx._dict.get(piece)
-        return None if f is None else (f, rho)
-    return test
 
 
 def sat_sep(s: SeparatedState, sp: SeparatedPredicate, rho: fmap,
@@ -123,7 +109,7 @@ def _refinements(target: MachineState, code, dom_code: frozenset,
     entries = {r: None for r in set(u.locks) - target.locked}
     entries |= {r: HELD_BY_FRAME for r in target.locked - dom_code}
     entries |= {r: HELD_BY_CODE for r in dom_code}
-    return tuple(separations(target, code, entries, None, u, piece_test(pred, rho)))
+    return separations(target, code, fmap(entries), None, u, pred, rho)
 
 
 def adam_extensions(s: SeparatedState, target: MachineState,
@@ -255,9 +241,9 @@ class SolvedStrategy:
         if hit is None:
             step = self.t.steps[position // 2 - 1]
             target = trace_state(self.t, position + 1)
-            test = piece_test(self.spec.predicate_at(position + 1), self.spec.rho)
-            hit = self._candidates[key] = tuple(
-                enumerate_eve_moves(state, step.instr, target, self.u, test))
+            pred = self.spec.predicate_at(position + 1)
+            hit = self._candidates[key] = tuple(enumerate_eve_moves(
+                state, step.instr, target, self.u, pred, self.spec.rho))
         return hit
 
     def survives(self, i: int, s: SeparatedState) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .logic import (EMPTY_LSTATE, LogicalState, erase, from_slots, lstate_to_text,
                     satisfies, slots, tensor_all, universe_table)
@@ -39,13 +39,25 @@ HELD_BY_FRAME = HeldBy("F")
 
 @dataclass(frozen=True)
 class SeparatedState:
+    """Immutable, so the `separations` memo hands out shared states; keeps the
+    tensor its definedness check computes and, once asked for, its
+    combination, neither of them compared or hashed."""
     code: LogicalState
     resources: fmap          # lockname -> Available | HeldBy
     frame: LogicalState
+    tensor: LogicalState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if big_tensor(self) is None:
+        tensor = tensor_all([self.code, *(e.state for _, e in self.resources.items()
+                                          if isinstance(e, Available)), self.frame])
+        if tensor is None:
             raise SeparationError("separated-state tensor is undefined")
+        object.__setattr__(self, "tensor", tensor)
+
+    @functools.cached_property
+    def combined(self) -> MachineState:
+        held = frozenset(r for r, e in self.resources.items() if isinstance(e, HeldBy))
+        return MachineState(erase(self.tensor), held)
 
     def dom_code(self) -> frozenset:
         return frozenset(r for r, e in self.resources.items() if e == HELD_BY_CODE)
@@ -55,22 +67,9 @@ def sep_state(code=EMPTY_LSTATE, resources=(), frame=EMPTY_LSTATE) -> SeparatedS
     return SeparatedState(code, fmap(resources), frame)
 
 
-@functools.lru_cache(maxsize=None)
-def _big_tensor_cached(code, resources, frame):
-    parts = [code]
-    parts += [e.state for _, e in resources.items() if isinstance(e, Available)]
-    parts.append(frame)
-    return tensor_all(parts)
-
-
-def big_tensor(s: SeparatedState):
-    return _big_tensor_cached(s.code, s.resources, s.frame)
-
-
 def combine(s: SeparatedState) -> MachineState:
     """The homomorphism to machine states."""
-    held = frozenset(r for r, e in s.resources.items() if isinstance(e, HeldBy))
-    return MachineState(erase(big_tensor(s)), held)
+    return s.combined
 
 
 def legal_eve_move(s: SeparatedState, m, s2: SeparatedState, u: Universe) -> bool:
@@ -103,9 +102,8 @@ def legal_adam_move(s: SeparatedState, s2: SeparatedState) -> bool:
 
 
 def _perm_profile(s: SeparatedState):
-    sigma = big_tensor(s)
-    return {("s", k): p for k, (_, p) in sigma.stack.items()} | \
-           {("h", k): p for k, (_, p) in sigma.heap.items()}
+    return {("s", k): p for k, (_, p) in s.tensor.stack.items()} | \
+           {("h", k): p for k, (_, p) in s.tensor.heap.items()}
 
 
 def permission_conserving(s: SeparatedState, s2: SeparatedState) -> bool:
@@ -116,8 +114,24 @@ def permission_conserving(s: SeparatedState, s2: SeparatedState) -> bool:
 
 # --- bounded enumeration of separated states over a machine state ----------------
 # `separations` builds them all: Adam's refinements (game._refinements) and
-# Eve's moves (enumerate_eve_moves) differ only in the pieces they fix.  The
-# pieces' tests come from the game (game.piece_test).
+# Eve's moves (enumerate_eve_moves) differ only in the pieces they fix.  A
+# position's predicate says what the pieces must satisfy (piece_test).
+
+@dataclass(frozen=True)
+class SeparatedPredicate:
+    pre: object
+    ctx: fmap        # lockname -> Formula
+
+
+def piece_test(sp: SeparatedPredicate, rho: fmap):
+    """The pair (formula, rho) a piece of a separated state must satisfy, as
+    `test(piece)`: pre for the code (piece None), the context invariant for
+    an available resource (its lock name); None for the frame and for a
+    resource the context does not name."""
+    def test(piece):
+        f = sp.pre if piece is None else sp.ctx._dict.get(piece)
+        return None if f is None else (f, rho)
+    return test
 
 
 def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
@@ -198,48 +212,52 @@ def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
             yield tuple(piece(a) for a in chosen)
 
 
-def separations(target: MachineState, code, resources: dict, frame,
-                u: Universe, test=None):
+@functools.lru_cache(maxsize=None)
+def separations(target: MachineState, code, resources: fmap, frame, u: Universe,
+                pred: SeparatedPredicate = None, rho: fmap = fmap()) -> tuple:
     """The separated states that combine into `target` and agree with the
     given code fragment, resource entries and frame.
 
-    `test(piece)`, when given, is None or the pair (formula, rho) a piece
-    must satisfy: the piece is None for the code and a lock name for an
-    available resource; the frame is never tested.  The given code and
-    available resources are tested once, before anything is enumerated.  A
-    piece given as None is filled in by component_assignments, in the order
-    code, resources by name, frame, and must pass its test as soon as it is
-    chosen.  Every state yielded thus passes the test on every piece.
+    When `pred` is given, every piece but the frame must pass its
+    `piece_test(pred, rho)`.  The given code and available resources are
+    tested once, before anything is enumerated.  A piece given as None is
+    filled in by component_assignments, in the order code, resources by
+    name, frame, and must pass its test as soon as it is chosen.  Every
+    state returned thus passes the test on every piece.  Memoised: a pure
+    function of immutable arguments, so all traces share each family.
     """
     missing = sorted(r for r, e in resources.items() if e is None)
     given = [part for part in (code, frame) if part is not None]
-    given += [e.state for e in resources.values() if isinstance(e, Available)]
+    given += [e.state for _, e in resources.items() if isinstance(e, Available)]
     fixed = tensor_all(given)
     if fixed is None:
-        return
+        return ()
     pieces = ([None] if code is None else []) + missing
     tests = [None] * (len(pieces) + (frame is None))
-    if test is not None:
+    if pred is not None:
+        test = piece_test(pred, rho)
         known = [(test(None), code)] if code is not None else []
         known += [(test(r), e.state) for r, e in resources.items()
                   if isinstance(e, Available)]
         if not all(t is None or satisfies(part, *t, u) for t, part in known):
-            return
+            return ()
         tests[:len(pieces)] = [test(piece) for piece in pieces]
+    out = []
     for parts in component_assignments(target.memory, fixed, len(tests), u, tests):
         parts = iter(parts)
         code_part = next(parts) if code is None else code
-        entries = dict(resources)
+        entries = dict(resources.items())
         entries |= {r: Available(next(parts)) for r in missing}
         frame_part = next(parts) if frame is None else frame
-        yield SeparatedState(code_part, fmap(entries), frame_part)
+        out.append(SeparatedState(code_part, fmap(entries), frame_part))
+    return tuple(out)
 
 
 def enumerate_eve_moves(s: SeparatedState, m, target: MachineState,
-                        u: Universe, test=None):
+                        u: Universe, pred=None, rho: fmap = fmap()):
     """All separated states reachable by a legal Eve move labelled m that
     combine into the given machine state and whose code fragment and
-    available resources pass `test` (see separations)."""
+    available resources pass their tests under `pred` (see separations)."""
     if Return(target) not in machine_step(combine(s), m, u):
         return
     entries = dict(s.resources.items())
@@ -251,7 +269,7 @@ def enumerate_eve_moves(s: SeparatedState, m, target: MachineState,
         if entries.get(r) != HELD_BY_CODE:
             return
         entries[r] = None
-    yield from separations(target, None, entries, s.frame, u, test)
+    yield from separations(target, None, fmap(entries), s.frame, u, pred, rho)
 
 
 # --- textual form ------------------------------------------------------------------

@@ -307,3 +307,19 @@ def test_uninstantiated_logical_variable_is_reported(tmp_path, capsys, verb):
 def test_variable_of_a_premise_alone_is_reported(tmp_path, capsys, verb):
     assert _check_framed_assign(tmp_path, capsys, verb, PREMISE_ONLY) == (1, [
         ("root.0", "aff", "logical variables not instantiated: ['X']")], "")
+
+
+@pytest.mark.parametrize("verb", ["check", "verify", "run"])
+def test_unwritable_output_exits_2(tmp_path, capsys, verb):
+    """A missing directory (check, verify) or a directory (run) as --output
+    is an I/O error."""
+    path = tmp_path if verb == "run" else tmp_path / "missing" / "out"
+    argv = {"check": ["check", _corpus("framed_assign", ".proof"),
+                      "-u", _corpus("framed_assign", ".uni")],
+            "verify": _verb("verify", "framed_assign"),
+            "run": ["run", _corpus("framed_assign", ".csl"),
+                    "-u", _corpus("framed_assign", ".uni")]}[verb]
+    code, out, err = _main([*argv, "--output", str(path)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith(f"sepgame: cannot write {path}: ")
+    assert len(err.splitlines()) == 1

@@ -295,13 +295,15 @@ def test_indexed_builder_equals_the_filtered_product(perms):
 
 @contextlib.contextmanager
 def _unpruned():
-    """separations as it builds every separated state and tests none."""
-    real = separation.component_assignments
+    """separations as it builds every separated state and tests none, through
+    the function under its memo, so nothing is read from or left in it."""
+    real = separation.component_assignments, separation.separations
     separation.component_assignments = _every_assignment
+    separation.separations = separations.__wrapped__
     try:
         yield
     finally:
-        separation.component_assignments = real
+        separation.component_assignments, separation.separations = real
 
 
 def _unpruned_refinements(target, code, dom_code, pred, rho, u):
@@ -312,8 +314,8 @@ def _unpruned_refinements(target, code, dom_code, pred, rho, u):
     entries |= {r: HELD_BY_FRAME for r in target.locked - dom_code}
     entries |= {r: HELD_BY_CODE for r in dom_code}
     with _unpruned():
-        return tuple(cand for cand in separations(target, code, entries, None, u)
-                     if sat_sep(cand, pred, rho, u))
+        return tuple(cand for cand in separation.separations(
+            target, code, fmap(entries), None, u) if sat_sep(cand, pred, rho, u))
 
 
 def _unpruned_eve_moves(t, spec, position, s, u):

@@ -13,7 +13,7 @@ from sepgame.traces import Trace
 SRC = Path(__file__).parent.parent / "src" / "sepgame"
 
 CACHED = {("game", "_refinements"), ("logic", "_sat"), ("logic", "_sub_pairs"),
-          ("logic", "universe_table"), ("separation", "_big_tensor_cached")}
+          ("logic", "universe_table"), ("separation", "separations")}
 
 
 def _live_traces():

@@ -11,17 +11,19 @@ import re
 
 import pytest
 
+from sepgame import game, separation
 from sepgame.game import NoWin, check_winning_strategy, solve_eve
-from sepgame.logic import erase, lstate_from_text, lstate_to_text
+from sepgame.logic import erase, lstate_from_text, lstate_to_text, tensor_all
 from sepgame.machine import MachineState
 from sepgame.proof import check_proof
 from sepgame.semantics import enumerate_traces
+from sepgame.separation import Available, combine
 from sepgame.soundness import (ExtractedStrategy, ExtractionFailure,
                                SoundnessAlarm, verify_corollary)
 from sepgame.syntax import parse_proof, parse_universe
 from sepgame.traces import Trace
 
-from .conftest import bench_script, corpus_text
+from .conftest import CORPUS, bench_script, corpus_text
 
 # program -> (non-error traces, play nodes the checker explores over them,
 #             nodes the solver explores, initial refinements of the
@@ -160,3 +162,39 @@ def test_chain_with_a_lock_named_code(tmp_path, capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "total 80 traces, 1480 play nodes, all pass"
     assert code == 0
+
+
+def test_memo_and_stored_tensors_are_never_stale(tmp_path, capsys, monkeypatch):
+    """After the chain over par_writes on the strategy-chain universe
+    (vals = 0..1) and over lock_transfer from its inits, every memoised
+    separations tuple equals a fresh enumeration, in order, and every state
+    it holds combines as the tensor of its pieces does."""
+    memo = separation.separations
+    calls = set()
+
+    def recording(*args):
+        calls.add(args)
+        return memo(*args)
+    monkeypatch.setattr(separation, "separations", recording)
+    monkeypatch.setattr(game, "separations", recording)
+    memo.cache_clear()
+    game._refinements.cache_clear()
+    uni = tmp_path / "strategy-chain.uni"
+    uni.write_text(corpus_text("par_writes.uni").replace("vals = 0..3", "vals = 0..1"))
+    code = bench_script("chain").main([str(CORPUS / "par_writes.csl"),
+                                       str(CORPUS / "par_writes.proof"), "-u", str(uni)])
+    assert code == 0 and capsys.readouterr().out.endswith(", all pass\n")
+    assert _chain("lock_transfer") == CHAIN["lock_transfer"]
+    assert len(calls) == memo.cache_info().currsize
+    held = 0
+    for args in calls:
+        cached = memo(*args)
+        assert cached == memo.__wrapped__(*args)
+        for s in cached:
+            pieces = [s.code, *(e.state for _, e in s.resources.items()
+                                if isinstance(e, Available)), s.frame]
+            locked = frozenset(r for r, e in s.resources.items()
+                               if not isinstance(e, Available))
+            assert combine(s) == MachineState(erase(tensor_all(pieces)), locked)
+        held += len(cached)
+    assert held > 1000
