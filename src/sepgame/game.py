@@ -25,11 +25,10 @@ one another build each once.  A solver keeps Eve's moves per Adam state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .logic import satisfies
-from .machine import MachineState, instr_to_text
-from .maps import fmap
+from .machine import MachineState, instr_to_text, machine_step
+from .maps import Node, fmap
 from .semantics import EnumerationBudget
 from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                          SeparatedPredicate, SeparatedState, combine,
@@ -39,9 +38,10 @@ from .syntax import FTrue, Universe
 from .traces import Trace
 
 
-@dataclass(frozen=True)
-class WinningSpec:
-    """The indexed family of separated predicates for one trace."""
+class WinningSpec(Node):
+    """The indexed family of separated predicates for one trace: the
+    initial, middle and final predicates are built once, with the spec."""
+    __slots__ = ("predicates",)
     pre: object
     ctx: fmap
     post: object
@@ -49,13 +49,16 @@ class WinningSpec:
     returning: bool
     rho: fmap = fmap()
 
+    def __post_init__(self):
+        object.__setattr__(self, "predicates", tuple(
+            SeparatedPredicate(f, self.ctx) for f in (self.pre, FTrue(), self.post)))
+
     def predicate_at(self, i: int) -> SeparatedPredicate:
-        last = 2 * self.trace_len + 2
         if i == 1:
-            return SeparatedPredicate(self.pre, self.ctx)
-        if i == last and self.returning:
-            return SeparatedPredicate(self.post, self.ctx)
-        return SeparatedPredicate(FTrue(), self.ctx)
+            return self.predicates[0]
+        if i == 2 * self.trace_len + 2 and self.returning:
+            return self.predicates[2]
+        return self.predicates[1]
 
 
 def winning_spec(pre, ctx, post, t: Trace, returning: bool,
@@ -83,6 +86,13 @@ def trace_state(t: Trace, i: int) -> MachineState:
     if i % 2 == 0:
         return t.steps[i // 2 - 1].pre
     return t.steps[(i - 1) // 2 - 1].post
+
+
+def step_outcomes(t: Trace, u: Universe) -> tuple:
+    """The `machine_step` outcomes of each code step of the trace from its
+    pre-state, which every Adam state before that step combines into: what
+    Eve's move at the step may combine into."""
+    return tuple(machine_step(st.pre, st.instr, u) for st in t.steps)
 
 
 def is_winning_play(states: tuple, spec: WinningSpec, u: Universe) -> bool:
@@ -138,11 +148,10 @@ def empty_winning_plays(source: MachineState, spec: WinningSpec,
 
 # --- strategy checking --------------------------------------------------------------
 
-@dataclass
 class CheckResult:
-    verdict: str                 # "pass" | "fail" | "unknown"
-    reason: str = ""
-    counterexample: tuple = ()
+    def __init__(self, verdict: str, reason: str = "", counterexample: tuple = ()):
+        # verdict: "pass" | "fail" | "unknown"
+        self.verdict, self.reason, self.counterexample = verdict, reason, counterexample
 
     def __bool__(self):
         return self.verdict == "pass"
@@ -172,6 +181,7 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
         if s not in expected:
             return CheckResult("fail", "accepted initial play is not winning", (s,))
 
+    outcomes = step_outcomes(t, u)
     visited = set()
     frontier = [(1, s, key, (s,)) for s, key in sorted(
         accepted.items(), key=lambda kv: sep_state_to_text(kv[0]))]
@@ -198,7 +208,7 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
                 return CheckResult(
                     "fail", f"no Eve response at position {i + 1}", play + (s2,))
             for s3, key2 in responses:
-                if not legal_eve_move(s2, step.instr, s3, u):
+                if not legal_eve_move(s2, step.instr, s3, outcomes[k - 1]):
                     return CheckResult("fail", "illegal Eve move",
                                        play + (s2, s3))
                 if combine(s3) != trace_state(t, i + 2):
@@ -234,16 +244,18 @@ class SolvedStrategy:
         self._memo = {}
         self._candidates = {}    # (position, Adam's state) -> Eve's moves
         self.initials = empty_winning_plays(t.source, spec, u)
+        self.outcomes = step_outcomes(t, u)
 
     def _eve_candidates(self, position, state):
         key = (position, state)
         hit = self._candidates.get(key)
         if hit is None:
-            step = self.t.steps[position // 2 - 1]
+            k = position // 2
             target = trace_state(self.t, position + 1)
             pred = self.spec.predicate_at(position + 1)
             hit = self._candidates[key] = tuple(enumerate_eve_moves(
-                state, step.instr, target, self.u, pred, self.spec.rho))
+                state, self.t.steps[k - 1].instr, self.outcomes[k - 1], target,
+                self.u, pred, self.spec.rho))
         return hit
 
     def survives(self, i: int, s: SeparatedState) -> bool:

@@ -18,10 +18,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .maps import fmap
+from .maps import Node, fmap
 from .syntax import (Add, Emp, Exists, FAnd, FEq, FFalse, FImplies, FNot,
                      FOr, Forall, FTrue, Lit, Mul, Own, ParseError, PointsTo,
                      Star, Universe, Var, expr_program_vars,
@@ -41,8 +40,7 @@ def perm_add(p: Fraction, q: Fraction):
     return s if s <= 1 else None
 
 
-@dataclass(frozen=True)
-class LogicalState:
+class LogicalState(Node):
     stack: fmap = fmap()   # var -> (value, perm)
     heap: fmap = fmap()    # loc -> (value, perm)
 

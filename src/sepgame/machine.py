@@ -9,22 +9,13 @@ error; a blocked lock instruction produces no step at all, which is how
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .maps import fmap
+from .maps import Node, fmap
 from .syntax import (Add, AllocC, Assign, DisposeC, FAnd, FEq, FFalse, FOr,
                      FTrue, Lit, Load, Mul, ParseError, Store, Universe, Var,
                      program_to_text)
 
 
 class _Abort:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "ABORT"
 
@@ -32,8 +23,7 @@ class _Abort:
 ABORT = _Abort()
 
 
-@dataclass(frozen=True)
-class MemoryState:
+class MemoryState(Node):
     stack: fmap = fmap()   # var -> value
     heap: fmap = fmap()    # location -> value
 
@@ -47,8 +37,7 @@ class MemoryState:
         return MemoryState(self.stack, self.heap.remove(loc))
 
 
-@dataclass(frozen=True)
-class MachineState:
+class MachineState(Node):
     memory: MemoryState = MemoryState()
     locked: frozenset = frozenset()
 
@@ -68,25 +57,20 @@ def mstate(stack=(), heap=(), locked=()) -> MachineState:
 # The atomic commands of the syntax (Assign, Load, Store, AllocC, DisposeC)
 # label their own steps; the three instructions below have no command form.
 
-@dataclass(frozen=True)
-class INop:
+class INop(Node):
     pass
 
-@dataclass(frozen=True)
-class IAcquire:
+class IAcquire(Node):
     lock: str
 
-@dataclass(frozen=True)
-class IRelease:
+class IRelease(Node):
     lock: str
 
 
-@dataclass(frozen=True)
-class Return:
+class Return(Node):
     state: MachineState
 
-@dataclass(frozen=True)
-class Error:
+class Error(Node):
     pass
 
 ERROR = Error()

@@ -1,10 +1,16 @@
-"""Small immutable mapping used for stacks, heaps and resource tables.
+"""Small immutable values: `fmap`, the mapping used for stacks, heaps and
+resource tables, and `Node`, the base of every record type.
 
 Plain dicts are not hashable and their identity-based mutation is easy to get
 wrong in a code base where states are used as set members and cache keys, so
 every state-like structure is built on `fmap` instead.  Equality compares the
 underlying dicts; the sorted item tuple and the hash are computed lazily and
 cached, since enumeration code builds far more maps than it ever hashes.
+
+A `Node` subclass lists its fields as annotations and gets slots, positional
+`match`, a dataclass-style repr, equality on its exact type and fields, and a
+hash of its field tuple computed at most once (hash-consing without the
+table: Filliatre and Conchon, "Type-safe modular hash-consing", ML 2006).
 """
 
 from __future__ import annotations
@@ -66,3 +72,64 @@ class fmap(Mapping):
         d = dict(self._dict)
         del d[key]
         return fmap(d)
+
+
+_NODE_METHODS = """def make(_set, _d):
+    def __init__(self, {params}):
+        {sets}_set(self, "_hash", None){post}
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        return self is other or ({mine}) == ({theirs})
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(({mine}))
+            _set(self, "_hash", h)
+        return h
+    return __init__, __eq__, __hash__"""
+
+
+class _NodeType(type):
+    """Makes the field annotations of a Node subclass its slots and match
+    args, and compiles its __init__, __eq__ and __hash__ once, as namedtuple
+    does, so that no instance method loops over the field names."""
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        defaults = tuple(ns.pop(f) for f in fields if f in ns)
+        ns["__slots__"] = fields + tuple(ns.get("__slots__", ()))
+        ns["__match_args__"] = fields
+        cls = super().__new__(mcls, name, bases, ns)
+        if bases:
+            required = len(fields) - len(defaults)
+            scope = {}
+            exec(_NODE_METHODS.format(
+                params=", ".join(fields[:required] + tuple(
+                    f"{f}=_d[{i}]" for i, f in enumerate(fields[required:]))),
+                sets="".join(f"_set(self, {f!r}, {f}); " for f in fields),
+                post="; self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+                mine="".join(f"self.{f}, " for f in fields),
+                theirs="".join(f"other.{f}, " for f in fields)), scope)
+            cls.__init__, cls.__eq__, cls.__hash__ = scope["make"](
+                object.__setattr__, defaults)
+        return cls
+
+
+class Node(metaclass=_NodeType):
+    """Immutable record; see the module docstring.  A subclass may declare
+    `__slots__` of its own for values derived from the fields, which take no
+    part in equality, hashing or the repr."""
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__match_args__))

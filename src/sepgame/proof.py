@@ -14,11 +14,9 @@ use is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .logic import (TOP, UncoveredLogicalVariable, def_formula, entails,
                     is_precise)
-from .maps import fmap
+from .maps import Node, fmap
 from .syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, EXTENSION_RULES,
                      FAnd, FEq, FFalse, FImplies, FNot, FOr, Forall, FTrue,
                      IfC, Lit, Load, Mul, Own, ParC, PointsTo, ProofNode,
@@ -27,8 +25,7 @@ from .syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, EXTENSION_RULES
                      formula_free_logical_vars, is_logical_name)
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Node):
     ctx: fmap
     pre: object
     cmd: object
@@ -111,13 +108,11 @@ def ctx_match(a: fmap, b: fmap) -> bool:
 
 # --- the checker ---------------------------------------------------------------------
 
-@dataclass
 class ProofCheckResult:
-    ok: bool
-    sequent: Sequent | None
-    valuation: fmap
-    violations: list = field(default_factory=list)
-    extensions_used: tuple = ()
+    def __init__(self, ok: bool, sequent: Sequent | None, valuation: fmap,
+                 violations: list, extensions_used: tuple):
+        self.ok, self.sequent, self.valuation = ok, sequent, valuation
+        self.violations, self.extensions_used = violations, extensions_used
 
     def report(self, universe_label="") -> list:
         return [{"node_path": path, "rule": rule, "reason": reason,

@@ -31,12 +31,11 @@ of the trace.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .machine import (ABORT, ERROR, IAcquire, INop, IRelease, MachineState,
                       MemoryState, Return, eval_bool, instr_to_text,
                       machine_step, mstate_to_text, resolve_env_moves)
-from .maps import fmap
+from .maps import Node, fmap
 from .syntax import (AllocC, Assign, DisposeC, IfC, Load, ParC, ResourceC,
                      SeqC, Skip, Store, Universe, While, WithWhen, subterms)
 from .traces import CodeTransition, ERR, OK, Trace, shuffles
@@ -51,34 +50,28 @@ class EnumerationBudget(Exception):
 # --- membership witnesses -------------------------------------------------------
 # Fields other than k, mid, shuffle, preimage and value hold a child's answer.
 
-@dataclass(frozen=True)
-class AtomW:
+class AtomW(Node):
     pass
 
-@dataclass(frozen=True)
-class SeqLeftW:
+class SeqLeftW(Node):
     inner: object
 
-@dataclass(frozen=True)
-class SeqSplitW:
+class SeqSplitW(Node):
     k: int
     mid: MachineState
     left: object
     right: object
 
-@dataclass(frozen=True)
-class ParW:
+class ParW(Node):
     shuffle: object
     left: object
     right: object
 
-@dataclass(frozen=True)
-class HideW:
+class HideW(Node):
     preimage: Trace
     inner: object
 
-@dataclass(frozen=True)
-class GuardW:
+class GuardW(Node):
     value: object    # the test's value at the first step; None before it
     rest: object     # the continuation's answer after the test step, or None
 

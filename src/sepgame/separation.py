@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 from .logic import (EMPTY_LSTATE, LogicalState, erase, from_slots, lstate_to_text,
                     satisfies, slots, tensor_all, universe_table)
 from .machine import MachineState, MemoryState, Return, locks, locks_minus, \
-    locks_plus, machine_step
-from .maps import fmap
+    locks_plus
+from .maps import Node, fmap
 from .syntax import Universe
 
 
@@ -23,13 +22,11 @@ class SeparationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Available:
+class Available(Node):
     state: LogicalState
 
 
-@dataclass(frozen=True)
-class HeldBy:
+class HeldBy(Node):
     owner: str   # "C" or "F"
 
 
@@ -37,15 +34,14 @@ HELD_BY_CODE = HeldBy("C")
 HELD_BY_FRAME = HeldBy("F")
 
 
-@dataclass(frozen=True)
-class SeparatedState:
+class SeparatedState(Node):
     """Immutable, so the `separations` memo hands out shared states; keeps the
-    tensor its definedness check computes and, once asked for, its
-    combination, neither of them compared or hashed."""
+    tensor its definedness check computes and, once `combine` asks for it,
+    its combination, neither of them compared or hashed."""
+    __slots__ = ("tensor", "combined")
     code: LogicalState
     resources: fmap          # lockname -> Available | HeldBy
     frame: LogicalState
-    tensor: LogicalState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tensor = tensor_all([self.code, *(e.state for _, e in self.resources.items()
@@ -53,11 +49,7 @@ class SeparatedState:
         if tensor is None:
             raise SeparationError("separated-state tensor is undefined")
         object.__setattr__(self, "tensor", tensor)
-
-    @functools.cached_property
-    def combined(self) -> MachineState:
-        held = frozenset(r for r, e in self.resources.items() if isinstance(e, HeldBy))
-        return MachineState(erase(self.tensor), held)
+        object.__setattr__(self, "combined", None)
 
     def dom_code(self) -> frozenset:
         return frozenset(r for r, e in self.resources.items() if e == HELD_BY_CODE)
@@ -68,16 +60,23 @@ def sep_state(code=EMPTY_LSTATE, resources=(), frame=EMPTY_LSTATE) -> SeparatedS
 
 
 def combine(s: SeparatedState) -> MachineState:
-    """The homomorphism to machine states."""
-    return s.combined
+    """The homomorphism to machine states, computed once per state."""
+    m = s.combined
+    if m is None:
+        held = frozenset(r for r, e in s.resources.items() if isinstance(e, HeldBy))
+        m = MachineState(erase(s.tensor), held)
+        object.__setattr__(s, "combined", m)
+    return m
 
 
-def legal_eve_move(s: SeparatedState, m, s2: SeparatedState, u: Universe) -> bool:
-    """An Eve move keeps the frame, combines into a successful machine step and
-    respects the lock conditions of the instruction."""
+def legal_eve_move(s: SeparatedState, m, s2: SeparatedState, outcomes) -> bool:
+    """An Eve move keeps the frame, combines into a successful machine step,
+    one of the `outcomes` of `machine_step(combine(s), m, u)`, and respects
+    the lock conditions of the instruction.  Every state at a position of a
+    play combines into the same machine state, so callers step it once."""
     if s.frame != s2.frame:
         return False
-    if Return(combine(s2)) not in machine_step(combine(s), m, u):
+    if Return(combine(s2)) not in outcomes:
         return False
     lk = locks(m)
     for r in s.resources:
@@ -117,8 +116,7 @@ def permission_conserving(s: SeparatedState, s2: SeparatedState) -> bool:
 # Eve's moves (enumerate_eve_moves) differ only in the pieces they fix.  A
 # position's predicate says what the pieces must satisfy (piece_test).
 
-@dataclass(frozen=True)
-class SeparatedPredicate:
+class SeparatedPredicate(Node):
     pre: object
     ctx: fmap        # lockname -> Formula
 
@@ -253,12 +251,13 @@ def separations(target: MachineState, code, resources: fmap, frame, u: Universe,
     return tuple(out)
 
 
-def enumerate_eve_moves(s: SeparatedState, m, target: MachineState,
+def enumerate_eve_moves(s: SeparatedState, m, outcomes, target: MachineState,
                         u: Universe, pred=None, rho: fmap = fmap()):
-    """All separated states reachable by a legal Eve move labelled m that
-    combine into the given machine state and whose code fragment and
-    available resources pass their tests under `pred` (see separations)."""
-    if Return(target) not in machine_step(combine(s), m, u):
+    """All separated states reachable by a legal Eve move labelled m (whose
+    `outcomes` are as in legal_eve_move) that combine into the given machine
+    state and whose code fragment and available resources pass their tests
+    under `pred` (see separations)."""
+    if Return(target) not in outcomes:
         return
     entries = dict(s.resources.items())
     for r in locks_plus(m):

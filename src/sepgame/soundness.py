@@ -41,7 +41,7 @@ have no response, and the game makes them unreachable for provable programs.
 from __future__ import annotations
 
 from .game import (adam_extensions, empty_winning_plays, sat_sep,
-                   trace_state, winning_spec, replay_lines)
+                   step_outcomes, trace_state, winning_spec, replay_lines)
 from .logic import (EMPTY_LSTATE, TOP, LogicalState, erase, lstate_to_text,
                     satisfies, substates, tensor)
 from .machine import ABORT, IAcquire, IRelease, MachineState, eval_expr
@@ -393,6 +393,7 @@ class ExtractedStrategy:
         self.lifter = build_lifter(node, "root", t, u, rho, answer)
         self.spec = winning_spec(node.pre, node.ctx, node.post, t,
                                  self.lifter.returning, rho)
+        self.outcomes = step_outcomes(t, u)
         self.initials = {}
         for s in empty_winning_plays(t.source, self.spec, u):
             self.initials[s] = self.lifter.start(s.code)
@@ -417,7 +418,7 @@ class ExtractedStrategy:
         except SeparationError as exc:
             raise SoundnessAlarm(f"extracted move is not separated: {exc}")
         step = self.t.steps[k - 1]
-        if not legal_eve_move(state, step.instr, s2, self.u):
+        if not legal_eve_move(state, step.instr, s2, self.outcomes[k - 1]):
             raise SoundnessAlarm("extracted move is not a legal Eve move")
         if combine(s2) != trace_state(self.t, position + 1):
             raise SoundnessAlarm("extracted move leaves the trace")

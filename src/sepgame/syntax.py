@@ -2,8 +2,8 @@
 
 This module owns the shared AST vocabulary.  Program variables start with a
 lowercase letter, logical (ghost) variables with an uppercase one.  All AST
-nodes are frozen dataclasses, so they hash and compare structurally and can be
-used as cache keys everywhere else.
+nodes are `maps.Node` records, so they hash (once) and compare structurally
+and can be used as cache keys everywhere else.
 
 The test of an `if`, `while` or `with` is a formula over true, false, and, or
 and `=` of expressions: the logic reads it as the formula B of its rules, and
@@ -15,10 +15,9 @@ parses to the formula `parse_formula` reads from the same text.
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, dataclass, is_dataclass
 from fractions import Fraction
 
-from .maps import fmap
+from .maps import Node, fmap
 
 
 class ParseError(Exception):
@@ -30,149 +29,120 @@ class ParseError(Exception):
 
 # --- arithmetic expressions --------------------------------------------------
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Node):
     value: int
 
-@dataclass(frozen=True)
-class Var:
+class Var(Node):
     name: str
 
-@dataclass(frozen=True)
-class Add:
+class Add(Node):
     left: object
     right: object
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Node):
     left: object
     right: object
 
 
 # --- commands ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Node):
     var: str
     expr: object
 
-@dataclass(frozen=True)
-class Load:
+class Load(Node):
     var: str
     addr: object
 
-@dataclass(frozen=True)
-class Store:
+class Store(Node):
     addr: object
     expr: object
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(Node):
     pass
 
-@dataclass(frozen=True)
-class SeqC:
+class SeqC(Node):
     first: object
     second: object
 
-@dataclass(frozen=True)
-class ParC:
+class ParC(Node):
     left: object
     right: object
 
-@dataclass(frozen=True)
-class While:
+class While(Node):
     cond: object
     body: object
 
-@dataclass(frozen=True)
-class ResourceC:
+class ResourceC(Node):
     lock: str
     body: object
 
-@dataclass(frozen=True)
-class WithWhen:
+class WithWhen(Node):
     lock: str
     cond: object
     body: object
 
-@dataclass(frozen=True)
-class IfC:
+class IfC(Node):
     cond: object
     then: object
     orelse: object
 
-@dataclass(frozen=True)
-class AllocC:
+class AllocC(Node):
     var: str
     expr: object
 
-@dataclass(frozen=True)
-class DisposeC:
+class DisposeC(Node):
     addr: object
 
 
 # --- formulas ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Emp:
+class Emp(Node):
     pass
 
-@dataclass(frozen=True)
-class FTrue:
+class FTrue(Node):
     pass
 
-@dataclass(frozen=True)
-class FFalse:
+class FFalse(Node):
     pass
 
-@dataclass(frozen=True)
-class FOr:
+class FOr(Node):
     left: object
     right: object
 
-@dataclass(frozen=True)
-class FAnd:
+class FAnd(Node):
     left: object
     right: object
 
-@dataclass(frozen=True)
-class FNot:
+class FNot(Node):
     body: object
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Node):
     var: str
     body: object
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Node):
     var: str
     body: object
 
-@dataclass(frozen=True)
-class Star:
+class Star(Node):
     left: object
     right: object
 
-@dataclass(frozen=True)
-class Own:
+class Own(Node):
     perm: Fraction
     var: str
 
-@dataclass(frozen=True)
-class PointsTo:
+class PointsTo(Node):
     addr: object
     perm: Fraction
     value: object
 
-@dataclass(frozen=True)
-class FEq:
+class FEq(Node):
     left: object
     right: object
 
-@dataclass(frozen=True)
-class FImplies:
+class FImplies(Node):
     left: object
     right: object
 
@@ -184,8 +154,10 @@ def is_logical_name(name: str) -> bool:
 def subterms(node):
     """The node and every command, expression and test below it."""
     yield node
-    for child in (v for v in vars(node).values() if is_dataclass(v)):
-        yield from subterms(child)
+    for field in node.__match_args__:
+        child = getattr(node, field)
+        if isinstance(child, Node):
+            yield from subterms(child)
 
 
 def expr_vars(e) -> frozenset:
@@ -236,8 +208,7 @@ RULE_ARITY = {
 EXTENSION_RULES = frozenset(t for t in RULE_ARITY if t.startswith("ext_"))
 
 
-@dataclass(frozen=True)
-class ProofNode:
+class ProofNode(Node):
     """One derivation-tree node: rule tag, claimed conclusion, parameters, children."""
     tag: str
     ctx: fmap            # lockname -> Formula
@@ -248,8 +219,7 @@ class ProofNode:
     children: tuple = ()
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Node):
     """Finite enumeration bounds: alphabets, value range, permissions, policy."""
     variables: tuple
     locations: tuple
@@ -261,16 +231,13 @@ class Universe:
     env_moves_text: tuple = ()
 
     def __post_init__(self):
-        if not self.variables:
-            raise ParseError("empty variable alphabet")
-        if not self.locations:
-            raise ParseError("empty location alphabet")
-        if not self.values:
-            raise ParseError("empty value range")
-        if not self.locks:
-            raise ParseError("empty resource alphabet")
-        if not self.perms:
-            raise ParseError("empty permission set")
+        for items, what in ((self.variables, "variable alphabet"),
+                            (self.locations, "location alphabet"),
+                            (self.values, "value range"),
+                            (self.locks, "resource alphabet"),
+                            (self.perms, "permission set")):
+            if not items:
+                raise ParseError(f"empty {what}")
         for kind, items in (("variable", self.variables),
                             ("location", self.locations),
                             ("value", self.values), ("permission", self.perms),
@@ -287,10 +254,6 @@ class Universe:
             raise ParseError(f"unknown env policy {self.env_policy!r}")
         if self.maxlen < 0:
             raise ParseError("maxlen must be >= 0")
-        object.__setattr__(self, "_hash", hash(astuple(self)))   # a cache key
-
-    def __hash__(self):
-        return self._hash
 
 
 # --- tokenizer ----------------------------------------------------------------
@@ -302,8 +265,7 @@ _OWN_RE = re.compile(r"own_(\d+)(?:/(\d+))?")
 _INT_RE = re.compile(r"\d+")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Node):
     kind: str          # "name" | "int" | "own" | "sym" | "eof"
     text: str
     value: object
@@ -708,17 +670,9 @@ class _Parser:
             raise ParseError("rule frame: missing R", open_tok.line, open_tok.col)
         if tag == "res" and ("r" not in fields or "inv" not in fields):
             raise ParseError("rule res: missing r or inv", open_tok.line, open_tok.col)
-        params = {k: v for k, v in fields.items()
-                  if k in ("R", "r", "inv", "val")}
-        return ProofNode(
-            tag=tag,
-            ctx=fields.get("ctx", fmap()),
-            pre=fields["pre"],
-            cmd=fields["cmd"],
-            post=fields["post"],
-            params=fmap(params),
-            children=tuple(children),
-        )
+        params = fmap({k: v for k, v in fields.items() if k in ("R", "r", "inv", "val")})
+        return ProofNode(tag, fields.get("ctx", fmap()), fields["pre"], fields["cmd"],
+                         fields["post"], params, tuple(children))
 
     def context_value(self) -> fmap:
         self.expect_sym("[")

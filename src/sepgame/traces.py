@@ -10,10 +10,10 @@ keeps its pre-state as post-state.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .machine import (INop, IAcquire, IRelease, MachineState, instr_to_text,
                       mstate_to_text)
+from .maps import Node
 
 OK = "ok"
 ERR = "err"
@@ -23,8 +23,7 @@ class TraceError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CodeTransition:
+class CodeTransition(Node):
     pre: MachineState
     instr: object
     post: MachineState
@@ -37,8 +36,7 @@ class CodeTransition:
             raise TraceError("an error step keeps its pre-state")
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Node):
     source: MachineState
     steps: tuple
     target: MachineState
@@ -86,8 +84,7 @@ def restrict(f, t: Trace) -> Trace:
     return Trace(t.source, tuple(steps), t.target)
 
 
-@dataclass(frozen=True)
-class Shuffle:
+class Shuffle(Node):
     """A monotone bijection {1..p} + {1..q} -> {1..p+q}, stored as fiber tags."""
     tags: tuple   # each tag is 1 or 2
 

@@ -24,7 +24,7 @@ from sepgame.syntax import (Assign, FTrue, Lit, Own, Store, parse_formula,
                             parse_proof, parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace
 
-from .conftest import PROGRAMS, corpus_text
+from .conftest import CORPUS, PROGRAMS, bench_script, corpus_text
 from .test_logic import _random_formula
 
 TOP = Fraction(1)
@@ -53,6 +53,7 @@ def test_winning_spec_indexing(u):
     spec1 = winning_spec(Own(TOP, "x"), fmap(), Own(TOP, "x"), t1, returning=False)
     assert spec1.predicate_at(4).pre == FTrue()       # non-returning last
     assert spec1.predicate_at(2).pre == FTrue()       # interior
+    assert spec1.predicate_at(2) is spec1.predicate_at(4)   # built once per spec
 
 
 def test_sat_sep(u):
@@ -321,9 +322,11 @@ def _unpruned_refinements(target, code, dom_code, pred, rho, u):
 def _unpruned_eve_moves(t, spec, position, s, u):
     """Eve's moves as every separated state, filtered by sat_sep."""
     pred = spec.predicate_at(position + 1)
+    step = t.steps[position // 2 - 1]
     with _unpruned():
         return tuple(cand for cand in enumerate_eve_moves(
-            s, t.steps[position // 2 - 1].instr, trace_state(t, position + 1), u)
+            s, step.instr, machine_step(combine(s), step.instr, u),
+            trace_state(t, position + 1), u)
             if sat_sep(cand, pred, spec.rho, u))
 
 
@@ -383,3 +386,29 @@ def test_pruned_moves_equal_filtered_separations(name, monkeypatch):
     for s, target, pred, rho, out in adam_calls:
         assert out == _unpruned_refinements(target, s.code, s.dom_code(), pred, rho, u)
     assert adam_calls and eve_checked
+
+
+def test_eve_moves_step_the_machine_once_per_position(monkeypatch, tmp_path, capsys):
+    """The checker, the extracted strategy and the solver each step the
+    machine once per code step of a trace, not once per Eve move they judge:
+    on the strategy-chain inputs, 3 calls for each of the 72 steps of the 60
+    non-error traces (4,760 calls when every move stepped it), for 24
+    distinct (machine state, instruction) pairs."""
+    calls = []
+
+    def counting(s, m, u):
+        calls.append((s, m))
+        return machine_step(s, m, u)
+    monkeypatch.setattr(game, "machine_step", counting)
+    monkeypatch.setattr(separation, "machine_step", counting, raising=False)
+    uni = tmp_path / "strategy-chain.uni"
+    uni.write_text(corpus_text("par_writes.uni").replace("vals = 0..3", "vals = 0..1"))
+    code = bench_script("chain").main([str(CORPUS / "par_writes.csl"),
+                                       str(CORPUS / "par_writes.proof"), "-u", str(uni)])
+    out = capsys.readouterr().out
+    assert code == 0 and out.endswith("total 60 traces, 836 play nodes, all pass\n")
+    steps = sum(int(line.split("length=")[1].split()[0])
+                for line in out.splitlines() if line.startswith("trace "))
+    assert steps == 72
+    assert len(calls) == 3 * steps
+    assert len(set(calls)) == 24

@@ -23,6 +23,11 @@ def u():
                           "perms = 1/2, 1\nlocks = r\nmaxlen = 4\n")
 
 
+def _outcomes(s, m, u):
+    """What an Eve move labelled m from s may combine into."""
+    return machine_step(combine(s), m, u)
+
+
 def test_combine_example():
     s = sep_state(code=lstate(stack={"x": (1, HALF)}),
                   resources={"r": Available(lstate(stack={"y": (2, TOP)}))},
@@ -49,18 +54,20 @@ def test_acquire_move_legality(u):
                   resources={"r": Available(inv)})
     absorbed = tensor(s.code, inv)
     s2 = SeparatedState(absorbed, fmap({"r": HELD_BY_CODE}), EMPTY_LSTATE)
-    assert legal_eve_move(s, IAcquire("r"), s2, u)
+    m = IAcquire("r")
+    assert legal_eve_move(s, m, s2, _outcomes(s, m, u))
     # leaving the resource available violates the acquire condition
     bad = SeparatedState(absorbed, fmap({"r": Available(EMPTY_LSTATE)}),
                          EMPTY_LSTATE)
-    assert not legal_eve_move(s, IAcquire("r"), bad, u)
+    assert not legal_eve_move(s, m, bad, _outcomes(s, m, u))
 
 
 def test_eve_moves_never_error(u):
     # an assignment whose value leaves the range has only an error step
     s = sep_state(code=lstate(stack={"x": (0, TOP)}),
                   resources={"r": Available(EMPTY_LSTATE)})
-    assert not legal_eve_move(s, Assign("x", Lit(9)), s, u)
+    m = Assign("x", Lit(9))
+    assert not legal_eve_move(s, m, s, _outcomes(s, m, u))
 
 
 def test_adam_moves(u):
@@ -85,7 +92,8 @@ def test_adam_moves(u):
 def test_enumerate_eve_moves_nop_identity(u):
     s = sep_state(code=lstate(stack={"x": (0, TOP)}),
                   resources={"r": Available(EMPTY_LSTATE)})
-    moves = list(enumerate_eve_moves(s, INop(), combine(s), u))
+    m = INop()
+    moves = list(enumerate_eve_moves(s, m, _outcomes(s, m, u), combine(s), u))
     assert s in moves
 
 
@@ -93,7 +101,8 @@ def test_enumerate_eve_moves_release_splits(u):
     code = lstate(stack={"x": (0, TOP), "y": (1, TOP)})
     s = sep_state(code=code, resources={"r": HELD_BY_CODE})
     target = combine(s).with_locked(frozenset())
-    moves = list(enumerate_eve_moves(s, IRelease("r"), target, u))
+    m = IRelease("r")
+    moves = list(enumerate_eve_moves(s, m, _outcomes(s, m, u), target, u))
     assert moves
     for s2 in moves:
         assert isinstance(s2.resources["r"], Available)
@@ -108,10 +117,11 @@ def test_eve_moves_map_to_code_transitions(u):
     s = sep_state(code=lstate(stack={"x": (0, TOP)}),
                   resources={"r": Available(EMPTY_LSTATE)})
     m = Assign("x", Lit(1))
-    (out,) = machine_step(combine(s), m, u)
-    moves = list(enumerate_eve_moves(s, m, out.state, u))
+    outcomes = _outcomes(s, m, u)
+    (out,) = outcomes
+    moves = list(enumerate_eve_moves(s, m, outcomes, out.state, u))
     for s2 in moves:
-        assert legal_eve_move(s, m, s2, u)
+        assert legal_eve_move(s, m, s2, outcomes)
         assert Return(combine(s2)) in machine_step(combine(s), m, u)
         assert s2.frame == s.frame        # Eve preserves the frame
     # legality as defined does not force permission conservation; the
@@ -132,7 +142,8 @@ def u2():
 
 
 def _eve_texts(s, m, target, u):
-    return [sep_state_to_text(s2) for s2 in enumerate_eve_moves(s, m, target, u)]
+    return [sep_state_to_text(s2)
+            for s2 in enumerate_eve_moves(s, m, _outcomes(s, m, u), target, u)]
 
 
 def test_eve_move_order_assign(u2):
