@@ -45,7 +45,7 @@ class LogicalState(Node):
     heap: fmap = fmap()    # loc -> (value, perm)
 
     def is_empty(self):
-        return not self.stack and not self.heap
+        return not (self.stack._dict or self.heap._dict)
 
 
 EMPTY_LSTATE = LogicalState()
@@ -57,8 +57,12 @@ def lstate(stack=(), heap=()) -> LogicalState:
 
 
 def _join(a: fmap, b: fmap):
-    out = dict(a.items())
-    for k, (v, p) in b.items():
+    if not b._dict:
+        return a
+    if not a._dict:
+        return b
+    out = dict(a._dict)
+    for k, (v, p) in b._dict.items():
         if k not in out:
             out[k] = (v, p)
             continue
@@ -73,7 +77,12 @@ def _join(a: fmap, b: fmap):
 
 
 def tensor(a: LogicalState, b: LogicalState):
-    """Separation product; None when values disagree or permissions overflow."""
+    """Separation product; None when values disagree or permissions overflow.
+    `emp` is its unit: with an empty operand it returns the other one."""
+    if b.is_empty():
+        return a
+    if a.is_empty():
+        return b
     stack = _join(a.stack, b.stack)
     if stack is None:
         return None
@@ -84,7 +93,8 @@ def tensor(a: LogicalState, b: LogicalState):
 
 
 def tensor_all(states) -> LogicalState | None:
-    acc = EMPTY_LSTATE
+    states = iter(states)
+    acc = next(states, EMPTY_LSTATE)
     for s in states:
         acc = tensor(acc, s)
         if acc is None:

@@ -6,6 +6,8 @@ wrong in a code base where states are used as set members and cache keys, so
 every state-like structure is built on `fmap` instead.  Equality compares the
 underlying dicts; the sorted item tuple and the hash are computed lazily and
 cached, since enumeration code builds far more maps than it ever hashes.
+`fmap` has no assignment guard, so it writes its own slots plainly; nothing
+outside the class writes them.
 
 A `Node` subclass lists its fields as annotations and gets slots, positional
 `match`, a dataclass-style repr, equality on its exact type and fields, and a
@@ -24,9 +26,9 @@ class fmap(Mapping):
     __slots__ = ("_dict", "_items", "_hash")
 
     def __init__(self, items=()):
-        object.__setattr__(self, "_dict", dict(items))
-        object.__setattr__(self, "_items", None)
-        object.__setattr__(self, "_hash", None)
+        self._dict = dict(items)
+        self._items = None
+        self._hash = None
 
     def __getitem__(self, key):
         return self._dict[key]
@@ -40,8 +42,7 @@ class fmap(Mapping):
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self.items())
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash(self.items())
         return h
 
     def __eq__(self, other):
@@ -50,7 +51,9 @@ class fmap(Mapping):
         return NotImplemented
 
     def __lt__(self, other):
-        return self.items() < other.items()
+        if isinstance(other, fmap):
+            return self.items() < other.items()
+        return NotImplemented
 
     def __repr__(self):
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in self.items())
@@ -59,8 +62,7 @@ class fmap(Mapping):
     def items(self):
         it = self._items
         if it is None:
-            it = tuple(sorted(self._dict.items()))
-            object.__setattr__(self, "_items", it)
+            it = self._items = tuple(sorted(self._dict.items()))
         return it
 
     def set(self, key, value) -> "fmap":

@@ -35,10 +35,12 @@ HELD_BY_FRAME = HeldBy("F")
 
 
 class SeparatedState(Node):
-    """Immutable, so the `separations` memo hands out shared states; keeps the
-    tensor its definedness check computes and, once `combine` asks for it,
-    its combination, neither of them compared or hashed."""
-    __slots__ = ("tensor", "combined")
+    """Immutable, so the `separations` memo hands out shared states.  Keeps,
+    none of them compared or hashed: the `tensor` its definedness check
+    computes, and, each computed once when first asked for, its `combined`
+    machine state (`combine`), its `text` (`sep_state_to_text`) and its
+    `code_locks` (`dom_code`)."""
+    __slots__ = ("tensor", "combined", "text", "code_locks")
     code: LogicalState
     resources: fmap          # lockname -> Available | HeldBy
     frame: LogicalState
@@ -49,10 +51,15 @@ class SeparatedState(Node):
         if tensor is None:
             raise SeparationError("separated-state tensor is undefined")
         object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "combined", None)
+        for name in ("combined", "text", "code_locks"):
+            object.__setattr__(self, name, None)
 
     def dom_code(self) -> frozenset:
-        return frozenset(r for r, e in self.resources.items() if e == HELD_BY_CODE)
+        d = self.code_locks
+        if d is None:
+            d = frozenset(r for r, e in self.resources.items() if e == HELD_BY_CODE)
+            object.__setattr__(self, "code_locks", d)
+        return d
 
 
 def sep_state(code=EMPTY_LSTATE, resources=(), frame=EMPTY_LSTATE) -> SeparatedState:
@@ -274,6 +281,9 @@ def enumerate_eve_moves(s: SeparatedState, m, outcomes, target: MachineState,
 # --- textual form ------------------------------------------------------------------
 
 def sep_state_to_text(s: SeparatedState) -> str:
+    """Rendered once per state; the state keeps the text."""
+    if s.text is not None:
+        return s.text
     parts = []
     for r, e in s.resources.items():
         if isinstance(e, Available):
@@ -281,5 +291,7 @@ def sep_state_to_text(s: SeparatedState) -> str:
         else:
             parts.append(f"{r}:{e.owner}")
     res = " ".join(parts)
-    return (f"code={lstate_to_text(s.code)} ; res=[{res}] ; "
+    text = (f"code={lstate_to_text(s.code)} ; res=[{res}] ; "
             f"frame={lstate_to_text(s.frame)}")
+    object.__setattr__(s, "text", text)
+    return text

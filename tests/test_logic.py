@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from sepgame.logic import (EMPTY_LSTATE, UncoveredLogicalVariable, _sat,
-                           all_logical_states, def_formula, entails, erase,
-                           is_precise, lstate, lstate_from_text,
-                           lstate_to_text, perm_add, satisfies, substates,
-                           tensor, universe_table)
+from sepgame.logic import (EMPTY_LSTATE, LogicalState,
+                           UncoveredLogicalVariable, _sat, all_logical_states,
+                           def_formula, entails, erase, is_precise, lstate,
+                           lstate_from_text, lstate_to_text, perm_add,
+                           satisfies, substates, tensor, tensor_all,
+                           universe_table)
 from sepgame.machine import MemoryState
 from sepgame.maps import fmap
 from sepgame.syntax import (Emp, Exists, FAnd, FEq, FFalse, FImplies, FNot,
@@ -265,6 +266,88 @@ def test_tensor_commutative_associative_cancellative(u1):
                 x1, x2 = tensor(a, b1), tensor(a, b2)
                 if x1 is not None and x1 == x2:
                     assert b1 == b2
+
+
+# --- the per-cell join of earlier versions as oracle ------------------------------
+
+def _cell_join(a, b):
+    """Both maps copied and merged cell by cell, whatever their size."""
+    out = dict(a.items())
+    for k, (v, p) in b.items():
+        if k not in out:
+            out[k] = (v, p)
+            continue
+        v0, p0 = out[k]
+        if v0 != v:
+            return None
+        s = perm_add(p0, p)
+        if s is None:
+            return None
+        out[k] = (v, s)
+    return fmap(out)
+
+
+def _cell_tensor(a, b):
+    stack, heap = _cell_join(a.stack, b.stack), _cell_join(a.heap, b.heap)
+    return None if stack is None or heap is None else LogicalState(stack, heap)
+
+
+def _cell_tensor_all(states):
+    acc = EMPTY_LSTATE
+    for s in states:
+        acc = _cell_tensor(acc, s)
+        if acc is None:
+            return None
+    return acc
+
+
+def test_tensor_matches_the_cell_join_on_every_table_pair(u1):
+    pool = universe_table(u1).states
+    defined = 0
+    for a in pool:
+        for b in pool:
+            got, want = tensor(a, b), _cell_tensor(a, b)
+            assert got == want
+            defined += got is not None
+    assert len(pool) == 25 and 0 < defined < len(pool) ** 2
+    for a in pool:
+        assert tensor(a, EMPTY_LSTATE) is a
+        assert tensor(EMPTY_LSTATE, a) is a or a.is_empty()
+
+
+def test_tensor_matches_the_cell_join_off_the_table():
+    q = lambda n: Fraction(n, 4)
+    three = lstate(stack={"x": (1, q(3))})
+    assert tensor(three, lstate(stack={"x": (1, q(1))})) == lstate(stack={"x": (1, TOP)})
+    undeclared = lstate(heap={7: (0, HALF)})
+    defined = [(three, lstate(stack={"x": (1, q(1))})),
+               (three, lstate(stack={"y": (1, HALF)}, heap={1: (0, TOP)})),
+               (three, EMPTY_LSTATE), (EMPTY_LSTATE, three), (undeclared, undeclared),
+               (undeclared, lstate(stack={"x": (0, TOP)}, heap={1: (0, TOP)}))]
+    # value clashes and share overflow, on the stack and the heap
+    undefined = [(three, lstate(stack={"x": (1, HALF)})),
+                 (undeclared, lstate(heap={7: (1, HALF)})),
+                 (lstate(stack={"x": (0, HALF)}), lstate(stack={"x": (1, HALF)})),
+                 (lstate(heap={1: (0, TOP)}), lstate(heap={1: (0, q(1))})),
+                 (lstate(stack={"x": (0, TOP)}, heap={1: (0, TOP)}),
+                  lstate(stack={"y": (0, TOP)}, heap={1: (1, HALF)}))]
+    for a, b in defined + undefined:
+        assert tensor(a, b) == _cell_tensor(a, b)
+        assert tensor(b, a) == _cell_tensor(b, a)
+    assert all(tensor(a, b) is not None for a, b in defined)
+    assert all(tensor(a, b) is None and tensor(b, a) is None for a, b in undefined)
+
+
+def test_tensor_all_matches_the_cell_fold():
+    a = lstate(stack={"x": (1, HALF)})
+    b = lstate(heap={1: (0, TOP)})
+    clash = lstate(stack={"x": (0, HALF)})
+    assert tensor_all([]) is EMPTY_LSTATE
+    assert tensor_all(iter([a])) is a
+    for states in ([], [a], [EMPTY_LSTATE], [a, b], [a, EMPTY_LSTATE, a, b],
+                   [a, clash, b], [a, b, clash, EMPTY_LSTATE], [a, a, a]):
+        assert tensor_all(states) == _cell_tensor_all(states)
+    assert tensor_all([a, clash, b]) is None and tensor_all([a, a, a]) is None
 
 
 def test_erase_is_homomorphic(u1):

@@ -19,7 +19,8 @@ import sepgame
 from sepgame.logic import EMPTY_LSTATE, LogicalState, lstate
 from sepgame.machine import MachineState, MemoryState
 from sepgame.maps import Node, fmap
-from sepgame.separation import Available, SeparatedState, sep_state
+from sepgame.separation import (HELD_BY_CODE, HELD_BY_FRAME, Available,
+                                SeparatedState, sep_state, sep_state_to_text)
 from sepgame.syntax import (Add, Emp, FTrue, Lit, ParseError, Universe, Var,
                             parse_universe)
 
@@ -88,6 +89,15 @@ def test_universe_validation_still_raises():
         Universe(("x",), (1,), (0,), (1,), ("r",), maxlen=-1)
 
 
+def test_fmap_order_is_only_among_fmaps():
+    assert fmap({1: 2}) < fmap({1: 3}) and not fmap({1: 3}) < fmap({1: 2})
+    assert fmap({1: 2}).__lt__(3) is NotImplemented
+    with pytest.raises(TypeError):
+        fmap({1: 2}) < 3
+    with pytest.raises(TypeError):
+        sorted([fmap({1: 2}), (1, 2)])
+
+
 def test_separated_state_equality_and_hash_ignore_its_tensor():
     code = lstate(stack={"x": (1, 1)})
     s = sep_state(code=code, resources={"r": Available(EMPTY_LSTATE)})
@@ -97,6 +107,19 @@ def test_separated_state_equality_and_hash_ignore_its_tensor():
     assert hash(s) == hash((code, s.resources, EMPTY_LSTATE))
     assert SeparatedState.__match_args__ == ("code", "resources", "frame")
     assert "tensor" not in repr(s)
+
+
+def test_a_separated_state_keeps_its_text_and_code_locks():
+    s = sep_state(code=lstate(stack={"x": (1, 1)}),
+                  resources={"p": Available(EMPTY_LSTATE), "q": HELD_BY_FRAME,
+                             "r": HELD_BY_CODE})
+    assert s.text is None and s.code_locks is None
+    text, locks = sep_state_to_text(s), s.dom_code()
+    assert text == "code={x=1@1|} ; res=[p:avail{|} q:F r:C] ; frame={|}"
+    assert locks == {"r"}
+    assert sep_state_to_text(s) is text and s.dom_code() is locks
+    t = SeparatedState(s.code, s.resources, s.frame)
+    assert s == t and hash(s) == hash(t) and "text" not in repr(s)
 
 
 def test_a_node_subclass_may_keep_derived_slots():

@@ -17,7 +17,8 @@ from sepgame.logic import erase, lstate_from_text, lstate_to_text, tensor_all
 from sepgame.machine import MachineState
 from sepgame.proof import check_proof
 from sepgame.semantics import enumerate_traces
-from sepgame.separation import Available, combine
+from sepgame.separation import (HELD_BY_CODE, Available, SeparatedState, combine,
+                                sep_state_to_text)
 from sepgame.soundness import (ExtractedStrategy, ExtractionFailure,
                                SoundnessAlarm, verify_corollary)
 from sepgame.syntax import parse_proof, parse_universe
@@ -198,3 +199,40 @@ def test_memo_and_stored_tensors_are_never_stale(tmp_path, capsys, monkeypatch):
             assert combine(s) == MachineState(erase(tensor_all(pieces)), locked)
         held += len(cached)
     assert held > 1000
+
+
+def test_kept_texts_and_code_locks_are_never_stale(tmp_path, capsys, monkeypatch):
+    """After the chain over par_writes on the strategy-chain universe, every
+    state the separations memo holds and every response of an extracted
+    strategy renders as a fresh state of the same pieces does, and names the
+    same code-held locks as a fresh frozenset."""
+    memo = separation.separations
+    respond = ExtractedStrategy.respond
+    calls, responses = set(), []
+
+    def recording(*args):
+        calls.add(args)
+        return memo(*args)
+
+    def recording_respond(self, *args):
+        out = respond(self, *args)
+        responses.extend(s for s, _ in out)
+        return out
+    monkeypatch.setattr(separation, "separations", recording)
+    monkeypatch.setattr(game, "separations", recording)
+    monkeypatch.setattr(ExtractedStrategy, "respond", recording_respond)
+    memo.cache_clear()
+    game._refinements.cache_clear()
+    uni = tmp_path / "strategy-chain.uni"
+    uni.write_text(corpus_text("par_writes.uni").replace("vals = 0..3", "vals = 0..1"))
+    code = bench_script("chain").main([str(CORPUS / "par_writes.csl"),
+                                       str(CORPUS / "par_writes.proof"), "-u", str(uni)])
+    assert code == 0 and capsys.readouterr().out.endswith(", all pass\n")
+    states = [s for args in calls for s in memo(*args)] + responses
+    assert len(responses) > 100 and len(states) > 1000
+    assert sum(s.text is not None for s in states) >= 76
+    for s in states:
+        fresh = SeparatedState(s.code, s.resources, s.frame)
+        assert sep_state_to_text(s) == sep_state_to_text(fresh)
+        assert s.dom_code() == frozenset(
+            r for r, e in s.resources.items() if e == HELD_BY_CODE)
