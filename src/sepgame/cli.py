@@ -118,8 +118,7 @@ def _full_perm_inits(pre, rho, u):
 
 
 def _full_perm_machine_states(u):
-    return sorted({MachineState(erase(sigma), frozenset())
-                   for sigma in _full_perm_states(u)}, key=repr)
+    return {MachineState(erase(sigma), frozenset()) for sigma in _full_perm_states(u)}
 
 
 def cmd_run(args) -> int:
@@ -128,8 +127,6 @@ def cmd_run(args) -> int:
         inits = [MachineState(erase(_read_lstate(args.init, u)), frozenset())]
     else:
         inits = _full_perm_machine_states(u)
-        if args.first_init:
-            inits = inits[:1]
     lines = []
     total = returning = 0
     try:
@@ -276,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-traces", type=int, default=None)
     p.add_argument("--init", default=None,
                    help="single initial logical state, e.g. '{x=0@1|}'")
-    p.add_argument("--first-init", action="store_true",
-                   help="only the first full-permission initial state")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("check", help="check a proof script")

@@ -183,8 +183,7 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
 
     outcomes = step_outcomes(t, u)
     visited = set()
-    frontier = [(1, s, key, (s,)) for s, key in sorted(
-        accepted.items(), key=lambda kv: sep_state_to_text(kv[0]))]
+    frontier = [(1, s, accepted[s], (s,)) for s in expected]
     explored = 0
     while frontier:
         i, s, key, play = frontier.pop()

@@ -51,7 +51,7 @@ from .semantics import (HideW, NOTIN, ParW, RETURNS, SeqLeftW, SeqSplitW,
                         denote, enumerate_traces)
 from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                          SeparatedState, SeparationError, combine,
-                         legal_eve_move, sep_state_to_text)
+                         legal_eve_move)
 from .syntax import FTrue, Star, Universe
 from .traces import ERR, Trace, restrict
 
@@ -399,12 +399,12 @@ class ExtractedStrategy:
             self.initials[s] = self.lifter.start(s.code)
 
     def initial_nodes(self):
-        return sorted(self.initials.items(),
-                      key=lambda kv: sep_state_to_text(kv[0]))
+        return self.initials.items()
 
     def respond(self, key, position, state):
-        if not sat_sep(state, self.spec.predicate_at(position), self.rho, self.u):
-            return []
+        """Eve's lifted move from an Adam state at an even position.  Both
+        callers (`check_winning_strategy`, `drive_play`) pass only states
+        satisfying `self.spec.predicate_at(position)`, so it is not rechecked."""
         k = position // 2
         out = self.lifter.eve(key, k, state.code, state.resources)
         if out is None:
@@ -434,7 +434,7 @@ def drive_play(strat, t: Trace, spec, u: Universe, initial=None):
     if not initials:
         return ()
     if initial is None:
-        state = sorted(initials, key=sep_state_to_text)[0]
+        state = next(iter(initials))
     else:
         state = initial
         if state not in initials:

@@ -7,9 +7,11 @@ and can be used as cache keys everywhere else.
 
 The test of an `if`, `while` or `with` is a formula over true, false, and, or
 and `=` of expressions: the logic reads it as the formula B of its rules, and
-the machine evaluates it (`machine.eval_bool`).  Its grammar stays the
-program's own (`and`/`or` group to the right, as in formulas), so a test
-parses to the formula `parse_formula` reads from the same text.
+the machine evaluates it (`machine.eval_bool`).  It is parsed with the
+formula grammar and checked for that shape, so it is the formula
+`parse_formula` reads from the same text; any other formula is rejected at
+the test's first token.  Programs, formulas and proof scripts share one token
+pattern (`tokenize`); universe configs are read line by line.
 """
 
 from __future__ import annotations
@@ -259,10 +261,16 @@ class Universe(Node):
 # --- tokenizer ----------------------------------------------------------------
 
 _SYMBOLS = ["|->", "||", ":=", "=>", "..", "->", "(", ")", "{", "}", "[", "]",
-            ";", ",", ".", ":", "=", "+", "*", "|", "-", "@", "/"]
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_OWN_RE = re.compile(r"own_(\d+)(?:/(\d+))?")
-_INT_RE = re.compile(r"\d+")
+            ";", ",", ".", ":", "=", "+", "*", "|", "-", "@", "/"]   # longest first
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<newline>\n)",
+    r"(?P<blank>[ \t\r]+|#[^\n]*)",
+    r"(?P<own>own_(?P<num>\d+)(?:/(?P<den>\d+))?)",
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<int>\d+)",
+    "(?P<sym>%s)" % "|".join(map(re.escape, _SYMBOLS)),
+    r"(?P<error>.)",
+]))
 
 
 class Token(Node):
@@ -275,51 +283,21 @@ class Token(Node):
 
 def tokenize(text: str) -> list:
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _OWN_RE.match(text, i)
-        if m:
-            num, den = int(m.group(1)), int(m.group(2) or 1)
-            toks.append(Token("own", m.group(0), Fraction(num, den), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            toks.append(Token("name", m.group(0), m.group(0), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            toks.append(Token("int", m.group(0), int(m.group(0)), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        for s in _SYMBOLS:
-            if text.startswith(s, i):
-                toks.append(Token("sym", s, s, line, col))
-                i += len(s)
-                col += len(s)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", None, line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, s, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "own":
+            value = Fraction(int(m["num"]), int(m["den"] or 1))
+            toks.append(Token("own", s, value, line, col))
+        elif kind == "int":
+            toks.append(Token("int", s, int(s), line, col))
+        elif kind in ("name", "sym"):
+            toks.append(Token(kind, s, s, line, col))
+        elif kind == "error":
+            raise ParseError(f"unexpected character {s!r}", line, col)
+    toks.append(Token("eof", "", None, line, len(text) - line_start + 1))
     return toks
 
 
@@ -328,20 +306,20 @@ class _Parser:
         self.toks = tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead=0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[min(self.pos, len(self.toks) - 1)]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def at_sym(self, s, ahead=0):
-        t = self.peek(ahead)
+    def at_sym(self, s):
+        t = self.peek()
         return t.kind == "sym" and t.text == s
 
-    def at_name(self, s=None, ahead=0):
-        t = self.peek(ahead)
+    def at_name(self, s=None):
+        t = self.peek()
         return t.kind == "name" and (s is None or t.text == s)
 
     def expect_sym(self, s) -> Token:
@@ -399,40 +377,13 @@ class _Parser:
 
     # tests: formulas over true, false, and, or and =
 
-    def bexpr(self):
-        b = self.bexpr_and()
-        if self.at_name("or"):
-            self.next()
-            return FOr(b, self.bexpr())
+    def test(self):
+        t = self.peek()
+        b = self.formula()
+        if not _is_test(b):
+            raise ParseError(f"expected a test, found {formula_to_text(b)!r}",
+                             t.line, t.col)
         return b
-
-    def bexpr_and(self):
-        b = self.bexpr_atom()
-        if self.at_name("and"):
-            self.next()
-            return FAnd(b, self.bexpr_and())
-        return b
-
-    def bexpr_atom(self):
-        if self.at_name("true"):
-            self.next()
-            return FTrue()
-        if self.at_name("false"):
-            self.next()
-            return FFalse()
-        if self.at_sym("("):
-            save = self.pos
-            self.next()
-            try:
-                b = self.bexpr()
-                self.expect_sym(")")
-                return b
-            except ParseError:
-                self.pos = save
-        left = self.expr()
-        self.expect_sym("=")
-        right = self.expr()
-        return FEq(left, right)
 
     # commands
 
@@ -462,7 +413,7 @@ class _Parser:
             return c
         if self.at_name("while"):
             self.next()
-            cond = self.bexpr()
+            cond = self.test()
             self.expect_name("do")
             return While(cond, self.command_atom())
         if self.at_name("resource"):
@@ -474,12 +425,12 @@ class _Parser:
             self.next()
             lock = self.expect_name()
             self.expect_name("when")
-            cond = self.bexpr()
+            cond = self.test()
             self.expect_name("do")
             return WithWhen(lock, cond, self.command_atom())
         if self.at_name("if"):
             self.next()
-            cond = self.bexpr()
+            cond = self.test()
             self.expect_name("then")
             then = self.command_atom()
             self.expect_name("else")
@@ -724,6 +675,13 @@ _KEYWORDS = frozenset([
     "exists", "emp",
 ])
 _FIELD_KEYS = frozenset(["ctx", "pre", "cmd", "post", "R", "r", "inv", "val"])
+
+
+def _is_test(f) -> bool:
+    """Whether a formula is a test: true, false and `=` under and and or."""
+    if isinstance(f, (FAnd, FOr)):
+        return _is_test(f.left) and _is_test(f.right)
+    return isinstance(f, (FTrue, FFalse, FEq))
 
 
 def _fresh_logical(avoid) -> str:

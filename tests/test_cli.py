@@ -70,6 +70,13 @@ def test_parallel_option_is_gone(capsys):
     assert exc.value.code == 2
 
 
+def test_first_init_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", _corpus("par_writes", ".csl"), "-u",
+                  _corpus("par_writes", ".uni"), "--first-init"])
+    assert exc.value.code == 2
+
+
 def test_extraction_failure_is_a_report_entry(capsys):
     code, out, err = _main(_verb("verify", "seq_load_store",
                                  "--inits", _corpus("seq_load_store", ".inits")),

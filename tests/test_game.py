@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepgame import game, logic, separation, soundness
+from sepgame import game, logic, separation
 from sepgame.game import (NoWin, SeparatedPredicate, SolvedStrategy,
                           adam_extensions, check_winning_strategy,
                           empty_winning_plays, is_winning_play, replay_lines,
@@ -438,8 +438,7 @@ def test_the_chain_joins_half_as_often_and_renders_each_state_once(
         return piece(sigma)
     monkeypatch.setattr(logic, "_join", counting_join)
     monkeypatch.setattr(separation, "lstate_to_text", counting_piece)
-    for module in (game, soundness):
-        monkeypatch.setattr(module, "sep_state_to_text", asking)
+    monkeypatch.setattr(game, "sep_state_to_text", asking)
     separation.separations.cache_clear()
     game._refinements.cache_clear()
     uni = tmp_path / "strategy-chain.uni"

@@ -236,3 +236,25 @@ def test_kept_texts_and_code_locks_are_never_stale(tmp_path, capsys, monkeypatch
         assert sep_state_to_text(s) == sep_state_to_text(fresh)
         assert s.dom_code() == frozenset(
             r for r, e in s.resources.items() if e == HELD_BY_CODE)
+
+
+def test_respond_is_asked_only_about_states_of_its_predicate(
+        tmp_path, capsys, monkeypatch):
+    """`ExtractedStrategy.respond` does not check the Adam state against its
+    position's predicate, because its callers never pass one that fails it:
+    on the strategy-chain inputs the checker asks it 1,704 times, each time
+    about a state satisfying `strat.spec.predicate_at(position)`."""
+    respond = ExtractedStrategy.respond
+    asked = []
+
+    def recording(self, key, position, state):
+        asked.append(game.sat_sep(state, self.spec.predicate_at(position),
+                                  self.rho, self.u))
+        return respond(self, key, position, state)
+    monkeypatch.setattr(ExtractedStrategy, "respond", recording)
+    uni = tmp_path / "strategy-chain.uni"
+    uni.write_text(corpus_text("par_writes.uni").replace("vals = 0..3", "vals = 0..1"))
+    code = bench_script("chain").main([str(CORPUS / "par_writes.csl"),
+                                       str(CORPUS / "par_writes.proof"), "-u", str(uni)])
+    assert code == 0 and capsys.readouterr().out.endswith(", all pass\n")
+    assert len(asked) == 1704 and all(asked)

@@ -1,4 +1,6 @@
+import collections
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,13 +8,14 @@ import pytest
 from sepgame.syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, FAnd,
                             FEq, FFalse, FImplies, FNot, FOr, Forall, FTrue,
                             IfC, Lit, Load, Mul, Own, ParC, ParseError,
-                            PointsTo, ResourceC, SeqC, Skip, Star, Store, Var,
-                            While, WithWhen,
+                            PointsTo, ResourceC, SeqC, Skip, Star, Store, Token,
+                            Var, While, WithWhen,
                             formula_to_text, parse_formula,
                             parse_program, parse_proof, parse_universe,
-                            program_to_text, proof_to_text, universe_to_text)
+                            program_to_text, proof_to_text, tokenize,
+                            universe_to_text)
 
-from .conftest import PROGRAMS, corpus_text
+from .conftest import CORPUS, PROGRAMS, corpus_text
 
 
 def test_parse_parallel_assigns():
@@ -217,6 +220,134 @@ def test_tests_parse_as_formulas():
     for text in ("x = 0 or y = 1 and true", "true and false and x = y",
                  "(x = 0 or y = 0) or x + 1 = y * 2"):
         assert _test_of(text) == parse_formula(text)
+
+
+@pytest.mark.parametrize("text, col", [
+    ("while emp do skip", 7),
+    ("if not x = 0 then skip else skip", 4),
+    ("with r when own_1(x) do skip", 13),
+    ("while x = 0 * emp do skip", 7),
+    ("if 2 |-> 1 then skip else skip", 4),
+    ("while x = 0 => true do skip", 7),
+    ("while exists X. x = X do skip", 7),
+])
+def test_a_formula_that_is_not_a_test_is_rejected_at_its_start(text, col):
+    with pytest.raises(ParseError, match="^expected a test") as exc:
+        parse_program(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+
+
+# --- the lexer against the character loop it replaced ---------------------------
+
+_OLD_SYMBOLS = ["|->", "||", ":=", "=>", "..", "->", "(", ")", "{", "}", "[", "]",
+                ";", ",", ".", ":", "=", "+", "*", "|", "-", "@", "/"]
+_OLD_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_OLD_OWN_RE = re.compile(r"own_(\d+)(?:/(\d+))?")
+_OLD_INT_RE = re.compile(r"\d+")
+
+
+def _old_tokenize(text):
+    """The lexer as a loop over characters, the oracle of `tokenize`."""
+    toks = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        m = _OLD_OWN_RE.match(text, i)
+        if m:
+            num, den = int(m.group(1)), int(m.group(2) or 1)
+            toks.append(Token("own", m.group(0), Fraction(num, den), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        m = _OLD_NAME_RE.match(text, i)
+        if m:
+            toks.append(Token("name", m.group(0), m.group(0), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        m = _OLD_INT_RE.match(text, i)
+        if m:
+            toks.append(Token("int", m.group(0), int(m.group(0)), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        for s in _OLD_SYMBOLS:
+            if text.startswith(s, i):
+                toks.append(Token("sym", s, s, line, col))
+                i += len(s)
+                col += len(s)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+    toks.append(Token("eof", "", None, line, col))
+    return toks
+
+
+def _lexed(lex, text):
+    """The token stream as (kind, text, value, line, col) tuples, or the
+    exception's type and message."""
+    try:
+        return [(t.kind, t.text, t.value, t.line, t.col) for t in lex(text)]
+    except (ParseError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_lexes_as_before(text) -> str:
+    """Check both lexers on the text; say whether it failed to lex, ended in
+    a comment (the one case the streams differ) or lexed alike."""
+    old, new = _lexed(_old_tokenize, text), _lexed(tokenize, text)
+    if isinstance(old, tuple):
+        assert new == old
+        return "error"
+    # the loop never advanced the column over a comment, so after a comment
+    # on the last line its end-of-input column is the comment's start
+    last = text.rsplit("\n", 1)[-1]
+    assert old[-1][4] == (last.find("#") + 1 if "#" in last else len(last) + 1)
+    assert new[-1][4] == len(last) + 1
+    assert new[:-1] == old[:-1] and new[-1][:4] == old[-1][:4]
+    return "comment" if new != old else "equal"
+
+
+def test_tokens_equal_the_character_loop_on_the_corpus():
+    files = [p for p in sorted(CORPUS.rglob("*")) if p.is_file()]
+    assert len(files) > 30
+    for path in files:
+        _assert_lexes_as_before(path.read_text())
+
+
+_PIECES = ["x", "y1", "X_2", "own_", "own_1", "own_1/2", "own_3/", "own_2/0",
+           "0", "12", "7", "٣", " ", "  ", "\t", "\r", "\n", "#", "# note",
+           "!", "$", "é", "'", "\f", *_OLD_SYMBOLS, "|-", ":", "..."]
+
+
+def test_tokens_equal_the_character_loop_on_random_text():
+    rng = random.Random(16)
+    outcomes = collections.Counter(
+        _assert_lexes_as_before("".join(rng.choice(_PIECES)
+                                        for _ in range(rng.randrange(12))))
+        for _ in range(30000))
+    assert min(outcomes[k] for k in ("error", "comment", "equal")) > 3000
+
+
+def test_end_of_input_after_a_trailing_comment():
+    assert _lexed(_old_tokenize, "x := # note")[-1] == ("eof", "", None, 1, 6)
+    assert _lexed(tokenize, "x := # note")[-1] == ("eof", "", None, 1, 12)
+    with pytest.raises(ParseError, match="at 1:12$"):
+        parse_program("x := # note")
 
 
 def test_proof_round_trip():
