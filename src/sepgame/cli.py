@@ -22,8 +22,8 @@ from .proof import check_proof
 from .semantics import EnumerationBudget, enumerate_traces
 from .soundness import (ExtractedStrategy, ExtractionFailure, SoundnessAlarm,
                         drive_play, verify_corollary)
-from .syntax import (AllocC, Assign, FTrue, Load, ParseError, Star, Var,
-                     parse_program, parse_proof, parse_universe, subterms)
+from .syntax import (AllocC, Assign, FTrue, Load, ParseError, ResourceC, Star, Var,
+                     WithWhen, parse_program, parse_proof, parse_universe, subterms)
 from .traces import trace_to_lines
 
 
@@ -75,15 +75,19 @@ def _check_in_universe(text, s: MachineState, u, perms=()):
 
 
 def _load_program(args):
-    """The universe, and the program, which names no variable the universe
-    does not declare."""
+    """The universe, and the program, which names no variable and no lock the
+    universe does not declare."""
     u = _load_universe(args.universe)
     prog = parse_program(_read(args.program))
-    named = {n.name if isinstance(n, Var) else n.var for n in subterms(prog)
-             if isinstance(n, (Var, Assign, Load, AllocC))}
-    unknown = sorted(named - set(u.variables))
-    if unknown:
-        raise ParseError(f"variable {unknown[0]} of the program is not in the universe")
+    terms = list(subterms(prog))
+    variables = {n.name if isinstance(n, Var) else n.var for n in terms
+                 if isinstance(n, (Var, Assign, Load, AllocC))}
+    locks = {n.lock for n in terms if isinstance(n, (ResourceC, WithWhen))}
+    for what, named, declared in (("variable", variables, u.variables),
+                                  ("lock", locks, u.locks)):
+        unknown = sorted(named - set(declared))
+        if unknown:
+            raise ParseError(f"{what} {unknown[0]} of the program is not in the universe")
     return u, prog
 
 

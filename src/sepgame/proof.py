@@ -6,12 +6,23 @@ logical variables.  Semantic side conditions (definedness of branch tests,
 precision of context invariants, consequence entailments) are discharged by
 bounded enumeration over the declared universe.
 
+Each rule is a schema (`_SCHEMAS`) that yields the rule's obligations on a
+node as (holds, reason) pairs, in report order; `check_proof` reports the
+pairs that fail.  Conflicting valuations come first, for the whole tree.
+Then, node by node in pre-order: an extension rule used without the flag,
+logical variables left uninstantiated, and either a command of the wrong
+shape for the rule (the one table `_SHAPES`) or the failing obligations.
+Premise commands and premise contexts are one obligation each
+(`_premises`).  A schema stops early, reporting one reason for its node,
+where the rest cannot be stated: `res` on a lock other than the command's,
+`with` on a lock the context does not bind, an axiom whose precondition
+does not match, and `load` when x occurs in the address.
+
 The core calculus covers assignment, store, load, seq, if, conj, res, with,
 par and frame.  Extension rules (skip, while, alloc, dispose, consequence)
 are not part of that core and are quarantined behind an explicit flag; every
 use is reported.
 """
-
 from __future__ import annotations
 
 from .logic import (TOP, UncoveredLogicalVariable, def_formula, entails,
@@ -164,13 +175,18 @@ def check_proof(node: ProofNode, u: Universe,
         if missing:
             reported.append(path)
             complain(path, n.tag, f"logical variables not instantiated: {missing}")
-        handler = _HANDLERS.get(n.tag)
-        try:
-            handler(n, path, u, rho, complain)
-        except UncoveredLogicalVariable as exc:
-            # A side condition over an uninstantiated variable cannot be
-            # decided; the node whose formula holds it reports the variable.
-            undecided.append(exc)
+        shape = _SHAPES.get(n.tag)
+        if shape and not isinstance(n.cmd, shape[0]):
+            complain(path, n.tag, f"{n.tag} applies to {shape[1]}")
+        else:
+            try:
+                for holds, reason in _SCHEMAS[n.tag](n, u, rho):
+                    if not holds:
+                        complain(path, n.tag, reason)
+            except UncoveredLogicalVariable as exc:
+                # A side condition over an uninstantiated variable cannot be
+                # decided; the node whose formula holds it reports the variable.
+                undecided.append(exc)
         for i, child in enumerate(n.children):
             check(child, f"{path}.{i}")
 
@@ -182,277 +198,181 @@ def check_proof(node: ProofNode, u: Universe,
     return ProofCheckResult(ok, sequent, rho, violations, tuple(extensions))
 
 
-# --- per-rule schema checks ------------------------------------------------------------
+# --- rule schemas ----------------------------------------------------------------------
+# A schema sees only nodes whose command has its rule's shape.  It stops early by
+# yielding a failing pair and returning.
+
+_SHAPES = {
+    "aff": (Assign, "an assignment"), "store": (Store, "a heap write"),
+    "load": (Load, "a heap read"), "seq": (SeqC, "a sequential composition"),
+    "if": (IfC, "a conditional"), "res": (ResourceC, "a resource declaration"),
+    "with": (WithWhen, "a with-when block"), "par": (ParC, "a parallel composition"),
+    "ext_skip": (Skip, "skip"), "ext_while": (While, "a while loop"),
+    "ext_alloc": (AllocC, "an allocation"), "ext_dispose": (DisposeC, "a disposal"),
+}
+
+
+def _premises(n, cmds, cmd_reason, ctx=None, ctx_reason=None):
+    """The premises prove cmds, in that order, each in context ctx (by default
+    the conclusion's)."""
+    if ctx is None:
+        ctx = n.ctx
+        ctx_reason = ("premise contexts differ from the conclusion's" if len(cmds) == 2
+                      else "premise context differs from the conclusion's")
+    yield all(c.cmd == cmd for c, cmd in zip(n.children, cmds)), cmd_reason
+    yield all(ctx_match(c.ctx, ctx) for c in n.children), ctx_reason
+
+
+def _conclusion(n, pre, post, pre_shown, post_shown):
+    yield formulas_match(n.pre, pre), f"conclusion precondition is not {pre_shown}"
+    yield formulas_match(n.post, post), f"conclusion postcondition is not {post_shown}"
+
 
 def _match_ghost_eq(pre, x, e):
     """Find the ghost X with pre == own_T(x) * (X = e), up to AC."""
     for cand in sorted(formula_free_logical_vars(pre)):
-        want = Star(Own(TOP, x), FEq(Var(cand), e))
-        if formulas_match(pre, want):
+        if formulas_match(pre, Star(Own(TOP, x), FEq(Var(cand), e))):
             return cand
     return None
 
 
-def _check_aff(n, path, u, rho, complain):
-    if not isinstance(n.cmd, Assign):
-        complain(path, n.tag, "aff applies to an assignment")
-        return
-    x, e = n.cmd.var, n.cmd.expr
-    ghost = _match_ghost_eq(n.pre, x, e)
-    if ghost is None:
-        complain(path, n.tag, "precondition is not own_T(x) * (X = E)")
-        return
-    want_post = Star(Own(TOP, x), FEq(Var(x), Var(ghost)))
-    if not formulas_match(n.post, want_post):
-        complain(path, n.tag, "postcondition is not own_T(x) * (x = X)")
+def _ghost_axiom(post, shown):
+    """{own_T(x) * (X = E)} x := ...E... {own_T(x) * post(x, X)}: aff, ext_alloc."""
+    def schema(n, u, rho):
+        x = n.cmd.var
+        ghost = _match_ghost_eq(n.pre, x, n.cmd.expr)
+        if ghost is None:
+            yield False, "precondition is not own_T(x) * (X = E)"
+            return
+        yield (formulas_match(n.post, Star(Own(TOP, x), post(Var(x), Var(ghost)))),
+               f"postcondition is not own_T(x) * ({shown})")
+    return schema
 
 
-def _check_store(n, path, u, rho, complain):
-    if not isinstance(n.cmd, Store):
-        complain(path, n.tag, "store applies to a heap write")
-        return
-    e, e2 = n.cmd.addr, n.cmd.expr
-    want_pre = Exists("X_1", PointsTo(e, TOP, Var("X_1")))
-    if not formulas_match(n.pre, want_pre):
-        complain(path, n.tag, "precondition is not E |-> -")
-        return
-    if not formulas_match(n.post, PointsTo(e, TOP, e2)):
-        complain(path, n.tag, "postcondition is not E |-> E'")
+def _cell_axiom(post, shown):
+    """{E |-> -} C {post(C)} for a command C on the cell at E: store, ext_dispose."""
+    def schema(n, u, rho):
+        if not formulas_match(n.pre, Exists("X_1", PointsTo(n.cmd.addr, TOP, Var("X_1")))):
+            yield False, "precondition is not E |-> -"
+            return
+        yield formulas_match(n.post, post(n.cmd)), f"postcondition is not {shown}"
+    return schema
 
 
-def _check_load(n, path, u, rho, complain):
-    if not isinstance(n.cmd, Load):
-        complain(path, n.tag, "load applies to a heap read")
-        return
+def _load(n, u, rho):
     x, e = n.cmd.var, n.cmd.addr
     if x in expr_program_vars(e):
-        complain(path, n.tag, f"side condition violated: {x} occurs in the address")
+        yield False, f"side condition violated: {x} occurs in the address"
         return
     parts = star_parts(n.pre)
-    cell = None
-    for part in parts:
-        if isinstance(part, PointsTo) and isinstance(part.value, Var) \
-                and is_logical_name(part.value.name):
-            cell = part
-    if cell is None or len(parts) != 2:
-        complain(path, n.tag, "precondition is not E |->[p] v * own_T(x)")
+    cells = [part for part in parts if isinstance(part, PointsTo)
+             and isinstance(part.value, Var) and is_logical_name(part.value.name)]
+    pre = cells and Star(PointsTo(e, cells[-1].perm, cells[-1].value), Own(TOP, x))
+    if len(parts) != 2 or not cells or not formulas_match(n.pre, pre):
+        yield False, "precondition is not E |->[p] v * own_T(x)"
         return
-    p, v = cell.perm, cell.value.name
-    if not formulas_match(n.pre, Star(PointsTo(e, p, Var(v)), Own(TOP, x))):
-        complain(path, n.tag, "precondition is not E |->[p] v * own_T(x)")
-        return
-    want_post = Star(Star(PointsTo(e, p, Var(v)), Own(TOP, x)),
-                     FEq(Var(x), Var(v)))
-    if not formulas_match(n.post, want_post):
-        complain(path, n.tag, "postcondition is not E |->[p] v * own_T(x) * (x = v)")
+    yield (formulas_match(n.post, Star(pre, FEq(Var(x), cells[-1].value))),
+           "postcondition is not E |->[p] v * own_T(x) * (x = v)")
 
 
-def _check_seq(n, path, u, rho, complain):
-    if not isinstance(n.cmd, SeqC):
-        complain(path, n.tag, "seq applies to a sequential composition")
-        return
+def _seq(n, u, rho):
     c1, c2 = n.children
-    if c1.cmd != n.cmd.first or c2.cmd != n.cmd.second:
-        complain(path, n.tag, "premise commands do not match the composition")
-    if not (ctx_match(c1.ctx, n.ctx) and ctx_match(c2.ctx, n.ctx)):
-        complain(path, n.tag, "premise contexts differ from the conclusion's")
-    if not formulas_match(c1.pre, n.pre):
-        complain(path, n.tag, "first premise precondition mismatch")
-    if not formulas_match(c1.post, c2.pre):
-        complain(path, n.tag, "midpoint mismatch between the premises")
-    if not formulas_match(c2.post, n.post):
-        complain(path, n.tag, "second premise postcondition mismatch")
+    yield from _premises(n, (n.cmd.first, n.cmd.second),
+                         "premise commands do not match the composition")
+    yield formulas_match(c1.pre, n.pre), "first premise precondition mismatch"
+    yield formulas_match(c1.post, c2.pre), "midpoint mismatch between the premises"
+    yield formulas_match(c2.post, n.post), "second premise postcondition mismatch"
 
 
-def _check_if(n, path, u, rho, complain):
-    if not isinstance(n.cmd, IfC):
-        complain(path, n.tag, "if applies to a conditional")
-        return
+def _if(n, u, rho):
     b = n.cmd.cond
-    if not entails(n.pre, def_formula(b, u), u, rho):
-        complain(path, n.tag, "side condition P => def(B) fails")
     c1, c2 = n.children
-    if c1.cmd != n.cmd.then or c2.cmd != n.cmd.orelse:
-        complain(path, n.tag, "premise commands do not match the branches")
-    if not (ctx_match(c1.ctx, n.ctx) and ctx_match(c2.ctx, n.ctx)):
-        complain(path, n.tag, "premise contexts differ from the conclusion's")
-    if not formulas_match(c1.pre, FAnd(n.pre, b)):
-        complain(path, n.tag, "then-premise precondition is not P /\\ B")
-    if not formulas_match(c2.pre, FAnd(n.pre, FNot(b))):
-        complain(path, n.tag, "else-premise precondition is not P /\\ not B")
-    if not (formulas_match(c1.post, n.post) and formulas_match(c2.post, n.post)):
-        complain(path, n.tag, "premise postconditions differ from the conclusion's")
+    yield entails(n.pre, def_formula(b, u), u, rho), "side condition P => def(B) fails"
+    yield from _premises(n, (n.cmd.then, n.cmd.orelse),
+                         "premise commands do not match the branches")
+    yield formulas_match(c1.pre, FAnd(n.pre, b)), "then-premise precondition is not P /\\ B"
+    yield (formulas_match(c2.pre, FAnd(n.pre, FNot(b))),
+           "else-premise precondition is not P /\\ not B")
+    yield (formulas_match(c1.post, n.post) and formulas_match(c2.post, n.post),
+           "premise postconditions differ from the conclusion's")
 
 
-def _check_conj(n, path, u, rho, complain):
+def _conj(n, u, rho):
     c1, c2 = n.children
     for r, j in n.ctx.items():
-        if not is_precise(j, u, rho):
-            complain(path, n.tag, f"context invariant for {r} is not precise")
-    if c1.cmd != n.cmd or c2.cmd != n.cmd:
-        complain(path, n.tag, "premises must prove the same command")
-    if not (ctx_match(c1.ctx, n.ctx) and ctx_match(c2.ctx, n.ctx)):
-        complain(path, n.tag, "premise contexts differ from the conclusion's")
-    if not formulas_match(n.pre, FAnd(c1.pre, c2.pre)):
-        complain(path, n.tag, "conclusion precondition is not P1 /\\ P2")
-    if not formulas_match(n.post, FAnd(c1.post, c2.post)):
-        complain(path, n.tag, "conclusion postcondition is not Q1 /\\ Q2")
+        yield is_precise(j, u, rho), f"context invariant for {r} is not precise"
+    yield from _premises(n, (n.cmd, n.cmd), "premises must prove the same command")
+    yield from _conclusion(n, FAnd(c1.pre, c2.pre), FAnd(c1.post, c2.post),
+                           "P1 /\\ P2", "Q1 /\\ Q2")
 
 
-def _check_res(n, path, u, rho, complain):
-    if not isinstance(n.cmd, ResourceC):
-        complain(path, n.tag, "res applies to a resource declaration")
-        return
-    r = n.params["r"]
-    j = n.params["inv"]
+def _res(n, u, rho):
+    r, j, child = n.params["r"], n.params["inv"], n.children[0]
     if r != n.cmd.lock:
-        complain(path, n.tag, "declared resource differs from the command's")
+        yield False, "declared resource differs from the command's"
         return
-    if r in n.ctx:
-        complain(path, n.tag, f"resource {r} already bound in the context")
-    child = n.children[0]
-    if child.cmd != n.cmd.body:
-        complain(path, n.tag, "premise command is not the resource body")
-    if not ctx_match(child.ctx, n.ctx.set(r, j)):
-        complain(path, n.tag, "premise context is not the conclusion's plus r:J")
-    if not formulas_match(n.pre, Star(child.pre, j)):
-        complain(path, n.tag, "conclusion precondition is not P * J")
-    if not formulas_match(n.post, Star(child.post, j)):
-        complain(path, n.tag, "conclusion postcondition is not Q * J")
+    yield r not in n.ctx, f"resource {r} already bound in the context"
+    yield from _premises(n, (n.cmd.body,), "premise command is not the resource body",
+                         n.ctx.set(r, j),
+                         "premise context is not the conclusion's plus r:J")
+    yield from _conclusion(n, Star(child.pre, j), Star(child.post, j), "P * J", "Q * J")
 
 
-def _check_with(n, path, u, rho, complain):
-    if not isinstance(n.cmd, WithWhen):
-        complain(path, n.tag, "with applies to a with-when block")
-        return
-    r, b = n.cmd.lock, n.cmd.cond
+def _with(n, u, rho):
+    r, b, child = n.cmd.lock, n.cmd.cond, n.children[0]
     if r not in n.ctx:
-        complain(path, n.tag, f"resource {r} is not bound in the context")
+        yield False, f"resource {r} is not bound in the context"
         return
     j = n.ctx[r]
-    if not entails(n.pre, def_formula(b, u), u, rho):
-        complain(path, n.tag, "side condition P => def(B) fails")
-    child = n.children[0]
-    if child.cmd != n.cmd.body:
-        complain(path, n.tag, "premise command is not the block body")
-    if not ctx_match(child.ctx, n.ctx.remove(r)):
-        complain(path, n.tag, "premise context is not the conclusion's minus r")
-    if not formulas_match(child.pre, FAnd(Star(n.pre, j), b)):
-        complain(path, n.tag, "premise precondition is not (P * J) /\\ B")
-    if not formulas_match(child.post, Star(n.post, j)):
-        complain(path, n.tag, "premise postcondition is not Q * J")
+    yield entails(n.pre, def_formula(b, u), u, rho), "side condition P => def(B) fails"
+    yield from _premises(n, (n.cmd.body,), "premise command is not the block body",
+                         n.ctx.remove(r), "premise context is not the conclusion's minus r")
+    yield (formulas_match(child.pre, FAnd(Star(n.pre, j), b)),
+           "premise precondition is not (P * J) /\\ B")
+    yield formulas_match(child.post, Star(n.post, j)), "premise postcondition is not Q * J"
 
 
-def _check_par(n, path, u, rho, complain):
-    if not isinstance(n.cmd, ParC):
-        complain(path, n.tag, "par applies to a parallel composition")
-        return
+def _par(n, u, rho):
     c1, c2 = n.children
-    if c1.cmd != n.cmd.left or c2.cmd != n.cmd.right:
-        complain(path, n.tag, "premise commands do not match the composition")
-    if not (ctx_match(c1.ctx, n.ctx) and ctx_match(c2.ctx, n.ctx)):
-        complain(path, n.tag, "premise contexts differ from the conclusion's")
-    if not formulas_match(n.pre, Star(c1.pre, c2.pre)):
-        complain(path, n.tag, "conclusion precondition is not P1 * P2")
-    if not formulas_match(n.post, Star(c1.post, c2.post)):
-        complain(path, n.tag, "conclusion postcondition is not Q1 * Q2")
+    yield from _premises(n, (n.cmd.left, n.cmd.right),
+                         "premise commands do not match the composition")
+    yield from _conclusion(n, Star(c1.pre, c2.pre), Star(c1.post, c2.post),
+                           "P1 * P2", "Q1 * Q2")
 
 
-def _check_frame(n, path, u, rho, complain):
-    r = n.params["R"]
+def _frame(n, u, rho):
+    r, child = n.params["R"], n.children[0]
+    yield from _premises(n, (n.cmd,), "premise command differs from the conclusion's")
+    yield from _conclusion(n, Star(child.pre, r), Star(child.post, r), "P * R", "Q * R")
+
+
+def _skip(n, u, rho):
+    yield formulas_match(n.pre, n.post), "skip must keep its precondition"
+
+
+def _while(n, u, rho):
+    b, inv, child = n.cmd.cond, n.pre, n.children[0]
+    yield entails(inv, def_formula(b, u), u, rho), "side condition I => def(B) fails"
+    yield from _premises(n, (n.cmd.body,), "premise command is not the loop body")
+    yield formulas_match(child.pre, FAnd(inv, b)), "premise precondition is not I /\\ B"
+    yield formulas_match(child.post, inv), "premise must re-establish the invariant"
+    yield (formulas_match(n.post, FAnd(inv, FNot(b))),
+           "conclusion postcondition is not I /\\ not B")
+
+
+def _conseq(n, u, rho):
     child = n.children[0]
-    if child.cmd != n.cmd:
-        complain(path, n.tag, "premise command differs from the conclusion's")
-    if not ctx_match(child.ctx, n.ctx):
-        complain(path, n.tag, "premise context differs from the conclusion's")
-    if not formulas_match(n.pre, Star(child.pre, r)):
-        complain(path, n.tag, "conclusion precondition is not P * R")
-    if not formulas_match(n.post, Star(child.post, r)):
-        complain(path, n.tag, "conclusion postcondition is not Q * R")
+    yield from _premises(n, (n.cmd,), "premise command differs from the conclusion's")
+    yield entails(n.pre, child.pre, u, rho), "precondition entailment fails"
+    yield entails(child.post, n.post, u, rho), "postcondition entailment fails"
 
 
-def _check_ext_skip(n, path, u, rho, complain):
-    if not isinstance(n.cmd, Skip):
-        complain(path, n.tag, "ext_skip applies to skip")
-        return
-    if not formulas_match(n.pre, n.post):
-        complain(path, n.tag, "skip must keep its precondition")
-
-
-def _check_ext_while(n, path, u, rho, complain):
-    if not isinstance(n.cmd, While):
-        complain(path, n.tag, "ext_while applies to a while loop")
-        return
-    b = n.cmd.cond
-    inv = n.pre
-    if not entails(inv, def_formula(b, u), u, rho):
-        complain(path, n.tag, "side condition I => def(B) fails")
-    child = n.children[0]
-    if child.cmd != n.cmd.body:
-        complain(path, n.tag, "premise command is not the loop body")
-    if not ctx_match(child.ctx, n.ctx):
-        complain(path, n.tag, "premise context differs from the conclusion's")
-    if not formulas_match(child.pre, FAnd(inv, b)):
-        complain(path, n.tag, "premise precondition is not I /\\ B")
-    if not formulas_match(child.post, inv):
-        complain(path, n.tag, "premise must re-establish the invariant")
-    if not formulas_match(n.post, FAnd(inv, FNot(b))):
-        complain(path, n.tag, "conclusion postcondition is not I /\\ not B")
-
-
-def _check_ext_conseq(n, path, u, rho, complain):
-    child = n.children[0]
-    if child.cmd != n.cmd:
-        complain(path, n.tag, "premise command differs from the conclusion's")
-    if not ctx_match(child.ctx, n.ctx):
-        complain(path, n.tag, "premise context differs from the conclusion's")
-    if not entails(n.pre, child.pre, u, rho):
-        complain(path, n.tag, "precondition entailment fails")
-    if not entails(child.post, n.post, u, rho):
-        complain(path, n.tag, "postcondition entailment fails")
-
-
-def _check_ext_alloc(n, path, u, rho, complain):
-    if not isinstance(n.cmd, AllocC):
-        complain(path, n.tag, "ext_alloc applies to an allocation")
-        return
-    x, e = n.cmd.var, n.cmd.expr
-    ghost = _match_ghost_eq(n.pre, x, e)
-    if ghost is None:
-        complain(path, n.tag, "precondition is not own_T(x) * (X = E)")
-        return
-    want_post = Star(Own(TOP, x), PointsTo(Var(x), TOP, Var(ghost)))
-    if not formulas_match(n.post, want_post):
-        complain(path, n.tag, "postcondition is not own_T(x) * (x |-> X)")
-
-
-def _check_ext_dispose(n, path, u, rho, complain):
-    if not isinstance(n.cmd, DisposeC):
-        complain(path, n.tag, "ext_dispose applies to a disposal")
-        return
-    e = n.cmd.addr
-    want_pre = Exists("X_1", PointsTo(e, TOP, Var("X_1")))
-    if not formulas_match(n.pre, want_pre):
-        complain(path, n.tag, "precondition is not E |-> -")
-        return
-    if not formulas_match(n.post, Emp()):
-        complain(path, n.tag, "postcondition is not emp")
-
-
-_HANDLERS = {
-    "aff": _check_aff,
-    "store": _check_store,
-    "load": _check_load,
-    "seq": _check_seq,
-    "if": _check_if,
-    "conj": _check_conj,
-    "res": _check_res,
-    "with": _check_with,
-    "par": _check_par,
-    "frame": _check_frame,
-    "ext_skip": _check_ext_skip,
-    "ext_while": _check_ext_while,
-    "ext_conseq": _check_ext_conseq,
-    "ext_alloc": _check_ext_alloc,
-    "ext_dispose": _check_ext_dispose,
+_SCHEMAS = {
+    "aff": _ghost_axiom(FEq, "x = X"),
+    "store": _cell_axiom(lambda c: PointsTo(c.addr, TOP, c.expr), "E |-> E'"),
+    "load": _load, "seq": _seq, "if": _if, "conj": _conj, "res": _res, "with": _with,
+    "par": _par, "frame": _frame, "ext_skip": _skip, "ext_while": _while,
+    "ext_conseq": _conseq,
+    "ext_alloc": _ghost_axiom(lambda x, ghost: PointsTo(x, TOP, ghost), "x |-> X"),
+    "ext_dispose": _cell_axiom(lambda c: Emp(), "emp"),
 }

@@ -289,8 +289,10 @@ def tokenize(text: str) -> list:
         if kind == "newline":
             line, line_start = line + 1, m.end()
         elif kind == "own":
-            value = Fraction(int(m["num"]), int(m["den"] or 1))
-            toks.append(Token("own", s, value, line, col))
+            num, den = int(m["num"]), int(m["den"] or 1)
+            if not den:
+                raise ParseError(f"permission {num}/0 has a zero denominator", line, col)
+            toks.append(Token("own", s, Fraction(num, den), line, col))
         elif kind == "int":
             toks.append(Token("int", s, int(s), line, col))
         elif kind in ("name", "sym"):
@@ -570,6 +572,8 @@ class _Parser:
             if d.kind != "int":
                 raise ParseError("expected a denominator", d.line, d.col)
             den = d.value
+        if not den:
+            raise ParseError(f"permission {num}/0 has a zero denominator", t.line, t.col)
         p = Fraction(num, den)
         if not (0 < p <= 1):
             raise ParseError(f"permission {p} outside (0,1]", t.line, t.col)

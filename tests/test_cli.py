@@ -231,6 +231,34 @@ def test_program_outside_the_universe_exits_2(tmp_path, capsys, verb):
     assert out == "" and err == "sepgame: variable z of the program is not in the universe\n"
 
 
+@pytest.mark.parametrize("pre, col", [("own_1/0(x)", 16), ("2 |->[1/0] 1", 22)])
+def test_zero_denominator_exits_2(tmp_path, capsys, pre, col):
+    proof = tmp_path / "zero.proof"
+    proof.write_text(f"(ext_skip pre: {pre} cmd: skip post: emp)\n")
+    code, out, err = _main(["check", str(proof), "-u", _corpus("if_def", ".uni")], capsys)
+    assert code == 2 and out == ""
+    assert err == f"sepgame: permission 1/0 has a zero denominator at 1:{col}\n"
+
+@pytest.mark.parametrize("verb", ["run", "verify", "game", "solve"])
+@pytest.mark.parametrize("program", ["with q when true do x := 1",
+                                     "resource q do skip"])
+def test_program_lock_outside_the_universe_exits_2(tmp_path, capsys, verb, program):
+    # game once ended in a KeyError on the undeclared lock
+    prog, uni = tmp_path / "undeclared.csl", tmp_path / "r.uni"
+    prog.write_text(program + "\n")
+    uni.write_text(UNIVERSE)
+    proof = tmp_path / "with_q.proof"
+    proof.write_text("(with ctx: [q: own_1(x)] pre: emp cmd: with q when true do x := 1"
+                     " post: emp (ext_conseq pre: (emp * own_1(x)) and true cmd: x := 1"
+                     " post: emp * own_1(x) (aff pre: own_1(x) * (X = 1) cmd: x := 1"
+                     " post: own_1(x) * (x = X) val: [X = 1])))\n")
+    rest = ([] if verb == "run" else [str(proof), "--allow-extensions"]) + (
+        ["--trace-index", "1"] if verb in ("game", "solve") else [])
+    code, out, err = _main([verb, str(prog), "-u", str(uni), *rest], capsys)
+    assert code == 2
+    assert out == "" and err == "sepgame: lock q of the program is not in the universe\n"
+
+
 @pytest.mark.parametrize("line, what", [
     ("vars = x, x", "variable x"), ("locs = 2, 2", "location 2"),
     ("vals = 0, 1, 1", "value 1"), ("perms = 1/2, 1, 1", "permission 1"),

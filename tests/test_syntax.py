@@ -269,7 +269,12 @@ def _old_tokenize(text):
         m = _OLD_OWN_RE.match(text, i)
         if m:
             num, den = int(m.group(1)), int(m.group(2) or 1)
-            toks.append(Token("own", m.group(0), Fraction(num, den), line, col))
+            try:
+                value = Fraction(num, den)
+            except ZeroDivisionError as exc:
+                exc.at = (line, col)   # where the lexer now reports a ParseError
+                raise
+            toks.append(Token("own", m.group(0), value, line, col))
             col += m.end() - i
             i = m.end()
             continue
@@ -302,14 +307,22 @@ def _lexed(lex, text):
     exception's type and message."""
     try:
         return [(t.kind, t.text, t.value, t.line, t.col) for t in lex(text)]
-    except (ParseError, ZeroDivisionError) as exc:
+    except ParseError as exc:
         return type(exc).__name__, str(exc)
+    except ZeroDivisionError as exc:
+        return type(exc).__name__, exc.at
 
 
 def _assert_lexes_as_before(text) -> str:
     """Check both lexers on the text; say whether it failed to lex, ended in
-    a comment (the one case the streams differ) or lexed alike."""
+    a comment (the one case the streams differ) or lexed alike.  Where the
+    old lexer divided by a zero denominator, the new one reports a ParseError
+    at the same token."""
     old, new = _lexed(_old_tokenize, text), _lexed(tokenize, text)
+    if old[0] == "ZeroDivisionError":
+        assert new[0] == "ParseError" and new[1].endswith(
+            " has a zero denominator at %d:%d" % old[1])
+        return "error"
     if isinstance(old, tuple):
         assert new == old
         return "error"
@@ -341,6 +354,14 @@ def test_tokens_equal_the_character_loop_on_random_text():
                                         for _ in range(rng.randrange(12))))
         for _ in range(30000))
     assert min(outcomes[k] for k in ("error", "comment", "equal")) > 3000
+
+
+@pytest.mark.parametrize("text, col", [("own_2/0(x) * emp", 1), ("2 |->[1/0] 1", 7),
+                                       ("emp * own_0/0(y)", 7)])
+def test_a_zero_denominator_is_a_parse_error_at_the_permission(text, col):
+    with pytest.raises(ParseError, match="has a zero denominator") as exc:
+        parse_formula(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
 
 
 def test_end_of_input_after_a_trailing_comment():
