@@ -22,8 +22,9 @@ from .proof import check_proof
 from .semantics import EnumerationBudget, enumerate_traces
 from .soundness import (ExtractedStrategy, ExtractionFailure, SoundnessAlarm,
                         drive_play, verify_corollary)
-from .syntax import (AllocC, Assign, FTrue, Load, ParseError, ResourceC, Star, Var,
-                     WithWhen, parse_program, parse_proof, parse_universe, subterms)
+from .syntax import (AllocC, Assign, FTrue, Load, Own, ParseError, ResourceC, Star,
+                     Var, WithWhen, is_logical_name, parse_program, parse_proof,
+                     parse_universe, subterms)
 from .traces import trace_to_lines
 
 
@@ -74,20 +75,25 @@ def _check_in_universe(text, s: MachineState, u, perms=()):
         raise ParseError(f"{unknown[0]} of state {text!r} is not in the universe")
 
 
+def _check_declared(whose, terms, locks, u):
+    """Reject a program or proof that names a variable or lock the universe
+    does not declare in one of its subterms `terms` or, for a lock, `locks`."""
+    variables = {n.name if isinstance(n, Var) else n.var for n in terms
+                 if isinstance(n, (Var, Assign, Load, AllocC, Own))}
+    locks = locks | {n.lock for n in terms if isinstance(n, (ResourceC, WithWhen))}
+    for what, named, declared in (("variable", variables, u.variables),
+                                  ("lock", locks, u.locks)):
+        unknown = sorted(named - set(declared))
+        if unknown:
+            raise ParseError(f"{what} {unknown[0]} of the {whose} is not in the universe")
+
+
 def _load_program(args):
     """The universe, and the program, which names no variable and no lock the
     universe does not declare."""
     u = _load_universe(args.universe)
     prog = parse_program(_read(args.program))
-    terms = list(subterms(prog))
-    variables = {n.name if isinstance(n, Var) else n.var for n in terms
-                 if isinstance(n, (Var, Assign, Load, AllocC))}
-    locks = {n.lock for n in terms if isinstance(n, (ResourceC, WithWhen))}
-    for what, named, declared in (("variable", variables, u.variables),
-                                  ("lock", locks, u.locks)):
-        unknown = sorted(named - set(declared))
-        if unknown:
-            raise ParseError(f"{what} {unknown[0]} of the program is not in the universe")
+    _check_declared("program", list(subterms(prog)), set(), u)
     return u, prog
 
 
@@ -100,7 +106,18 @@ def _read_lstate(text, u):
 
 
 def _load_checked_proof(args, u):
+    """The proof, which names no program variable or lock the universe does
+    not declare (in a formula, command, context or res rule), and its check."""
     node = parse_proof(_read(args.proof))
+    nodes, parts, locks = [node], [], set()
+    for n in nodes:         # the list grows by each node's premises
+        nodes.extend(n.children)
+        parts += [n.pre, n.cmd, n.post, *n.ctx.values(),
+                  *(n.params[k] for k in ("R", "inv") if k in n.params)]
+        locks |= set(n.ctx) | ({n.params["r"]} if "r" in n.params else set())
+    terms = [t for f in parts for t in subterms(f)
+             if not (isinstance(t, Var) and is_logical_name(t.name))]
+    _check_declared("proof", terms, locks, u)
     result = check_proof(node, u, allow_extensions=args.allow_extensions)
     return node, result
 
@@ -213,7 +230,7 @@ def cmd_game(args) -> int:
              f"returning={'yes' if ret else 'no'}"]
     lines.extend(trace_to_lines(t))
     lines.append("")
-    play = drive_play(strat, t, strat.spec, u)
+    play = drive_play(strat)
     if play:
         lines.append("replay:")
         lines.extend(replay_lines(play, t, strat.spec, u))

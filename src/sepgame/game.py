@@ -2,11 +2,12 @@
 Eve solver used as an independent oracle.
 
 A play over a trace of length p visits positions 1..2p+2; odd-to-even moves
-are Adam's (environment), even-to-odd moves are Eve's (one code step).  The
-checker and the solver enumerate Adam's choices as the separated-state
-refinements of the trace's next machine state that keep the code fragment and
-satisfy the next position's predicate, so everything stays within the
-universe's finite bounds.
+are Adam's (environment), even-to-odd moves are Eve's (one code step).
+`TraceGame` is the one owner of a trace's rules, read by the checker, the
+solver, the extracted strategy and `drive_play`: the positions and their
+machine states, the initial refinements, Adam's moves (the refinements of the
+next machine state that keep the code fragment and satisfy the next
+predicate, within the universe's finite bounds), Eve's moves and their judge.
 
 A position's predicate has one definition, `separation.piece_test`: the code
 against pre, an available resource against its context invariant; the frame
@@ -77,34 +78,14 @@ def sat_sep(s: SeparatedState, sp: SeparatedPredicate, rho: fmap,
 
 
 def trace_state(t: Trace, i: int) -> MachineState:
-    """The machine state at position i (1-based) of the trace's path."""
-    p = len(t)
+    """The machine state at position i (1-based) of the trace's path: the
+    source, then each code step's pre- and post-state, then the target."""
     if i == 1:
         return t.source
-    if i == 2 * p + 2:
+    k = i // 2      # the code step whose pre- (i even) or post-state it is
+    if k > len(t):
         return t.target
-    if i % 2 == 0:
-        return t.steps[i // 2 - 1].pre
-    return t.steps[(i - 1) // 2 - 1].post
-
-
-def step_outcomes(t: Trace, u: Universe) -> tuple:
-    """The `machine_step` outcomes of each code step of the trace from its
-    pre-state, which every Adam state before that step combines into: what
-    Eve's move at the step may combine into."""
-    return tuple(machine_step(st.pre, st.instr, u) for st in t.steps)
-
-
-def is_winning_play(states: tuple, spec: WinningSpec, u: Universe) -> bool:
-    """Every visited state satisfies its position's predicate.  A single-state
-    play over an empty returning trace must satisfy the final predicate too."""
-    if not states:
-        return True
-    if len(states) == 1 and spec.trace_len == 0 and spec.returning:
-        if not sat_sep(states[0], spec.predicate_at(2), spec.rho, u):
-            return False
-    return all(sat_sep(s, spec.predicate_at(i), spec.rho, u)
-               for i, s in enumerate(states, start=1))
+    return t.steps[k - 1].pre if i % 2 == 0 else t.steps[k - 1].post
 
 
 # --- bounded enumeration of Adam's choices ----------------------------------------
@@ -132,18 +113,62 @@ def adam_extensions(s: SeparatedState, target: MachineState,
 def empty_winning_plays(source: MachineState, spec: WinningSpec,
                         u: Universe) -> tuple:
     """All separated states refining the trace's source that satisfy the
-    initial predicate (and the final one, for an empty returning trace)."""
-    out = []
+    initial predicate.  No command returns without a step, so an empty
+    trace never owes the final predicate at position 1."""
     dom_candidates = [frozenset()]
     for r in sorted(source.locked):
         dom_candidates = [d | extra for d in dom_candidates
                           for extra in (frozenset(), frozenset([r]))]
-    for dom_code in dom_candidates:
-        for cand in _refinements(source, None, dom_code,
-                                 spec.predicate_at(1), spec.rho, u):
-            if is_winning_play((cand,), spec, u):
-                out.append(cand)
-    return tuple(sorted(out, key=sep_state_to_text))
+    return tuple(sorted((cand for dom_code in dom_candidates
+                         for cand in _refinements(source, None, dom_code,
+                                                  spec.predicate_at(1), spec.rho, u)),
+                        key=sep_state_to_text))
+
+
+# --- the game of one trace ------------------------------------------------------------
+
+class TraceGame:
+    """The separation game of trace t under spec.  Positions run from 1 to
+    `last`: Adam moves at an odd position i < last, Eve plays code step i // 2
+    at an even one.  `outcomes` holds each code step's `machine_step`
+    outcomes from its pre-state, which every Adam state before it combines
+    into."""
+
+    def __init__(self, t: Trace, spec: WinningSpec, u: Universe):
+        self.t, self.spec, self.u = t, spec, u
+        self.last = 2 * len(t) + 2
+        self.outcomes = tuple(machine_step(st.pre, st.instr, u) for st in t.steps)
+        self.initials = empty_winning_plays(t.source, spec, u)
+        self._eve = {}       # (position, Adam's state) -> Eve's moves
+
+    def state(self, i: int) -> MachineState:
+        return trace_state(self.t, i)
+
+    def adam(self, i: int, s: SeparatedState) -> tuple:
+        """Adam's moves from s at odd position i, in enumeration order."""
+        return adam_extensions(s, self.state(i + 1), self.spec.predicate_at(i + 1),
+                               self.spec.rho, self.u)
+
+    def eve(self, i: int, s: SeparatedState) -> tuple:
+        """Every legal Eve move from Adam's state s at even position i that
+        stays on the trace and satisfies the next predicate."""
+        hit = self._eve.get((i, s))
+        if hit is None:
+            step = self.t.steps[i // 2 - 1]
+            hit = self._eve[i, s] = tuple(enumerate_eve_moves(
+                s, step.instr, self.outcomes[i // 2 - 1], self.state(i + 1),
+                self.u, self.spec.predicate_at(i + 1), self.spec.rho))
+        return hit
+
+    def eve_fault(self, i: int, s: SeparatedState, s2: SeparatedState):
+        """What is wrong with Eve's move from s to s2 at even position i, or
+        None; whether s2 satisfies the next predicate is the caller's to ask."""
+        k = i // 2
+        if not legal_eve_move(s, self.t.steps[k - 1].instr, s2, self.outcomes[k - 1]):
+            return "illegal Eve move"
+        if combine(s2) != self.state(i + 1):
+            return "Eve move leaves the trace"
+        return None
 
 
 # --- strategy checking --------------------------------------------------------------
@@ -166,24 +191,19 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
     accepted, (c) every winning Adam extension with a pending code step gets
     an Eve response.
     """
-    p = len(t)
-    last = 2 * p + 2
-    expected = empty_winning_plays(t.source, spec, u)
-    accepted = {}
-    for s, key in strat.initial_nodes():
-        accepted[s] = key
-    for s in expected:
+    game = TraceGame(t, spec, u)
+    accepted = dict(strat.initial_nodes())
+    for s in game.initials:
         if s not in accepted:
             return CheckResult("fail", "missing empty winning play", (s,))
     for s in accepted:
         if combine(s) != t.source:
             return CheckResult("fail", "initial state does not refine the source", (s,))
-        if s not in expected:
+        if s not in game.initials:
             return CheckResult("fail", "accepted initial play is not winning", (s,))
 
-    outcomes = step_outcomes(t, u)
     visited = set()
-    frontier = [(1, s, accepted[s], (s,)) for s in expected]
+    frontier = [(1, s, accepted[s], (s,)) for s in game.initials]
     explored = 0
     while frontier:
         i, s, key, play = frontier.pop()
@@ -193,29 +213,20 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
         explored += 1
         if budget is not None and explored > budget:
             return CheckResult("unknown", "enumeration budget exceeded", play)
-        if i == last - 1:
+        if i == game.last - 1:
             continue  # only the final Adam move remains; any refinement wins
-        if i >= last:
-            continue
-        target = trace_state(t, i + 1)
-        pred = spec.predicate_at(i + 1)
-        k = (i + 1) // 2
-        step = t.steps[k - 1]
-        for s2 in adam_extensions(s, target, pred, spec.rho, u):
+        for s2 in game.adam(i, s):
             responses = list(strat.respond(key, i + 1, s2))
             if not responses:
                 return CheckResult(
                     "fail", f"no Eve response at position {i + 1}", play + (s2,))
             for s3, key2 in responses:
-                if not legal_eve_move(s2, step.instr, s3, outcomes[k - 1]):
-                    return CheckResult("fail", "illegal Eve move",
-                                       play + (s2, s3))
-                if combine(s3) != trace_state(t, i + 2):
-                    return CheckResult("fail", "Eve move leaves the trace",
-                                       play + (s2, s3))
-                if not sat_sep(s3, spec.predicate_at(i + 2), spec.rho, u):
-                    return CheckResult("fail", "losing Eve move",
-                                       play + (s2, s3))
+                fault = game.eve_fault(i + 1, s2, s3)
+                if fault is None and not sat_sep(s3, spec.predicate_at(i + 2),
+                                                 spec.rho, u):
+                    fault = "losing Eve move"
+                if fault is not None:
+                    return CheckResult("fail", fault, play + (s2, s3))
                 if (i + 2, s3, key2) not in visited:
                     frontier.append((i + 2, s3, key2, play + (s2, s3)))
     return CheckResult("pass", f"explored {explored} play nodes")
@@ -235,27 +246,11 @@ class SolvedStrategy:
     """Maximal winning strategy computed by backward induction over the game."""
 
     def __init__(self, t: Trace, spec: WinningSpec, u: Universe, budget=None):
-        self.t = t
-        self.spec = spec
-        self.u = u
+        self.game = TraceGame(t, spec, u)
+        self.initials = self.game.initials
         self.budget = budget
         self._explored = 0
         self._memo = {}
-        self._candidates = {}    # (position, Adam's state) -> Eve's moves
-        self.initials = empty_winning_plays(t.source, spec, u)
-        self.outcomes = step_outcomes(t, u)
-
-    def _eve_candidates(self, position, state):
-        key = (position, state)
-        hit = self._candidates.get(key)
-        if hit is None:
-            k = position // 2
-            target = trace_state(self.t, position + 1)
-            pred = self.spec.predicate_at(position + 1)
-            hit = self._candidates[key] = tuple(enumerate_eve_moves(
-                state, self.t.steps[k - 1].instr, self.outcomes[k - 1], target,
-                self.u, pred, self.spec.rho))
-        return hit
 
     def survives(self, i: int, s: SeparatedState) -> bool:
         """Eve can keep every winning Adam continuation alive from position i."""
@@ -266,25 +261,18 @@ class SolvedStrategy:
         self._explored += 1
         if self.budget is not None and self._explored > self.budget:
             raise EnumerationBudget(f"more than {self.budget} solver nodes")
-        p = len(self.t)
-        if i >= 2 * p + 1:
+        if i >= self.game.last - 1:
             return True
-        target = trace_state(self.t, i + 1)
-        pred = self.spec.predicate_at(i + 1)
-        ok = True
-        for s2 in adam_extensions(s, target, pred, self.spec.rho, self.u):
-            if not any(self.survives(i + 2, s3)
-                       for s3 in self._eve_candidates(i + 1, s2)):
-                ok = False
-                break
-        self._memo[key] = ok
+        ok = self._memo[key] = all(
+            any(self.survives(i + 2, s3) for s3 in self.game.eve(i + 1, s2))
+            for s2 in self.game.adam(i, s))
         return ok
 
     def initial_nodes(self):
         return [(s, ()) for s in self.initials]
 
     def respond(self, key, position, state):
-        return [(s3, ()) for s3 in self._eve_candidates(position, state)
+        return [(s3, ()) for s3 in self.game.eve(position, state)
                 if self.survives(position + 1, s3)]
 
 
@@ -307,10 +295,7 @@ def replay_lines(play: tuple, t: Trace, spec: WinningSpec, u: Universe) -> list:
     """One line per move: polarity, label, state, predicate index, verdict."""
     lines = []
     for i, s in enumerate(play, start=1):
-        ok = sat_sep(s, spec.predicate_at(i), spec.rho, u)
-        if i == 1 and spec.trace_len == 0 and spec.returning and len(play) == 1:
-            ok = ok and sat_sep(s, spec.predicate_at(2), spec.rho, u)
-        verdict = "pass" if ok else "fail"
+        verdict = "pass" if sat_sep(s, spec.predicate_at(i), spec.rho, u) else "fail"
         if i == 1:
             label = "I start"
         elif i % 2 == 0:

@@ -40,8 +40,7 @@ have no response, and the game makes them unreachable for provable programs.
 
 from __future__ import annotations
 
-from .game import (adam_extensions, empty_winning_plays, sat_sep,
-                   step_outcomes, trace_state, winning_spec, replay_lines)
+from .game import TraceGame, replay_lines, sat_sep, winning_spec
 from .logic import (EMPTY_LSTATE, TOP, LogicalState, erase, lstate_to_text,
                     satisfies, substates, tensor)
 from .machine import ABORT, IAcquire, IRelease, MachineState, eval_expr
@@ -50,8 +49,7 @@ from .proof import ProofCheckResult, Sequent
 from .semantics import (HideW, NOTIN, ParW, RETURNS, SeqLeftW, SeqSplitW,
                         denote, enumerate_traces)
 from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
-                         SeparatedState, SeparationError, combine,
-                         legal_eve_move)
+                         SeparatedState, SeparationError, combine)
 from .syntax import FTrue, Star, Universe
 from .traces import ERR, Trace, restrict
 
@@ -382,8 +380,6 @@ class ExtractedStrategy:
     """Winning strategy induced by a derivation tree on one trace."""
 
     def __init__(self, node, t: Trace, u: Universe, rho: fmap):
-        self.node = node
-        self.t = t
         self.u = u
         self.rho = rho
         answer = denote(node.cmd, u).member(t)
@@ -393,20 +389,18 @@ class ExtractedStrategy:
         self.lifter = build_lifter(node, "root", t, u, rho, answer)
         self.spec = winning_spec(node.pre, node.ctx, node.post, t,
                                  self.lifter.returning, rho)
-        self.outcomes = step_outcomes(t, u)
-        self.initials = {}
-        for s in empty_winning_plays(t.source, self.spec, u):
-            self.initials[s] = self.lifter.start(s.code)
+        self.game = TraceGame(t, self.spec, u)
+        self.initials = {s: self.lifter.start(s.code) for s in self.game.initials}
 
     def initial_nodes(self):
         return self.initials.items()
 
     def respond(self, key, position, state):
-        """Eve's lifted move from an Adam state at an even position.  Both
-        callers (`check_winning_strategy`, `drive_play`) pass only states
-        satisfying `self.spec.predicate_at(position)`, so it is not rechecked."""
-        k = position // 2
-        out = self.lifter.eve(key, k, state.code, state.resources)
+        """Eve's lifted move from an Adam state at an even position, neither
+        checked here: both callers pass only states satisfying the position's
+        predicate and judge the move with `TraceGame.eve_fault`, on which
+        `check_winning_strategy` fails and `drive_play` raises SoundnessAlarm."""
+        out = self.lifter.eve(key, position // 2, state.code, state.resources)
         if out is None:
             return []
         code2, updates, key2 = out
@@ -417,49 +411,43 @@ class ExtractedStrategy:
             s2 = SeparatedState(code2, res2, state.frame)
         except SeparationError as exc:
             raise SoundnessAlarm(f"extracted move is not separated: {exc}")
-        step = self.t.steps[k - 1]
-        if not legal_eve_move(state, step.instr, s2, self.outcomes[k - 1]):
-            raise SoundnessAlarm("extracted move is not a legal Eve move")
-        if combine(s2) != trace_state(self.t, position + 1):
-            raise SoundnessAlarm("extracted move leaves the trace")
         return [(s2, key2)]
 
 
 # --- driving plays and the corollary -------------------------------------------------
 
-def drive_play(strat, t: Trace, spec, u: Universe, initial=None):
-    """Unfold one play of the strategy along the trace, preferring identity
-    Adam moves; returns the tuple of visited states (possibly partial)."""
+def drive_play(strat, initial=None):
+    """Unfold one play of the strategy along its game's trace, preferring
+    identity Adam moves; returns the tuple of visited states (possibly
+    partial).  Each of the strategy's moves is judged by the game, and a
+    faulty one raises SoundnessAlarm."""
     initials = dict(strat.initial_nodes())
-    if not initials:
+    state = next(iter(initials), None) if initial is None else initial
+    if state not in initials:
         return ()
-    if initial is None:
-        state = next(iter(initials))
-    else:
-        state = initial
-        if state not in initials:
-            return ()
     key = initials[state]
     play = (state,)
-    p = len(t)
-    for i in range(1, 2 * p + 2, 2):
-        target = trace_state(t, i + 1)
+    game = strat.game
+    spec = game.spec
+    for i in range(1, game.last, 2):
         pred = spec.predicate_at(i + 1)
-        if combine(state) == target and sat_sep(state, pred, spec.rho, u):
+        if combine(state) == game.state(i + 1) and sat_sep(state, pred, spec.rho, game.u):
             nxt = state
         else:
-            nxt = next(iter(adam_extensions(state, target, pred, spec.rho, u)),
-                       None)
+            nxt = next(iter(game.adam(i, state)), None)
         if nxt is None:
             break
         state = nxt
         play += (state,)
-        if i + 1 == 2 * p + 2:
+        if i + 1 == game.last:
             break
         responses = strat.respond(key, i + 1, state)
         if not responses:
             break
         state, key = responses[0]
+        fault = game.eve_fault(i + 1, play[-1], state)
+        if fault is not None:
+            raise SoundnessAlarm(f"extracted move: {fault}")
         play += (state,)
     return play
 
@@ -513,12 +501,11 @@ def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
             report["traces_checked"] += 1
             if returning:
                 report["returning"] += 1
-            reason, play = _trace_failure(node, seq, init, t, returning, u, rho)
+            reason, play, spec = _trace_failure(node, seq, init, t, u, rho)
             if reason is not None:
                 report["failures"].append(
                     {"init": label, "trace_len": len(t), "reason": reason})
             if emit_replays and play is not None:
-                spec = winning_spec(seq.pre, seq.ctx, seq.post, t, returning, rho)
                 replays.append({"init": label, "trace_len": len(t),
                                 "lines": replay_lines(play, t, spec, u)})
     if emit_replays:
@@ -526,27 +513,27 @@ def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
     return report
 
 
-def _trace_failure(node, seq: Sequent, init, t: Trace, returning: bool,
-                   u: Universe, rho: fmap):
+def _trace_failure(node, seq: Sequent, init, t: Trace, u: Universe, rho: fmap):
     """Why one passive trace breaks the corollary, or None; and the play
-    driven along it, when there is one."""
+    driven along it with its spec, when there is one."""
     if t.errored:
-        return "error step in a passive-environment trace", None
+        return "error step in a passive-environment trace", None, None
     try:
         strat = ExtractedStrategy(node, t, u, rho)
         canonical = _canonical_initial(init, seq, strat, u, rho)
         if canonical is None:
-            return "no accepted initial refinement", None
-        play = drive_play(strat, t, strat.spec, u, initial=canonical)
+            return "no accepted initial refinement", None, None
+        play = drive_play(strat, initial=canonical)
     except ExtractionFailure as exc:
-        return f"extraction failed: {exc}", None
+        return f"extraction failed: {exc}", None, None
     except SoundnessAlarm as exc:
-        return f"soundness alarm: {exc}", None
-    if len(play) != 2 * len(t) + 2:
-        return f"play stalled after {len(play)} states", play
-    if returning and not satisfies(play[-1].code, seq.post, rho, u):
-        return "final code fragment violates the postcondition", play
-    return None, play
+        return f"soundness alarm: {exc}", None, None
+    spec = strat.spec
+    if len(play) != strat.game.last:
+        return f"play stalled after {len(play)} states", play, spec
+    if spec.returning and not satisfies(play[-1].code, seq.post, rho, u):
+        return "final code fragment violates the postcondition", play, spec
+    return None, play, spec
 
 
 def _canonical_initial(init, seq: Sequent, strat: ExtractedStrategy,

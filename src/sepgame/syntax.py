@@ -154,7 +154,7 @@ def is_logical_name(name: str) -> bool:
 
 
 def subterms(node):
-    """The node and every command, expression and test below it."""
+    """The node and every command, expression, test and formula below it."""
     yield node
     for field in node.__match_args__:
         child = getattr(node, field)

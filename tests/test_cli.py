@@ -259,6 +259,40 @@ def test_program_lock_outside_the_universe_exits_2(tmp_path, capsys, verb, progr
     assert out == "" and err == "sepgame: lock q of the program is not in the universe\n"
 
 
+# z is no variable and q no lock of UNIVERSE; each proof names one of them
+# in its formulas and commands, its context or its res rule
+UNDECLARED = {
+    "z": ("(ext_conseq pre: own_1(z) cmd: z := 1 post: own_1(z) and z = 1 "
+          "(aff pre: own_1(z) * (X = 1) cmd: z := 1 post: own_1(z) * (z = X) "
+          "val: [X = 1]))\n"),
+    "ctx_q": ("(aff ctx: [q: emp] pre: own_1(x) * (X = 1) cmd: x := 1 "
+              "post: own_1(x) * (x = X) val: [X = 1])\n"),
+    "res_q": ("(res r: q inv: emp pre: own_1(x) cmd: resource q do x := 1 "
+              "post: own_1(x) * (x = X) (aff pre: own_1(x) * (X = 1) cmd: x := 1 "
+              "post: own_1(x) * (x = X) val: [X = 1]))\n"),
+}
+
+
+@pytest.mark.parametrize("verb, name, what", [
+    ("check", "z", "variable z"), ("check", "ctx_q", "lock q"),
+    ("check", "res_q", "lock q"), ("verify", "z", "variable z"),
+    ("game", "z", "variable z"), ("solve", "z", "variable z"),
+])
+def test_proof_outside_the_universe_exits_2(tmp_path, capsys, verb, name, what):
+    # check once accepted the proof of z with exit 0
+    prog, uni, proof = (tmp_path / "x.csl", tmp_path / "r.uni",
+                        tmp_path / "undeclared.proof")
+    prog.write_text("x := 1\n")
+    uni.write_text(UNIVERSE)
+    proof.write_text(UNDECLARED[name])
+    program = [] if verb == "check" else [str(prog)]
+    index = ["--trace-index", "1"] if verb in ("game", "solve") else []
+    code, out, err = _main([verb, *program, str(proof), "-u", str(uni),
+                            "--allow-extensions", *index], capsys)
+    assert code == 2
+    assert out == "" and err == f"sepgame: {what} of the proof is not in the universe\n"
+
+
 @pytest.mark.parametrize("line, what", [
     ("vars = x, x", "variable x"), ("locs = 2, 2", "location 2"),
     ("vals = 0, 1, 1", "value 1"), ("perms = 1/2, 1, 1", "permission 1"),

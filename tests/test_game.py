@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from sepgame import game, logic, separation
-from sepgame.game import (NoWin, SeparatedPredicate, SolvedStrategy,
+from sepgame import game, logic, separation, soundness
+from sepgame.game import (NoWin, SeparatedPredicate, SolvedStrategy, TraceGame,
                           adam_extensions, check_winning_strategy,
-                          empty_winning_plays, is_winning_play, replay_lines,
-                          sat_sep, solve_eve, trace_state, winning_spec)
+                          empty_winning_plays, replay_lines, sat_sep,
+                          solve_eve, trace_state, winning_spec)
 from sepgame.logic import (EMPTY_LSTATE, _sat, erase, from_slots, lstate,
                            lstate_from_text, lstate_to_text, slots,
                            universe_table)
@@ -20,7 +20,8 @@ from sepgame.semantics import enumerate_traces
 from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                                 combine, enumerate_eve_moves, sep_state,
                                 sep_state_to_text, separations)
-from sepgame.syntax import (Assign, FTrue, Lit, Own, Store, parse_formula,
+from sepgame.soundness import SoundnessAlarm, drive_play
+from sepgame.syntax import (AllocC, Assign, FTrue, Lit, Own, Store, parse_formula,
                             parse_proof, parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace
 
@@ -78,19 +79,9 @@ def test_winning_play_prefix_closure(u):
     s3 = sep_state(code=lstate(stack={"x": (1, TOP)}),
                    resources={"r": Available(EMPTY_LSTATE)})
     play = (s1, s1, s3, s3)
-    assert is_winning_play(play, spec, u)
     for k in range(1, len(play) + 1):
-        assert is_winning_play(play[:k], spec, u)
-
-
-def test_empty_play_special_case_on_empty_returning_trace(u):
-    t0 = Trace(mstate(stack={"x": 0}), (), mstate(stack={"x": 0}))
-    spec = winning_spec(Own(TOP, "x"), fmap(),
-                        parse_formula("own_1(x) and (x = 1)"), t0, returning=True)
-    s = sep_state(code=lstate(stack={"x": (0, TOP)}),
-                  resources={"r": Available(EMPTY_LSTATE)})
-    # satisfies the precondition but not the final predicate
-    assert not is_winning_play((s,), spec, u)
+        assert all(line.endswith(" ; pass")
+                   for line in replay_lines(play[:k], t, spec, u))
 
 
 class _Silent:
@@ -130,6 +121,53 @@ def test_checker_requires_responses(u):
     res = check_winning_strategy(_Mute(initials), t, spec, u)
     assert res.verdict == "fail" and "no Eve response" in res.reason
     assert res.counterexample   # the stuck play comes back
+
+
+class _Faulty:
+    """Accepts every empty winning play and answers every Adam state with
+    `move(game, position, state)`, a move the game forbids."""
+
+    def __init__(self, t, spec, u, move):
+        self.game, self.move = TraceGame(t, spec, u), move
+
+    def initial_nodes(self):
+        return [(s, ()) for s in self.game.initials]
+
+    def respond(self, key, position, state):
+        return [(self.move(self.game, position, state), ())]
+
+
+def _frame_changed(game, position, state):
+    """Eve's first move, with its code fragment handed to the frame."""
+    s3 = game.eve(position, state)[0]
+    return sep_state(resources=s3.resources, frame=s3.code)
+
+
+def _off_the_trace(game, position, state):
+    """A legal move onto the allocation the trace did not take."""
+    k = position // 2
+    outcomes = game.outcomes[k - 1]
+    (other,) = (o.state for o in outcomes if o.state != game.state(position + 1))
+    return next(enumerate_eve_moves(state, game.t.steps[k - 1].instr, outcomes,
+                                    other, game.u))
+
+
+@pytest.mark.parametrize("move, fault", [(_frame_changed, "illegal Eve move"),
+                                         (_off_the_trace, "Eve move leaves the trace")])
+def test_the_game_judges_every_eve_move_it_is_given(move, fault):
+    """`TraceGame.eve_fault` is the one judge of a strategy's moves: the
+    checker fails on a faulty move and `drive_play` raises on it."""
+    u = parse_universe("vars = x\nlocs = 2, 3\nvals = 0..1\nperms = 1\nlocks = r\n")
+    pre, m = mstate(stack={"x": 0}), AllocC("x", Lit(0))
+    post = min((o.state for o in machine_step(pre, m, u)),
+               key=lambda s: s.memory.stack["x"])
+    t = Trace(pre, (CodeTransition(pre, m, post, OK),), post)
+    spec = winning_spec(Own(TOP, "x"), fmap(), FTrue(), t, returning=True)
+    strat = _Faulty(t, spec, u, move)
+    res = check_winning_strategy(strat, t, spec, u)
+    assert (res.verdict, res.reason) == ("fail", fault)
+    with pytest.raises(SoundnessAlarm, match=f"^extracted move: {fault}$"):
+        drive_play(strat)
 
 
 def test_solver_finds_assignment_strategy(u):
@@ -380,7 +418,7 @@ def test_pruned_moves_equal_filtered_separations(name, monkeypatch):
             strat = _Recording(solver)
             check_winning_strategy(strat, t, spec, u)
             for position, s in strat.asked:
-                assert solver._eve_candidates(position, s) \
+                assert solver.game.eve(position, s) \
                     == _unpruned_eve_moves(t, spec, position, s, u)
             eve_checked += len(strat.asked)
     for s, target, pred, rho, out in adam_calls:
@@ -412,6 +450,26 @@ def test_eve_moves_step_the_machine_once_per_position(monkeypatch, tmp_path, cap
     assert steps == 72
     assert len(calls) == 3 * steps
     assert len(set(calls)) == 24
+
+
+def test_each_eve_move_is_judged_once(monkeypatch, tmp_path, capsys):
+    """On the strategy-chain inputs the checker asks the extracted strategy
+    for 1,704 moves, and `legal_eve_move` runs once for each, in the game's
+    judge (3,408 calls when the strategy judged its own moves too)."""
+    calls = [0]
+    legal = separation.legal_eve_move
+
+    def counting(*args):
+        calls[0] += 1
+        return legal(*args)
+    monkeypatch.setattr(game, "legal_eve_move", counting)
+    monkeypatch.setattr(soundness, "legal_eve_move", counting, raising=False)
+    uni = tmp_path / "strategy-chain.uni"
+    uni.write_text(corpus_text("par_writes.uni").replace("vals = 0..3", "vals = 0..1"))
+    code = bench_script("chain").main([str(CORPUS / "par_writes.csl"),
+                                       str(CORPUS / "par_writes.proof"), "-u", str(uni)])
+    assert code == 0 and capsys.readouterr().out.endswith(", all pass\n")
+    assert calls[0] == 1704
 
 
 def test_the_chain_joins_half_as_often_and_renders_each_state_once(

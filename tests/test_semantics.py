@@ -573,3 +573,21 @@ CRAFTED = [
 @pytest.mark.parametrize("text", CRAFTED)
 def test_member_agrees_with_search_under_environment_moves(u_moves, text):
     assert _agrees_with_search(parse_program(text), [S0, S5], u_moves)
+
+
+def test_no_command_returns_without_a_step(u_micro, u_moves):
+    """Every command takes a step to return, so no length-0 trace returns and
+    the game never asks an empty trace's one position for the postcondition:
+    every corpus command from every machine state of its universe, and the
+    systems above under their environments."""
+    found = []
+    for name in PROGRAMS:
+        u = parse_universe(corpus_text(f"{name}.uni"))
+        found += enumerate_traces(parse_program(corpus_text(f"{name}.csl")),
+                                  all_machine_states(u), u, maxlen=0)
+    for text, *_ in GUARD_COUNTS + PAR_COUNTS:
+        found += enumerate_traces(parse_program(text), [mstate(), S0], u_micro,
+                                  maxlen=0, policy="exhaustive")
+    for text in CRAFTED:
+        found += enumerate_traces(parse_program(text), [S0, S5], u_moves, maxlen=0)
+    assert len(found) == 1573 and not any(ret for _, ret, _ in found)

@@ -19,7 +19,12 @@ SPANS = tracer.FUNCTION_SPANS | tracer.GENERATOR_SPANS
 # separation's own module global.  cli stopped calling satisfies when the
 # corollary's initial states came to be read off the universe table's models;
 # the logic.satisfies span keeps its places in game, soundness and logic.
-GONE = {("sepgame.game", "component_assignments"), ("sepgame.cli", "satisfies")}
+# soundness stopped calling adam_extensions and empty_winning_plays when
+# every walker of a play came to read the rules from game.TraceGame; both
+# spans keep their places in game.
+GONE = {("sepgame.game", "component_assignments"), ("sepgame.cli", "satisfies"),
+        ("sepgame.soundness", "adam_extensions"),
+        ("sepgame.soundness", "empty_winning_plays")}
 
 SPAN_PLACES = sorted({(name, place, attr)
                       for name, places in SPANS.items()
