@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .game import NoWin, check_winning_strategy, replay_lines, solve_eve
@@ -42,9 +43,17 @@ def _read(path: str) -> str:
 
 def _write_out(text: str, path=None):
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except OSError as exc:   # a closed pipe or a full disk
+            # the flush at exit must not write to the lost output again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise UsageError(f"cannot write output: {exc.strerror}")
     else:
         try:
             with open(path, "w", encoding="utf-8") as fh:

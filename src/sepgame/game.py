@@ -41,12 +41,13 @@ from .traces import Trace
 
 class WinningSpec(Node):
     """The indexed family of separated predicates for one trace: the
-    initial, middle and final predicates are built once, with the spec."""
+    initial, middle and final predicates are built once, with the spec.
+    `last` is the trace's final position, 2p+2 for p code steps."""
     __slots__ = ("predicates",)
     pre: object
     ctx: fmap
     post: object
-    trace_len: int
+    last: int
     returning: bool
     rho: fmap = fmap()
 
@@ -57,14 +58,14 @@ class WinningSpec(Node):
     def predicate_at(self, i: int) -> SeparatedPredicate:
         if i == 1:
             return self.predicates[0]
-        if i == 2 * self.trace_len + 2 and self.returning:
+        if i == self.last and self.returning:
             return self.predicates[2]
         return self.predicates[1]
 
 
 def winning_spec(pre, ctx, post, t: Trace, returning: bool,
                  rho: fmap = fmap()) -> WinningSpec:
-    return WinningSpec(pre, fmap(ctx), post, len(t), returning, rho)
+    return WinningSpec(pre, fmap(ctx), post, 2 * len(t) + 2, returning, rho)
 
 
 def sat_sep(s: SeparatedState, sp: SeparatedPredicate, rho: fmap,
@@ -128,15 +129,15 @@ def empty_winning_plays(source: MachineState, spec: WinningSpec,
 # --- the game of one trace ------------------------------------------------------------
 
 class TraceGame:
-    """The separation game of trace t under spec.  Positions run from 1 to
-    `last`: Adam moves at an odd position i < last, Eve plays code step i // 2
-    at an even one.  `outcomes` holds each code step's `machine_step`
-    outcomes from its pre-state, which every Adam state before it combines
-    into."""
+    """The separation game of trace t under spec, a spec built for t.
+    Positions run from 1 to the spec's `last`: Adam moves at an odd position
+    i < last, Eve plays code step i // 2 at an even one.  `outcomes` holds
+    each code step's `machine_step` outcomes from its pre-state, which every
+    Adam state before it combines into."""
 
     def __init__(self, t: Trace, spec: WinningSpec, u: Universe):
         self.t, self.spec, self.u = t, spec, u
-        self.last = 2 * len(t) + 2
+        self.last = spec.last
         self.outcomes = tuple(machine_step(st.pre, st.instr, u) for st in t.steps)
         self.initials = empty_winning_plays(t.source, spec, u)
         self._eve = {}       # (position, Adam's state) -> Eve's moves

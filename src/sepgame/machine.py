@@ -38,6 +38,10 @@ class MemoryState(Node):
 
 
 class MachineState(Node):
+    """Keeps its `text` (`mstate_to_text`), rendered when first asked for and
+    never compared, hashed or shown in the repr; unset until then, since
+    every machine step builds a state."""
+    __slots__ = ("text",)
     memory: MemoryState = MemoryState()
     locked: frozenset = frozenset()
 
@@ -185,6 +189,16 @@ def machine_step(s: MachineState, m, u: Universe) -> frozenset:
 # --- textual form of states and instructions ----------------------------------
 
 def mstate_to_text(s: MachineState) -> str:
+    """Rendered once per state; the state keeps the text."""
+    try:
+        return s.text
+    except AttributeError:
+        text = _render_mstate(s)
+        object.__setattr__(s, "text", text)
+        return text
+
+
+def _render_mstate(s: MachineState) -> str:
     stack = " ".join(f"{k}={v}" for k, v in s.memory.stack.items())
     heap = " ".join(f"{k}={v}" for k, v in s.memory.heap.items())
     locked = " ".join(sorted(s.locked))

@@ -13,10 +13,14 @@ A `Node` subclass lists its fields as annotations and gets slots, positional
 `match`, a dataclass-style repr, equality on its exact type and fields, and a
 hash of its field tuple computed at most once (hash-consing without the
 table: Filliatre and Conchon, "Type-safe modular hash-consing", ML 2006).
+Its `__init__`, `__eq__` and `__hash__` are compiled once per shape (field
+count and `__post_init__`) over placeholder field names; each class gets
+copies of the shape's code that name its own fields.
 """
 
 from __future__ import annotations
 
+import types
 from collections.abc import Mapping
 
 
@@ -76,7 +80,7 @@ class fmap(Mapping):
         return fmap(d)
 
 
-_NODE_METHODS = """def make(_set, _d):
+_NODE_METHODS = """def make(_set):
     def __init__(self, {params}):
         {sets}_set(self, "_hash", None){post}
     def __eq__(self, other):
@@ -94,11 +98,42 @@ _NODE_METHODS = """def make(_set, _d):
         return h
     return __init__, __eq__, __hash__"""
 
+_SHAPES = {}   # (field count, runs __post_init__) -> the shape's three methods
+
+
+def _shape_methods(n: int, post: bool) -> tuple:
+    """__init__, __eq__ and __hash__ of a shape, compiled once over the
+    placeholder fields _f0, _f1, ..."""
+    methods = _SHAPES.get((n, post))
+    if methods is None:
+        fields = [f"_f{i}" for i in range(n)]
+        scope = {}
+        exec(_NODE_METHODS.format(
+            params=", ".join(fields),
+            sets="".join(f"_set(self, {f!r}, {f}); " for f in fields),
+            post="; self.__post_init__()" if post else "",
+            mine="".join(f"self.{f}, " for f in fields),
+            theirs="".join(f"other.{f}, " for f in fields)), scope)
+        methods = _SHAPES[n, post] = scope["make"](object.__setattr__)
+    return methods
+
+
+def _with_fields(fn, names: dict, defaults):
+    """A copy of a shape's method whose names, locals and string constants
+    name the class's own fields; its bytecode is the shape's."""
+    code = fn.__code__
+    code = code.replace(**{attr: tuple(names.get(x, x) for x in getattr(code, attr))
+                           for attr in ("co_names", "co_varnames", "co_consts")})
+    return types.FunctionType(code, fn.__globals__, fn.__name__, defaults,
+                              fn.__closure__)
+
 
 class _NodeType(type):
     """Makes the field annotations of a Node subclass its slots and match
-    args, and compiles its __init__, __eq__ and __hash__ once, as namedtuple
-    does, so that no instance method loops over the field names."""
+    args, and gives it __init__, __eq__ and __hash__ compiled once per shape
+    (field count and __post_init__): as in namedtuple, no instance method
+    loops over the field names, and a class copies its shape's code instead
+    of compiling source of its own."""
 
     def __new__(mcls, name, bases, ns):
         fields = tuple(ns.get("__annotations__", ()))
@@ -107,17 +142,12 @@ class _NodeType(type):
         ns["__match_args__"] = fields
         cls = super().__new__(mcls, name, bases, ns)
         if bases:
-            required = len(fields) - len(defaults)
-            scope = {}
-            exec(_NODE_METHODS.format(
-                params=", ".join(fields[:required] + tuple(
-                    f"{f}=_d[{i}]" for i, f in enumerate(fields[required:]))),
-                sets="".join(f"_set(self, {f!r}, {f}); " for f in fields),
-                post="; self.__post_init__()" if hasattr(cls, "__post_init__") else "",
-                mine="".join(f"self.{f}, " for f in fields),
-                theirs="".join(f"other.{f}, " for f in fields)), scope)
-            cls.__init__, cls.__eq__, cls.__hash__ = scope["make"](
-                object.__setattr__, defaults)
+            names = {f"_f{i}": f for i, f in enumerate(fields)}
+            init, eq, hash_ = _shape_methods(len(fields),
+                                             hasattr(cls, "__post_init__"))
+            cls.__init__ = _with_fields(init, names, defaults or None)
+            cls.__eq__ = _with_fields(eq, names, None)
+            cls.__hash__ = _with_fields(hash_, names, None)
         return cls
 
 

@@ -5,6 +5,9 @@ A trace stores its source, its code transitions and its target; environment
 transitions are implicit because the environment may move between any two
 machine states.  An error step, when present, is always the last step and
 keeps its pre-state as post-state.
+
+Each code transition keeps its rendered `step` line, and each machine state
+its text, so printing the traces that share them renders each once.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ class TraceError(Exception):
 
 
 class CodeTransition(Node):
+    """Keeps its `step ...` line (`step_to_text`) the way a machine state
+    keeps its text."""
+    __slots__ = ("text",)
     pre: MachineState
     instr: object
     post: MachineState
@@ -152,10 +158,19 @@ def hide(r: str, t: Trace) -> Trace:
 
 # --- line-oriented serialization -------------------------------------------------
 
+def step_to_text(st: CodeTransition) -> str:
+    """Rendered once per code transition; the transition keeps the line."""
+    try:
+        return st.text
+    except AttributeError:
+        text = (f"step {st.status} {mstate_to_text(st.pre)} ; "
+                f"{instr_to_text(st.instr)} ; {mstate_to_text(st.post)}")
+        object.__setattr__(st, "text", text)
+        return text
+
+
 def trace_to_lines(t: Trace) -> list:
     lines = [f"source {mstate_to_text(t.source)}"]
-    for st in t.steps:
-        lines.append(f"step {st.status} {mstate_to_text(st.pre)} ; "
-                     f"{instr_to_text(st.instr)} ; {mstate_to_text(st.post)}")
+    lines.extend(map(step_to_text, t.steps))
     lines.append(f"target {mstate_to_text(t.target)}")
     return lines

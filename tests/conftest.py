@@ -10,6 +10,10 @@ from sepgame.traces import OK, CodeTransition, Trace
 CORPUS = Path(__file__).parent / "corpus"
 BENCH = Path(__file__).parent.parent / "bench"
 
+# the enumerate-exhaustive benchmark's universe; its program is `x := 1`
+EXHAUSTIVE_UNIVERSE = ("vars = x\nlocs = 2\nvals = 0..1\nperms = 1/2, 1\n"
+                       "locks = r\nmaxlen = 2\nenv = exhaustive\n")
+
 PROGRAMS = ["par_writes", "framed_assign", "lock_transfer", "lock_pair",
             "seq_load_store", "conj_precise", "if_def", "while_count"]
 

@@ -5,12 +5,16 @@ traceback off the terminal.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sepgame import cli
 
-from .conftest import CORPUS
+from .conftest import CORPUS, EXHAUSTIVE_UNIVERSE
 
 UNIVERSE = "vars = x\nlocs = 2\nvals = 0..1\nperms = 1/2, 1\nlocks = r\nmaxlen = 2\n"
 
@@ -392,3 +396,21 @@ def test_unwritable_output_exits_2(tmp_path, capsys, verb):
     assert code == 2
     assert out == "" and err.startswith(f"sepgame: cannot write {path}: ")
     assert len(err.splitlines()) == 1
+
+
+def test_a_reader_that_leaves_early_gets_exit_2_and_one_line(tmp_path):
+    """`run ... | head -1`: the output (about 360 kB) outgrows the pipe, so
+    the write fails once the reader has closed it."""
+    (tmp_path / "x.csl").write_text("x := 1\n")
+    (tmp_path / "x.uni").write_text(EXHAUSTIVE_UNIVERSE)
+    src = str(Path(cli.__file__).parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepgame.cli", "run", str(tmp_path / "x.csl"),
+         "-u", str(tmp_path / "x.uni")], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline() == b"trace 0 returning=no length=0\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "sepgame: cannot write output: Broken pipe\n"

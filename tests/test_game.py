@@ -55,6 +55,11 @@ def test_winning_spec_indexing(u):
     assert spec1.predicate_at(4).pre == FTrue()       # non-returning last
     assert spec1.predicate_at(2).pre == FTrue()       # interior
     assert spec1.predicate_at(2) is spec1.predicate_at(4)   # built once per spec
+    # the final position has one definition, the spec's, which the game reads
+    returning1 = winning_spec(Own(TOP, "x"), fmap(), Own(TOP, "x"), t1, returning=True)
+    assert returning1.last == TraceGame(t1, returning1, u).last == 4
+    assert returning1.predicate_at(4).pre == Own(TOP, "x")
+    assert returning1.predicate_at(3).pre == FTrue()
 
 
 def test_sat_sep(u):

@@ -2,18 +2,19 @@ import random
 
 import pytest
 
+from sepgame import cli, machine
 from sepgame.machine import (ABORT, ERROR, IAcquire, INop, IRelease,
-                             MemoryState, Return, eval_bool, eval_expr,
+                             MachineState, MemoryState, Return, eval_bool, eval_expr,
                              instr_to_text, locks, locks_minus, locks_plus,
                              machine_step, mstate, mstate_to_text,
                              parse_mstate)
 from sepgame.maps import fmap
-from sepgame.semantics import instruction_alphabet
+from sepgame.semantics import all_machine_states, instruction_alphabet
 from sepgame.syntax import (Add, AllocC, Assign, DisposeC, FAnd, FEq, FFalse,
                             FOr, FTrue, Lit, Load, Store, Var,
                             parse_program, parse_universe)
 
-from .conftest import PROGRAMS, corpus_text
+from .conftest import EXHAUSTIVE_UNIVERSE, PROGRAMS, corpus_text
 
 
 def test_eval_expr_examples():
@@ -198,3 +199,56 @@ def test_state_and_instr_text_round_trip(u):
         "if_def": ["nop", "y := 0", "y := 1"],
         "while_count": ["nop", "x := 1"],
     }
+
+
+# --- the kept text -----------------------------------------------------------------
+
+def _oracle_mstate_to_text(s):
+    """The rendering as it was before states kept their text."""
+    stack = " ".join(f"{k}={v}" for k, v in s.memory.stack.items())
+    heap = " ".join(f"{k}={v}" for k, v in s.memory.heap.items())
+    locked = " ".join(sorted(s.locked))
+    return "{%s | %s | %s}" % (stack, heap, locked)
+
+
+def test_every_universe_state_keeps_the_text_a_fresh_rendering_gives():
+    states = all_machine_states(parse_universe(EXHAUSTIVE_UNIVERSE))
+    assert len(states) == 18 and {s.locked for s in states} == {
+        frozenset(), frozenset({"r"})}
+    for s in states:
+        text = mstate_to_text(s)
+        assert text == _oracle_mstate_to_text(s) and s.text is text
+        assert mstate_to_text(s) is text
+        fresh = MachineState(s.memory, s.locked)
+        assert mstate_to_text(fresh) == text
+
+
+def test_the_kept_text_takes_no_part_in_equality_hash_or_repr():
+    s, t = (mstate(stack={"x": 1}, heap={2: 0}, locked={"r"}) for _ in range(2))
+    assert mstate_to_text(s) == "{x=1 | 2=0 | r}"
+    assert not hasattr(t, "text")
+    assert s == t and t == s and hash(s) == hash(t) and repr(s) == repr(t)
+    assert "text" not in repr(s)
+    with pytest.raises(AttributeError):
+        s.text = "other"
+
+
+def test_printing_the_exhaustive_traces_renders_each_state_once(
+        tmp_path, capsys, monkeypatch):
+    """`run` on the enumerate-exhaustive benchmark's inputs asks for the text
+    of 45 machine-state objects (18 values) and renders each one once; every
+    trace rendered them all again, 11,988 renderings in all."""
+    rendered = []
+
+    def counting(s, render=machine._render_mstate):
+        rendered.append(s)
+        return render(s)
+
+    monkeypatch.setattr(machine, "_render_mstate", counting)
+    (tmp_path / "x.csl").write_text("x := 1\n")
+    (tmp_path / "x.uni").write_text(EXHAUSTIVE_UNIVERSE)
+    assert cli.main(["run", str(tmp_path / "x.csl"),
+                     "-u", str(tmp_path / "x.uni")]) == 0
+    assert capsys.readouterr().out.endswith("total 3078 traces, 2916 returning\n")
+    assert len(rendered) == len({id(s) for s in rendered}) == 45
+    assert len(set(rendered)) == 18

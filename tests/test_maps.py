@@ -8,6 +8,7 @@ pulls in `inspect`, `dis`, `tokenize` and `ast`.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -16,13 +17,17 @@ from pathlib import Path
 import pytest
 
 import sepgame
+import sepgame.cli   # defines every Node subclass of the package
+from sepgame import maps
 from sepgame.logic import EMPTY_LSTATE, LogicalState, lstate
-from sepgame.machine import MachineState, MemoryState
+from sepgame.machine import INop, MachineState, MemoryState, mstate
 from sepgame.maps import Node, fmap
 from sepgame.separation import (HELD_BY_CODE, HELD_BY_FRAME, Available,
-                                SeparatedState, sep_state, sep_state_to_text)
+                                SeparatedState, SeparationError, sep_state,
+                                sep_state_to_text)
 from sepgame.syntax import (Add, Emp, FTrue, Lit, ParseError, Universe, Var,
                             parse_universe)
+from sepgame.traces import CodeTransition, TraceError
 
 SRC = Path(sepgame.__file__).parent
 
@@ -134,6 +139,113 @@ def test_a_node_subclass_may_keep_derived_slots():
     assert Pair(1, 2).total == 3 and Pair(left=4).total == 4
     assert Pair(1, 2) == Pair(1, 2) and hash(Pair(1, 2)) == hash((1, 2))
     assert not hasattr(Pair(1), "__dict__")
+
+
+# --- methods compiled once per shape ----------------------------------------------
+
+_OLD_NODE_METHODS = """def make(_set, _d):
+    def __init__(self, {params}):
+        {sets}_set(self, "_hash", None){post}
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        return self is other or ({mine}) == ({theirs})
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(({mine}))
+            _set(self, "_hash", h)
+        return h
+    return __init__, __eq__, __hash__"""
+
+
+def _oracle_methods(cls):
+    """__init__, __eq__ and __hash__ as each class compiled them from its own
+    source before classes shared a shape's."""
+    fields = cls.__match_args__
+    defaults = cls.__init__.__defaults__ or ()
+    required = len(fields) - len(defaults)
+    scope = {}
+    exec(_OLD_NODE_METHODS.format(
+        params=", ".join(fields[:required] + tuple(
+            f"{f}=_d[{i}]" for i, f in enumerate(fields[required:]))),
+        sets="".join(f"_set(self, {f!r}, {f}); " for f in fields),
+        post="; self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+        mine="".join(f"self.{f}, " for f in fields),
+        theirs="".join(f"other.{f}, " for f in fields)), scope)
+    return scope["make"](object.__setattr__, defaults)
+
+
+def _node_classes(cls=Node):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("sepgame."):
+            yield sub
+        yield from _node_classes(sub)
+
+
+NODE_CLASSES = sorted(_node_classes(), key=lambda c: (c.__module__, c.__name__))
+
+# field values that pass the classes' __post_init__ checks
+_VALID = {
+    "Universe": (("x",), (1,), (0, 1), (1,), ("r",)),
+    "CodeTransition": (mstate(), INop(), mstate(), "ok"),
+    "Trace": (mstate(), (), mstate()),
+    "SeparatedState": (EMPTY_LSTATE, fmap(), EMPTY_LSTATE),
+    "WinningSpec": (FTrue(), fmap(), FTrue(), 2, True),
+}
+
+
+def _args(cls):
+    return _VALID.get(cls.__name__) or tuple(
+        f"v{i}" for i in range(len(cls.__match_args__) - len(
+            cls.__init__.__defaults__ or ())))
+
+
+def test_the_package_has_the_expected_node_classes_and_fewer_shapes():
+    assert len(NODE_CLASSES) == 55
+    shapes = {(len(c.__match_args__), hasattr(c, "__post_init__"))
+              for c in NODE_CLASSES}
+    assert shapes <= set(maps._SHAPES) and len(shapes) == 11
+    assert len(maps._SHAPES) < len(NODE_CLASSES)
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_shape_methods_match_the_per_class_oracle(cls):
+    init, eq, hash_ = _oracle_methods(cls)
+    assert inspect.signature(cls.__init__) == inspect.signature(init)
+    assert cls.__init__.__defaults__ == init.__defaults__
+    for mine, old in ((cls.__init__, init), (cls.__eq__, eq), (cls.__hash__, hash_)):
+        for attr in ("co_code", "co_names", "co_varnames", "co_consts"):
+            assert getattr(mine.__code__, attr) == getattr(old.__code__, attr)
+
+    args = _args(cls)
+    by_position, by_keyword = cls(*args), cls(**dict(zip(cls.__match_args__, args)))
+    oracle = object.__new__(cls)
+    init(oracle, *args)
+    values = [[getattr(x, f) for f in cls.__match_args__]
+              for x in (by_position, by_keyword, oracle)]
+    assert values[0] == values[1] == values[2]
+    assert by_position == by_keyword == oracle and eq(oracle, by_position)
+    assert hash(by_position) == hash_(oracle) == hash(tuple(values[0]))
+    other = Lit(0) if cls is not Lit else Var("x")
+    assert by_position.__eq__(other) is eq(oracle, other) is NotImplemented
+    if args and cls.__name__ not in _VALID:
+        changed = cls(*args[:-1], "changed")
+        assert (by_position == changed) is eq(oracle, changed) is False
+
+
+def test_post_init_still_runs():
+    full = lstate(stack={"x": (1, 1)})
+    with pytest.raises(SeparationError):
+        SeparatedState(full, fmap(), full)
+    with pytest.raises(TraceError):
+        CodeTransition(mstate(), INop(), mstate(), "maybe")
+    with pytest.raises(TraceError):
+        CodeTransition(pre=mstate(), instr=INop(), post=mstate(stack={"x": 0}),
+                       status="err")
 
 
 # --- start-up ------------------------------------------------------------------

@@ -10,6 +10,8 @@ from sepgame.semantics import enumerate_traces
 from sepgame.syntax import parse_program, parse_universe
 from sepgame.traces import Trace
 
+from .conftest import EXHAUSTIVE_UNIVERSE
+
 SRC = Path(__file__).parent.parent / "src" / "sepgame"
 
 CACHED = {("game", "_refinements"), ("logic", "_sat"), ("logic", "_sub_pairs"),
@@ -22,8 +24,7 @@ def _live_traces():
 
 
 def test_enumeration_keeps_no_trace_alive():
-    u = parse_universe("vars = x\nlocs = 2\nvals = 0..1\nperms = 1/2, 1\n"
-                       "locks = r\nmaxlen = 2\nenv = exhaustive\n")
+    u = parse_universe(EXHAUSTIVE_UNIVERSE)
     before = _live_traces()
     n = sum(1 for _ in enumerate_traces(parse_program("x := 1"),
                                         [mstate(stack={"x": 0})], u))

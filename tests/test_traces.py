@@ -3,12 +3,14 @@ import math
 
 import pytest
 
-from sepgame.machine import INop, IAcquire, mstate
-from sepgame.syntax import Assign, Lit
+from sepgame.machine import INop, IAcquire, instr_to_text, mstate
+from sepgame.semantics import enumerate_traces
+from sepgame.syntax import Assign, Lit, parse_program, parse_universe
 from sepgame.traces import (ERR, OK, CodeTransition, Trace, TraceError, hide,
                             par_compose, par_compose_by_shuffle, restrict,
-                            seq_compose, shuffles)
-from .conftest import TraceGen
+                            seq_compose, shuffles, step_to_text, trace_to_lines)
+from .conftest import EXHAUSTIVE_UNIVERSE, TraceGen
+from .test_machine import _oracle_mstate_to_text
 
 
 S0 = mstate(stack={"x": 0})
@@ -201,3 +203,29 @@ def test_seq_compose_rejects_steps_after_error():
     cont = Trace(S1, (_step(S1, S2),), S2)
     with pytest.raises(TraceError):
         seq_compose(err, cont)
+
+
+def _oracle_trace_to_lines(t):
+    """The lines as they were before steps and states kept their text."""
+    lines = [f"source {_oracle_mstate_to_text(t.source)}"]
+    for st in t.steps:
+        lines.append(f"step {st.status} {_oracle_mstate_to_text(st.pre)} ; "
+                     f"{instr_to_text(st.instr)} ; {_oracle_mstate_to_text(st.post)}")
+    lines.append(f"target {_oracle_mstate_to_text(t.target)}")
+    return lines
+
+
+def test_every_exhaustive_trace_prints_as_before_and_steps_keep_their_line():
+    u = parse_universe(EXHAUSTIVE_UNIVERSE)
+    inits = [mstate(), mstate(stack={"x": 0}), mstate(stack={"x": 1})]
+    steps = {}
+    for t, _, _ in enumerate_traces(parse_program("x := 1"), inits, u):
+        assert trace_to_lines(t) == _oracle_trace_to_lines(t)
+        for st in t.steps:
+            steps[id(st)] = st
+    assert len(steps) == 18
+    for st in steps.values():
+        assert st.text is step_to_text(st)
+        fresh = CodeTransition(st.pre, st.instr, st.post, st.status)
+        assert not hasattr(fresh, "text")
+        assert fresh == st and hash(fresh) == hash(st) and repr(fresh) == repr(st)
