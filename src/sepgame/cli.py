@@ -39,6 +39,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
 
 
 def _write_out(text: str, path=None):

@@ -194,6 +194,31 @@ def satisfies(sigma: LogicalState, f, rho: fmap, u: Universe) -> bool:
     return _sat(sigma, f, rho, u)
 
 
+def first_split(sigma: LogicalState, fa, fb, rho: fmap, u: Universe):
+    """The first split (a, b) of sigma in `substates` order with a satisfying
+    fa and b satisfying fb, or None.  For a universe-table state it scans the
+    state's index splits against the two formulas' models and returns the
+    table's own states; for a state outside the table, or when the models
+    meet a variable rho leaves unbound, it asks `satisfies` of each pair of
+    `substates`."""
+    table = universe_table(u)
+    i = table.index.get(sigma)
+    if i is not None:
+        try:
+            left, right = table.models(fa, rho), table.models(fb, rho)
+        except UncoveredLogicalVariable:
+            pass
+        else:
+            for a, b in table.splits[i]:
+                if left >> a & 1 and right >> b & 1:
+                    return table.states[a], table.states[b]
+            return None
+    for a, b in _sub_pairs(sigma, u):
+        if satisfies(a, fa, rho, u) and satisfies(b, fb, rho, u):
+            return a, b
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def _sat(sigma, f, rho, u) -> bool:
     match f:

@@ -41,8 +41,8 @@ have no response, and the game makes them unreachable for provable programs.
 from __future__ import annotations
 
 from .game import TraceGame, replay_lines, sat_sep, winning_spec
-from .logic import (EMPTY_LSTATE, TOP, LogicalState, erase, lstate_to_text,
-                    satisfies, substates, tensor)
+from .logic import (EMPTY_LSTATE, TOP, LogicalState, erase, first_split,
+                    lstate_to_text, satisfies, substates, tensor)
 from .machine import ABORT, IAcquire, IRelease, MachineState, eval_expr
 from .maps import fmap
 from .proof import ProofCheckResult, Sequent
@@ -95,10 +95,10 @@ class _Lifter:
     def _first_split(self, code, fa, fb, reason):
         """The first split (a, b) of the code fragment with a satisfying fa
         and b satisfying fb."""
-        for a, b in substates(code, self.u):
-            if self._sat(a, fa) and self._sat(b, fb):
-                return a, b
-        self._fail(reason)
+        found = first_split(code, fa, fb, self.rho, self.u)
+        if found is None:
+            self._fail(reason)
+        return found
 
     def start(self, code: LogicalState):
         raise NotImplementedError

@@ -695,25 +695,28 @@ def _fresh_logical(avoid) -> str:
     return f"X_{k}"
 
 
-def parse_program(text: str):
+def _parse(text: str, start):
+    """The whole text read by the parser rule `start`; input nested past the
+    interpreter's recursion limit is a ParseError."""
     p = _Parser(text)
-    c = p.command()
+    try:
+        out = start(p)
+    except RecursionError:
+        raise ParseError("input nested too deeply") from None
     p.eof()
-    return c
+    return out
+
+
+def parse_program(text: str):
+    return _parse(text, _Parser.command)
 
 
 def parse_formula(text: str):
-    p = _Parser(text)
-    f = p.formula()
-    p.eof()
-    return f
+    return _parse(text, _Parser.formula)
 
 
 def parse_proof(text: str) -> ProofNode:
-    p = _Parser(text)
-    node = p.proof()
-    p.eof()
-    return node
+    return _parse(text, _Parser.proof)
 
 
 def parse_universe(text: str) -> Universe:

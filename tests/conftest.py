@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 from sepgame.machine import IAcquire, INop, IRelease, MachineState, MemoryState
@@ -26,6 +27,7 @@ def bench_script(name: str):
     """The script bench/<name>.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 

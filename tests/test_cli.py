@@ -414,3 +414,45 @@ def test_a_reader_that_leaves_early_gets_exit_2_and_one_line(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err == "sepgame: cannot write output: Broken pipe\n"
+
+
+@pytest.mark.parametrize("which", ["program", "proof", "universe", "inits"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, which):
+    bad = tmp_path / f"bad.{which}"
+    bad.write_bytes(b"\xff\xfe x := 1\n")
+    argv = {"program": ["run", str(bad), "-u", _corpus("par_writes", ".uni")],
+            "proof": ["check", str(bad), "-u", _corpus("par_writes", ".uni")],
+            "universe": ["run", _corpus("par_writes", ".csl"), "-u", str(bad)],
+            "inits": _verb("verify", "par_writes", "--inits", str(bad))}[which]
+    code, out, err = _main(argv, capsys)
+    assert code == 2
+    assert out == "" and err.startswith(f"sepgame: cannot read {bad}: ")
+    assert len(err.splitlines()) == 1
+
+
+DEEP = {"sequence": " ; ".join(["x := 1"] * 1000),
+        "parentheses": "x := " + "(" * 500 + "1" + ")" * 500}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+@pytest.mark.parametrize("verb", ["run", "check"])
+def test_input_nested_too_deeply_exits_2(tmp_path, capsys, verb, shape):
+    if verb == "run":
+        (tmp_path / "deep.csl").write_text(DEEP[shape])
+        argv = ["run", str(tmp_path / "deep.csl"), "-u", _corpus("par_writes", ".uni")]
+    else:
+        (tmp_path / "deep.proof").write_text(
+            f"(ext_skip pre: emp cmd: {DEEP[shape]} post: emp)")
+        argv = ["check", str(tmp_path / "deep.proof"), "-u", _corpus("par_writes", ".uni")]
+    code, out, err = _main(argv, capsys)
+    assert (code, out, err) == (2, "", "sepgame: input nested too deeply\n")
+
+
+def test_a_long_sequence_still_runs(tmp_path, capsys):
+    """800 statements parse within the recursion limit and run."""
+    (tmp_path / "long.csl").write_text(" ; ".join(["x := 1"] * 800))
+    (tmp_path / "x.uni").write_text(UNIVERSE)
+    code, out, err = _main(["run", str(tmp_path / "long.csl"), "-u",
+                            str(tmp_path / "x.uni")], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("total 27 traces, 0 returning\n")

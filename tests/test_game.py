@@ -459,8 +459,10 @@ def test_eve_moves_step_the_machine_once_per_position(monkeypatch, tmp_path, cap
 
 def test_each_eve_move_is_judged_once(monkeypatch, tmp_path, capsys):
     """On the strategy-chain inputs the checker asks the extracted strategy
-    for 1,704 moves, and `legal_eve_move` runs once for each, in the game's
-    judge (3,408 calls when the strategy judged its own moves too)."""
+    for 456 moves, one per distinct (position, Adam state, key), and
+    `legal_eve_move` runs once for each, in the game's judge (1,704 calls
+    when every edge of the play graph asked and judged again, 3,408 when the
+    strategy judged its own moves too)."""
     calls = [0]
     legal = separation.legal_eve_move
 
@@ -474,7 +476,7 @@ def test_each_eve_move_is_judged_once(monkeypatch, tmp_path, capsys):
     code = bench_script("chain").main([str(CORPUS / "par_writes.csl"),
                                        str(CORPUS / "par_writes.proof"), "-u", str(uni)])
     assert code == 0 and capsys.readouterr().out.endswith(", all pass\n")
-    assert calls[0] == 1704
+    assert calls[0] == 456
 
 
 def test_the_chain_joins_half_as_often_and_renders_each_state_once(

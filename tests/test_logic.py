@@ -5,15 +5,19 @@ import pytest
 
 from sepgame.logic import (EMPTY_LSTATE, LogicalState,
                            UncoveredLogicalVariable, _sat, all_logical_states,
-                           def_formula, entails, erase, is_precise, lstate,
+                           def_formula, entails, erase, first_split,
+                           is_precise, lstate,
                            lstate_from_text, lstate_to_text, perm_add,
                            satisfies, substates, tensor, tensor_all,
                            universe_table)
 from sepgame.machine import MemoryState
 from sepgame.maps import fmap
+from sepgame.proof import check_proof
 from sepgame.syntax import (Emp, Exists, FAnd, FEq, FFalse, FImplies, FNot,
                             FOr, Forall, FTrue, Lit, Own, PointsTo, Star, Var,
-                            parse_formula, parse_universe)
+                            parse_formula, parse_proof, parse_universe)
+
+from .conftest import PROGRAMS, corpus_text
 
 HALF = Fraction(1, 2)
 TOP = Fraction(1)
@@ -378,3 +382,108 @@ def test_lstate_text_round_trip(u):
                   lstate(stack={"x": (0, TOP), "y": (3, HALF)},
                          heap={2: (1, TOP)})]:
         assert lstate_from_text(lstate_to_text(sigma)) == sigma
+
+
+# --- the split search ---------------------------------------------------------------
+
+def _scan_first_split(sigma, fa, fb, rho, u):
+    """The split search as a scan of `substates`, asking `satisfies`."""
+    for a, b in substates(sigma, u):
+        if satisfies(a, fa, rho, u) and satisfies(b, fb, rho, u):
+            return a, b
+    return None
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except UncoveredLogicalVariable as exc:
+        return ("raises", type(exc), str(exc))
+
+
+def _rule_split_pairs():
+    """(left formula, right formula, valuation) for every split the lifted
+    strategies of the corpus proofs search: par's two preconditions, frame's
+    P and R, res's invariant and precondition, and with's invariant and
+    postcondition at the release."""
+    pairs = set()
+    for name in PROGRAMS:
+        node = parse_proof(corpus_text(f"{name}.proof"))
+        rho = check_proof(node, parse_universe(corpus_text(f"{name}.uni")),
+                          allow_extensions=True).valuation
+        nodes = [node]
+        for n in nodes:          # the list grows by each node's premises
+            nodes.extend(n.children)
+            if n.tag == "par":
+                pairs.add((n.children[0].pre, n.children[1].pre, rho))
+            elif n.tag == "frame":
+                pairs.add((n.children[0].pre, n.params["R"], rho))
+            elif n.tag == "res":
+                pairs.add((n.params["inv"], n.children[0].pre, rho))
+            elif n.tag == "with":
+                pairs.add((n.ctx[n.cmd.lock], n.post, rho))
+    return sorted(pairs, key=repr)
+
+
+SPLIT_UNIVERSES = {   # strategy-chain's universe, and check-large's
+    "strategy-chain": "vars = x, y\nlocs = 2\nvals = 0..1\nperms = 1/2, 1\nlocks = r\n",
+    "check-large": "vars = x, y\nlocs = 2, 3\nvals = 0..1\nperms = 1/2, 1\nlocks = r\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_UNIVERSES))
+def test_first_split_equals_the_substates_scan(name):
+    """On every state of the universe, with the splits the corpus rules
+    search, the table scan finds the scan's split or finds none; a found
+    split is a pair of the table's own states."""
+    u = parse_universe(SPLIT_UNIVERSES[name])
+    table = universe_table(u)
+    pairs = _rule_split_pairs()
+    assert {type(fa).__name__ for fa, _, _ in pairs} >= {"Own", "Star", "Emp"}
+    found = missing = 0
+    for sigma in table.states:
+        for fa, fb, rho in pairs:
+            split = first_split(sigma, fa, fb, rho, u)
+            assert split == _scan_first_split(sigma, fa, fb, rho, u)
+            if split is None:
+                missing += 1
+                continue
+            found += 1
+            assert all(part is table.states[table.index[part]] for part in split)
+    assert found and missing
+
+
+def test_first_split_off_the_table_and_unbound():
+    """A state outside the table (a 3/4 share under perms 1/4, 1/2 and 1) and
+    a logical variable the valuation leaves unbound: the same split, the same
+    failure, or the same exception as the scan."""
+    u = parse_universe("vars = x, y\nlocs = 2\nvals = 0..1\n"
+                       "perms = 1/4, 1/2, 1\nlocks = r\n")
+    quarter, half = Own(Fraction(1, 4), "x"), Own(HALF, "x")
+    three_quarters = lstate(stack={"x": (1, Fraction(3, 4))})
+    assert three_quarters not in universe_table(u).index
+    free = FEq(Var("x"), Var("X"))
+    cases = [(three_quarters, half, quarter, fmap()),
+             (three_quarters, quarter, half, fmap()),
+             (three_quarters, half, half, fmap()),
+             (three_quarters, free, FTrue(), fmap({"X": 1})),
+             (three_quarters, free, FTrue(), fmap())]
+    outcomes = [_outcome(first_split, *case, u) for case in cases]
+    assert outcomes == [_outcome(_scan_first_split, *case, u) for case in cases]
+    assert outcomes[:5] == [
+        (lstate(stack={"x": (1, HALF)}), lstate(stack={"x": (1, Fraction(1, 4))})),
+        (lstate(stack={"x": (1, Fraction(1, 4))}), lstate(stack={"x": (1, HALF)})),
+        None,
+        (lstate(stack={"x": (1, Fraction(1, 4))}), lstate(stack={"x": (1, HALF)})),
+        ("raises", UncoveredLogicalVariable, "X")]
+    # on the table, the unbound variable is met only where the scan meets it
+    u = parse_universe(SPLIT_UNIVERSES["strategy-chain"])
+    cases = [(sigma, FAnd(Own(TOP, "x"), free), FTrue(), fmap())
+             for sigma in universe_table(u).states]
+    cases += [(sigma, Emp(), FEq(Var("y"), Var("Y")), fmap())
+              for sigma in universe_table(u).states]
+    outcomes = [_outcome(first_split, *case, u) for case in cases]
+    assert outcomes == [_outcome(_scan_first_split, *case, u) for case in cases]
+    assert None in outcomes
+    assert ("raises", UncoveredLogicalVariable, "X") in outcomes
+    assert ("raises", UncoveredLogicalVariable, "Y") in outcomes

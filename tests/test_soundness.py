@@ -242,8 +242,9 @@ def test_respond_is_asked_only_about_states_of_its_predicate(
         tmp_path, capsys, monkeypatch):
     """`ExtractedStrategy.respond` does not check the Adam state against its
     position's predicate, because its callers never pass one that fails it:
-    on the strategy-chain inputs the checker asks it 1,704 times, each time
-    about a state satisfying `strat.spec.predicate_at(position)`."""
+    on the strategy-chain inputs the checker asks it 456 times, once per
+    distinct (position, Adam state, key), each time about a state satisfying
+    `strat.spec.predicate_at(position)`."""
     respond = ExtractedStrategy.respond
     asked = []
 
@@ -257,4 +258,4 @@ def test_respond_is_asked_only_about_states_of_its_predicate(
     code = bench_script("chain").main([str(CORPUS / "par_writes.csl"),
                                        str(CORPUS / "par_writes.proof"), "-u", str(uni)])
     assert code == 0 and capsys.readouterr().out.endswith(", all pass\n")
-    assert len(asked) == 1704 and all(asked)
+    assert len(asked) == 456 and all(asked)
