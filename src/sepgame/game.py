@@ -192,11 +192,12 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
     accepted, (c) every winning Adam extension with a pending code step gets
     an Eve response.
 
-    A strategy is a function of (key, position, state): its responses to one
-    Adam state at one position under one key are asked and judged once, and
-    play nodes that meet the same question again reuse them.  The search
-    still pushes their frontier entries in the same order, so it visits the
-    same nodes and returns the same verdict, reason and counterexample.
+    A strategy is a function of (key, position, state): each question is
+    asked and judged once, and a play node that meets it again pushes
+    nothing, since under the LIFO frontier all it would push is already
+    visited (tests/test_checker_memo.py says why).  A node pushed twice
+    before it is popped, as when `respond` lists one move twice, is visited
+    once.
     """
     game = TraceGame(t, spec, u)
     accepted = dict(strat.initial_nodes())
@@ -210,7 +211,7 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
             return CheckResult("fail", "accepted initial play is not winning", (s,))
 
     visited = set()
-    judged = {}          # (position, Adam state, key) -> responses that passed
+    judged = set()       # (position, Adam state, key) asked and judged
     frontier = [(1, s, accepted[s], (s,)) for s in game.initials]
     explored = 0
     while frontier:
@@ -224,21 +225,20 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
         if i == game.last - 1:
             continue  # only the final Adam move remains; any refinement wins
         for s2 in game.adam(i, s):
-            responses = judged.get((i + 1, s2, key))
-            if responses is None:
-                responses = list(strat.respond(key, i + 1, s2))
-                if not responses:
-                    return CheckResult(
-                        "fail", f"no Eve response at position {i + 1}", play + (s2,))
-                for s3, _ in responses:
-                    fault = game.eve_fault(i + 1, s2, s3)
-                    if fault is None and not sat_sep(s3, spec.predicate_at(i + 2),
-                                                     spec.rho, u):
-                        fault = "losing Eve move"
-                    if fault is not None:
-                        return CheckResult("fail", fault, play + (s2, s3))
-                judged[i + 1, s2, key] = responses
+            if (i + 1, s2, key) in judged:
+                continue
+            judged.add((i + 1, s2, key))
+            responses = list(strat.respond(key, i + 1, s2))
+            if not responses:
+                return CheckResult(
+                    "fail", f"no Eve response at position {i + 1}", play + (s2,))
             for s3, key2 in responses:
+                fault = game.eve_fault(i + 1, s2, s3)
+                if fault is None and not sat_sep(s3, spec.predicate_at(i + 2),
+                                                 spec.rho, u):
+                    fault = "losing Eve move"
+                if fault is not None:
+                    return CheckResult("fail", fault, play + (s2, s3))
                 if (i + 2, s3, key2) not in visited:
                     frontier.append((i + 2, s3, key2, play + (s2, s3)))
     return CheckResult("pass", f"explored {explored} play nodes")

@@ -183,36 +183,29 @@ def eval_formula_expr(e, sigma: LogicalState, rho: fmap):
 def satisfies(sigma: LogicalState, f, rho: fmap, u: Universe) -> bool:
     """The satisfaction judgement between a logical state and a formula: the
     state's bit of the formula's models; `_sat` for a state outside the
-    universe table, or when the models meet a variable rho leaves unbound."""
+    universe table, or when f has a variable rho leaves unbound."""
     table = universe_table(u)
     i = table.index.get(sigma)
-    if i is not None:
-        try:
-            return table.models(f, rho) >> i & 1 == 1
-        except UncoveredLogicalVariable:
-            pass
-    return _sat(sigma, f, rho, u)
+    if i is None or _unbound(rho, f):
+        return _sat(sigma, f, rho, u)
+    return table.models(f, rho) >> i & 1 == 1
 
 
 def first_split(sigma: LogicalState, fa, fb, rho: fmap, u: Universe):
     """The first split (a, b) of sigma in `substates` order with a satisfying
     fa and b satisfying fb, or None.  For a universe-table state it scans the
     state's index splits against the two formulas' models and returns the
-    table's own states; for a state outside the table, or when the models
-    meet a variable rho leaves unbound, it asks `satisfies` of each pair of
+    table's own states; for a state outside the table, or when fa or fb has
+    a variable rho leaves unbound, it asks `satisfies` of each pair of
     `substates`."""
     table = universe_table(u)
     i = table.index.get(sigma)
-    if i is not None:
-        try:
-            left, right = table.models(fa, rho), table.models(fb, rho)
-        except UncoveredLogicalVariable:
-            pass
-        else:
-            for a, b in table.splits[i]:
-                if left >> a & 1 and right >> b & 1:
-                    return table.states[a], table.states[b]
-            return None
+    if i is not None and not _unbound(rho, fa, fb):
+        left, right = table.models(fa, rho), table.models(fb, rho)
+        for a, b in table.splits[i]:
+            if left >> a & 1 and right >> b & 1:
+                return table.states[a], table.states[b]
+        return None
     for a, b in _sub_pairs(sigma, u):
         if satisfies(a, fa, rho, u) and satisfies(b, fb, rho, u):
             return a, b

@@ -27,20 +27,13 @@ from __future__ import annotations
 
 from .logic import (TOP, UncoveredLogicalVariable, def_formula, entails,
                     is_precise)
-from .maps import Node, fmap
+from .maps import fmap
 from .syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, EXTENSION_RULES,
                      FAnd, FEq, FFalse, FImplies, FNot, FOr, Forall, FTrue,
                      IfC, Lit, Load, Mul, Own, ParC, PointsTo, ProofNode,
                      ResourceC, SeqC, Skip, Star, Store, Universe, Var, While,
                      WithWhen, expr_program_vars,
                      formula_free_logical_vars, is_logical_name)
-
-
-class Sequent(Node):
-    ctx: fmap
-    pre: object
-    cmd: object
-    post: object
 
 
 # --- normalization: AC of * and /\, canonical bound names --------------------------
@@ -120,9 +113,9 @@ def ctx_match(a: fmap, b: fmap) -> bool:
 # --- the checker ---------------------------------------------------------------------
 
 class ProofCheckResult:
-    def __init__(self, ok: bool, sequent: Sequent | None, valuation: fmap,
-                 violations: list, extensions_used: tuple):
-        self.ok, self.sequent, self.valuation = ok, sequent, valuation
+    def __init__(self, ok: bool, valuation: fmap, violations: list,
+                 extensions_used: tuple):
+        self.ok, self.valuation = ok, valuation
         self.violations, self.extensions_used = violations, extensions_used
 
     def report(self, universe_label="") -> list:
@@ -193,9 +186,7 @@ def check_proof(node: ProofNode, u: Universe,
     check(node, "root")
     if undecided and not reported:
         raise undecided[0]
-    ok = not violations
-    sequent = Sequent(node.ctx, node.pre, node.cmd, node.post) if ok else None
-    return ProofCheckResult(ok, sequent, rho, violations, tuple(extensions))
+    return ProofCheckResult(not violations, rho, violations, tuple(extensions))
 
 
 # --- rule schemas ----------------------------------------------------------------------

@@ -229,14 +229,14 @@ def separations(target: MachineState, code, resources: fmap, frame, u: Universe,
     filled in by component_assignments, in the order code, resources by
     name, frame, and must pass its test as soon as it is chosen.  Every
     state returned thus passes the test on every piece.  Memoised: a pure
-    function of immutable arguments, so all traces share each family.
+    function of immutable arguments, so all traces share each family.  The
+    given pieces always tensor: a lone code fragment (`_refinements`), or
+    pieces of a built, hence defined, `SeparatedState` (`enumerate_eve_moves`).
     """
     missing = sorted(r for r, e in resources.items() if e is None)
     given = [part for part in (code, frame) if part is not None]
     given += [e.state for _, e in resources.items() if isinstance(e, Available)]
     fixed = tensor_all(given)
-    if fixed is None:
-        return ()
     pieces = ([None] if code is None else []) + missing
     tests = [None] * (len(pieces) + (frame is None))
     if pred is not None:

@@ -45,7 +45,7 @@ from .logic import (EMPTY_LSTATE, TOP, LogicalState, erase, first_split,
                     lstate_to_text, satisfies, substates, tensor)
 from .machine import ABORT, IAcquire, IRelease, MachineState, eval_expr
 from .maps import fmap
-from .proof import ProofCheckResult, Sequent
+from .proof import ProofCheckResult
 from .semantics import (HideW, NOTIN, ParW, RETURNS, SeqLeftW, SeqSplitW,
                         denote, enumerate_traces)
 from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
@@ -150,10 +150,8 @@ class AtomLifter(_Lifter):
             if loc not in code.heap:
                 raise SoundnessAlarm(f"{self.path}: disposed cell not owned")
             new_code = LogicalState(code.stack, code.heap.remove(loc))
-        elif tag == "ext_skip":
+        else:       # ext_skip: `_LIFTERS` gives this class no other axiom
             new_code = code
-        else:
-            raise SoundnessAlarm(f"{self.path}: unexpected axiom {tag}")
         return new_code, {}, ()
 
 
@@ -365,13 +363,11 @@ _LIFTERS = {
 
 def build_lifter(node, path, t, u, rho, answer) -> _Lifter:
     """The lifter of a proof node on trace t, whose answer (verdict, witness)
-    from the node's command the caller already holds."""
+    from the node's command the caller already holds.  `_LIFTERS` and
+    ext_conseq cover `RULE_ARITY`, every tag the parser admits."""
     if node.tag == "ext_conseq":
         return build_lifter(node.children[0], f"{path}.0", t, u, rho, answer)
-    cls = _LIFTERS.get(node.tag)
-    if cls is None:
-        raise ExtractionFailure(path, node.tag, "no lifting for this rule")
-    return cls(node, path, t, u, rho, answer)
+    return _LIFTERS[node.tag](node, path, t, u, rho, answer)
 
 
 # --- the extracted strategy ---------------------------------------------------------
@@ -455,10 +451,14 @@ def drive_play(strat, initial=None):
 def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
                      maxlen=None, emit_replays=False,
                      program_label="", proof_label="") -> dict:
-    """Check both consequences of a proof with an empty context under the
-    passive environment: no error steps, and returning traces end in a memory
+    """Check both consequences of an accepted proof (`sepgame verify` reports
+    a rejected one itself) with an empty context under the passive
+    environment: no error steps, and returning traces end in a memory
     satisfying the postcondition star true, witnessed by the extracted play's
-    final code fragment.
+    final code fragment.  The plays from an initial state start at its first
+    split (a, b) in `substates` order with a satisfying P: code a, every
+    resource available and empty, frame b.  That is an initial position of
+    every trace's game (tests/test_soundness.py says why).
 
     Failures list the initial states outside P * true first, then the failing
     traces in enumeration order.  A strategy that cannot be extracted or
@@ -474,34 +474,33 @@ def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
         "failures": [],
         "extension_rules_used": sorted({tag for _, tag in check.extensions_used}),
     }
-    if not check.ok:
-        report["failures"].append({"reason": "proof rejected"})
-        return report
-    seq = check.sequent
-    if len(seq.ctx):
+    if len(node.ctx):
         report["failures"].append(
             {"reason": "context is not empty; use game-level checking"})
         return report
     rho = check.valuation
-    pre_true = Star(seq.pre, FTrue())
+    pre_true = Star(node.pre, FTrue())
+    empty = fmap({r: Available(EMPTY_LSTATE) for r in u.locks})
     starts = []
     for init in sorted(inits, key=lstate_to_text):
         label = lstate_to_text(init)
         if satisfies(init, pre_true, rho, u):
-            starts.append((init, label))
+            a, b = next((a, b) for a, b in substates(init, u)
+                        if satisfies(a, node.pre, rho, u))
+            starts.append((init, label, SeparatedState(a, empty, b)))
         else:
             report["failures"].append(
                 {"init": label, "reason": "initial state does not satisfy P * true"})
 
     replays = []
-    for init, label in starts:
+    for init, label, initial in starts:
         start = MachineState(erase(init), frozenset())
         for t, returning, _ in enumerate_traces(node.cmd, [start], u,
                                                 maxlen=maxlen, policy="passive"):
             report["traces_checked"] += 1
             if returning:
                 report["returning"] += 1
-            reason, play, spec = _trace_failure(node, seq, init, t, u, rho)
+            reason, play, spec = _trace_failure(node, initial, t, u, rho)
             if reason is not None:
                 report["failures"].append(
                     {"init": label, "trace_len": len(t), "reason": reason})
@@ -513,37 +512,20 @@ def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
     return report
 
 
-def _trace_failure(node, seq: Sequent, init, t: Trace, u: Universe, rho: fmap):
+def _trace_failure(node, initial: SeparatedState, t: Trace, u: Universe, rho: fmap):
     """Why one passive trace breaks the corollary, or None; and the play
-    driven along it with its spec, when there is one."""
+    driven along it from `initial` with its spec, when there is one.  A play
+    of full length ends in Adam's move to the final position, which
+    satisfies that position's predicate: on a returning trace, the post."""
     if t.errored:
         return "error step in a passive-environment trace", None, None
     try:
         strat = ExtractedStrategy(node, t, u, rho)
-        canonical = _canonical_initial(init, seq, strat, u, rho)
-        if canonical is None:
-            return "no accepted initial refinement", None, None
-        play = drive_play(strat, initial=canonical)
+        play = drive_play(strat, initial=initial)
     except ExtractionFailure as exc:
         return f"extraction failed: {exc}", None, None
     except SoundnessAlarm as exc:
         return f"soundness alarm: {exc}", None, None
-    spec = strat.spec
     if len(play) != strat.game.last:
-        return f"play stalled after {len(play)} states", play, spec
-    if spec.returning and not satisfies(play[-1].code, seq.post, rho, u):
-        return "final code fragment violates the postcondition", play, spec
-    return None, play, spec
-
-
-def _canonical_initial(init, seq: Sequent, strat: ExtractedStrategy,
-                       u: Universe, rho: fmap):
-    """The designated refinement: split the initial logical state into a
-    fragment satisfying the precondition plus frame, resources all empty."""
-    resources = fmap({r: Available(EMPTY_LSTATE) for r in u.locks})
-    for a, b in substates(init, u):
-        if satisfies(a, seq.pre, rho, u):
-            cand = SeparatedState(a, resources, b)
-            if cand in strat.initials:
-                return cand
-    return None
+        return f"play stalled after {len(play)} states", play, strat.spec
+    return None, play, strat.spec

@@ -3,7 +3,16 @@ once.  `_checker_without_memo` is the checker as it was before: it asks the
 strategy about every edge of the play graph and judges every answer again.
 Both must return the same verdict, reason and counterexample play, on
 passing strategies, on strategies that fail in each of the ways the judge
-knows, and under every budget."""
+knows, and under every budget.
+
+Why a question met again may push nothing: its first asker, a node at
+position i, pushed its entries (at i + 2) above every entry at i or below.
+While any of them is on the frontier, the nodes popped are those entries or
+their descendants, at i + 2 or beyond, and they push only at i + 4 or
+beyond.  So no node at i is pushed or popped until all of them are popped,
+that is visited, and the node that meets the question again, at i, comes
+later: everything it would push is visited.
+"""
 
 import zlib
 from fractions import Fraction
@@ -327,3 +336,61 @@ def test_failing_strategies_fail_alike(kind, pick):
                 else:
                     assert new[0] == "pass"
     assert sorted(failed) == FAILING[kind, pick]
+
+
+# --- the initial plays and the pop-time check ----------------------------------------
+
+class _Extra:
+    """A strategy's moves, accepting one more initial play."""
+
+    def __init__(self, strat, extra):
+        self.strat, self.extra = strat, extra
+
+    def initial_nodes(self):
+        return [*self.strat.initial_nodes(), (self.extra, None)]
+
+    def respond(self, key, position, state):
+        return self.strat.respond(key, position, state)
+
+
+def test_an_accepted_initial_play_outside_the_game_fails():
+    """framed_assign's games from its two corpus inits: an initial play of
+    the other init's game does not refine the source, and the initial play
+    with its code and frame swapped refines it but is not winning."""
+    u, games = _chain_games("framed_assign")
+    (strat, t, spec), other = games[0], games[-1][0]
+    assert combine(next(iter(other.initials))).memory != t.source.memory
+    s = next(iter(strat.initials))
+    swapped = SeparatedState(s.frame, s.resources, s.code)
+    assert combine(swapped) == t.source
+    for extra, reason in [
+            (next(iter(other.initials)), "initial state does not refine the source"),
+            (swapped, "accepted initial play is not winning")]:
+        new, old = _both(_Extra(strat, extra), t, spec, u)
+        assert new == old == ("fail", reason, (extra,))
+
+
+class _Twice:
+    """A strategy's moves, each listed twice."""
+
+    def __init__(self, strat):
+        self.strat = strat
+
+    def initial_nodes(self):
+        return self.strat.initial_nodes()
+
+    def respond(self, key, position, state):
+        out = list(self.strat.respond(key, position, state))
+        return out + out
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN))
+def test_a_move_listed_twice_is_visited_once(name):
+    """Each of `_Twice`'s moves is pushed twice before it is popped; the
+    pop-time check visits it once, so the checker explores as many play
+    nodes as it does for the strategy itself."""
+    u, games = _chain_games(name)
+    for strat, t, spec in games:
+        new, old = _both(_Twice(strat), t, spec, u)
+        assert new == old
+        assert new == _both(strat, t, spec, u)[0]

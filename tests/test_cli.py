@@ -15,6 +15,7 @@ import pytest
 from sepgame import cli
 
 from .conftest import CORPUS, EXHAUSTIVE_UNIVERSE
+from .test_soundness import FALSE_TRIPLE
 
 UNIVERSE = "vars = x\nlocs = 2\nvals = 0..1\nperms = 1/2, 1\nlocks = r\nmaxlen = 2\n"
 
@@ -92,6 +93,64 @@ def test_extraction_failure_is_a_report_entry(capsys):
         "extraction failed: root.0.1 (frame): "
         "no split of the code fragment matches P * R")
     assert err == ""
+
+
+def _verify_false_triple(tmp_path, capsys, *extra):
+    """verify of ROADMAP item 1's false triple from framed_assign's corpus
+    inits at maxlen 3: exit code, report and stderr."""
+    proof = tmp_path / "false_triple.proof"
+    proof.write_text(FALSE_TRIPLE)
+    code, out, err = _main(["verify", _corpus("framed_assign", ".csl"), str(proof),
+                            "-u", _corpus("framed_assign", ".uni"), "--allow-extensions",
+                            "--maxlen", "3", "--inits", _corpus("framed_assign", ".inits"),
+                            *extra], capsys)
+    return code, json.loads(out), err
+
+
+FALSE_TRIPLE_FAILURES = [
+    {"init": "{x=0@1,y=3@1|}", "reason": "play stalled after 3 states", "trace_len": 1},
+    {"init": "{x=2@1,y=0@1|}", "reason": "play stalled after 3 states", "trace_len": 1}]
+
+
+def test_verify_refutes_the_false_triple(tmp_path, capsys):
+    code, report, err = _verify_false_triple(tmp_path, capsys)
+    assert (code, err) == (1, "")
+    assert report["failures"] == FALSE_TRIPLE_FAILURES
+    assert (report["traces_checked"], report["returning"]) == (4, 2)
+    assert "replays" not in report
+
+
+def _replay(*lines):
+    """Replay lines of a play that keeps r available and empty, and the frame empty."""
+    return [f"{line} ; res=[r:avail{{|}}] ; frame={{|}} ; P{i} ; pass"
+            for i, line in enumerate(lines, start=1)]
+
+
+FALSE_TRIPLE_REPLAYS = [
+    {"init": "{x=0@1,y=3@1|}", "trace_len": 0, "lines": _replay(
+        "I start -> code={x=0@1,y=3@1|}",
+        "A env -> code={x=0@1,y=3@1|}")},
+    {"init": "{x=0@1,y=3@1|}", "trace_len": 1, "lines": _replay(
+        "I start -> code={x=0@1,y=3@1|}",
+        "A env -> code={x=0@1,y=3@1|}",
+        "E x := 1 -> code={x=1@1,y=3@1|}")},
+    {"init": "{x=2@1,y=0@1|}", "trace_len": 0, "lines": _replay(
+        "I start -> code={x=2@1,y=0@1|}",
+        "A env -> code={x=2@1,y=0@1|}")},
+    {"init": "{x=2@1,y=0@1|}", "trace_len": 1, "lines": _replay(
+        "I start -> code={x=2@1,y=0@1|}",
+        "A env -> code={x=2@1,y=0@1|}",
+        "E x := 1 -> code={x=1@1,y=0@1|}")},
+]
+
+
+def test_emit_replays_of_the_false_triple(tmp_path, capsys):
+    """A replay of every trace, the refuted ones included.  A refuted
+    length-1 trace replays as three lines, all pass: the replay stops before
+    the position that failed (ROADMAP item 12)."""
+    code, report, err = _verify_false_triple(tmp_path, capsys, "--emit-replays")
+    assert (code, err, report["failures"]) == (1, "", FALSE_TRIPLE_FAILURES)
+    assert report["replays"] == FALSE_TRIPLE_REPLAYS
 
 
 @pytest.mark.parametrize("name, index, message", [

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepgame.logic import (EMPTY_LSTATE, LogicalState,
+from sepgame.logic import (EMPTY_LSTATE, LogicalState, UniverseTable,
                            UncoveredLogicalVariable, _sat, all_logical_states,
                            def_formula, entails, erase, first_split,
                            is_precise, lstate,
@@ -248,6 +248,28 @@ def test_satisfies_off_the_table():
     with pytest.raises(UncoveredLogicalVariable):
         satisfies(lstate(stack={"x": (0, TOP)}), free, fmap(), u)
     assert satisfies(lstate(stack={"x": (0, TOP)}), free, fmap({"X": 0}), u)
+
+
+def test_an_unbound_formula_is_never_decided_on_the_table(u, monkeypatch):
+    """With a variable rho leaves unbound, `satisfies` and `first_split` do
+    not ask the universe table, whose failed decision stores nothing and
+    would be made over every state again on each call.  The answers, or the
+    exception, are `_sat`'s and the substates scan's."""
+    decided = []
+    decide = UniverseTable._decide
+    monkeypatch.setattr(UniverseTable, "_decide",
+                        lambda self, f, rho: decided.append(f) or decide(self, f, rho))
+    free = FAnd(Own(TOP, "x"), FEq(Var("x"), Var("X")))
+    states = universe_table(u).states
+    for _ in range(2):
+        outcomes = [_outcome(satisfies, sigma, free, fmap(), u) for sigma in states]
+        assert outcomes == [_outcome(_sat, sigma, free, fmap(), u) for sigma in states]
+        assert {False, ("raises", UncoveredLogicalVariable, "X")} == set(outcomes)
+    assert decided == []
+    splits = [_outcome(first_split, sigma, Emp(), free, fmap(), u) for sigma in states]
+    assert splits == [_outcome(_scan_first_split, sigma, Emp(), free, fmap(), u)
+                      for sigma in states]
+    assert free not in decided
 
 
 def test_tensor_commutative_associative_cancellative(u1):

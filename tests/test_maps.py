@@ -205,7 +205,7 @@ def _args(cls):
 
 
 def test_the_package_has_the_expected_node_classes_and_fewer_shapes():
-    assert len(NODE_CLASSES) == 55
+    assert len(NODE_CLASSES) == 54
     shapes = {(len(c.__match_args__), hasattr(c, "__post_init__"))
               for c in NODE_CLASSES}
     assert shapes <= set(maps._SHAPES) and len(shapes) == 11

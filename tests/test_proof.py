@@ -506,6 +506,12 @@ def test_quarantine_comes_first_and_premises_follow(u):
 
 
 def test_the_rule_tables_name_the_same_rules():
+    """`build_lifter` indexes `_LIFTERS` without a fallback, and
+    `AtomLifter.eve` takes ext_skip as its last case: the parser admits only
+    the tags of `RULE_ARITY` (test_syntax.py::test_parse_proof_unknown_tag)."""
     lifted = set(soundness._LIFTERS) | {"ext_conseq"}   # lifted through its premise
     assert set(RULE_ARITY) == set(proof._SCHEMAS) == lifted
     assert set(proof._SHAPES) <= set(RULE_ARITY)
+    assert {tag for tag, cls in soundness._LIFTERS.items()
+            if cls is soundness.AtomLifter} == {
+        "aff", "store", "load", "ext_alloc", "ext_dispose", "ext_skip"}

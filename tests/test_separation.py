@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sepgame.game import TraceGame, winning_spec
 from sepgame.logic import EMPTY_LSTATE, lstate, tensor
 from sepgame.machine import (IAcquire, INop, IRelease, Return, machine_step,
                              mstate)
@@ -11,7 +12,8 @@ from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                                 enumerate_eve_moves, legal_adam_move,
                                 legal_eve_move, permission_conserving,
                                 sep_state, sep_state_to_text)
-from sepgame.syntax import Assign, Lit, parse_universe
+from sepgame.syntax import Assign, FTrue, Lit, parse_universe
+from sepgame.traces import CodeTransition, Trace
 
 HALF = Fraction(1, 2)
 TOP = Fraction(1)
@@ -176,3 +178,76 @@ def test_eve_move_order_release(u2):
         "code={x=0@1/2|} ; res=[r:avail{x=0@1/2|}] ; frame={|}",
         "code={x=0@1|} ; res=[r:avail{|}] ; frame={|}",
     ]
+
+
+# --- each lock condition of an Eve move --------------------------------------------
+# Each case is (Adam state, instruction, a legal move or None, the move that
+# breaks the condition, extra outcomes).  Both moves keep the frame and
+# combine into an outcome, so the lock condition is what rejects the second.
+# Under the step's own outcomes, as every caller passes them, the outcome test
+# would reject the moves of "acquire from a held entry" (the acquire of a held
+# resource is blocked) and "release into a held entry" (a release unlocks)
+# first; those two cases add the outcomes of another step from the same
+# memory.  A release by a frame that holds the resource has no legal move.
+
+def _cases():
+    x0, y2 = lstate(stack={"x": (0, TOP)}), lstate(stack={"y": (2, TOP)})
+    xy = tensor(x0, y2)
+    x1 = lstate(stack={"x": (1, TOP)})
+    empty = Available(EMPTY_LSTATE)
+
+    def st(code, r, frame=EMPTY_LSTATE):
+        return SeparatedState(code, fmap({"r": r}), frame)
+
+    memory = {"x": 0, "y": 2}
+    return {
+        "untouched resource changes": (
+            st(xy, empty), Assign("x", Lit(1)),
+            st(tensor(x1, y2), empty), st(x1, Available(y2)), ()),
+        "acquire from a held entry": (
+            st(x0, HELD_BY_FRAME, y2), IAcquire("r"),
+            None, st(x0, HELD_BY_CODE, y2),
+            machine_step(mstate(stack=memory), IAcquire("r"), None)),
+        "acquire not handed to the code": (
+            st(x0, Available(y2)), IAcquire("r"),
+            st(xy, HELD_BY_CODE), st(xy, HELD_BY_FRAME), ()),
+        "release of a resource the code does not hold": (
+            st(xy, HELD_BY_FRAME), IRelease("r"),
+            None, st(x0, Available(y2)), ()),
+        "release into a held entry": (
+            st(xy, HELD_BY_CODE), IRelease("r"),
+            st(x0, Available(y2)), st(xy, HELD_BY_CODE),
+            machine_step(mstate(stack=memory, locked={"r"}), INop(), None)),
+    }
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_lock_condition_rejects_its_move(u, case):
+    s, m, good, bad, extra = CASES[case]
+    outcomes = _outcomes(s, m, u) | frozenset(extra)
+    assert Return(combine(bad)) in outcomes and bad.frame == s.frame
+    assert not legal_eve_move(s, m, bad, outcomes)
+    if good is not None:
+        assert legal_eve_move(s, m, good, outcomes)
+
+
+def _one_step_game(s, m, u):
+    """The game of the one-step trace of m from combine(s), under true."""
+    (out,) = _outcomes(s, m, u)
+    t = Trace(combine(s), (CodeTransition(combine(s), m, out.state),), out.state)
+    return TraceGame(t, winning_spec(FTrue(), fmap(), FTrue(), t, True), u)
+
+
+@pytest.mark.parametrize("case", ["untouched resource changes",
+                                  "acquire not handed to the code",
+                                  "release of a resource the code does not hold"])
+def test_the_game_judges_a_broken_lock_condition_illegal(u, case):
+    """Where the game reaches the Adam state (an initial play, then Adam's
+    identity move), `eve_fault` names the move illegal."""
+    s, m, _, bad, _ = CASES[case]
+    game = _one_step_game(s, m, u)
+    assert s in game.initials and s in game.adam(1, s)
+    assert game.eve_fault(2, s, bad) == "illegal Eve move"

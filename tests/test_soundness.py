@@ -12,16 +12,19 @@ import re
 import pytest
 
 from sepgame import game, separation
-from sepgame.game import NoWin, check_winning_strategy, solve_eve
-from sepgame.logic import erase, lstate_from_text, lstate_to_text, tensor_all
+from sepgame.game import (NoWin, TraceGame, check_winning_strategy, solve_eve,
+                          winning_spec)
+from sepgame.logic import (EMPTY_LSTATE, erase, lstate_from_text, lstate_to_text,
+                           satisfies, substates, tensor_all, universe_table)
 from sepgame.machine import MachineState
+from sepgame.maps import fmap
 from sepgame.proof import check_proof
 from sepgame.semantics import enumerate_traces
 from sepgame.separation import (HELD_BY_CODE, Available, SeparatedState, combine,
                                 sep_state_to_text)
 from sepgame.soundness import (ExtractedStrategy, ExtractionFailure,
-                               SoundnessAlarm, verify_corollary)
-from sepgame.syntax import parse_proof, parse_universe
+                               SoundnessAlarm, drive_play, verify_corollary)
+from sepgame.syntax import FTrue, Star, parse_proof, parse_universe
 from sepgame.traces import Trace
 
 from .conftest import CORPUS, bench_script, corpus_text
@@ -47,6 +50,12 @@ KNOWN_DEFECTS = [
         raises=SoundnessAlarm, strict=True,
         reason="ROADMAP item 1: conj audit fails on the second postcondition")),
 ]
+
+
+# ROADMAP item 1's false triple: the framed_assign proof with x = 2 in its
+# outer post.  `check --allow-extensions` accepts it; `verify` refutes it.
+FALSE_TRIPLE = corpus_text("framed_assign.proof").replace("and (x = 1)", "and (x = 2)")
+assert FALSE_TRIPLE.count("and (x = 2)") == 1
 
 
 def _load(name):
@@ -95,6 +104,25 @@ def test_chain_known_defects(name):
     _chain(name)
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+    "ROADMAP item 3: the checker and the solver let a play whose last code "
+    "fragment violates the post win, so only verify refutes the false triple"))
+def test_the_game_chain_refutes_the_false_triple():
+    u, _, _, inits = _load("framed_assign")
+    node = parse_proof(FALSE_TRIPLE)
+    check = check_proof(node, u, allow_extensions=True)
+    assert check.ok, check.violations
+    verdicts = []
+    for init in inits:
+        start = MachineState(erase(init), frozenset())
+        for t, _, _ in enumerate_traces(node.cmd, [start], u, policy="passive"):
+            if not t.errored:
+                strat = ExtractedStrategy(node, t, u, check.valuation)
+                verdicts.append(bool(check_winning_strategy(strat, t, strat.spec, u))
+                                and not isinstance(solve_eve(t, strat.spec, u), NoWin))
+    assert len(verdicts) == 4 and not all(verdicts)
+
+
 # No accepted corpus proof goes through seq (seq_load_store fails at its
 # frame, ROADMAP item 1): both premises of this one are framed assignments
 # weakened by consequence, as in framed_assign.
@@ -127,6 +155,55 @@ def test_corollary_reports_no_failures(name):
     report = verify_corollary(check, node, inits, u)
     assert report["failures"] == []
     assert report["traces_checked"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN) + ["seq_load_store", "false triple"])
+def test_verify_starts_at_an_initial_position_and_ends_in_the_post(name):
+    """Why `verify_corollary` needs neither a search for its initial play nor
+    a last check of the post.  From every state satisfying P * true (every
+    share, not only full ones), on every non-error passive trace:
+
+    * the first split (a, b) in `substates` order with a satisfying P exists,
+      since the state satisfies P * true.  Code a, every resource available
+      and empty, and frame b is an initial position of the trace's game: the
+      shares of a and b come from `_slot_splits`, so each lies in {0} or
+      perms, which `component_assignments` enumerates, and the empty context
+      constrains no resource.  Were it not one, `drive_play` would return no
+      state and the trace would fail as "play stalled after 0 states";
+    * a play of full length driven from there ends in Adam's move to the
+      final position, which satisfies that position's predicate, so on a
+      returning trace its code fragment satisfies the post.
+    """
+    if name == "false triple":
+        u = parse_universe(corpus_text("framed_assign.uni"))
+        node = parse_proof(FALSE_TRIPLE)
+    else:
+        u, node, _, _ = _load(name)
+    assert not len(node.ctx)
+    rho = check_proof(node, u, allow_extensions=True).valuation
+    table = universe_table(u)
+    models = table.models(Star(node.pre, FTrue()), rho)
+    inits = [sigma for i, sigma in enumerate(table.states) if models >> i & 1]
+    starts = full = 0
+    for init in inits:
+        a, b = next((a, b) for a, b in substates(init, u) if satisfies(a, node.pre, rho, u))
+        initial = SeparatedState(a, fmap({r: Available(EMPTY_LSTATE) for r in u.locks}), b)
+        start = MachineState(erase(init), frozenset())
+        for t, returning, _ in enumerate_traces(node.cmd, [start], u, policy="passive"):
+            if t.errored:
+                continue
+            spec = winning_spec(node.pre, node.ctx, node.post, t, returning, rho)
+            assert initial in TraceGame(t, spec, u).initials
+            starts += 1
+            try:
+                play = drive_play(ExtractedStrategy(node, t, u, rho), initial=initial)
+            except ExtractionFailure:
+                continue
+            if len(play) == spec.last and returning:
+                assert satisfies(play[-1].code, node.post, rho, u)
+                full += 1
+    assert starts > len(inits) > 0
+    assert (full > 0) == (name in CHAIN)     # seq_load_store: ROADMAP item 1
 
 
 def test_extraction_decides_membership_at_the_root():
