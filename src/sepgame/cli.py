@@ -331,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, program=True, proof=True)
     p.add_argument("--allow-extensions", action="store_true")
     p.add_argument("--trace-index", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="most solver nodes to explore; one node is one position "
+                        "with one code fragment and set of code-held locks")
     p.set_defaults(func=cmd_solve)
     return parser
 

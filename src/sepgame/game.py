@@ -20,7 +20,9 @@ models), so every state it builds satisfies the predicate.
 `separations` is memoised per process, which is sound since it is a pure
 function of immutable arguments returning immutable states: the checker and
 solver of every trace share its families, and traces that are prefixes of
-one another build each once.  A solver keeps Eve's moves per Adam state.
+one another build each once.  Adam's moves from a state read only its code
+fragment and code-held locks, and Eve's only its resources and frame, so the
+game keeps Eve's moves, and the solver its answers, under those keys.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ class TraceGame:
         self.last = spec.last
         self.outcomes = tuple(machine_step(st.pre, st.instr, u) for st in t.steps)
         self.initials = empty_winning_plays(t.source, spec, u)
-        self._eve = {}       # (position, Adam's state) -> Eve's moves
+        self._eve = {}       # (position, resources, frame) -> Eve's moves
 
     def state(self, i: int) -> MachineState:
         return trace_state(self.t, i)
@@ -152,11 +154,14 @@ class TraceGame:
 
     def eve(self, i: int, s: SeparatedState) -> tuple:
         """Every legal Eve move from Adam's state s at even position i that
-        stays on the trace and satisfies the next predicate."""
-        hit = self._eve.get((i, s))
+        stays on the trace and satisfies the next predicate.  They read only
+        s's resources and frame (`enumerate_eve_moves`), the key they are
+        kept under."""
+        key = (i, s.resources, s.frame)
+        hit = self._eve.get(key)
         if hit is None:
             step = self.t.steps[i // 2 - 1]
-            hit = self._eve[i, s] = tuple(enumerate_eve_moves(
+            hit = self._eve[key] = tuple(enumerate_eve_moves(
                 s, step.instr, self.outcomes[i // 2 - 1], self.state(i + 1),
                 self.u, self.spec.predicate_at(i + 1), self.spec.rho))
         return hit
@@ -255,30 +260,44 @@ class NoWin:
 
 
 class SolvedStrategy:
-    """Maximal winning strategy computed by backward induction over the game."""
+    """Maximal winning strategy computed by backward induction over the game.
+
+    Each question is asked once per thing it depends on.  Adam's moves from
+    s are `_refinements` of the next state with s's code fragment and
+    code-held locks, the invariant of `legal_adam_move`, so whether Eve
+    survives from (i, s) is kept per (i, s.code, s.dom_code()): one solver
+    node is one such question.  Eve's moves from s2 read only s2.resources
+    and s2.frame (`enumerate_eve_moves`), so whether one of them survives is
+    kept per (i, s2.resources, s2.frame)."""
 
     def __init__(self, t: Trace, spec: WinningSpec, u: Universe, budget=None):
         self.game = TraceGame(t, spec, u)
         self.initials = self.game.initials
         self.budget = budget
         self._explored = 0
-        self._memo = {}
+        self._adam = {}      # (position, code, code-held locks) -> survives
+        self._eve = {}       # (position, resources, frame) -> some move survives
 
     def survives(self, i: int, s: SeparatedState) -> bool:
         """Eve can keep every winning Adam continuation alive from position i."""
-        key = (i, s)
-        hit = self._memo.get(key)
+        key = (i, s.code, s.dom_code())
+        hit = self._adam.get(key)
         if hit is not None:
             return hit
         self._explored += 1
         if self.budget is not None and self._explored > self.budget:
             raise EnumerationBudget(f"more than {self.budget} solver nodes")
-        if i >= self.game.last - 1:
-            return True
-        ok = self._memo[key] = all(
-            any(self.survives(i + 2, s3) for s3 in self.game.eve(i + 1, s2))
-            for s2 in self.game.adam(i, s))
+        ok = self._adam[key] = i >= self.game.last - 1 or all(
+            self._some_move_survives(i + 1, s2) for s2 in self.game.adam(i, s))
         return ok
+
+    def _some_move_survives(self, i: int, s2: SeparatedState) -> bool:
+        key = (i, s2.resources, s2.frame)
+        hit = self._eve.get(key)
+        if hit is None:
+            hit = self._eve[key] = any(self.survives(i + 1, s3)
+                                       for s3 in self.game.eve(i, s2))
+        return hit
 
     def initial_nodes(self):
         return [(s, ()) for s in self.initials]

@@ -186,7 +186,7 @@ def satisfies(sigma: LogicalState, f, rho: fmap, u: Universe) -> bool:
     universe table, or when f has a variable rho leaves unbound."""
     table = universe_table(u)
     i = table.index.get(sigma)
-    if i is None or _unbound(rho, f):
+    if i is None or table.unbound(rho, f):
         return _sat(sigma, f, rho, u)
     return table.models(f, rho) >> i & 1 == 1
 
@@ -200,7 +200,7 @@ def first_split(sigma: LogicalState, fa, fb, rho: fmap, u: Universe):
     `substates`."""
     table = universe_table(u)
     i = table.index.get(sigma)
-    if i is not None and not _unbound(rho, fa, fb):
+    if i is not None and not table.unbound(rho, fa, fb):
         left, right = table.models(fa, rho), table.models(fb, rho)
         for a, b in table.splits[i]:
             if left >> a & 1 and right >> b & 1:
@@ -294,8 +294,9 @@ def _mask(flags) -> int:
 class UniverseTable:
     """A universe indexed once: its states in `all_logical_states` order, each
     state's index, the splits of each state as (left index, right index)
-    pairs in `_sub_pairs` order, and the models of formulas as bitmasks over
-    the state indices.  A state's index has one mixed-radix digit per slot,
+    pairs in `_sub_pairs` order, the models of formulas as bitmasks over
+    the state indices, and which formulas a valuation leaves a variable of
+    unbound.  A state's index has one mixed-radix digit per slot,
     variables before locations: 0 for an absent cell, else 1 + value index *
     |perms| + perm index; `parts` holds each cell's digits times its weight."""
 
@@ -311,7 +312,7 @@ class UniverseTable:
             for i in range(len(u.perms)))
             for k, (kind, key) in enumerate(self.cells) for v, value in enumerate(u.values)}
         self.splits = self._index_splits()
-        self._models = {}
+        self._models, self._unbound = {}, {}
 
     @functools.cached_property
     def index(self) -> dict:
@@ -348,6 +349,15 @@ class UniverseTable:
         if found is None:
             found = self._models[key] = self._decide(f, rho)
         return found
+
+    def unbound(self, rho: fmap, *formulas) -> bool:
+        """Whether a formula has a free logical variable that rho does not
+        bind; scanned once per (formula, rho)."""
+        found = self._unbound
+        for f in formulas:
+            if (f, rho) not in found:
+                found[f, rho] = bool(formula_free_logical_vars(f).difference(rho))
+        return any(found[f, rho] for f in formulas)
 
     def _decide(self, f, rho: fmap) -> int:
         match f:
@@ -388,17 +398,12 @@ def universe_table(u: Universe) -> UniverseTable:
     return UniverseTable(u)
 
 
-def _unbound(rho: fmap, *formulas) -> bool:
-    """Whether a formula has a free logical variable that rho does not bind."""
-    return any(formula_free_logical_vars(f).difference(rho) for f in formulas)
-
-
 # --- precision and entailment --------------------------------------------------------
 
 def is_precise(f, u: Universe, rho: fmap = fmap()) -> bool:
     """At most one substate of any enumerable state satisfies the formula."""
     table = universe_table(u)
-    if _unbound(rho, f):
+    if table.unbound(rho, f):
         for sigma in table.states:
             found = None
             for cand, _ in _sub_pairs(sigma, u):
@@ -415,7 +420,7 @@ def entails(p, q, u: Universe, rho: fmap = fmap()) -> bool:
     """Bounded semantic entailment: every enumerable state satisfying p
     satisfies q."""
     table = universe_table(u)
-    if _unbound(rho, p, q):
+    if table.unbound(rho, p, q):
         return all(_sat(sigma, q, rho, u) for sigma in table.states
                    if _sat(sigma, p, rho, u))
     return table.models(p, rho) & ~table.models(q, rho) == 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 from .logic import (EMPTY_LSTATE, LogicalState, erase, from_slots, lstate_to_text,
                     satisfies, slots, tensor_all, universe_table)
@@ -36,10 +37,13 @@ HELD_BY_FRAME = HeldBy("F")
 
 class SeparatedState(Node):
     """Immutable, so the `separations` memo hands out shared states.  Keeps,
-    none of them compared or hashed: the `tensor` its definedness check
-    computes, and, each computed once when first asked for, its `combined`
-    machine state (`combine`), its `text` (`sep_state_to_text`) and its
-    `code_locks` (`dom_code`)."""
+    none of them compared or hashed: the `tensor` of its pieces, and, each
+    computed once when first asked for, its `combined` machine state
+    (`combine`), its `text` (`sep_state_to_text`) and its `code_locks`
+    (`dom_code`).  The states `separations` builds come with their tensor
+    and combined state (`known`), read off `component_assignments`' per-cell
+    totals; any other state tensors its pieces when built, and raises
+    SeparationError when that is undefined."""
     __slots__ = ("tensor", "combined", "text", "code_locks")
     code: LogicalState
     resources: fmap          # lockname -> Available | HeldBy
@@ -53,6 +57,18 @@ class SeparatedState(Node):
         object.__setattr__(self, "tensor", tensor)
         for name in ("combined", "text", "code_locks"):
             object.__setattr__(self, name, None)
+
+    @classmethod
+    def known(cls, code, resources, frame, tensor, combined) -> SeparatedState:
+        """The state of these pieces, whose tensor and combined machine state
+        the caller knows; nothing is computed or checked."""
+        s = object.__new__(cls)
+        for name, value in (("_hash", None), ("code", code), ("resources", resources),
+                            ("frame", frame), ("tensor", tensor),
+                            ("combined", combined), ("text", None),
+                            ("code_locks", None)):
+            object.__setattr__(s, name, value)
+        return s
 
     def dom_code(self) -> frozenset:
         d = self.code_locks
@@ -107,17 +123,6 @@ def legal_adam_move(s: SeparatedState, s2: SeparatedState) -> bool:
     return s.code == s2.code and s.dom_code() == s2.dom_code()
 
 
-def _perm_profile(s: SeparatedState):
-    return {("s", k): p for k, (_, p) in s.tensor.stack.items()} | \
-           {("h", k): p for k, (_, p) in s.tensor.heap.items()}
-
-
-def permission_conserving(s: SeparatedState, s2: SeparatedState) -> bool:
-    """Diagnostic only: move legality as defined does not require it."""
-    a, b = _perm_profile(s), _perm_profile(s2)
-    return all(a[k] == b[k] for k in set(a) & set(b))
-
-
 # --- bounded enumeration of separated states over a machine state ----------------
 # `separations` builds them all: Adam's refinements (game._refinements) and
 # Eve's moves (enumerate_eve_moves) differ only in the pieces they fix.  A
@@ -155,10 +160,13 @@ def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
     must satisfy (a table state: its bit of the models) as soon as it is
     chosen; one that does not is dropped before the next is chosen.
 
-    Yields n-tuples of LogicalStates, the table's own where it holds them,
-    cell-major: by the first cell's shares of components 0..n-1, then the
-    second cell's, and so on, each share ordered as 0 and then the
-    permissions.  Yields nothing when the fixed component disagrees with mu.
+    Yields pairs (n-tuple of LogicalStates, tensor of them and the fixed
+    component), the table's own states where it holds them, cell-major: by
+    the first cell's shares of components 0..n-1, then the second cell's,
+    and so on, each share ordered as 0 and then the permissions.  The tensor
+    is read off the per-cell totals: from the table when every total is a
+    permission of a table cell, else built once per totals vector.  Yields
+    nothing when the fixed component disagrees with mu.
     """
     table = universe_table(u)
     size = len(table.states)
@@ -212,9 +220,19 @@ def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
                                           else satisfies(piece(a), f, rho, u))]
         partial = grown
     partial.sort(key=lambda a: a[2])
+    digit = {q: j for j, q in enumerate(shares)}
+    wholes = {}
     for chosen, totals, _ in partial:
         if all(totals):
-            yield tuple(piece(a) for a in chosen)
+            whole = wholes.get(totals)
+            if whole is None:
+                digits = [digit.get(t) for t in totals]
+                whole = wholes[totals] = (
+                    from_slots([(*cell, Fraction(t, scale))
+                                for cell, t in zip(cells, totals)])
+                    if off_table or None in digits else
+                    table.states[sum(part[j] for part, j in zip(parts, digits))])
+            yield tuple(piece(a) for a in chosen), whole
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,7 +246,9 @@ def separations(target: MachineState, code, resources: fmap, frame, u: Universe,
     tested once, before anything is enumerated.  A piece given as None is
     filled in by component_assignments, in the order code, resources by
     name, frame, and must pass its test as soon as it is chosen.  Every
-    state returned thus passes the test on every piece.  Memoised: a pure
+    state returned thus passes the test on every piece, and comes with
+    the tensor that component_assignments yields and the target's memory
+    as its combined state (`SeparatedState.known`).  Memoised: a pure
     function of immutable arguments, so all traces share each family.  The
     given pieces always tensor: a lone code fragment (`_refinements`), or
     pieces of a built, hence defined, `SeparatedState` (`enumerate_eve_moves`).
@@ -247,14 +267,18 @@ def separations(target: MachineState, code, resources: fmap, frame, u: Universe,
         if not all(t is None or satisfies(part, *t, u) for t, part in known):
             return ()
         tests[:len(pieces)] = [test(piece) for piece in pieces]
+    held = frozenset(r for r, e in resources.items() if isinstance(e, HeldBy))
+    combined = MachineState(target.memory, held)
     out = []
-    for parts in component_assignments(target.memory, fixed, len(tests), u, tests):
+    for parts, whole in component_assignments(target.memory, fixed, len(tests), u,
+                                               tests):
         parts = iter(parts)
         code_part = next(parts) if code is None else code
         entries = dict(resources.items())
         entries |= {r: Available(next(parts)) for r in missing}
         frame_part = next(parts) if frame is None else frame
-        out.append(SeparatedState(code_part, fmap(entries), frame_part))
+        out.append(SeparatedState.known(code_part, fmap(entries), frame_part,
+                                        whole, combined))
     return tuple(out)
 
 

@@ -1,5 +1,6 @@
-"""Execution traces and their algebra: sequential composition, restriction,
-shuffles, parallel composition and hiding.
+"""Execution traces, their restriction along an increasing map and the
+shuffles that interleave two of them (the rest of the trace algebra, the
+oracle the semantics is tested against, is in tests/trace_algebra.py).
 
 A trace stores its source, its code transitions and its target; environment
 transitions are implicit because the environment may move between any two
@@ -14,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .machine import (INop, IAcquire, IRelease, MachineState, instr_to_text,
-                      mstate_to_text)
+from .machine import MachineState, instr_to_text, mstate_to_text
 from .maps import Node
 
 OK = "ok"
@@ -68,14 +68,6 @@ class Trace(Node):
 
 # --- algebra -------------------------------------------------------------------
 
-def seq_compose(t1: Trace, t2: Trace) -> Trace:
-    if t1.target != t2.source:
-        raise TraceError("sequential composition needs matching endpoints")
-    if t1.errored and t2.steps:
-        raise TraceError("no steps may follow an error step")
-    return Trace(t1.source, t1.steps + t2.steps, t2.target)
-
-
 def restrict(f, t: Trace) -> Trace:
     """Restriction along an increasing map, given as a sequence of indices (1-based)."""
     f = tuple(f)
@@ -110,50 +102,6 @@ def shuffles(p: int, q: int) -> tuple:
             tags[i] = 1
         out.append(Shuffle(tuple(tags)))
     return tuple(out)
-
-
-def par_compose_by_shuffle(t1: Trace, t2: Trace) -> dict:
-    """Interleavings of two coinitial, cofinal traces, keyed by shuffle.
-
-    Interleavings that would put a step after an error step are not traces
-    and are skipped.
-    """
-    out = {}
-    if t1.source != t2.source or t1.target != t2.target:
-        return out
-    for omega in shuffles(len(t1), len(t2)):
-        steps = []
-        i = j = 0
-        for tag in omega.tags:
-            if tag == 1:
-                steps.append(t1.steps[i])
-                i += 1
-            else:
-                steps.append(t2.steps[j])
-                j += 1
-        if any(st.status == ERR for st in steps[:-1]):
-            continue
-        out[omega] = Trace(t1.source, tuple(steps), t1.target)
-    return out
-
-
-def par_compose(t1: Trace, t2: Trace) -> frozenset:
-    return frozenset(par_compose_by_shuffle(t1, t2).values())
-
-
-def hide_state(r: str, s: MachineState) -> MachineState:
-    return s.with_locked(s.locked - {r})
-
-
-def hide(r: str, t: Trace) -> Trace:
-    steps = []
-    for st in t.steps:
-        instr = st.instr
-        if isinstance(instr, (IAcquire, IRelease)) and instr.lock == r:
-            instr = INop()
-        steps.append(CodeTransition(hide_state(r, st.pre), instr,
-                                    hide_state(r, st.post), st.status))
-    return Trace(hide_state(r, t.source), tuple(steps), hide_state(r, t.target))
 
 
 # --- line-oriented serialization -------------------------------------------------

@@ -28,18 +28,10 @@ TEST_ONLY = {
     "sep_state": "test constructor of separated states",
     "legal_adam_move": "the paper's definition of Adam's moves, which the "
                        "game enumerates directly",
-    "permission_conserving": "the paper's permission-conservation condition "
-                             "on moves, a diagnostic beside legal_eve_move",
     "parse_formula": "parser convenience for writing formulas in tests",
     "proof_to_text": "printer for the proof round-trip test",
     "universe_to_text": "printer for the universe round-trip test",
     "Trace.prefix": "trace-algebra oracle for prefix closure",
-    "seq_compose": "trace-algebra oracle for sequential composition",
-    "par_compose": "trace-algebra oracle for parallel composition",
-    "par_compose_by_shuffle": "par_compose keyed by shuffle, for the "
-                              "interleaving oracle",
-    "hide": "trace-algebra oracle for lock hiding",
-    "hide_state": "the state half of hide",
 }
 
 

@@ -11,7 +11,7 @@ from sepgame.game import (NoWin, SeparatedPredicate, SolvedStrategy, TraceGame,
                           empty_winning_plays, replay_lines, sat_sep,
                           solve_eve, trace_state, winning_spec)
 from sepgame.logic import (EMPTY_LSTATE, _sat, erase, from_slots, lstate,
-                           lstate_from_text, lstate_to_text, slots,
+                           lstate_from_text, lstate_to_text, slots, tensor_all,
                            universe_table)
 from sepgame.machine import MachineState, MemoryState, machine_step, mstate
 from sepgame.maps import fmap
@@ -274,7 +274,8 @@ def test_adam_extension_order_locked(u):
 
 def _every_assignment(mu, fixed, n, u, tests=()):
     """component_assignments without tests, written out the plain way: every
-    vector of n shares per cell whose total lies in (0,1], cell-major."""
+    vector of n shares per cell whose total lies in (0,1], cell-major, with
+    the tensor of the fixed component and the n pieces."""
     cells = ([("s", k, v) for k, v in mu.stack.items()]
              + [("h", k, v) for k, v in mu.heap.items()])
     fixed_cells = {(kind, k): (v, p) for kind, k, v, p in slots(fixed)}
@@ -289,9 +290,10 @@ def _every_assignment(mu, fixed, n, u, tests=()):
         options.append([qs for qs in itertools.product(shares, repeat=n)
                         if 0 < p0 + sum(qs) <= 1])
     for choice in itertools.product(*options):
-        yield tuple(from_slots([(kind, k, v, qs[i])
-                                for (kind, k, v), qs in zip(cells, choice)])
-                    for i in range(n))
+        parts = tuple(from_slots([(kind, k, v, qs[i])
+                                  for (kind, k, v), qs in zip(cells, choice)])
+                      for i in range(n))
+        yield parts, tensor_all([fixed, *parts])
 
 
 @pytest.mark.parametrize("perms", ["1/4, 1/2, 1", "1/3, 2/3, 1"])
@@ -325,10 +327,11 @@ def test_indexed_builder_equals_the_filtered_product(perms):
         tests = [None if rng.random() < 0.5 else (_random_formula(rng, u, 2), fmap())
                  for _ in range(n)]
         got = list(separation.component_assignments(mu, fixed, n, u, tests))
-        assert got == [parts for parts in _every_assignment(mu, fixed, n, u)
+        assert got == [(parts, whole)
+                       for parts, whole in _every_assignment(mu, fixed, n, u)
                        if all(t is None or _sat(part, *t, u)
                               for part, t in zip(parts, tests))]
-        for part in (part for parts in got for part in parts):
+        for part in (part for parts, _ in got for part in parts):
             if part in table.index:
                 assert part is table.states[table.index[part]]
             else:

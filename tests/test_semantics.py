@@ -12,10 +12,10 @@ from sepgame.semantics import (IN, NOTIN, RETURNS, AtomTS, EnumerationBudget,
                                instruction_alphabet)
 from sepgame.syntax import (Assign, FEq, FTrue, Lit, Var, parse_program,
                             parse_universe)
-from sepgame.traces import (ERR, OK, CodeTransition, Trace, hide, par_compose,
-                            restrict, seq_compose, shuffles)
+from sepgame.traces import ERR, OK, CodeTransition, Trace, restrict, shuffles
 
 from .conftest import PROGRAMS, corpus_text
+from .trace_algebra import hide, par_compose, seq_compose
 
 
 @pytest.fixture(scope="module")

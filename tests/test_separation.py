@@ -3,15 +3,16 @@ from fractions import Fraction
 import pytest
 
 from sepgame.game import TraceGame, winning_spec
-from sepgame.logic import EMPTY_LSTATE, lstate, tensor
-from sepgame.machine import (IAcquire, INop, IRelease, Return, machine_step,
-                             mstate)
+from sepgame.logic import (EMPTY_LSTATE, erase, lstate, tensor, tensor_all,
+                           universe_table)
+from sepgame.machine import (IAcquire, INop, IRelease, MachineState, Return,
+                             machine_step, mstate)
 from sepgame.maps import fmap
 from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                                 SeparatedState, SeparationError, combine,
                                 enumerate_eve_moves, legal_adam_move,
-                                legal_eve_move, permission_conserving,
-                                sep_state, sep_state_to_text)
+                                legal_eve_move, sep_state, sep_state_to_text,
+                                separations)
 from sepgame.syntax import Assign, FTrue, Lit, parse_universe
 from sepgame.traces import CodeTransition, Trace
 
@@ -23,6 +24,18 @@ TOP = Fraction(1)
 def u():
     return parse_universe("vars = x, y\nlocs = 2\nvals = 0..3\n"
                           "perms = 1/2, 1\nlocks = r\nmaxlen = 4\n")
+
+
+def _perm_profile(s):
+    return {("s", k): p for k, (_, p) in s.tensor.stack.items()} | \
+           {("h", k): p for k, (_, p) in s.tensor.heap.items()}
+
+
+def permission_conserving(s, s2) -> bool:
+    """The paper's permission-conservation condition on moves, a diagnostic
+    beside legal_eve_move: move legality as defined does not require it."""
+    a, b = _perm_profile(s), _perm_profile(s2)
+    return all(a[k] == b[k] for k in set(a) & set(b))
 
 
 def _outcomes(s, m, u):
@@ -251,3 +264,48 @@ def test_the_game_judges_a_broken_lock_condition_illegal(u, case):
     game = _one_step_game(s, m, u)
     assert s in game.initials and s in game.adam(1, s)
     assert game.eve_fault(2, s, bad) == "illegal Eve move"
+
+
+# --- the states separations builds come with their tensor ----------------------------
+
+def _known_tensor_cases():
+    quarter = lstate(stack={"x": (0, Fraction(1, 4))})
+    return {
+        # a value and a location outside the universe, as ext_alloc makes
+        "off the table": ("1/2, 1", mstate(stack={"x": 5}, heap={7: 1}), None,
+                          {"q": None, "r": None}),
+        # 1/4 given and 1/2 chosen make 3/4, no permission
+        "no permission": ("1/4, 1/2, 1", mstate(stack={"x": 0}), quarter,
+                          {"q": None, "r": None}),
+        "on the table": ("1/2, 1", mstate(stack={"x": 0, "y": 1}, heap={2: 0},
+                                          locked={"q"}), None,
+                         {"q": HELD_BY_FRAME, "r": None}),
+        # held entries the target does not lock, as an off-trace Eve move asks
+        "held, not locked": ("1/2, 1", mstate(stack={"x": 0, "y": 1}), None,
+                             {"q": HELD_BY_CODE, "r": None}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_known_tensor_cases()))
+def test_separations_states_come_with_their_tensor(case):
+    """Every state's kept tensor is the tensor of its pieces, read off the
+    universe table when every cell total is a permission of a table cell and
+    built otherwise, and it combines into the machine state its pieces do."""
+    perms, target, code, entries = _known_tensor_cases()[case]
+    u = parse_universe(f"vars = x, y\nlocs = 2\nvals = 0..1\nperms = {perms}\n"
+                       "locks = q, r\n")
+    table = universe_table(u)
+    states = separations(target, code, fmap(entries), None, u)
+    assert len(states) > 10
+    off = 0
+    for s in states:
+        whole = tensor_all([s.code, *(e.state for _, e in s.resources.items()
+                                      if isinstance(e, Available)), s.frame])
+        held = frozenset(r for r, e in s.resources.items()
+                         if not isinstance(e, Available))
+        assert s.tensor == whole
+        assert combine(s) == MachineState(erase(whole), held)
+        if whole in table.index:
+            assert s.tensor is table.states[table.index[whole]]
+        off += whole not in table.index
+    assert off == {"off the table": len(states), "no permission": 6}.get(case, 0)

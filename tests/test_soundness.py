@@ -30,15 +30,15 @@ from sepgame.traces import Trace
 from .conftest import CORPUS, bench_script, corpus_text
 
 # program -> (non-error traces, play nodes the checker explores over them,
-#             nodes the solver explores, initial refinements of the
-#             extracted strategies)
+#             (position, code fragment, code-held locks) questions the
+#             solver asks, initial refinements of the extracted strategies)
 CHAIN = {
-    "par_writes": (10, 22, 46, 10),
+    "par_writes": (10, 22, 32, 10),
     "framed_assign": (4, 6, 6, 4),
-    "lock_transfer": (8, 20, 30, 8),
-    "lock_pair": (12, 53, 133, 12),
-    "if_def": (6, 12, 20, 6),
-    "while_count": (6, 13, 18, 6),
+    "lock_transfer": (8, 20, 26, 8),
+    "lock_pair": (12, 53, 91, 12),
+    "if_def": (6, 12, 16, 6),
+    "while_count": (6, 13, 16, 6),
 }
 
 # Both fail because `own_1(x) * (x = X)` holds on no state (ROADMAP item 1).
@@ -144,7 +144,7 @@ def test_chain_holds_through_seq():
     node = parse_proof(SEQ_PROOF)
     check = check_proof(node, u, allow_extensions=True)
     assert check.ok, check.violations
-    assert _chain_of(u, node, check, inits) == (6, 12, 20, 6)
+    assert _chain_of(u, node, check, inits) == (6, 12, 16, 6)
     report = verify_corollary(check, node, inits, u)
     assert (report["failures"], report["returning"]) == ([], 2)
 
@@ -246,7 +246,8 @@ def test_memo_and_stored_tensors_are_never_stale(tmp_path, capsys, monkeypatch):
     """After the chain over par_writes on the strategy-chain universe
     (vals = 0..1) and over lock_transfer from its inits, every memoised
     separations tuple equals a fresh enumeration, in order, and every state
-    it holds combines as the tensor of its pieces does."""
+    it holds keeps the tensor of its pieces and combines as that tensor
+    does."""
     memo = separation.separations
     calls = set()
 
@@ -273,6 +274,7 @@ def test_memo_and_stored_tensors_are_never_stale(tmp_path, capsys, monkeypatch):
                                 if isinstance(e, Available)), s.frame]
             locked = frozenset(r for r, e in s.resources.items()
                                if not isinstance(e, Available))
+            assert s.tensor == tensor_all(pieces)
             assert combine(s) == MachineState(erase(tensor_all(pieces)), locked)
         held += len(cached)
     assert held > 1000
