@@ -4,9 +4,11 @@ Permissions are rationals in (0,1] under addition; 1 is the write permission
 and admits no multiple.  Quantifiers and substate splits range over a declared
 universe.  Satisfaction, precision and entailment are decided on models: the
 set of universe states satisfying a formula, a bitmask over the states'
-indices, built from the formula's structure (atoms state by state,
-connectives and quantifiers as bit operations, `*` over each state's splits
-as index pairs); a state satisfies a formula when its index's bit is set.
+indices, built from the formula's structure.  Connectives and quantifiers
+are bit operations.  An atom or a `*` reads only the cells of its support,
+so it is decided on the states that hold no other cell (`*` over their
+splits as index pairs) and the answers are widened to every state.  A state
+satisfies a formula when its index's bit is set.
 Only a state outside the table (a cell whose share is no permission, such as
 3/4 under 1/4, 1/2 and 1, or whose value or variable the universe does not
 declare) or a logical variable the valuation leaves unbound is decided state
@@ -291,56 +293,87 @@ def _mask(flags) -> int:
     return int(bytes(flags).translate(_ONE_ZERO)[::-1], 2)
 
 
+class _Splits:
+    """State i's splits at [i], built by `build(i)` on first use and kept."""
+
+    def __init__(self, build, n: int):
+        self.build, self.found = build, [None] * n
+
+    def __getitem__(self, i: int) -> tuple:
+        if self.found[i] is None:
+            self.found[i] = self.build(i)
+        return self.found[i]
+
+    def __len__(self):
+        return len(self.found)
+
+
 class UniverseTable:
     """A universe indexed once: its states in `all_logical_states` order, each
-    state's index, the splits of each state as (left index, right index)
-    pairs in `_sub_pairs` order, the models of formulas as bitmasks over
-    the state indices, and which formulas a valuation leaves a variable of
-    unbound.  A state's index has one mixed-radix digit per slot,
-    variables before locations: 0 for an absent cell, else 1 + value index *
-    |perms| + perm index; `parts` holds each cell's digits times its weight."""
+    state's index, and per formula its support, its models under a valuation
+    (a bitmask over the state indices) and whether the valuation leaves a
+    variable of it unbound.  A state's index has one mixed-radix digit per
+    cell, variables before locations: 0 for an absent cell, else 1 + value
+    index * |perms| + perm index.  `parts` holds each cell's digits times its
+    weight; `digits[k][d]` is the mask of the states whose cell k has digit
+    d; `splits[i]`, built on first use, is state i's splits as (left index,
+    right index) pairs in `_sub_pairs` order.
+
+    A formula's support is the cells its truth can read: none for true and
+    false; a variable's cell for `own`; the program variables' cells for
+    `=`, and every heap cell too for `|->`; every cell for `emp`; the union
+    of the parts' supports otherwise.  An undeclared name has no cell.  An
+    atom or a `*` is decided only on the states holding no cell outside its
+    support, each answer widened to the states agreeing with that state on
+    the support (the AND of its digits' masks).  For `*`, let C be the union
+    of the operands' supports.  If sigma = a * b, the parts of a and b inside
+    C split sigma's part inside C.  Conversely a split (a, b) of sigma's part
+    inside C extends to a split of sigma by giving every other cell whole to
+    the left (`_slot_splits` always offers (p, 0)), which leaves the left
+    part's truth as a's."""
 
     def __init__(self, u: Universe):
         self.u = u
         self.states = all_logical_states(u)
-        self.full = (1 << len(self.states)) - 1
-        self.radix = 1 + len(u.values) * len(u.perms)
+        n = len(self.states)
+        self.full = (1 << n) - 1
+        self.radix = r = 1 + len(u.values) * len(u.perms)
         self.cells = [("s", x) for x in u.variables] + [("h", loc) for loc in u.locations]
+        self.weights = [r ** (len(self.cells) - 1 - k) for k in range(len(self.cells))]
         # (kind, key, value) -> index parts at share 0, then at each permission
         self.parts = {(kind, key, value): (0,) + tuple(
-            (1 + v * len(u.perms) + i) * self.radix ** (len(self.cells) - 1 - k)
-            for i in range(len(u.perms)))
-            for k, (kind, key) in enumerate(self.cells) for v, value in enumerate(u.values)}
-        self.splits = self._index_splits()
-        self._models, self._unbound = {}, {}
+            (1 + v * len(u.perms) + i) * w for i in range(len(u.perms)))
+            for (kind, key), w in zip(self.cells, self.weights)
+            for v, value in enumerate(u.values)}
+        self.digits = [[_mask((bytes(d * w) + b"\x01" * w + bytes((r - 1 - d) * w))
+                              * (n // (r * w))) for d in range(r)] for w in self.weights]
+        # each slot's `_slot_splits` gives the digit pairs of its share:
+        # options[k][digit] holds the (left, right) index parts
+        self._options = []
+        for kind, key in self.cells:
+            per_digit = [((0, 0),)]
+            for value in u.values:
+                part = dict(zip((0,) + u.perms, self.parts[kind, key, value]))
+                per_digit += [tuple((part[p1], part[p2]) for p1, p2 in _slot_splits(p, u.perms))
+                              for p in u.perms]
+            self._options.append(per_digit)
+        # `slots` lists cells by sorted key, stack before heap
+        self._order = sorted(range(len(self.cells)),
+                             key=lambda k: (self.cells[k][0] == "h", self.cells[k][1]))
+        self.splits = _Splits(self._state_splits, n)
+        self._models, self._unbound, self._support = {}, {}, {}
 
     @functools.cached_property
     def index(self) -> dict:
         return {sigma: i for i, sigma in enumerate(self.states)}
 
-    def _index_splits(self) -> tuple:
-        """Each slot's `_slot_splits` gives the digit pairs of its share."""
-        u, cells = self.u, self.cells
-        # `slots` lists cells by sorted key, stack before heap
-        order = sorted(range(len(cells)), key=lambda k: (cells[k][0] == "h", cells[k][1]))
-        options = []           # options[k][digit]: (left, right) index parts
-        for kind, key in cells:
-            per_digit = [((0, 0),)]
-            for value in u.values:
-                part = dict(zip((0,) + u.perms, self.parts[kind, key, value]))
-                for p in u.perms:
-                    per_digit.append(tuple((part[p1], part[p2])
-                                           for p1, p2 in _slot_splits(p, u.perms)))
-            options.append(per_digit)
-        out = []
-        for digits in itertools.product(range(self.radix), repeat=len(cells)):
-            pairs = [(0, 0)]
-            for k in order:
-                if digits[k]:
-                    pairs = [(a + x, b + y) for a, b in pairs
-                             for x, y in options[k][digits[k]]]
-            out.append(tuple(pairs))
-        return tuple(out)
+    def _state_splits(self, i: int) -> tuple:
+        pairs = [(0, 0)]
+        for k in self._order:
+            digit = i // self.weights[k] % self.radix
+            if digit:
+                pairs = [(a + x, b + y) for a, b in pairs for x, y in self._options[k][digit]]
+        return tuple(pairs)
 
     def models(self, f, rho: fmap = fmap()) -> int:
         """The states satisfying f under rho, as a bitmask over their indices."""
@@ -358,6 +391,32 @@ class UniverseTable:
             if (f, rho) not in found:
                 found[f, rho] = bool(formula_free_logical_vars(f).difference(rho))
         return any(found[f, rho] for f in formulas)
+
+    def support(self, f) -> tuple:
+        """The numbers of the cells f's truth can read, ascending."""
+        found = self._support.get(f)
+        if found is None:
+            match f:
+                case FAnd(l, r) | FOr(l, r) | FImplies(l, r) | Star(l, r):
+                    read = {*self.support(l), *self.support(r)}
+                case FNot(b) | Forall(_, b) | Exists(_, b):
+                    read = self.support(b)
+                case FTrue() | FFalse():
+                    read = ()
+                case Own(_, x):
+                    read = self._cells({x})
+                case FEq(a, v) | PointsTo(a, _, v):
+                    read = self._cells(expr_program_vars(a) | expr_program_vars(v),
+                                       heap=isinstance(f, PointsTo))
+                case _:
+                    read = range(len(self.cells))
+            found = self._support[f] = tuple(sorted(read))
+        return found
+
+    def _cells(self, names, heap=False) -> list:
+        """The named variables' cells, and every heap cell when heap is set."""
+        return [k for k, (kind, key) in enumerate(self.cells)
+                if (heap if kind == "h" else key in names)]
 
     def _decide(self, f, rho: fmap) -> int:
         match f:
@@ -380,17 +439,24 @@ class UniverseTable:
                 return functools.reduce(operator.or_, (self.models(body, rho.set(x, v))
                                                        for v in self.u.values))
             case Star(l, r):
-                return self._star(self.models(l, rho), self.models(r, rho))
-        return _mask(_atom(sigma, f, rho) for sigma in self.states)
-
-    def _star(self, left: int, right: int) -> int:
-        """Bit i is set iff some split (a, b) of state i has a in left and b
-        in right."""
-        if not left or not right:
-            return 0
-        n = len(self.states)
-        lf, rf = _flags(left, n), _flags(right, n)
-        return _mask(any(lf[a] and rf[b] for a, b in pairs) for pairs in self.splits)
+                left, right = self.models(l, rho), self.models(r, rho)
+                if not left or not right:
+                    return 0
+                lf, rf = _flags(left, len(self.states)), _flags(right, len(self.states))
+                holds = lambda i: any(lf[a] and rf[b] for a, b in self.splits[i])
+            case _:
+                holds = lambda i: _atom(self.states[i], f, rho)
+        # the states holding no cell outside the support, in index order
+        support, over = self.support(f), [0]
+        for k in support:
+            over = [i + d * self.weights[k] for i in over for d in range(self.radix)]
+        answers = [holds(i) for i in over]
+        if len(support) == len(self.cells):
+            return _mask(answers)
+        cubes = [self.full]     # cubes[j]: the states agreeing with over[j] on the support
+        for k in support:
+            cubes = [m & digit for m in cubes for digit in self.digits[k]]
+        return functools.reduce(operator.or_, itertools.compress(cubes, answers), 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -401,7 +467,13 @@ def universe_table(u: Universe) -> UniverseTable:
 # --- precision and entailment --------------------------------------------------------
 
 def is_precise(f, u: Universe, rho: fmap = fmap()) -> bool:
-    """At most one substate of any enumerable state satisfies the formula."""
+    """At most one substate of any enumerable state satisfies the formula.
+
+    A satisfiable formula whose support misses some cell c is not precise:
+    take a state satisfying it, drop its cells outside the support and add c
+    whole; that state's substates without c and with c both satisfy the
+    formula, as they agree on the support.  So only a formula that reads
+    every cell has its splits scanned."""
     table = universe_table(u)
     if table.unbound(rho, f):
         for sigma in table.states:
@@ -412,7 +484,10 @@ def is_precise(f, u: Universe, rho: fmap = fmap()) -> bool:
                         return False
                     found = cand
         return True
-    flags = _flags(table.models(f, rho), len(table.states))
+    models = table.models(f, rho)
+    if len(table.support(f)) < len(table.cells):
+        return models == 0
+    flags = _flags(models, len(table.states))
     return all(sum(flags[a] for a, _ in pairs) <= 1 for pairs in table.splits)
 
 

@@ -284,22 +284,22 @@ def separations(target: MachineState, code, resources: fmap, frame, u: Universe,
 
 def enumerate_eve_moves(s: SeparatedState, m, outcomes, target: MachineState,
                         u: Universe, pred=None, rho: fmap = fmap()):
-    """All separated states reachable by a legal Eve move labelled m (whose
-    `outcomes` are as in legal_eve_move) that combine into the given machine
-    state and whose code fragment and available resources pass their tests
-    under `pred` (see separations)."""
+    """An iterator over the separated states reachable by a legal Eve move
+    labelled m (whose `outcomes` are as in legal_eve_move) that combine into
+    the given machine state and whose code fragment and available resources
+    pass their tests under `pred` (see separations)."""
     if Return(target) not in outcomes:
-        return
+        return iter(())
     entries = dict(s.resources.items())
     for r in locks_plus(m):
         if not isinstance(entries.get(r), Available):
-            return
+            return iter(())
         entries[r] = HELD_BY_CODE
     for r in locks_minus(m):
         if entries.get(r) != HELD_BY_CODE:
-            return
+            return iter(())
         entries[r] = None
-    yield from separations(target, None, fmap(entries), s.frame, u, pred, rho)
+    return iter(separations(target, None, fmap(entries), s.frame, u, pred, rho))
 
 
 # --- textual form ------------------------------------------------------------------

@@ -29,8 +29,6 @@ TEST_ONLY = {
     "legal_adam_move": "the paper's definition of Adam's moves, which the "
                        "game enumerates directly",
     "parse_formula": "parser convenience for writing formulas in tests",
-    "proof_to_text": "printer for the proof round-trip test",
-    "universe_to_text": "printer for the universe round-trip test",
     "Trace.prefix": "trace-algebra oracle for prefix closure",
 }
 

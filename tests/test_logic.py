@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from sepgame import logic
 from sepgame.logic import (EMPTY_LSTATE, LogicalState, UniverseTable,
-                           UncoveredLogicalVariable, _sat, all_logical_states,
-                           def_formula, entails, erase, first_split,
+                           UncoveredLogicalVariable, _sat, _slot_splits,
+                           all_logical_states, def_formula, entails, erase, first_split,
                            is_precise, lstate,
                            lstate_from_text, lstate_to_text, perm_add,
                            satisfies, substates, tensor, tensor_all,
@@ -509,3 +511,147 @@ def test_first_split_off_the_table_and_unbound():
     assert None in outcomes
     assert ("raises", UncoveredLogicalVariable, "X") in outcomes
     assert ("raises", UncoveredLogicalVariable, "Y") in outcomes
+
+
+# --- supports: atoms and `*` decided on the cells a formula reads ------------------
+
+def _table_universes():
+    """Every corpus universe and check-large's, one per table they index.  The
+    negative proofs' universe (6,561 states) is left out: the scan takes
+    about a second per formula there."""
+    texts = [corpus_text(f"{name}.uni") for name in PROGRAMS + ["tiny"]]
+    found = {}
+    for text in texts + [SPLIT_UNIVERSES["check-large"]]:
+        u = parse_universe(text)
+        found.setdefault((u.variables, u.locations, u.values, u.perms), u)
+    return list(found.values())
+
+
+TABLE_UNIVERSES = _table_universes()
+TABLE_IDS = ["{}-{}-{}".format("".join(u.variables), "".join(map(str, u.locations)),
+                               len(u.values)) for u in TABLE_UNIVERSES]
+
+
+def _scan_models(f, u, rho=fmap()):
+    return sum(1 << i for i, sigma in enumerate(universe_table(u).states)
+               if _sat(sigma, f, rho, u))
+
+
+def _split_scan_precise(f, u):
+    """Precision as a scan of every state's splits against the models."""
+    table = universe_table(u)
+    models = table.models(f)
+    return all(sum(models >> a & 1 for a, _ in pairs) <= 1 for pairs in table.splits)
+
+
+def _index_splits(table):
+    """Every state's splits as index pairs, all built at once by digits: the
+    table's eager construction before splits were built on demand."""
+    u, cells = table.u, table.cells
+    order = sorted(range(len(cells)), key=lambda k: (cells[k][0] == "h", cells[k][1]))
+    options = []           # options[k][digit]: (left, right) index parts
+    for kind, key in cells:
+        per_digit = [((0, 0),)]
+        for value in u.values:
+            part = dict(zip((0,) + u.perms, table.parts[kind, key, value]))
+            for p in u.perms:
+                per_digit.append(tuple((part[p1], part[p2])
+                                       for p1, p2 in _slot_splits(p, u.perms)))
+        options.append(per_digit)
+    out = []
+    for digits in itertools.product(range(table.radix), repeat=len(cells)):
+        pairs = [(0, 0)]
+        for k in order:
+            if digits[k]:
+                pairs = [(a + x, b + y) for a, b in pairs
+                         for x, y in options[k][digits[k]]]
+        out.append(tuple(pairs))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("u", TABLE_UNIVERSES, ids=TABLE_IDS)
+def test_models_on_the_support_equal_the_scan(u):
+    """Seeded random formulas: the models equal `_sat` state by state, and
+    `is_precise`, which scans splits only for a formula reading every cell,
+    equals the scan of every state's splits."""
+    table = universe_table(u)
+    rng = random.Random(1710)
+    formulas = [_random_formula(rng, u, 3) for _ in range(20)]
+    for f in formulas:
+        assert table.models(f) == _scan_models(f, u), f
+    precise = [is_precise(f, u) for f in formulas]
+    assert precise == [_split_scan_precise(f, u) for f in formulas]
+    partial = [p for f, p in zip(formulas, precise)
+               if len(table.support(f)) < len(table.cells)]
+    assert set(partial) == {False, True}
+
+
+@pytest.mark.parametrize("u", TABLE_UNIVERSES, ids=TABLE_IDS)
+def test_splits_built_on_demand_equal_the_eager_index_splits(u):
+    table = UniverseTable(u)
+    assert [table.splits[i] for i in reversed(range(len(table.states)))] == \
+        list(reversed(_index_splits(table)))
+
+
+X = Var("X")
+SUPPORTS = [   # formula, valuation, the cells (x, y, location 2, location 3) read
+    (FTrue(), fmap(), ()),
+    (FFalse(), fmap(), ()),
+    (Own(HALF, "y"), fmap(), (1,)),
+    (Own(TOP, "z"), fmap(), ()),                           # undeclared variable
+    (FEq(Var("z"), Lit(1)), fmap(), ()),
+    (FEq(Var("y"), Var("x")), fmap(), (0, 1)),
+    (FEq(X, Lit(1)), fmap({"X": 1}), ()),
+    (PointsTo(Var("x"), TOP, Lit(1)), fmap(), (0, 2, 3)),  # variable address
+    (PointsTo(Lit(2), HALF, Var("y")), fmap(), (1, 2, 3)),
+    (PointsTo(Lit(5), TOP, Lit(0)), fmap(), (2, 3)),       # address outside locs
+    (Emp(), fmap(), (0, 1, 2, 3)),
+    (FNot(Own(TOP, "x")), fmap(), (0,)),
+    (FAnd(Own(TOP, "x"), FEq(Var("x"), Lit(1))), fmap(), (0,)),
+    (FOr(Own(TOP, "x"), Own(TOP, "y")), fmap(), (0, 1)),
+    (FImplies(Own(TOP, "x"), Emp()), fmap(), (0, 1, 2, 3)),
+    (Exists("X", FEq(Var("x"), X)), fmap(), (0,)),
+    (Forall("X", FImplies(FEq(Var("y"), X), Own(TOP, "x"))), fmap(), (0, 1)),
+    (Star(Own(HALF, "x"), Own(HALF, "x")), fmap(), (0,)),
+    (Star(Own(TOP, "x"), Own(HALF, "y")), fmap(), (0, 1)),
+    (Star(Own(TOP, "x"), Star(Own(HALF, "y"), PointsTo(Lit(3), TOP, Lit(1)))),
+     fmap(), (0, 1, 2, 3)),
+    (Star(Star(FEq(Var("x"), Lit(0)), Own(HALF, "y")), FTrue()), fmap(), (0, 1)),
+    (Star(Emp(), Own(TOP, "x")), fmap(), (0, 1, 2, 3)),
+    (Star(Own(TOP, "x"), Emp()), fmap(), (0, 1, 2, 3)),
+]
+
+
+def test_support_of_each_formula_kind_and_its_models():
+    u = parse_universe(SPLIT_UNIVERSES["check-large"])
+    table = universe_table(u)
+    assert table.cells == [("s", "x"), ("s", "y"), ("h", 2), ("h", 3)]
+    for f, rho, cells in SUPPORTS:
+        assert table.support(f) == cells, f
+        assert table.models(f, rho) == _scan_models(f, u, rho), f
+    models = {f: table.models(f, rho) for f, rho, _ in SUPPORTS}
+    # an undeclared name, or an address outside the locations: false everywhere
+    assert models[Own(TOP, "z")] == models[FEq(Var("z"), Lit(1))] == 0
+    assert models[PointsTo(Lit(5), TOP, Lit(0))] == 0
+    assert models[Emp()] == 1 and models[FEq(X, Lit(1))] == table.full
+    # emp is the unit of *
+    assert models[Star(Emp(), Own(TOP, "x"))] == models[Star(Own(TOP, "x"), Emp())] \
+        == table.models(Own(TOP, "x"))
+    assert models[Star(Own(HALF, "x"), Own(HALF, "x"))] == table.models(Own(TOP, "x"))
+
+
+def test_check_large_if_def_reads_few_cells(monkeypatch):
+    """Checking the `if_def` proof on check-large's universe judges 32 atoms
+    on states and builds 25 states' splits; deciding every atom on every
+    state and building every state's splits took 5,000 and 625."""
+    atoms = []
+    atom = logic._atom
+    monkeypatch.setattr(logic, "_atom", lambda *args: atoms.append(args) or atom(*args))
+    u = parse_universe(SPLIT_UNIVERSES["check-large"])
+    table = UniverseTable(u)
+    monkeypatch.setattr(logic, "universe_table", lambda _: table)
+    assert check_proof(parse_proof(corpus_text("if_def.proof")), u,
+                       allow_extensions=True).ok
+    assert len(table.states) == 625
+    assert len(atoms) == 32
+    assert sum(pairs is not None for pairs in table.splits.found) == 25

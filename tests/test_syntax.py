@@ -12,10 +12,10 @@ from sepgame.syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, FAnd,
                             Var, While, WithWhen,
                             formula_to_text, parse_formula,
                             parse_program, parse_proof, parse_universe,
-                            program_to_text, proof_to_text, tokenize,
-                            universe_to_text)
+                            program_to_text, tokenize)
 
 from .conftest import CORPUS, PROGRAMS, corpus_text
+from .printers import proof_to_text, universe_to_text
 
 
 def test_parse_parallel_assigns():
