@@ -6,27 +6,67 @@ invariants, a vacuous `game` / `solve` run whose trace has no initial
 refinement, or a vacuous `verify` run that checks no trace and finds no
 failure); 2 usage or I/O error or malformed input, a negative `--maxlen`,
 `--max-traces` or `--budget` included; 3 enumeration budget exceeded.
+
+Each verb imports only the layers it runs.  Importing this module loads
+`syntax` (and `maps`); `check` adds `machine`, `logic` and `proof`; `run`
+adds `machine`, `logic`, `semantics` and `traces`; `verify`, `game` and
+`solve` load every layer.  A process that writes no bytecode cache compiles
+each module it imports from source, and that compiling is most of its
+start-up, so the play layers stay out of `check` and `run`.
+The names this module reads from a layer are module globals all the same:
+a verb binds them before it runs, keeping a name already bound, and
+`__getattr__` imports a name's layer on first access.  So a wrapper patched
+onto a name here (the benchmark's tracer does that) is what the verb calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import os
 import sys
 
-from .game import NoWin, check_winning_strategy, replay_lines, solve_eve
-from .logic import (all_logical_states, erase, lstate_from_text, slots,
-                    universe_table)
-from .machine import MachineState, resolve_env_moves
-from .proof import check_proof
-from .semantics import EnumerationBudget, enumerate_traces
-from .soundness import (ExtractedStrategy, ExtractionFailure, SoundnessAlarm,
-                        drive_play, verify_corollary)
 from .syntax import (AllocC, Assign, FTrue, Load, Own, ParseError, ResourceC, Star,
                      Var, WithWhen, is_logical_name, parse_program, parse_proof,
                      parse_universe, subterms)
-from .traces import trace_to_lines
+
+# The names this module reads from each layer past syntax.
+_LAYERS = {
+    "machine": ("MachineState", "resolve_env_moves"),
+    "logic": ("all_logical_states", "erase", "lstate_from_text", "slots",
+              "universe_table"),
+    "proof": ("check_proof",),
+    "semantics": ("EnumerationBudget", "enumerate_traces"),
+    "traces": ("trace_to_lines",),
+    "separation": ("sep_state_to_text",),
+    "game": ("NoWin", "check_winning_strategy", "replay_lines", "solve_eve"),
+    "soundness": ("ExtractedStrategy", "ExtractionFailure", "SoundnessAlarm",
+                  "drive_play", "verify_corollary"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+# Exit code and the words opening the message of each failure a play layer
+# raises.
+_FAILURES = {"ExtractionFailure": (1, ""), "SoundnessAlarm": (1, ""),
+             "EnumerationBudget": (3, "budget exceeded: ")}
+
+
+def _load(*layers):
+    """Import `layers` and bind the names read from them, keeping a name
+    that is already bound."""
+    bound = globals()
+    for layer in layers:
+        module = importlib.import_module(f".{layer}", __package__)
+        for name in _LAYERS[layer]:
+            bound.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    """A name read from a layer, whose layer is imported on first access."""
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_LAYER_OF[name])
+    return globals()[name]
 
 
 class UsageError(Exception):
@@ -154,6 +194,7 @@ def _full_perm_machine_states(u):
 
 
 def cmd_run(args) -> int:
+    _load("machine", "logic", "semantics", "traces")
     u, prog = _load_program(args)
     if args.init is not None:
         inits = [MachineState(erase(_read_lstate(args.init, u)), frozenset())]
@@ -179,6 +220,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
+    import json
+    _load("machine", "logic", "proof")
     u = _load_universe(args.universe)
     node, result = _load_checked_proof(args, u)
     _write_out(json.dumps(result.report(args.universe), indent=2,
@@ -187,6 +230,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+    _load(*_LAYERS)
     u, prog = _load_program(args)
     node, result = _load_checked_proof(args, u)
     if result.ok and node.cmd != prog:
@@ -216,6 +261,7 @@ def _strategy_on_trace(args):
     """The universe, the trace at --trace-index, whether it returns and the
     strategy extracted from the checked proof on it; None, once reported,
     when the proof is rejected or proves another program."""
+    _load(*_LAYERS)
     u, prog = _load_program(args)
     node, result = _load_checked_proof(args, u)
     if not result.ok:
@@ -270,7 +316,6 @@ def cmd_solve(args) -> int:
         _write_out("solver verdict: unknown (budget exceeded)", args.output)
         return 3
     if isinstance(verdict, NoWin):
-        from .separation import sep_state_to_text
         _write_out("solver verdict: no winning strategy\ncounterexample initial: "
                    + sep_state_to_text(verdict.counterexample), args.output)
         return 1
@@ -296,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
         if proof:
             p.add_argument("proof", help="proof script")
         p.add_argument("-u", "--universe", required=True, help="universe config")
-        p.add_argument("--maxlen", type=int, default=None,
-                       help="override the universe's trace length bound")
+        if program:
+            p.add_argument("--maxlen", type=int, default=None,
+                           help="override the universe's trace length bound")
         p.add_argument("--output", default=None, help="write output to a file")
 
     p = sub.add_parser("run", help="enumerate the traces of a program")
@@ -349,12 +395,14 @@ def main(argv=None) -> int:
     except (UsageError, ParseError) as exc:
         print(f"sepgame: {exc}", file=sys.stderr)
         return 2
-    except (ExtractionFailure, SoundnessAlarm) as exc:
-        print(f"sepgame: {exc}", file=sys.stderr)
-        return 1
-    except EnumerationBudget as exc:
-        print(f"sepgame: budget exceeded: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        # a failure class of a layer no verb loaded cannot have been raised
+        bound = globals()
+        for name, (code, opening) in _FAILURES.items():
+            if name in bound and isinstance(exc, bound[name]):
+                print(f"sepgame: {opening}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -82,6 +82,42 @@ def test_first_init_option_is_gone(capsys):
     assert exc.value.code == 2
 
 
+def test_check_has_no_maxlen(capsys):
+    """check runs no program, so it has no trace length to bound."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", _corpus("par_writes", ".proof"), "-u",
+                  _corpus("par_writes", ".uni"), "--maxlen", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --maxlen 3" in capsys.readouterr().err
+
+
+def _verify_report(name, failures, extension_rules_used):
+    """A report of verify on a corpus program that checks no trace."""
+    return {"extension_rules_used": extension_rules_used, "failures": failures,
+            "program": _corpus(name, ".csl"), "proof": _corpus(name, ".proof"),
+            "returning": 0, "traces_checked": 0,
+            "universe": {"env": "passive", "maxlen": 6}}
+
+
+def test_verify_rejects_inits_outside_the_precondition(tmp_path, capsys):
+    inits = tmp_path / "outside.inits"
+    inits.write_text("{x=0@1/2,y=3@1|}\n{|}\n")
+    code, out, err = _main(_verb("verify", "framed_assign", "--inits", str(inits)),
+                           capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == _verify_report("framed_assign", [
+        {"init": "{x=0@1/2,y=3@1|}", "reason": "initial state does not satisfy P * true"},
+        {"init": "{|}", "reason": "initial state does not satisfy P * true"}],
+        ["ext_conseq"])
+
+
+def test_verify_refers_a_proof_with_a_context_to_the_game(capsys):
+    code, out, err = _main(_verb("verify", "conj_precise"), capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == _verify_report("conj_precise", [
+        {"reason": "context is not empty; use game-level checking"}], [])
+
+
 def test_extraction_failure_is_a_report_entry(capsys):
     code, out, err = _main(_verb("verify", "seq_load_store",
                                  "--inits", _corpus("seq_load_store", ".inits")),
