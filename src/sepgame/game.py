@@ -8,6 +8,8 @@ solver, the extracted strategy and `drive_play`: the positions and their
 machine states, the initial refinements, Adam's moves (the refinements of the
 next machine state that keep the code fragment and satisfy the next
 predicate, within the universe's finite bounds), Eve's moves and their judge.
+The trace's `WinningSpec` builds its game once (`WinningSpec.game`), so all
+of them read one game.
 
 A position's predicate has one definition, `separation.piece_test`: the code
 against pre, an available resource against its context invariant; the frame
@@ -21,8 +23,12 @@ models), so every state it builds satisfies the predicate.
 function of immutable arguments returning immutable states: the checker and
 solver of every trace share its families, and traces that are prefixes of
 one another build each once.  Adam's moves from a state read only its code
-fragment and code-held locks, and Eve's only its resources and frame, so the
-game keeps Eve's moves, and the solver its answers, under those keys.
+fragment and code-held locks, and Eve's only its resources and frame: the
+game keeps Eve's moves under the latter, and the solver whether Eve
+survives under the former.  Whether some Eve move survives reads less
+still, only the tensor of what the move keeps
+(`SeparatedState.kept_tensor`) and the code-held locks, and the solver
+keeps it so.
 """
 
 from __future__ import annotations
@@ -44,8 +50,9 @@ from .traces import Trace
 class WinningSpec(Node):
     """The indexed family of separated predicates for one trace: the
     initial, middle and final predicates are built once, with the spec.
-    `last` is the trace's final position, 2p+2 for p code steps."""
-    __slots__ = ("predicates",)
+    `last` is the trace's final position, 2p+2 for p code steps.  The spec
+    owns the rules of its trace's game (`game`), which it builds once."""
+    __slots__ = ("predicates", "trace_game")
     pre: object
     ctx: fmap
     post: object
@@ -56,6 +63,7 @@ class WinningSpec(Node):
     def __post_init__(self):
         object.__setattr__(self, "predicates", tuple(
             SeparatedPredicate(f, self.ctx) for f in (self.pre, FTrue(), self.post)))
+        object.__setattr__(self, "trace_game", None)
 
     def predicate_at(self, i: int) -> SeparatedPredicate:
         if i == 1:
@@ -63,6 +71,18 @@ class WinningSpec(Node):
         if i == self.last and self.returning:
             return self.predicates[2]
         return self.predicates[1]
+
+    def game(self, t: Trace, u: Universe) -> TraceGame:
+        """The game of trace t under this spec, built on first request and
+        reused for the identical trace and universe objects: the extracted
+        strategy, the checker and the solver of one trace share it.  The
+        game is the rules, so it belongs to the spec, not to a strategy:
+        the checker judges a strategy by the spec's game."""
+        g = self.trace_game
+        if g is None or g.t is not t or g.u is not u:
+            g = TraceGame(t, self, u)
+            object.__setattr__(self, "trace_game", g)
+        return g
 
 
 def winning_spec(pre, ctx, post, t: Trace, returning: bool,
@@ -131,11 +151,12 @@ def empty_winning_plays(source: MachineState, spec: WinningSpec,
 # --- the game of one trace ------------------------------------------------------------
 
 class TraceGame:
-    """The separation game of trace t under spec, a spec built for t.
-    Positions run from 1 to the spec's `last`: Adam moves at an odd position
-    i < last, Eve plays code step i // 2 at an even one.  `outcomes` holds
-    each code step's `machine_step` outcomes from its pre-state, which every
-    Adam state before it combines into."""
+    """The separation game of trace t under spec, a spec built for t, which
+    builds it (`WinningSpec.game`).  Positions run from 1 to the spec's
+    `last`: Adam moves at an odd position i < last, Eve plays code step
+    i // 2 at an even one.  `outcomes` holds each code step's `machine_step`
+    outcomes from its pre-state, which every Adam state before it combines
+    into."""
 
     def __init__(self, t: Trace, spec: WinningSpec, u: Universe):
         self.t, self.spec, self.u = t, spec, u
@@ -204,7 +225,7 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
     before it is popped, as when `respond` lists one move twice, is visited
     once.
     """
-    game = TraceGame(t, spec, u)
+    game = spec.game(t, u)
     accepted = dict(strat.initial_nodes())
     for s in game.initials:
         if s not in accepted:
@@ -266,17 +287,32 @@ class SolvedStrategy:
     s are `_refinements` of the next state with s's code fragment and
     code-held locks, the invariant of `legal_adam_move`, so whether Eve
     survives from (i, s) is kept per (i, s.code, s.dom_code()): one solver
-    node is one such question.  Eve's moves from s2 read only s2.resources
-    and s2.frame (`enumerate_eve_moves`), so whether one of them survives is
-    kept per (i, s2.resources, s2.frame)."""
+    node is one such question.
+
+    Whether some Eve move from an Adam state s2 at position i survives is
+    kept per (i, s2.kept_tensor(m), s2.dom_code()), m the instruction of
+    step i // 2.  The Adam states at i combine into one machine state, which
+    locks exactly the held resources, so the code-held locks fix every
+    resource's entry after the step (held by the code or the frame,
+    available, or released) and whether m's lock conditions hold.
+    `enumerate_eve_moves` reads the pieces the move keeps, the frame and
+    the available resources m does not acquire, only through their tensor,
+    when `component_assignments` chooses the code and the released
+    resources, and through their invariants, which every Adam state already
+    satisfies (a spec's predicates share one context).  So equal keys give
+    moves with the same code fragments and code-held locks in the same
+    order, all that `survives` reads of them, and the short-circuiting `any`
+    asks the same questions.  The acquired resource goes to the code, not
+    to the kept tensor: splitting one tensor differently between it and the
+    frame changes the code fragments."""
 
     def __init__(self, t: Trace, spec: WinningSpec, u: Universe, budget=None):
-        self.game = TraceGame(t, spec, u)
+        self.game = spec.game(t, u)
         self.initials = self.game.initials
         self.budget = budget
         self._explored = 0
         self._adam = {}      # (position, code, code-held locks) -> survives
-        self._eve = {}       # (position, resources, frame) -> some move survives
+        self._eve = {}       # (position, kept tensor, code-held locks) -> some survives
 
     def survives(self, i: int, s: SeparatedState) -> bool:
         """Eve can keep every winning Adam continuation alive from position i."""
@@ -292,7 +328,7 @@ class SolvedStrategy:
         return ok
 
     def _some_move_survives(self, i: int, s2: SeparatedState) -> bool:
-        key = (i, s2.resources, s2.frame)
+        key = (i, s2.kept_tensor(self.game.t.steps[i // 2 - 1].instr), s2.dom_code())
         hit = self._eve.get(key)
         if hit is None:
             hit = self._eve[key] = any(self.survives(i + 1, s3)

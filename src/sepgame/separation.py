@@ -39,12 +39,13 @@ class SeparatedState(Node):
     """Immutable, so the `separations` memo hands out shared states.  Keeps,
     none of them compared or hashed: the `tensor` of its pieces, and, each
     computed once when first asked for, its `combined` machine state
-    (`combine`), its `text` (`sep_state_to_text`) and its `code_locks`
-    (`dom_code`).  The states `separations` builds come with their tensor
-    and combined state (`known`), read off `component_assignments`' per-cell
-    totals; any other state tensors its pieces when built, and raises
-    SeparationError when that is undefined."""
-    __slots__ = ("tensor", "combined", "text", "code_locks")
+    (`combine`), its `text` (`sep_state_to_text`), its `code_locks`
+    (`dom_code`) and, per instruction, its `kept` tensors (`kept_tensor`).
+    The states `separations` builds come with their tensor and combined
+    state (`known`), read off `component_assignments`' per-cell totals; any
+    other state tensors its pieces when built, and raises SeparationError
+    when that is undefined."""
+    __slots__ = ("tensor", "combined", "text", "code_locks", "kept")
     code: LogicalState
     resources: fmap          # lockname -> Available | HeldBy
     frame: LogicalState
@@ -55,7 +56,7 @@ class SeparatedState(Node):
         if tensor is None:
             raise SeparationError("separated-state tensor is undefined")
         object.__setattr__(self, "tensor", tensor)
-        for name in ("combined", "text", "code_locks"):
+        for name in ("combined", "text", "code_locks", "kept"):
             object.__setattr__(self, name, None)
 
     @classmethod
@@ -66,7 +67,7 @@ class SeparatedState(Node):
         for name, value in (("_hash", None), ("code", code), ("resources", resources),
                             ("frame", frame), ("tensor", tensor),
                             ("combined", combined), ("text", None),
-                            ("code_locks", None)):
+                            ("code_locks", None), ("kept", None)):
             object.__setattr__(s, name, value)
         return s
 
@@ -76,6 +77,22 @@ class SeparatedState(Node):
             d = frozenset(r for r, e in self.resources.items() if e == HELD_BY_CODE)
             object.__setattr__(self, "code_locks", d)
         return d
+
+    def kept_tensor(self, m) -> LogicalState:
+        """The tensor of the pieces an Eve move labelled m keeps (see
+        `enumerate_eve_moves`): the frame and the available resources m
+        does not acquire.  Computed once per label."""
+        kept = self.kept
+        if kept is None:
+            kept = {}
+            object.__setattr__(self, "kept", kept)
+        t = kept.get(m)
+        if t is None:
+            acquired = locks_plus(m)
+            t = kept[m] = tensor_all([self.frame, *(
+                e.state for r, e in self.resources.items()
+                if r not in acquired and isinstance(e, Available))])
+        return t
 
 
 def sep_state(code=EMPTY_LSTATE, resources=(), frame=EMPTY_LSTATE) -> SeparatedState:
@@ -96,7 +113,14 @@ def legal_eve_move(s: SeparatedState, m, s2: SeparatedState, outcomes) -> bool:
     """An Eve move keeps the frame, combines into a successful machine step,
     one of the `outcomes` of `machine_step(combine(s), m, u)`, and respects
     the lock conditions of the instruction.  Every state at a position of a
-    play combines into the same machine state, so callers step it once."""
+    play combines into the same machine state, so callers step it once.
+
+    Under those outcomes the two `Available` checks below never fail once
+    the outcome test has passed.  A state locks exactly its held resources
+    (`combine`).  An acquire of r returns only from a machine state where r
+    is unlocked, so s's entry for r is not held, hence available; a release
+    of r returns only states where r is unlocked, such as combine(s2), so
+    s2's entry for r is available.  They stay for outcomes made by hand."""
     if s.frame != s2.frame:
         return False
     if Return(combine(s2)) not in outcomes:

@@ -40,7 +40,7 @@ have no response, and the game makes them unreachable for provable programs.
 
 from __future__ import annotations
 
-from .game import TraceGame, replay_lines, sat_sep, winning_spec
+from .game import replay_lines, sat_sep, winning_spec
 from .logic import (EMPTY_LSTATE, TOP, LogicalState, erase, first_split,
                     lstate_to_text, satisfies, substates, tensor)
 from .machine import ABORT, IAcquire, IRelease, MachineState, eval_expr
@@ -385,7 +385,7 @@ class ExtractedStrategy:
         self.lifter = build_lifter(node, "root", t, u, rho, answer)
         self.spec = winning_spec(node.pre, node.ctx, node.post, t,
                                  self.lifter.returning, rho)
-        self.game = TraceGame(t, self.spec, u)
+        self.game = self.spec.game(t, u)
         self.initials = {s: self.lifter.start(s.code) for s in self.game.initials}
 
     def initial_nodes(self):

@@ -13,7 +13,7 @@ from sepgame.game import (NoWin, SeparatedPredicate, SolvedStrategy, TraceGame,
 from sepgame.logic import (EMPTY_LSTATE, _sat, erase, from_slots, lstate,
                            lstate_from_text, lstate_to_text, slots, tensor_all,
                            universe_table)
-from sepgame.machine import MachineState, MemoryState, machine_step, mstate
+from sepgame.machine import IAcquire, MachineState, MemoryState, machine_step, mstate
 from sepgame.maps import fmap
 from sepgame.proof import check_proof
 from sepgame.semantics import enumerate_traces
@@ -60,6 +60,21 @@ def test_winning_spec_indexing(u):
     assert returning1.last == TraceGame(t1, returning1, u).last == 4
     assert returning1.predicate_at(4).pre == Own(TOP, "x")
     assert returning1.predicate_at(3).pre == FTrue()
+
+
+def test_the_spec_builds_its_game_once_per_trace(u):
+    """A spec keeps the game of the trace and universe objects it was last
+    asked for; an equal spec, trace or universe object gets a game of its
+    own, equal in everything but identity."""
+    t = _assign_trace(u)
+    spec = winning_spec(FTrue(), fmap(), FTrue(), t, returning=True)
+    g = spec.game(t, u)
+    assert g.spec is spec and g.t is t and g.u is u and spec.game(t, u) is g
+    twin = _assign_trace(u)
+    assert twin == t and spec.game(twin, u) is not g
+    assert spec.game(twin, u).initials == g.initials
+    other = winning_spec(FTrue(), fmap(), FTrue(), t, returning=True)
+    assert other == spec and other.game(t, u) is not g
 
 
 def test_sat_sep(u):
@@ -270,6 +285,23 @@ def test_adam_extension_order_locked(u):
     ]
 
 
+def test_adam_has_no_move_that_frees_a_code_held_lock(u):
+    """An environment step may free a lock the code holds, as every machine
+    state is a successor under `env = exhaustive`.  Adam's moves keep the
+    code-held locks, so after acquire(r) on a trace whose next step starts
+    with r free, no Eve state has an Adam move."""
+    source = mstate(stack={"x": 0})
+    (locked,) = machine_step(source, IAcquire("r"), u)
+    (assigned,) = machine_step(source, Assign("x", Lit(1)), u)
+    t = Trace(source, (CodeTransition(source, IAcquire("r"), locked.state),
+                       CodeTransition(source, Assign("x", Lit(1)), assigned.state)),
+              assigned.state)
+    g = TraceGame(t, winning_spec(FTrue(), fmap(), FTrue(), t, returning=True), u)
+    acquired = {s3 for s in g.initials for s2 in g.adam(1, s) for s3 in g.eve(2, s2)}
+    assert acquired and {s3.dom_code() for s3 in acquired} == {frozenset({"r"})}
+    assert all(g.adam(3, s3) == () for s3 in acquired)
+
+
 # --- building pieces under their tests changes no answer ----------------------------
 
 def _every_assignment(mu, fixed, n, u, tests=()):
@@ -435,10 +467,11 @@ def test_pruned_moves_equal_filtered_separations(name, monkeypatch):
 
 
 def test_eve_moves_step_the_machine_once_per_position(monkeypatch, tmp_path, capsys):
-    """The checker, the extracted strategy and the solver each step the
-    machine once per code step of a trace, not once per Eve move they judge:
-    on the strategy-chain inputs, 3 calls for each of the 72 steps of the 60
-    non-error traces (4,760 calls when every move stepped it), for 24
+    """The extracted strategy, the checker and the solver share one game per
+    trace, owned by its spec, which steps the machine once per code step,
+    not once per Eve move they judge: on the strategy-chain inputs, one call
+    for each of the 72 steps of the 60 non-error traces (216 when each of
+    the three built its own game, 4,760 when every move stepped it), for 24
     distinct (machine state, instruction) pairs."""
     calls = []
 
@@ -456,7 +489,7 @@ def test_eve_moves_step_the_machine_once_per_position(monkeypatch, tmp_path, cap
     steps = sum(int(line.split("length=")[1].split()[0])
                 for line in out.splitlines() if line.startswith("trace "))
     assert steps == 72
-    assert len(calls) == 3 * steps
+    assert len(calls) == steps
     assert len(set(calls)) == 24
 
 
@@ -489,7 +522,9 @@ def test_the_chain_joins_half_as_often_and_renders_each_state_once(
     most half of the 24,224 times it ran when every `*` merged both maps
     (11,344), and each of the separated states the sort keys and reports ask
     about is rendered once (76 states, 1,900 renderings when each was
-    rendered afresh)."""
+    rendered afresh).  One game per trace sorts its initial states once: 380
+    sort keys asked, 1,140 when the extracted strategy, the checker and the
+    solver each built the game."""
     joins, asked, pieces = [0], [], [0]
     join, render, piece = logic._join, separation.sep_state_to_text, lstate_to_text
 
@@ -516,7 +551,7 @@ def test_the_chain_joins_half_as_often_and_renders_each_state_once(
     assert code == 0 and capsys.readouterr().out.endswith(", all pass\n")
     assert 0 < joins[0] <= 24224 // 2
     states = set(asked)
-    assert len(asked) > 1000 and len(states) == 76
+    assert len(asked) == 380 and len(states) == 76
     # a rendering renders the code, each available resource and the frame
     assert pieces[0] == sum(2 + sum(isinstance(e, Available) for e in s.resources.values())
                             for s in states)

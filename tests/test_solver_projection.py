@@ -1,30 +1,35 @@
 """The brute-force solver asks each question once per thing it depends on.
 Whether Eve survives from an Adam state at position i is kept per
 (i, code fragment, code-held locks), and whether some Eve move from an Adam
-state survives per (i, resources, frame).  `_solver_without_projection` is
-the solver as it was before, memoised per whole separated state, with Eve's
-moves kept per (position, Adam state).  Both must give the same verdict, the
-same NoWin counterexample and the same responses at every position the
-checker asks about.  The two facts the keys rest on are checked against the
-paper's definitions of the moves: Adam's moves keep the code fragment and
-the code-held locks (`legal_adam_move`), and Eve's moves are the legal ones
-(`legal_eve_move`), which read the resources and the frame of where they
-start.
+state survives per (i, kept tensor, code-held locks): the kept tensor is the
+tensor of what the move keeps, the frame and the available resources it
+does not acquire (`SeparatedState.kept_tensor`).
+`_solver_without_projection` is the solver as it was before, memoised per
+whole separated state, with Eve's moves kept per (position, Adam state).
+Both must give the same verdict, the same NoWin counterexample and the same
+responses at every position the checker asks about.  The facts the keys
+rest on are checked against the paper's definitions of the moves: Adam's
+moves keep the code fragment and the code-held locks (`legal_adam_move`),
+Eve's moves are the legal ones (`legal_eve_move`), and Adam states with
+equal Eve keys get Eve moves with equal code fragments and code-held locks,
+in the same order.  Games with an acquire and a release, built by hand,
+show that the acquired resource's content is not kept.
 """
 
 import itertools
 
 import pytest
 
-from sepgame.game import (NoWin, TraceGame, check_winning_strategy, sat_sep,
-                          solve_eve, winning_spec)
+from sepgame.game import (NoWin, SolvedStrategy, TraceGame, check_winning_strategy,
+                          sat_sep, solve_eve, winning_spec)
 from sepgame.logic import EMPTY_LSTATE
 from sepgame.maps import fmap
 from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                                 SeparatedState, enumerate_eve_moves,
                                 legal_adam_move, legal_eve_move)
-from sepgame.syntax import FTrue, Lit, Store, parse_proof, parse_universe
-from sepgame.machine import IRelease, machine_step, mstate
+from sepgame.syntax import (FTrue, Lit, Store, parse_formula, parse_proof,
+                            parse_universe)
+from sepgame.machine import IAcquire, IRelease, machine_step, mstate
 from sepgame.traces import ERR, CodeTransition, Trace
 
 from .test_checker_memo import (_Asking, _chain_games, _extracted_games,
@@ -155,6 +160,96 @@ def test_code_held_locks_are_part_of_the_key():
     assert solve_eve(t, spec, u).counterexample == framed[0]
 
 
+def _hand_made_game(source, instrs, ctx, u):
+    """The returning trace of the instructions from source, under true with
+    the given context invariants."""
+    steps, pre = [], source
+    for m in instrs:
+        (out,) = machine_step(pre, m, u)
+        steps.append(CodeTransition(pre, m, out.state))
+        pre = out.state
+    t = Trace(source, tuple(steps), pre)
+    ctx = fmap({r: parse_formula(f) for r, f in ctx.items()})
+    return t, winning_spec(FTrue(), ctx, FTrue(), t, returning=True)
+
+
+def _adam_states(game):
+    """Every Adam state the game reaches at an even position below last - 1,
+    by position, in the order the moves list them."""
+    reached = {}
+    frontier = [(1, s) for s in game.initials]
+    while frontier:
+        i, s = frontier.pop(0)
+        if i >= game.last - 1:
+            continue
+        for s2 in game.adam(i, s):
+            if s2 not in reached.setdefault(i + 1, {}):
+                reached[i + 1][s2] = None
+                frontier += [(i + 2, s3) for s3 in game.eve(i + 1, s2)]
+    return reached
+
+
+def _eve_key(t, i, s2):
+    """The key of the solver's Eve question at Adam state s2, position i."""
+    return i, s2.kept_tensor(t.steps[i // 2 - 1].instr), s2.dom_code()
+
+
+def _keys_decide_eve(t, spec, u):
+    """At every reached Adam state, states with equal Eve keys get Eve moves
+    with equal code fragments and code-held locks in the same order, and the
+    solver's answer is whether one of those moves survives; returns the
+    number of Adam states and of their distinct keys."""
+    solver = SolvedStrategy(t, spec, u)
+    game = solver.game
+    moves_of = {}
+    states = 0
+    for i, reached in _adam_states(game).items():
+        for s2 in reached:
+            moves = [(s3.code, s3.dom_code()) for s3 in game.eve(i, s2)]
+            assert moves_of.setdefault(_eve_key(t, i, s2), moves) == moves
+            assert solver._some_move_survives(i, s2) == any(
+                solver.survives(i + 1, s3) for s3 in game.eve(i, s2))
+            states += 1
+    return states, len(moves_of)
+
+
+LOCKS_UNIVERSE = ("vars = x, y\nlocs = 2\nvals = 0..1\n"
+                  "perms = 1/2, 1\nlocks = q, r\nmaxlen = 2\n")
+
+
+def test_the_acquired_resource_is_not_kept():
+    """acquire(r) hands r's content to the code, and release(q) then needs
+    all of x for q's invariant: Eve wins from the Adam states whose code
+    holds q and whose frame holds no x.  At the acquire, the kept tensor is
+    the frame alone, so states that split x differently between r and the
+    frame have different keys.  Keeping r in the tensor would make them
+    equal, and the solver would give the second the first one's answer."""
+    u = parse_universe(LOCKS_UNIVERSE)
+    source = mstate(stack={"x": 0}, locked={"q"})
+    t, spec = _hand_made_game(source, [IAcquire("r"), IRelease("q")],
+                              {"q": "own_1(x)", "r": "true"}, u)
+    states, keys = _keys_decide_eve(t, spec, u)
+    assert (states, keys) == (28, 12)
+    solved = solve_eve(t, spec, u)
+    assert isinstance(solved, NoWin)
+    assert solved.counterexample.resources["q"] == HELD_BY_CODE
+    assert _same_solutions(t, spec, u) is None
+
+
+def test_a_release_reads_the_kept_tensor_and_the_code_held_locks():
+    """release(r) needs all of x for r's invariant, so Eve wins from the
+    Adam states whose code holds r and whose frame and q hold no x.  States
+    that split one tensor between q and the frame share a key; those whose
+    frame holds r have no move."""
+    u = parse_universe(LOCKS_UNIVERSE)
+    source = mstate(stack={"x": 0, "y": 1}, locked={"r"})
+    t, spec = _hand_made_game(source, [IRelease("r")],
+                              {"q": "true", "r": "own_1(x)"}, u)
+    states, keys = _keys_decide_eve(t, spec, u)
+    assert (states, keys) == (162, 18)
+    assert _same_solutions(t, spec, u) is None
+
+
 def test_the_budget_counts_projected_questions():
     """`solve --budget n` explores at most n (position, code fragment,
     code-held locks) questions."""
@@ -165,7 +260,7 @@ def test_the_budget_counts_projected_questions():
         assert solve_eve(t, spec, u, budget=explored - 1) == "unknown"
 
 
-# --- the two facts the keys rest on ---------------------------------------------------
+# --- the facts the keys rest on ---------------------------------------------------------
 
 def _every_separated_state(target, u):
     """Every separated state combining into the machine state, in no
@@ -185,8 +280,9 @@ def test_moves_depend_only_on_their_keys(name):
     """At every position the old solver visits, Adam's moves are the
     separated states of the next machine state that satisfy its predicate
     and keep the code fragment and the code-held locks, and Eve's moves are
-    the legal ones that satisfy it; states with equal keys get equal moves,
-    in the same order."""
+    the legal ones that satisfy it; Adam states with equal resources and
+    frames get equal moves, and those with equal Eve keys get moves with
+    equal code fragments and code-held locks, in the same order."""
     u, games = GAMES[name]()
     winning = {}     # (target, predicate, rho) -> its separated states satisfying it
     shared = 0
@@ -203,7 +299,7 @@ def test_moves_depend_only_on_their_keys(name):
                                 if sat_sep(s, spec.predicate_at(i), spec.rho, u)]
             return winning[key]
 
-        keys = {}
+        keys, keyed = {}, {}
         for i, s in solver._memo:
             assert set(game.adam(i, s)) == {
                 s2 for s2 in satisfying(i + 1) if legal_adam_move(s, s2)}
@@ -214,6 +310,9 @@ def test_moves_depend_only_on_their_keys(name):
             assert set(moves) == {s3 for s3 in satisfying(i + 1) if legal_eve_move(
                 s2, t.steps[k].instr, s3, game.outcomes[k])}
             assert moves == solver.eve(i, s2)
-            keys.setdefault((i, s2.resources, s2.frame), set()).add(s2)
+            codes = [(s3.code, s3.dom_code()) for s3 in moves]
+            key = _eve_key(t, i, s2)
+            assert keyed.setdefault(key, codes) == codes
+            keys.setdefault(key, set()).add(s2)
         shared += sum(len(states) > 1 for states in keys.values())
     assert shared
