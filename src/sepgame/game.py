@@ -3,55 +3,49 @@ Eve solver used as an independent oracle.
 
 A play over a trace of length p visits positions 1..2p+2; odd-to-even moves
 are Adam's (environment), even-to-odd moves are Eve's (one code step).
-`TraceGame` is the one owner of a trace's rules, read by the checker, the
-solver, the extracted strategy and `drive_play`: the positions and their
-machine states, the initial refinements, Adam's moves (the refinements of the
-next machine state that keep the code fragment and satisfy the next
-predicate, within the universe's finite bounds), Eve's moves and their judge.
-The trace's `WinningSpec` builds its game once (`WinningSpec.game`), so all
-of them read one game.
+`TraceGame` is the one owner of a trace's rules, built once by the trace's
+`WinningSpec` and read by the checker, the solver, the extracted strategy
+and `drive_play`: the positions and their machine states, the initial
+refinements, Adam's moves (the refinements of the next machine state that
+keep the code fragment and satisfy the next predicate), Eve's moves and
+their judge.
 
 A position's predicate has one definition, `separation.piece_test`: the code
 against pre, an available resource against its context invariant; the frame
-is unconstrained.  `sat_sep` asks it of every piece of a whole state.  Both
-Adam's refinements and Eve's moves are built by `separation.separations`,
-which tests the pieces it is given once and chooses the unknown ones one at
-a time (code, then resources by name, then frame), dropping a piece as soon
-as it fails its test (a universe-table state: its bit of the formula's
-models), so every state it builds satisfies the predicate.
-`separations` is memoised per process, which is sound since it is a pure
-function of immutable arguments returning immutable states: the checker and
-solver of every trace share its families, and traces that are prefixes of
-one another build each once.  Adam's moves from a state read only its code
-fragment and code-held locks, and Eve's only its resources and frame: the
-game keeps Eve's moves under the latter, and the solver whether Eve
-survives under the former.  Whether some Eve move survives reads less
-still, only the tensor of what the move keeps
-(`SeparatedState.kept_tensor`) and the code-held locks, and the solver
-keeps it so.
+is unconstrained.  `sat_sep` asks it of every piece, one models bit each: a
+piece is an index into the universe's table, interned past the enumerated
+states when the table does not hold it (`separation`), so equal indices are
+equal states and the judge of Eve's moves compares integers.  Adam's
+refinements and Eve's moves are built by the memoised
+`separation.separations`, which tests each piece as soon as it is chosen,
+so every state it builds satisfies the predicate.  Adam's moves from a
+state read only its code fragment and code-held locks, and Eve's only its
+resources and frame: the game keeps Eve's moves under the latter, and the
+solver whether Eve survives under the former.  Whether some Eve move
+survives reads only the tensor of what the move keeps
+(`SeparatedState.kept_tensor`) and the code-held locks.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .logic import satisfies
-from .machine import MachineState, instr_to_text, machine_step
+from .logic import universe_table
+from .machine import MachineState, Return, instr_to_text, machine_step
 from .maps import Node, fmap
 from .semantics import EnumerationBudget
 from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
-                         SeparatedPredicate, SeparatedState, combine,
-                         enumerate_eve_moves, legal_eve_move, piece_test,
+                         SeparatedPredicate, SeparatedState, enumerate_eve_moves,
+                         legal_eve_move, machine_key, piece_test,
                          sep_state_to_text, separations)
 from .syntax import FTrue, Universe
 from .traces import Trace
 
 
 class WinningSpec(Node):
-    """The indexed family of separated predicates for one trace: the
-    initial, middle and final predicates are built once, with the spec.
-    `last` is the trace's final position, 2p+2 for p code steps.  The spec
-    owns the rules of its trace's game (`game`), which it builds once."""
+    """The initial, middle and final separated predicates of one trace,
+    built once; `last` is its final position, 2p+2 for p code steps.  The
+    spec owns the rules of its trace's game (`game`)."""
     __slots__ = ("predicates", "trace_game")
     pre: object
     ctx: fmap
@@ -74,10 +68,8 @@ class WinningSpec(Node):
 
     def game(self, t: Trace, u: Universe) -> TraceGame:
         """The game of trace t under this spec, built on first request and
-        reused for the identical trace and universe objects: the extracted
-        strategy, the checker and the solver of one trace share it.  The
-        game is the rules, so it belongs to the spec, not to a strategy:
-        the checker judges a strategy by the spec's game."""
+        reused for the identical trace and universe objects.  The game is the
+        rules, so the spec owns it and the checker judges a strategy by it."""
         g = self.trace_game
         if g is None or g.t is not t or g.u is not u:
             g = TraceGame(t, self, u)
@@ -92,12 +84,11 @@ def winning_spec(pre, ctx, post, t: Trace, returning: bool,
 
 def sat_sep(s: SeparatedState, sp: SeparatedPredicate, rho: fmap,
             u: Universe) -> bool:
-    """Every piece of the state satisfies its `piece_test`."""
-    test = piece_test(sp, rho)
-    pieces = [(test(None), s.code)]
-    pieces += [(test(r), e.state) for r, e in s.resources.items()
-               if isinstance(e, Available)]
-    return all(t is None or satisfies(part, *t, u) for t, part in pieces)
+    """Every piece of the state satisfies its `piece_test` (`UniverseTable.holds`)."""
+    test, holds = piece_test(sp, rho), universe_table(u).holds
+    pieces = [(test(None), s.code)] + [(test(r), e.state) for r, e in s.resources.items()
+                                       if isinstance(e, Available)]
+    return all(t is None or holds(part, *t) for t, part in pieces)
 
 
 def trace_state(t: Trace, i: int) -> MachineState:
@@ -156,12 +147,17 @@ class TraceGame:
     `last`: Adam moves at an odd position i < last, Eve plays code step
     i // 2 at an even one.  `outcomes` holds each code step's `machine_step`
     outcomes from its pre-state, which every Adam state before it combines
-    into."""
+    into, `returns` their machine keys, and `keys[i]` that of position i."""
 
     def __init__(self, t: Trace, spec: WinningSpec, u: Universe):
         self.t, self.spec, self.u = t, spec, u
         self.last = spec.last
+        self.table = universe_table(u)
         self.outcomes = tuple(machine_step(st.pre, st.instr, u) for st in t.steps)
+        self.returns = tuple(frozenset(machine_key(o.state, self.table) for o in outs
+                                       if isinstance(o, Return)) for outs in self.outcomes)
+        self.keys = [None] + [machine_key(trace_state(t, i), self.table)
+                              for i in range(1, self.last + 1)]
         self.initials = empty_winning_plays(t.source, spec, u)
         self._eve = {}       # (position, resources, frame) -> Eve's moves
 
@@ -175,9 +171,8 @@ class TraceGame:
 
     def eve(self, i: int, s: SeparatedState) -> tuple:
         """Every legal Eve move from Adam's state s at even position i that
-        stays on the trace and satisfies the next predicate.  They read only
-        s's resources and frame (`enumerate_eve_moves`), the key they are
-        kept under."""
+        stays on the trace and satisfies the next predicate, kept under s's
+        resources and frame, all that `enumerate_eve_moves` reads of s."""
         key = (i, s.resources, s.frame)
         hit = self._eve.get(key)
         if hit is None:
@@ -191,9 +186,9 @@ class TraceGame:
         """What is wrong with Eve's move from s to s2 at even position i, or
         None; whether s2 satisfies the next predicate is the caller's to ask."""
         k = i // 2
-        if not legal_eve_move(s, self.t.steps[k - 1].instr, s2, self.outcomes[k - 1]):
+        if not legal_eve_move(s, self.t.steps[k - 1].instr, s2, self.returns[k - 1]):
             return "illegal Eve move"
-        if combine(s2) != self.state(i + 1):
+        if s2.machine_key() != self.keys[i + 1]:
             return "Eve move leaves the trace"
         return None
 
@@ -221,9 +216,7 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
     A strategy is a function of (key, position, state): each question is
     asked and judged once, and a play node that meets it again pushes
     nothing, since under the LIFO frontier all it would push is already
-    visited (tests/test_checker_memo.py says why).  A node pushed twice
-    before it is popped, as when `respond` lists one move twice, is visited
-    once.
+    visited (tests/test_checker_memo.py says why).
     """
     game = spec.game(t, u)
     accepted = dict(strat.initial_nodes())
@@ -231,7 +224,7 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
         if s not in accepted:
             return CheckResult("fail", "missing empty winning play", (s,))
     for s in accepted:
-        if combine(s) != t.source:
+        if s.machine_key() != game.keys[1]:
             return CheckResult("fail", "initial state does not refine the source", (s,))
         if s not in game.initials:
             return CheckResult("fail", "accepted initial play is not winning", (s,))
@@ -285,24 +278,18 @@ class SolvedStrategy:
 
     Each question is asked once per thing it depends on.  Adam's moves from
     s are `_refinements` of the next state with s's code fragment and
-    code-held locks, the invariant of `legal_adam_move`, so whether Eve
-    survives from (i, s) is kept per (i, s.code, s.dom_code()): one solver
-    node is one such question.
+    code-held locks, so whether Eve survives from (i, s) is kept per
+    (i, s.code, s.dom_code()): one solver node is one such question.
 
     Whether some Eve move from an Adam state s2 at position i survives is
     kept per (i, s2.kept_tensor(m), s2.dom_code()), m the instruction of
-    step i // 2.  The Adam states at i combine into one machine state, which
-    locks exactly the held resources, so the code-held locks fix every
-    resource's entry after the step (held by the code or the frame,
-    available, or released) and whether m's lock conditions hold.
-    `enumerate_eve_moves` reads the pieces the move keeps, the frame and
-    the available resources m does not acquire, only through their tensor,
-    when `component_assignments` chooses the code and the released
-    resources, and through their invariants, which every Adam state already
-    satisfies (a spec's predicates share one context).  So equal keys give
-    moves with the same code fragments and code-held locks in the same
-    order, all that `survives` reads of them, and the short-circuiting `any`
-    asks the same questions.  The acquired resource goes to the code, not
+    step i // 2.  The Adam states at i combine into one machine state, so the
+    code-held locks fix every resource's entry after the step and whether
+    m's lock conditions hold.  `enumerate_eve_moves` reads what the move
+    keeps only through its tensor and its invariants, which every Adam
+    state satisfies.  So equal keys give moves with the same code fragments
+    and code-held locks in the same order, and `any` asks the same
+    questions.  The acquired resource goes to the code, not
     to the kept tensor: splitting one tensor differently between it and the
     frame changes the code fragments."""
 

@@ -9,10 +9,12 @@ are bit operations.  An atom or a `*` reads only the cells of its support,
 so it is decided on the states that hold no other cell (`*` over their
 splits as index pairs) and the answers are widened to every state.  A state
 satisfies a formula when its index's bit is set.
-Only a state outside the table (a cell whose share is no permission, such as
-3/4 under 1/4, 1/2 and 1, or whose value or variable the universe does not
-declare) or a logical variable the valuation leaves unbound is decided state
-by state, so that the variable is reported where it is met.
+A state outside the enumerated ones (a cell whose share is no permission,
+such as 3/4 under 1/4, 1/2 and 1, or whose value or variable the universe
+does not declare) is interned: the table gives it the next index past them
+the first time it is met.  Only such a state, or a logical variable the
+valuation leaves unbound, is decided state by state by `_sat`, so that the
+variable is reported where it is met.
 """
 
 from __future__ import annotations
@@ -53,11 +55,6 @@ class LogicalState(Node):
 EMPTY_LSTATE = LogicalState()
 
 
-def lstate(stack=(), heap=()) -> LogicalState:
-    norm = lambda m: fmap({k: (v, Fraction(p)) for k, (v, p) in dict(m).items()})
-    return LogicalState(norm(stack), norm(heap))
-
-
 def _join(a: fmap, b: fmap):
     if not b._dict:
         return a
@@ -92,16 +89,6 @@ def tensor(a: LogicalState, b: LogicalState):
     if heap is None:
         return None
     return LogicalState(stack, heap)
-
-
-def tensor_all(states) -> LogicalState | None:
-    states = iter(states)
-    acc = next(states, EMPTY_LSTATE)
-    for s in states:
-        acc = tensor(acc, s)
-        if acc is None:
-            return None
-    return acc
 
 
 def erase(sigma: LogicalState) -> MemoryState:
@@ -183,34 +170,28 @@ def eval_formula_expr(e, sigma: LogicalState, rho: fmap):
 
 
 def satisfies(sigma: LogicalState, f, rho: fmap, u: Universe) -> bool:
-    """The satisfaction judgement between a logical state and a formula: the
-    state's bit of the formula's models; `_sat` for a state outside the
-    universe table, or when f has a variable rho leaves unbound."""
+    """The satisfaction judgement between a logical state and a formula, on
+    the state's index (`UniverseTable.holds`)."""
     table = universe_table(u)
-    i = table.index.get(sigma)
-    if i is None or table.unbound(rho, f):
-        return _sat(sigma, f, rho, u)
-    return table.models(f, rho) >> i & 1 == 1
+    return table.holds(table.intern(sigma), f, rho)
 
 
-def first_split(sigma: LogicalState, fa, fb, rho: fmap, u: Universe):
-    """The first split (a, b) of sigma in `substates` order with a satisfying
-    fa and b satisfying fb, or None.  For a universe-table state it scans the
-    state's index splits against the two formulas' models and returns the
-    table's own states; for a state outside the table, or when fa or fb has
-    a variable rho leaves unbound, it asks `satisfies` of each pair of
-    `substates`."""
+def first_split(i: int, fa, fb, rho: fmap, u: Universe):
+    """The first split (a, b) of state i in `substates` order with a
+    satisfying fa and b satisfying fb, as a pair of indices, or None: a scan
+    of the index splits against the models, or, for an interned state or a
+    variable rho leaves unbound, of `substates` asking `satisfies`."""
     table = universe_table(u)
-    i = table.index.get(sigma)
-    if i is not None and not table.unbound(rho, fa, fb):
-        left, right = table.models(fa, rho), table.models(fb, rho)
+    left = table.mask(fa, rho) if i < len(table.states) else None
+    right = None if left is None else table.mask(fb, rho)
+    if right is not None:
         for a, b in table.splits[i]:
             if left >> a & 1 and right >> b & 1:
-                return table.states[a], table.states[b]
+                return a, b
         return None
-    for a, b in _sub_pairs(sigma, u):
+    for a, b in _sub_pairs(table.state(i), u):
         if satisfies(a, fa, rho, u) and satisfies(b, fb, rho, u):
-            return a, b
+            return table.intern(a), table.intern(b)
     return None
 
 
@@ -317,7 +298,9 @@ class UniverseTable:
     index * |perms| + perm index.  `parts` holds each cell's digits times its
     weight; `digits[k][d]` is the mask of the states whose cell k has digit
     d; `splits[i]`, built on first use, is state i's splits as (left index,
-    right index) pairs in `_sub_pairs` order.
+    right index) pairs in `_sub_pairs` order.  A state past the enumerated
+    ones gets its index from `intern`, which `state` reads back; equal
+    indices name one state.
 
     A formula's support is the cells its truth can read: none for true and
     false; a variable's cell for `own`; the program variables' cells for
@@ -362,10 +345,36 @@ class UniverseTable:
                              key=lambda k: (self.cells[k][0] == "h", self.cells[k][1]))
         self.splits = _Splits(self._state_splits, n)
         self._models, self._unbound, self._support = {}, {}, {}
+        self.extra, self._masks, self.joins, self.wholes = [], {}, {}, {}  # joins: separation
 
     @functools.cached_property
     def index(self) -> dict:
         return {sigma: i for i, sigma in enumerate(self.states)}
+
+    def intern(self, sigma: LogicalState) -> int:
+        """sigma's index; a state not enumerated gets the next free one."""
+        i = self.index.get(sigma)
+        if i is None:
+            i = self.index[sigma] = len(self.states) + len(self.extra)
+            self.extra.append(sigma)
+        return i
+
+    def state(self, i: int) -> LogicalState:
+        return self.states[i] if i < len(self.states) else self.extra[i - len(self.states)]
+
+    def mask(self, f, rho: fmap):
+        """f's models under rho, None when rho leaves a variable of f unbound;
+        kept per object pair, as equal formulas parsed apart compare deeply."""
+        hit = self._masks.get((id(f), id(rho)))
+        if hit is None or hit[0] is not f or hit[1] is not rho:
+            hit = self._masks[id(f), id(rho)] = (
+                f, rho, None if self.unbound(rho, f) else self.models(f, rho))
+        return hit[2]
+
+    def holds(self, i: int, f, rho: fmap) -> bool:
+        """State i's bit of `mask`; `_sat` for an interned state or None mask."""
+        mask = self.mask(f, rho) if i < len(self.states) else None
+        return _sat(self.state(i), f, rho, self.u) if mask is None else mask >> i & 1 == 1
 
     def _state_splits(self, i: int) -> tuple:
         pairs = [(0, 0)]

@@ -52,10 +52,6 @@ class MachineState(Node):
         return MachineState(self.memory, frozenset(locked))
 
 
-def mstate(stack=(), heap=(), locked=()) -> MachineState:
-    return MachineState(MemoryState(fmap(stack), fmap(heap)), frozenset(locked))
-
-
 # --- instructions -------------------------------------------------------------
 
 # The atomic commands of the syntax (Assign, Load, Store, AllocC, DisposeC)

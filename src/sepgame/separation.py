@@ -1,8 +1,14 @@
 """Separated states and the legality of Eve and Adam moves.
 
-A separated state splits one logical state between the code, a per-resource
-table and the frame; it combines into a machine state by tensoring the pieces,
-forgetting permissions and locking exactly the held resources.
+A separated state cuts one logical state into pieces (the code's, one per
+available resource, the frame's) and combines into a machine state by
+tensoring them, forgetting permissions and locking exactly the held
+resources.  Each piece, and the tensor, is an index into the universe's
+`UniverseTable`: an enumerated state's index spells its cells, one digit
+each, and any other state (a share sum that is no permission, an allocated
+location, an undeclared value) is interned past them, so equal indices are
+equal states.  Permissions form a partial commutative monoid (Bornat et
+al., POPL 2005): a tensor joins digits cell by cell (`join`).
 """
 
 from __future__ import annotations
@@ -11,8 +17,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .logic import (EMPTY_LSTATE, LogicalState, erase, from_slots, lstate_to_text,
-                    satisfies, slots, tensor_all, universe_table)
+from .logic import (TOP, LogicalState, erase, from_slots, lstate_to_text, slots,
+                    tensor, universe_table)
 from .machine import MachineState, MemoryState, Return, locks, locks_minus, \
     locks_plus
 from .maps import Node, fmap
@@ -24,7 +30,7 @@ class SeparationError(Exception):
 
 
 class Available(Node):
-    state: LogicalState
+    state: int       # the resource's content
 
 
 class HeldBy(Node):
@@ -36,38 +42,26 @@ HELD_BY_FRAME = HeldBy("F")
 
 
 class SeparatedState(Node):
-    """Immutable, so the `separations` memo hands out shared states.  Keeps,
-    none of them compared or hashed: the `tensor` of its pieces, and, each
-    computed once when first asked for, its `combined` machine state
-    (`combine`), its `text` (`sep_state_to_text`), its `code_locks`
-    (`dom_code`) and, per instruction, its `kept` tensors (`kept_tensor`).
-    The states `separations` builds come with their tensor and combined
-    state (`known`), read off `component_assignments`' per-cell totals; any
-    other state tensors its pieces when built, and raises SeparationError
-    when that is undefined."""
-    __slots__ = ("tensor", "combined", "text", "code_locks", "kept")
-    code: LogicalState
+    """Pieces indexed into `table`; immutable, so memos share states.  Keeps,
+    not compared or hashed: `table`, `tensor` and, computed once when asked
+    for, `combined` (`machine_key`), `text`, `code_locks` and `kept`."""
+    __slots__ = ("table", "tensor", "combined", "text", "code_locks", "kept")
+    code: int
     resources: fmap          # lockname -> Available | HeldBy
-    frame: LogicalState
-
-    def __post_init__(self):
-        tensor = tensor_all([self.code, *(e.state for _, e in self.resources.items()
-                                          if isinstance(e, Available)), self.frame])
-        if tensor is None:
-            raise SeparationError("separated-state tensor is undefined")
-        object.__setattr__(self, "tensor", tensor)
-        for name in ("combined", "text", "code_locks", "kept"):
-            object.__setattr__(self, name, None)
+    frame: int
 
     @classmethod
-    def known(cls, code, resources, frame, tensor, combined) -> SeparatedState:
-        """The state of these pieces, whose tensor and combined machine state
-        the caller knows; nothing is computed or checked."""
-        s = object.__new__(cls)
-        for name, value in (("_hash", None), ("code", code), ("resources", resources),
-                            ("frame", frame), ("tensor", tensor),
-                            ("combined", combined), ("text", None),
-                            ("code_locks", None), ("kept", None)):
+    def build(cls, table, code, resources, frame, tensor=None,
+              combined=None) -> SeparatedState:
+        """The state of these pieces; SeparationError when they do not tensor."""
+        if tensor is None:
+            tensor = tensor_of(table, [code, frame, *(
+                e.state for _, e in resources.items() if isinstance(e, Available))])
+            if tensor is None:
+                raise SeparationError("separated-state tensor is undefined")
+        s = cls(code, resources, frame)
+        for name, value in zip(("table", "tensor", "combined", "text", "code_locks", "kept"),
+                               (table, tensor, combined, None, None, {})):
             object.__setattr__(s, name, value)
         return s
 
@@ -78,79 +72,110 @@ class SeparatedState(Node):
             object.__setattr__(self, "code_locks", d)
         return d
 
-    def kept_tensor(self, m) -> LogicalState:
-        """The tensor of the pieces an Eve move labelled m keeps (see
-        `enumerate_eve_moves`): the frame and the available resources m
-        does not acquire.  Computed once per label."""
-        kept = self.kept
-        if kept is None:
-            kept = {}
-            object.__setattr__(self, "kept", kept)
-        t = kept.get(m)
+    def machine_key(self) -> tuple:
+        key = self.combined
+        if key is None:
+            key = (whole(self.table, self.tensor), frozenset(
+                r for r, e in self.resources.items() if isinstance(e, HeldBy)))
+            object.__setattr__(self, "combined", key)
+        return key
+
+    def kept_tensor(self, m) -> int:
+        """The tensor of what an Eve move labelled m keeps: the frame and the
+        available resources m does not acquire; computed once per label."""
+        t = self.kept.get(m)
         if t is None:
             acquired = locks_plus(m)
-            t = kept[m] = tensor_all([self.frame, *(
+            t = self.kept[m] = tensor_of(self.table, [self.frame, *(
                 e.state for r, e in self.resources.items()
                 if r not in acquired and isinstance(e, Available))])
         return t
 
 
-def sep_state(code=EMPTY_LSTATE, resources=(), frame=EMPTY_LSTATE) -> SeparatedState:
-    return SeparatedState(code, fmap(resources), frame)
+# --- index arithmetic, memoised on the table ------------------------------------------
+
+def join(table, a: int, b: int):
+    """The index of the tensor of states a and b, or None when undefined; a
+    sum that is no permission, or an interned state, takes `tensor`."""
+    if not a or not b:      # index 0 is emp, the unit
+        return a + b
+    key = (a, b) if a < b else (b, a)
+    found = table.joins.get(key, False)
+    if found is False:
+        found = table.joins[key] = _join(table, *key)
+    return found
 
 
-def combine(s: SeparatedState) -> MachineState:
-    """The homomorphism to machine states, computed once per state."""
-    m = s.combined
-    if m is None:
-        held = frozenset(r for r, e in s.resources.items() if isinstance(e, HeldBy))
-        m = MachineState(erase(s.tensor), held)
-        object.__setattr__(s, "combined", m)
-    return m
+def _join(table, a: int, b: int):
+    r, perms = table.radix, table.u.perms
+    out = 0
+    if b < len(table.states):
+        for w in table.weights:
+            da, db = a // w % r, b // w % r
+            if da and db:       # digit 1 + value index * |perms| + perm index
+                pa, pb = (da - 1) % len(perms), (db - 1) % len(perms)
+                total = perms[pa] + perms[pb]
+                if da - pa != db - pb or total > 1:
+                    return None
+                if total not in perms:
+                    break
+                da += perms.index(total) - pa
+            out += (da or db) * w
+        else:
+            return out
+    sigma = tensor(table.state(a), table.state(b))
+    return None if sigma is None else table.intern(sigma)
 
 
-def legal_eve_move(s: SeparatedState, m, s2: SeparatedState, outcomes) -> bool:
-    """An Eve move keeps the frame, combines into a successful machine step,
-    one of the `outcomes` of `machine_step(combine(s), m, u)`, and respects
-    the lock conditions of the instruction.  Every state at a position of a
-    play combines into the same machine state, so callers step it once.
+def tensor_of(table, pieces):
+    return functools.reduce(lambda acc, p: acc if acc is None else join(table, acc, p),
+                            pieces, 0)
 
-    Under those outcomes the two `Available` checks below never fail once
-    the outcome test has passed.  A state locks exactly its held resources
-    (`combine`).  An acquire of r returns only from a machine state where r
-    is unlocked, so s's entry for r is not held, hence available; a release
-    of r returns only states where r is unlocked, such as combine(s2), so
-    s2's entry for r is available.  They stay for outcomes made by hand."""
-    if s.frame != s2.frame:
+
+def whole(table, i: int) -> int:
+    """The index of state i's memory held whole (equal iff equal erasures)."""
+    found = table.wholes.get(i)
+    if found is None:
+        found = table.wholes[i] = _held_whole(table, erase(table.state(i)))
+    return found
+
+
+def _held_whole(table, mu: MemoryState) -> int:
+    total = 0       # the sum of the cells' digits at the write permission
+    for kind, cells in (("s", mu.stack._dict), ("h", mu.heap._dict)):
+        for k, v in cells.items():
+            part = table.parts.get((kind, k, v))
+            if part is None:        # an undeclared cell or value
+                return table.intern(LogicalState(*(fmap({k: (v, TOP) for k, v in m.items()})
+                                                   for m in (mu.stack, mu.heap))))
+            total += part[-1]
+    return total
+
+
+def machine_key(m: MachineState, table) -> tuple:
+    return _held_whole(table, m.memory), m.locked      # a machine state as integers
+
+
+def legal_eve_move(s: SeparatedState, m, s2: SeparatedState, returns) -> bool:
+    """An Eve move keeps the frame, combines into a successful machine step
+    (its machine key is in `returns`, those of m's outcomes from the state s
+    combines into, shared by s's position) and respects the lock conditions.
+
+    Under those outcomes the `Available` tests never fail (an acquire of r
+    returns only from a state where r is unlocked, a release only to one),
+    so they serve outcomes made by hand."""
+    if s.frame != s2.frame or s2.machine_key() not in returns:
         return False
-    if Return(combine(s2)) not in outcomes:
-        return False
-    lk = locks(m)
-    for r in s.resources:
-        if r not in lk and s.resources[r] != s2.resources[r]:
-            return False
-    for r in locks_plus(m):
-        if not isinstance(s.resources[r], Available):
-            return False
-        if s2.resources[r] != HELD_BY_CODE:
-            return False
-    for r in locks_minus(m):
-        if s.resources[r] != HELD_BY_CODE:
-            return False
-        if not isinstance(s2.resources[r], Available):
-            return False
-    return True
-
-
-def legal_adam_move(s: SeparatedState, s2: SeparatedState) -> bool:
-    """An Adam move keeps the code fragment and the set of code-held resources."""
-    return s.code == s2.code and s.dom_code() == s2.dom_code()
+    lk, res2 = locks(m), s2.resources._dict
+    return (all(r in lk or e == res2[r] for r, e in s.resources.items())
+            and all(isinstance(s.resources[r], Available) and res2[r] == HELD_BY_CODE
+                    for r in locks_plus(m))
+            and all(s.resources[r] == HELD_BY_CODE and isinstance(res2[r], Available)
+                    for r in locks_minus(m)))
 
 
 # --- bounded enumeration of separated states over a machine state ----------------
-# `separations` builds them all: Adam's refinements (game._refinements) and
-# Eve's moves (enumerate_eve_moves) differ only in the pieces they fix.  A
-# position's predicate says what the pieces must satisfy (piece_test).
+# `separations` builds Adam's refinements and Eve's moves alike.
 
 class SeparatedPredicate(Node):
     pre: object
@@ -158,45 +183,42 @@ class SeparatedPredicate(Node):
 
 
 def piece_test(sp: SeparatedPredicate, rho: fmap):
-    """The pair (formula, rho) a piece of a separated state must satisfy, as
-    `test(piece)`: pre for the code (piece None), the context invariant for
-    an available resource (its lock name); None for the frame and for a
-    resource the context does not name."""
+    """`test(piece)`, the pair (formula, rho) a piece must satisfy: pre for
+    the code (None), the invariant for an available resource (its lock
+    name); None for the frame and a resource the context does not name."""
     def test(piece):
         f = sp.pre if piece is None else sp.ctx._dict.get(piece)
         return None if f is None else (f, rho)
     return test
 
 
-def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
+def component_assignments(mu: MemoryState, fixed: int, n: int,
                           u: Universe, tests=()):
     """Distribute the memory's slots over n unknown logical components, next to
     a fixed component, so that everything tensors and erases exactly to mu.
 
-    Each component is chosen, in order, as an index into
-    `universe_table(u).states`, a cell's share adding its `parts` entry;
-    a cell no universe state holds (an undeclared value, such as an
-    allocated location, or variable) adds a digit above the table's indices.
-    Shares are integers over the lcm of the permission and fixed-share
-    denominators.  A cell takes a share from {0} and the permissions that
-    keeps its total at most 1, and above 0 after the last component.
-    tests[i], when given, is None or a pair (formula, rho) that component i
-    must satisfy (a table state: its bit of the models) as soon as it is
-    chosen; one that does not is dropped before the next is chosen.
+    Each component is chosen, in order, as a table index, a cell's share
+    adding its `parts` entry; a cell no universe state holds (an allocated
+    location, an undeclared variable) adds a digit above the table's
+    indices, interned when tested or yielded.  Shares are integers over the
+    lcm of the denominators; a cell takes 0 or a permission that keeps its
+    total at most 1, and above 0 after the last component.  tests[i], when
+    given, is None or a pair (formula, rho) component i must satisfy
+    (`UniverseTable.holds`), dropped as soon as it does not.
 
-    Yields pairs (n-tuple of LogicalStates, tensor of them and the fixed
-    component), the table's own states where it holds them, cell-major: by
-    the first cell's shares of components 0..n-1, then the second cell's,
-    and so on, each share ordered as 0 and then the permissions.  The tensor
-    is read off the per-cell totals: from the table when every total is a
-    permission of a table cell, else built once per totals vector.  Yields
-    nothing when the fixed component disagrees with mu.
+    Yields pairs (n-tuple of indices, index of the tensor of them and the
+    fixed component), cell-major: by the first cell's shares of components
+    0..n-1, then the second cell's, and so on, each share ordered as 0 and
+    then the permissions.  The tensor is read off the per-cell totals: their
+    digits when every total is a permission of a table cell, else interned
+    once per totals vector.  Yields nothing when the fixed component
+    disagrees with mu.
     """
     table = universe_table(u)
     size = len(table.states)
     cells = ([("s", k, v) for k, v in mu.stack.items()]
              + [("h", k, v) for k, v in mu.heap.items()])
-    fixed_cells = {(kind, k): (v, p) for kind, k, v, p in slots(fixed)}
+    fixed_cells = {(kind, k): (v, p) for kind, k, v, p in slots(table.state(fixed))}
     if not fixed_cells.keys() <= {(kind, k) for kind, k, _ in cells}:
         return
     scale = math.lcm(*(p.denominator for p in u.perms),
@@ -217,11 +239,11 @@ def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
 
     def piece(a):
         if a < size:
-            return table.states[a]
+            return a
         rest, a = divmod(a, size)
-        return from_slots(slots(table.states[a]) + [
+        return table.intern(from_slots(slots(table.states[a]) + [
             (*cell, ((0,) + u.perms)[rest // len(shares) ** m % len(shares)])
-            for m, cell in enumerate(off_table)])
+            for m, cell in enumerate(off_table)]))
 
     # (indices so far, per-cell totals, sort key: one digit per share, cell-major)
     partial = [((), tuple(totals), 0)]
@@ -241,22 +263,22 @@ def component_assignments(mu: MemoryState, fixed: LogicalState, n: int,
                          for a, ts, o in picks for x, t2, y in options]
             grown += [(chosen + (a,), ts, o) for a, ts, o in picks
                       if mask is None or (mask >> a & 1 if a < size
-                                          else satisfies(piece(a), f, rho, u))]
+                                          else table.holds(piece(a), f, rho))]
         partial = grown
     partial.sort(key=lambda a: a[2])
     digit = {q: j for j, q in enumerate(shares)}
-    wholes = {}
+    tensors = {}
     for chosen, totals, _ in partial:
         if all(totals):
-            whole = wholes.get(totals)
-            if whole is None:
+            joined = tensors.get(totals)
+            if joined is None:
                 digits = [digit.get(t) for t in totals]
-                whole = wholes[totals] = (
-                    from_slots([(*cell, Fraction(t, scale))
-                                for cell, t in zip(cells, totals)])
+                joined = tensors[totals] = (
+                    table.intern(from_slots([(*cell, Fraction(t, scale))
+                                             for cell, t in zip(cells, totals)]))
                     if off_table or None in digits else
-                    table.states[sum(part[j] for part, j in zip(parts, digits))])
-            yield tuple(piece(a) for a in chosen), whole
+                    sum(part[j] for part, j in zip(parts, digits)))
+            yield tuple(piece(a) for a in chosen), joined
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,21 +288,19 @@ def separations(target: MachineState, code, resources: fmap, frame, u: Universe,
     given code fragment, resource entries and frame.
 
     When `pred` is given, every piece but the frame must pass its
-    `piece_test(pred, rho)`.  The given code and available resources are
-    tested once, before anything is enumerated.  A piece given as None is
-    filled in by component_assignments, in the order code, resources by
-    name, frame, and must pass its test as soon as it is chosen.  Every
-    state returned thus passes the test on every piece, and comes with
-    the tensor that component_assignments yields and the target's memory
-    as its combined state (`SeparatedState.known`).  Memoised: a pure
-    function of immutable arguments, so all traces share each family.  The
-    given pieces always tensor: a lone code fragment (`_refinements`), or
-    pieces of a built, hence defined, `SeparatedState` (`enumerate_eve_moves`).
+    `piece_test(pred, rho)`: the given ones once, before anything is
+    enumerated, and a piece given as None, filled in by
+    component_assignments (code, resources by name, frame), as soon as it
+    is chosen.  Each state comes with the tensor component_assignments
+    yields and the target's machine key.  Memoised: a pure function of
+    immutable arguments.  The given pieces always tensor: a lone code
+    fragment (`_refinements`), or pieces of a built `SeparatedState`.
     """
+    table = universe_table(u)
     missing = sorted(r for r, e in resources.items() if e is None)
     given = [part for part in (code, frame) if part is not None]
     given += [e.state for _, e in resources.items() if isinstance(e, Available)]
-    fixed = tensor_all(given)
+    fixed = tensor_of(table, given)
     pieces = ([None] if code is None else []) + missing
     tests = [None] * (len(pieces) + (frame is None))
     if pred is not None:
@@ -288,30 +308,29 @@ def separations(target: MachineState, code, resources: fmap, frame, u: Universe,
         known = [(test(None), code)] if code is not None else []
         known += [(test(r), e.state) for r, e in resources.items()
                   if isinstance(e, Available)]
-        if not all(t is None or satisfies(part, *t, u) for t, part in known):
+        if not all(t is None or table.holds(part, *t) for t, part in known):
             return ()
         tests[:len(pieces)] = [test(piece) for piece in pieces]
     held = frozenset(r for r, e in resources.items() if isinstance(e, HeldBy))
-    combined = MachineState(target.memory, held)
+    combined = (_held_whole(table, target.memory), held)        # the machine key
     out = []
-    for parts, whole in component_assignments(target.memory, fixed, len(tests), u,
-                                               tests):
+    for parts, joined in component_assignments(target.memory, fixed, len(tests), u,
+                                                tests):
         parts = iter(parts)
         code_part = next(parts) if code is None else code
-        entries = dict(resources.items())
-        entries |= {r: Available(next(parts)) for r in missing}
+        entries = resources if not missing else fmap(    # shared when none is missing
+            resources._dict | {r: Available(next(parts)) for r in missing})
         frame_part = next(parts) if frame is None else frame
-        out.append(SeparatedState.known(code_part, fmap(entries), frame_part,
-                                        whole, combined))
+        out.append(SeparatedState.build(table, code_part, entries, frame_part,
+                                        joined, combined))
     return tuple(out)
 
 
 def enumerate_eve_moves(s: SeparatedState, m, outcomes, target: MachineState,
                         u: Universe, pred=None, rho: fmap = fmap()):
     """An iterator over the separated states reachable by a legal Eve move
-    labelled m (whose `outcomes` are as in legal_eve_move) that combine into
-    the given machine state and whose code fragment and available resources
-    pass their tests under `pred` (see separations)."""
+    labelled m, given its `machine_step` outcomes, that combine into target
+    and whose code and available resources pass their tests under `pred`."""
     if Return(target) not in outcomes:
         return iter(())
     entries = dict(s.resources.items())
@@ -330,16 +349,10 @@ def enumerate_eve_moves(s: SeparatedState, m, outcomes, target: MachineState,
 
 def sep_state_to_text(s: SeparatedState) -> str:
     """Rendered once per state; the state keeps the text."""
-    if s.text is not None:
-        return s.text
-    parts = []
-    for r, e in s.resources.items():
-        if isinstance(e, Available):
-            parts.append(f"{r}:avail{lstate_to_text(e.state)}")
-        else:
-            parts.append(f"{r}:{e.owner}")
-    res = " ".join(parts)
-    text = (f"code={lstate_to_text(s.code)} ; res=[{res}] ; "
-            f"frame={lstate_to_text(s.frame)}")
-    object.__setattr__(s, "text", text)
-    return text
+    if s.text is None:
+        text = lambda i: lstate_to_text(s.table.state(i))
+        res = " ".join(f"{r}:avail{text(e.state)}" if isinstance(e, Available)
+                       else f"{r}:{e.owner}" for r, e in s.resources.items())
+        object.__setattr__(s, "text", f"code={text(s.code)} ; res=[{res}] ; "
+                                      f"frame={text(s.frame)}")
+    return s.text

@@ -26,30 +26,31 @@ of the separated state and its premises' views:
   * conj plays its first premise and audits the second's claims, raising an
     alarm on divergence;
   * consequence changes no move, so its premise lifts in its place.
+Code fragments are universe-table indices (see `separation`).
 
 Membership is decided once, for the root: a lifter takes its trace's answer
 (verdict and witness) from its parent, which reads it off its own witness,
 and frame, conj and consequence hand their own answer to their premise.
 
-All choice points are resolved by deterministic search in enumeration order,
-so extraction is reproducible.  A failed search raises ExtractionFailure
-naming the rule node; an inconsistent reconstruction raises SoundnessAlarm.
-Traces ending in an error step admit no lifted move; such positions simply
-have no response, and the game makes them unreachable for provable programs.
+All choice points are resolved by deterministic search in enumeration order.
+A failed search raises ExtractionFailure naming the rule node; an
+inconsistent reconstruction raises SoundnessAlarm.  Traces ending in an
+error step admit no lifted move, and the game makes those positions
+unreachable for provable programs.
 """
 
 from __future__ import annotations
 
 from .game import replay_lines, sat_sep, winning_spec
-from .logic import (EMPTY_LSTATE, TOP, LogicalState, erase, first_split,
-                    lstate_to_text, satisfies, substates, tensor)
+from .logic import (EMPTY_LSTATE, TOP, erase, first_split, from_slots,
+                    lstate_to_text, satisfies, slots, substates, universe_table)
 from .machine import ABORT, IAcquire, IRelease, MachineState, eval_expr
 from .maps import fmap
 from .proof import ProofCheckResult
 from .semantics import (HideW, NOTIN, ParW, RETURNS, SeqLeftW, SeqSplitW,
                         denote, enumerate_traces)
 from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
-                         SeparatedState, SeparationError, combine)
+                         SeparatedState, SeparationError, join)
 from .syntax import FTrue, Star, Universe
 from .traces import ERR, Trace, restrict
 
@@ -73,6 +74,7 @@ class _Lifter:
         self.t = t
         self.u = u
         self.rho = rho
+        self.table = universe_table(u)
         self.answer = answer
         self.returning = answer[0] == RETURNS
         self.witness = answer[1]
@@ -84,8 +86,11 @@ class _Lifter:
     def _fail(self, reason):
         raise ExtractionFailure(self.path, self.node.tag, reason)
 
-    def _sat(self, sigma, f):
-        return satisfies(sigma, f, self.rho, self.u)
+    def _join(self, a: int, b: int, reason):
+        merged = join(self.table, a, b)
+        if merged is None:
+            raise SoundnessAlarm(f"{self.path}: {reason}")
+        return merged
 
     def _child(self, index, t, answer):
         node = self.node.children[index]
@@ -100,7 +105,7 @@ class _Lifter:
             self._fail(reason)
         return found
 
-    def start(self, code: LogicalState):
+    def start(self, code: int):
         raise NotImplementedError
 
     def eve(self, residue, k, code, resources):
@@ -116,40 +121,45 @@ class AtomLifter(_Lifter):
     def start(self, code):
         return ()
 
-    def _eval(self, e, code):
-        v = eval_expr(e, erase(code))
-        if v is ABORT:
+    def _owned_cell(self, e, code, what):
+        sigma = self.table.state(code)
+        loc = eval_expr(e, erase(sigma))
+        if loc is ABORT:
             raise SoundnessAlarm(
                 f"{self.path}: footprint expression not covered by the code fragment")
-        return v
+        if loc not in sigma.heap:
+            raise SoundnessAlarm(f"{self.path}: {what} cell not owned")
+        return loc
+
+    def _put(self, code: int, kind, key, value=None) -> int:
+        """The code with cell (kind, key) held whole at value, or dropped."""
+        table, cell = self.table, (kind, key)
+        part = None if value is None else table.parts.get((kind, key, value))
+        if code < len(table.states) and cell in table.cells and (value is None or part):
+            w = table.weights[table.cells.index(cell)]
+            return code - code // w % table.radix * w + (part[-1] if part else 0)
+        cells = {(c_kind, c_key): (v, p) for c_kind, c_key, v, p in slots(table.state(code))}
+        cells.pop(cell, None)
+        if value is not None:
+            cells[cell] = (value, TOP)
+        return table.intern(from_slots([(*c, v, p) for c, (v, p) in cells.items()]))
 
     def eve(self, residue, k, code, resources):
         if self.dead or not self.t.steps:
             return None
-        step = self.t.steps[0]
-        post = step.post.memory
+        post = self.t.steps[0].post.memory
         cmd = self.node.cmd
         tag = self.node.tag
         if tag in ("aff", "load"):
-            x = cmd.var
-            new_code = LogicalState(code.stack.set(x, (post.stack[x], TOP)),
-                                    code.heap)
+            new_code = self._put(code, "s", cmd.var, post.stack[cmd.var])
         elif tag == "store":
-            loc = self._eval(cmd.addr, code)
-            if loc not in code.heap:
-                raise SoundnessAlarm(f"{self.path}: stored cell not owned")
-            new_code = LogicalState(code.stack,
-                                    code.heap.set(loc, (post.heap[loc], TOP)))
+            loc = self._owned_cell(cmd.addr, code, "stored")
+            new_code = self._put(code, "h", loc, post.heap[loc])
         elif tag == "ext_alloc":
-            x = cmd.var
-            loc = post.stack[x]
-            new_code = LogicalState(code.stack.set(x, (loc, TOP)),
-                                    code.heap.set(loc, (post.heap[loc], TOP)))
+            loc = post.stack[cmd.var]
+            new_code = self._put(self._put(code, "s", cmd.var, loc), "h", loc, post.heap[loc])
         elif tag == "ext_dispose":
-            loc = self._eval(cmd.addr, code)
-            if loc not in code.heap:
-                raise SoundnessAlarm(f"{self.path}: disposed cell not owned")
-            new_code = LogicalState(code.stack, code.heap.remove(loc))
+            new_code = self._put(code, "h", self._owned_cell(cmd.addr, code, "disposed"))
         else:       # ext_skip: `_LIFTERS` gives this class no other axiom
             new_code = code
         return new_code, {}, ()
@@ -194,10 +204,7 @@ class ParLifter(_Lifter):
         if out is None:
             return None
         parts[side], updates, inners[side] = out
-        merged = tensor(*parts)
-        if merged is None:
-            raise SoundnessAlarm(f"{self.path}: {self.apart}")
-        return merged, updates, (*parts, *inners)
+        return self._join(*parts, self.apart), updates, (*parts, *inners)
 
 
 class ConjLifter(_Lifter):
@@ -207,7 +214,7 @@ class ConjLifter(_Lifter):
         self.audit_post = self.node.children[1].post
 
     def start(self, code):
-        if not self._sat(code, self.audit_pre):
+        if not self.table.holds(code, self.audit_pre, self.rho):
             raise SoundnessAlarm(
                 f"{self.path}: conj audit failed on the second precondition")
         return (self.inner.start(code),)
@@ -218,7 +225,7 @@ class ConjLifter(_Lifter):
             return None
         code2, updates, inner2 = out
         if self.returning and k == len(self.t) and \
-                not self._sat(code2, self.audit_post):
+                not self.table.holds(code2, self.audit_post, self.rho):
             raise SoundnessAlarm(
                 f"{self.path}: conj audit failed on the second postcondition")
         return code2, updates, (inner2,)
@@ -250,10 +257,8 @@ class ResLifter(_Lifter):
             if virt == HELD_BY_FRAME:
                 raise SoundnessAlarm(f"{self.path}: virtual resource went to the frame")
         if isinstance(virt, Available):
-            merged = tensor(a2, virt.state)
-            if merged is None:
-                raise SoundnessAlarm(
-                    f"{self.path}: virtual resource content no longer composes")
+            merged = self._join(a2, virt.state,
+                                "virtual resource content no longer composes")
         else:
             merged = a2
         return merged, updates, (virt, a2, r1b)
@@ -339,10 +344,8 @@ class GuardLifter(_Lifter):
             if not isinstance(entry, Available):
                 raise SoundnessAlarm(
                     f"{self.path}: acquire move without an available resource")
-            merged = tensor(code, entry.state)
-            if merged is None:
-                raise SoundnessAlarm(
-                    f"{self.path}: resource content does not compose with the code")
+            merged = self._join(code, entry.state,
+                                "resource content does not compose with the code")
             return merged, {m.lock: HELD_BY_CODE}, (idx, None)
         if isinstance(m, IRelease):
             j, q = self._first_split(
@@ -394,8 +397,7 @@ class ExtractedStrategy:
     def respond(self, key, position, state):
         """Eve's lifted move from an Adam state at an even position, neither
         checked here: both callers pass only states satisfying the position's
-        predicate and judge the move with `TraceGame.eve_fault`, on which
-        `check_winning_strategy` fails and `drive_play` raises SoundnessAlarm."""
+        predicate and judge the move with `TraceGame.eve_fault`."""
         out = self.lifter.eve(key, position // 2, state.code, state.resources)
         if out is None:
             return []
@@ -404,7 +406,7 @@ class ExtractedStrategy:
         for r, entry in updates.items():
             res2 = res2.set(r, entry)
         try:
-            s2 = SeparatedState(code2, res2, state.frame)
+            s2 = SeparatedState.build(self.game.table, code2, res2, state.frame)
         except SeparationError as exc:
             raise SoundnessAlarm(f"extracted move is not separated: {exc}")
         return [(s2, key2)]
@@ -427,7 +429,7 @@ def drive_play(strat, initial=None):
     spec = game.spec
     for i in range(1, game.last, 2):
         pred = spec.predicate_at(i + 1)
-        if combine(state) == game.state(i + 1) and sat_sep(state, pred, spec.rho, game.u):
+        if state.machine_key() == game.keys[i + 1] and sat_sep(state, pred, spec.rho, game.u):
             nxt = state
         else:
             nxt = next(iter(game.adam(i, state)), None)
@@ -480,14 +482,16 @@ def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
         return report
     rho = check.valuation
     pre_true = Star(node.pre, FTrue())
-    empty = fmap({r: Available(EMPTY_LSTATE) for r in u.locks})
+    table = universe_table(u)
+    empty = fmap({r: Available(table.intern(EMPTY_LSTATE)) for r in u.locks})
     starts = []
     for init in sorted(inits, key=lstate_to_text):
         label = lstate_to_text(init)
         if satisfies(init, pre_true, rho, u):
             a, b = next((a, b) for a, b in substates(init, u)
                         if satisfies(a, node.pre, rho, u))
-            starts.append((init, label, SeparatedState(a, empty, b)))
+            initial = SeparatedState.build(table, table.intern(a), empty, table.intern(b))
+            starts.append((init, label, initial))
         else:
             report["failures"].append(
                 {"init": label, "reason": "initial state does not satisfy P * true"})

@@ -8,8 +8,8 @@ and can be used as cache keys everywhere else.
 The test of an `if`, `while` or `with` is a formula over true, false, and, or
 and `=` of expressions: the logic reads it as the formula B of its rules, and
 the machine evaluates it (`machine.eval_bool`).  It is parsed with the
-formula grammar and checked for that shape, so it is the formula
-`parse_formula` reads from the same text; any other formula is rejected at
+formula grammar and checked for that shape, so it is the formula the
+formula grammar reads from the same text; any other formula is rejected at
 the test's first token.  Programs, formulas and proof scripts share one token
 pattern (`tokenize`); universe configs are read line by line.
 """
@@ -709,10 +709,6 @@ def _parse(text: str, start):
 
 def parse_program(text: str):
     return _parse(text, _Parser.command)
-
-
-def parse_formula(text: str):
-    return _parse(text, _Parser.formula)
 
 
 def parse_proof(text: str) -> ProofNode:

@@ -59,12 +59,6 @@ class Trace(Node):
     def errored(self) -> bool:
         return bool(self.steps) and self.steps[-1].status == ERR
 
-    def prefix(self, k: int) -> "Trace":
-        """The length-k path prefix; its target is the next code state."""
-        if k == len(self.steps):
-            return self
-        return Trace(self.source, self.steps[:k], self.steps[k].pre)
-
 
 # --- algebra -------------------------------------------------------------------
 

@@ -21,18 +21,19 @@ import pytest
 
 from sepgame.game import (CheckResult, TraceGame, check_winning_strategy, sat_sep,
                           solve_eve, winning_spec)
-from sepgame.logic import (EMPTY_LSTATE, all_logical_states, erase, lstate_from_text,
-                           lstate_to_text, satisfies, tensor)
-from sepgame.machine import MachineState, mstate
+from sepgame.logic import (all_logical_states, erase, lstate_from_text, lstate_to_text,
+                           satisfies)
+from sepgame.machine import MachineState
 from sepgame.maps import fmap
 from sepgame.proof import check_proof
 from sepgame.semantics import enumerate_traces
-from sepgame.separation import (Available, SeparatedState, combine,
-                                enumerate_eve_moves, sep_state_to_text)
+from sepgame.separation import (Available, SeparatedState, enumerate_eve_moves, join,
+                                sep_state_to_text)
 from sepgame.soundness import ExtractedStrategy
 from sepgame.syntax import (FTrue, Own, Star, parse_program, parse_proof,
                             parse_universe)
 
+from .builders import combine, mstate
 from .conftest import corpus_text
 from .test_soundness import CHAIN
 
@@ -210,9 +211,9 @@ def _mute(game, position, state, s3):
 
 def _code_to_frame(game, position, state, s3):
     """An illegal move: the code fragment handed to the frame."""
-    if s3.code.is_empty():
+    if not s3.code:     # index 0 is emp
         return s3
-    return SeparatedState(EMPTY_LSTATE, s3.resources, tensor(s3.code, s3.frame))
+    return SeparatedState.build(s3.table, 0, s3.resources, join(s3.table, s3.code, s3.frame))
 
 
 def _other_outcome(game, position, state, s3):
@@ -228,7 +229,7 @@ def _other_outcome(game, position, state, s3):
 def _empty_resources(game, position, state, s3):
     """A legal move that keeps every released resource's content in the code,
     which breaks an invariant that emp does not satisfy."""
-    resources = {r: Available(EMPTY_LSTATE) if isinstance(e, Available)
+    resources = {r: Available(0) if isinstance(e, Available)
                  and not isinstance(state.resources[r], Available) else e
                  for r, e in s3.resources.items()}
     if resources == dict(s3.resources):
@@ -236,8 +237,8 @@ def _empty_resources(game, position, state, s3):
     code = s3.code
     for r, e in s3.resources.items():
         if resources[r] != e:
-            code = tensor(code, e.state)
-    return SeparatedState(code, fmap(resources), s3.frame)
+            code = join(s3.table, code, e.state)
+    return SeparatedState.build(s3.table, code, fmap(resources), s3.frame)
 
 
 class _Corrupted:
@@ -361,7 +362,7 @@ def test_an_accepted_initial_play_outside_the_game_fails():
     (strat, t, spec), other = games[0], games[-1][0]
     assert combine(next(iter(other.initials))).memory != t.source.memory
     s = next(iter(strat.initials))
-    swapped = SeparatedState(s.frame, s.resources, s.code)
+    swapped = SeparatedState.build(s.table, s.frame, s.resources, s.code)
     assert combine(swapped) == t.source
     for extra, reason in [
             (next(iter(other.initials)), "initial state does not refine the source"),

@@ -22,15 +22,7 @@ PACKAGE = ROOT / "src" / "sepgame"
 CONFTEST = ROOT / "tests" / "conftest.py"
 SEARCHED = (ROOT / "src", ROOT / "tests", ROOT / "bench")
 ALLOWED = {"__version__"}
-TEST_ONLY = {
-    "lstate": "test constructor of logical states",
-    "mstate": "test constructor of machine states",
-    "sep_state": "test constructor of separated states",
-    "legal_adam_move": "the paper's definition of Adam's moves, which the "
-                       "game enumerates directly",
-    "parse_formula": "parser convenience for writing formulas in tests",
-    "Trace.prefix": "trace-algebra oracle for prefix closure",
-}
+TEST_ONLY = {}
 
 
 def _is_dunder(name):

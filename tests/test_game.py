@@ -10,31 +10,35 @@ from sepgame.game import (NoWin, SeparatedPredicate, SolvedStrategy, TraceGame,
                           adam_extensions, check_winning_strategy,
                           empty_winning_plays, replay_lines, sat_sep,
                           solve_eve, trace_state, winning_spec)
-from sepgame.logic import (EMPTY_LSTATE, _sat, erase, from_slots, lstate,
-                           lstate_from_text, lstate_to_text, slots, tensor_all,
-                           universe_table)
-from sepgame.machine import IAcquire, MachineState, MemoryState, machine_step, mstate
+from sepgame.logic import (EMPTY_LSTATE, _sat, erase, from_slots, lstate_from_text,
+                           lstate_to_text, slots, universe_table)
+from sepgame.machine import IAcquire, MachineState, MemoryState, machine_step
 from sepgame.maps import fmap
 from sepgame.proof import check_proof
 from sepgame.semantics import enumerate_traces
-from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
-                                combine, enumerate_eve_moves, sep_state,
-                                sep_state_to_text, separations)
+from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME, SeparatedState,
+                                enumerate_eve_moves, sep_state_to_text,
+                                separations)
 from sepgame.soundness import SoundnessAlarm, drive_play
-from sepgame.syntax import (AllocC, Assign, FTrue, Lit, Own, Store, parse_formula,
-                            parse_proof, parse_universe)
+from sepgame.syntax import (AllocC, Assign, FTrue, Lit, Own, Store, parse_proof,
+                            parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace
 
+from .builders import (combine, lstate, mstate, parse_formula, return_keys, sep_state,
+                       tensor_all)
 from .conftest import CORPUS, PROGRAMS, bench_script, corpus_text
 from .test_logic import _random_formula
 
 TOP = Fraction(1)
 
 
+U = parse_universe("vars = x, y\nlocs = 2\nvals = 0..1\n"
+                   "perms = 1/2, 1\nlocks = r\nmaxlen = 2\n")
+
+
 @pytest.fixture(scope="module")
 def u():
-    return parse_universe("vars = x, y\nlocs = 2\nvals = 0..1\n"
-                          "perms = 1/2, 1\nlocks = r\nmaxlen = 2\n")
+    return U
 
 
 def _assign_trace(u, var="x", value=1, start=0):
@@ -62,6 +66,16 @@ def test_winning_spec_indexing(u):
     assert returning1.predicate_at(3).pre == FTrue()
 
 
+def test_the_first_position_is_the_source(u):
+    """Position 1 is the trace's source, even where an environment move
+    separates it from the first step's pre-state."""
+    t = _assign_trace(u)
+    moved = Trace(mstate(stack={"x": 1}), t.steps, t.target)
+    assert trace_state(moved, 1) == moved.source != moved.steps[0].pre
+    assert trace_state(moved, 2) == moved.steps[0].pre
+    assert trace_state(moved, 4) == moved.target
+
+
 def test_the_spec_builds_its_game_once_per_trace(u):
     """A spec keeps the game of the trace and universe objects it was last
     asked for; an equal spec, trace or universe object gets a game of its
@@ -80,13 +94,13 @@ def test_the_spec_builds_its_game_once_per_trace(u):
 def test_sat_sep(u):
     ctx = fmap({"r": Own(TOP, "y")})
     sp = SeparatedPredicate(Own(TOP, "x"), ctx)
-    good = sep_state(code=lstate(stack={"x": (0, TOP)}),
+    good = sep_state(u, code=lstate(stack={"x": (0, TOP)}),
                      resources={"r": Available(lstate(stack={"y": (0, TOP)}))})
     assert sat_sep(good, sp, fmap(), u)
-    bad = sep_state(code=lstate(stack={"x": (0, TOP)}),
+    bad = sep_state(u, code=lstate(stack={"x": (0, TOP)}),
                     resources={"r": Available(EMPTY_LSTATE)})
     assert not sat_sep(bad, sp, fmap(), u)
-    held = sep_state(code=lstate(stack={"x": (0, TOP)}),
+    held = sep_state(u, code=lstate(stack={"x": (0, TOP)}),
                      resources={"r": HELD_BY_CODE})
     assert sat_sep(held, sp, fmap(), u)   # held resources are unconstrained
 
@@ -94,9 +108,9 @@ def test_sat_sep(u):
 def test_winning_play_prefix_closure(u):
     t = _assign_trace(u)
     spec = winning_spec(Own(TOP, "x"), fmap(), Own(TOP, "x"), t, returning=True)
-    s1 = sep_state(code=lstate(stack={"x": (0, TOP)}),
+    s1 = sep_state(u, code=lstate(stack={"x": (0, TOP)}),
                    resources={"r": Available(EMPTY_LSTATE)})
-    s3 = sep_state(code=lstate(stack={"x": (1, TOP)}),
+    s3 = sep_state(u, code=lstate(stack={"x": (1, TOP)}),
                    resources={"r": Available(EMPTY_LSTATE)})
     play = (s1, s1, s3, s3)
     for k in range(1, len(play) + 1):
@@ -160,7 +174,7 @@ class _Faulty:
 def _frame_changed(game, position, state):
     """Eve's first move, with its code fragment handed to the frame."""
     s3 = game.eve(position, state)[0]
-    return sep_state(resources=s3.resources, frame=s3.code)
+    return SeparatedState.build(s3.table, 0, s3.resources, s3.code)
 
 
 def _off_the_trace(game, position, state):
@@ -168,6 +182,7 @@ def _off_the_trace(game, position, state):
     k = position // 2
     outcomes = game.outcomes[k - 1]
     (other,) = (o.state for o in outcomes if o.state != game.state(position + 1))
+    assert game.returns[k - 1] == return_keys(outcomes, game.table)
     return next(enumerate_eve_moves(state, game.t.steps[k - 1].instr, outcomes,
                                     other, game.u))
 
@@ -231,9 +246,9 @@ def test_solver_strategy_plays_combine_into_the_trace(u):
 def test_replay_lines_shape(u):
     t = _assign_trace(u)
     spec = winning_spec(Own(TOP, "x"), fmap(), Own(TOP, "x"), t, returning=True)
-    s1 = sep_state(code=lstate(stack={"x": (0, TOP)}),
+    s1 = sep_state(u, code=lstate(stack={"x": (0, TOP)}),
                    resources={"r": Available(EMPTY_LSTATE)})
-    s3 = sep_state(code=lstate(stack={"x": (1, TOP)}),
+    s3 = sep_state(u, code=lstate(stack={"x": (1, TOP)}),
                    resources={"r": Available(EMPTY_LSTATE)})
     lines = replay_lines((s1, s1, s3, s3), t, spec, u)
     assert lines[0].startswith("I start")
@@ -247,7 +262,7 @@ def test_replay_lines_shape(u):
 # first refinement when the identity move does not satisfy the predicate.
 
 _ANY = SeparatedPredicate(FTrue(), fmap())
-_HALF_X = sep_state(code=lstate(stack={"x": (0, Fraction(1, 2))}),
+_HALF_X = sep_state(U, code=lstate(stack={"x": (0, Fraction(1, 2))}),
                     resources={"r": Available(EMPTY_LSTATE)},
                     frame=lstate(stack={"x": (0, Fraction(1, 2))}))
 
@@ -307,7 +322,10 @@ def test_adam_has_no_move_that_frees_a_code_held_lock(u):
 def _every_assignment(mu, fixed, n, u, tests=()):
     """component_assignments without tests, written out the plain way: every
     vector of n shares per cell whose total lies in (0,1], cell-major, with
-    the tensor of the fixed component and the n pieces."""
+    the tensor of the fixed component and the n pieces, as logical states
+    interned in the universe table."""
+    table = universe_table(u)
+    fixed = table.state(fixed)
     cells = ([("s", k, v) for k, v in mu.stack.items()]
              + [("h", k, v) for k, v in mu.heap.items()])
     fixed_cells = {(kind, k): (v, p) for kind, k, v, p in slots(fixed)}
@@ -325,15 +343,15 @@ def _every_assignment(mu, fixed, n, u, tests=()):
         parts = tuple(from_slots([(kind, k, v, qs[i])
                                   for (kind, k, v), qs in zip(cells, choice)])
                       for i in range(n))
-        yield parts, tensor_all([fixed, *parts])
+        yield tuple(map(table.intern, parts)), table.intern(tensor_all([fixed, *parts]))
 
 
 @pytest.mark.parametrize("perms", ["1/4, 1/2, 1", "1/3, 2/3, 1"])
 def test_indexed_builder_equals_the_filtered_product(perms):
     """On permissions the corpus never uses, component_assignments (pieces as
     universe-table indices, tests as model bits) yields the plain share
-    product filtered by _sat, in the same order, as the table's own states
-    wherever the table holds them.  Memories may hold cells no universe state
+    product filtered by _sat, in the same order, each piece the index of its
+    logical state.  Memories may hold cells no universe state
     holds: a value outside vals (an allocated location) or an undeclared
     variable."""
     u = parse_universe(f"vars = x, y\nlocs = 1\nvals = 0..1\nperms = {perms}\n"
@@ -358,16 +376,13 @@ def test_indexed_builder_equals_the_filtered_product(perms):
                             if (kind, k) in held or rng.random() < 0.1])
         tests = [None if rng.random() < 0.5 else (_random_formula(rng, u, 2), fmap())
                  for _ in range(n)]
+        fixed = table.intern(fixed)
         got = list(separation.component_assignments(mu, fixed, n, u, tests))
         assert got == [(parts, whole)
                        for parts, whole in _every_assignment(mu, fixed, n, u)
-                       if all(t is None or _sat(part, *t, u)
+                       if all(t is None or _sat(table.state(part), *t, u)
                               for part, t in zip(parts, tests))]
-        for part in (part for parts, _ in got for part in parts):
-            if part in table.index:
-                assert part is table.states[table.index[part]]
-            else:
-                off_table += 1
+        off_table += sum(part >= len(table.states) for parts, _ in got for part in parts)
         yielded += len(got)
     assert yielded > 2000 and off_table > 100
 
@@ -515,22 +530,29 @@ def test_each_eve_move_is_judged_once(monkeypatch, tmp_path, capsys):
     assert calls[0] == 456
 
 
-def test_the_chain_joins_half_as_often_and_renders_each_state_once(
+def test_the_chain_joins_indices_and_renders_each_state_once(
         monkeypatch, tmp_path, capsys):
-    """`emp` is the tensor's unit and a separated state keeps its text: on
-    the strategy-chain inputs, from cold memos, the per-cell join runs at
-    most half of the 24,224 times it ran when every `*` merged both maps
-    (11,344), and each of the separated states the sort keys and reports ask
-    about is rendered once (76 states, 1,900 renderings when each was
-    rendered afresh).  One game per trace sorts its initial states once: 380
-    sort keys asked, 1,140 when the extracted strategy, the checker and the
-    solver each built the game."""
-    joins, asked, pieces = [0], [], [0]
+    """Pieces are table indices and a separated state keeps its text: on the
+    strategy-chain inputs, from cold memos, no two logical states are
+    tensored (the per-cell join of logical states ran 11,344 times when the
+    pieces were logical states, 24,224 when every `*` merged both maps), the
+    digits of each of 64 pairs of indices are joined once, and each of the
+    separated states the sort keys and reports ask about is rendered once
+    (76 states, 1,900 renderings when each was rendered afresh).  One game
+    per trace sorts its initial states once: 380 sort keys asked, 1,140 when
+    the extracted strategy, the checker and the solver each built the
+    game."""
+    joins, index_joins, asked, pieces = [0], [0], [], [0]
     join, render, piece = logic._join, separation.sep_state_to_text, lstate_to_text
+    index_join = separation._join
 
     def counting_join(a, b):
         joins[0] += 1
         return join(a, b)
+
+    def counting_index_join(table, a, b):
+        index_joins[0] += 1
+        return index_join(table, a, b)
 
     def asking(s):
         asked.append(s)
@@ -540,16 +562,18 @@ def test_the_chain_joins_half_as_often_and_renders_each_state_once(
         pieces[0] += 1
         return piece(sigma)
     monkeypatch.setattr(logic, "_join", counting_join)
+    monkeypatch.setattr(separation, "_join", counting_index_join)
     monkeypatch.setattr(separation, "lstate_to_text", counting_piece)
     monkeypatch.setattr(game, "sep_state_to_text", asking)
     separation.separations.cache_clear()
     game._refinements.cache_clear()
     uni = tmp_path / "strategy-chain.uni"
     uni.write_text(corpus_text("par_writes.uni").replace("vals = 0..3", "vals = 0..1"))
+    universe_table(parse_universe(uni.read_text())).joins.clear()
     code = bench_script("chain").main([str(CORPUS / "par_writes.csl"),
                                        str(CORPUS / "par_writes.proof"), "-u", str(uni)])
     assert code == 0 and capsys.readouterr().out.endswith(", all pass\n")
-    assert 0 < joins[0] <= 24224 // 2
+    assert (joins[0], index_joins[0]) == (0, 64)
     states = set(asked)
     assert len(asked) == 380 and len(states) == 76
     # a rendering renders the code, each available resource and the frame

@@ -3,17 +3,17 @@ import random
 import pytest
 
 from sepgame import cli, machine
-from sepgame.machine import (ABORT, ERROR, IAcquire, INop, IRelease,
-                             MachineState, MemoryState, Return, eval_bool, eval_expr,
-                             instr_to_text, locks, locks_minus, locks_plus,
-                             machine_step, mstate, mstate_to_text,
-                             parse_mstate)
+from sepgame.machine import (ABORT, ERROR, IAcquire, INop, IRelease, MachineState,
+                             MemoryState, Return, eval_bool, eval_expr, instr_to_text,
+                             locks, locks_minus, locks_plus, machine_step,
+                             mstate_to_text, parse_mstate)
 from sepgame.maps import fmap
 from sepgame.semantics import all_machine_states, instruction_alphabet
 from sepgame.syntax import (Add, AllocC, Assign, DisposeC, FAnd, FEq, FFalse,
                             FOr, FTrue, Lit, Load, Store, Var,
                             parse_program, parse_universe)
 
+from .builders import mstate
 from .conftest import EXHAUSTIVE_UNIVERSE, PROGRAMS, corpus_text
 
 

@@ -17,19 +17,21 @@ from pathlib import Path
 import pytest
 
 import sepgame
-import sepgame.cli   # defines every Node subclass of the package
+import sepgame.soundness   # with what it imports, defines every Node subclass
 from sepgame import maps
-from sepgame.logic import EMPTY_LSTATE, LogicalState, lstate
-from sepgame.machine import INop, MachineState, MemoryState, mstate
+from sepgame.logic import EMPTY_LSTATE, LogicalState, universe_table
+from sepgame.machine import INop, MachineState, MemoryState
 from sepgame.maps import Node, fmap
-from sepgame.separation import (HELD_BY_CODE, HELD_BY_FRAME, Available,
-                                SeparatedState, SeparationError, sep_state,
-                                sep_state_to_text)
+from sepgame.separation import (HELD_BY_CODE, HELD_BY_FRAME, Available, SeparatedState,
+                                SeparationError, sep_state_to_text)
 from sepgame.syntax import (Add, Emp, FTrue, Lit, ParseError, Universe, Var,
                             parse_universe)
 from sepgame.traces import CodeTransition, TraceError
 
+from .builders import lstate, mstate, sep_state
+
 SRC = Path(sepgame.__file__).parent
+U = parse_universe("vars = x\nlocs = 2\nvals = 0..1\nperms = 1/2, 1\nlocks = p, q, r\n")
 
 
 def test_equality_needs_the_same_type_and_hash_is_the_field_tuple():
@@ -104,18 +106,20 @@ def test_fmap_order_is_only_among_fmaps():
 
 
 def test_separated_state_equality_and_hash_ignore_its_tensor():
-    code = lstate(stack={"x": (1, 1)})
-    s = sep_state(code=code, resources={"r": Available(EMPTY_LSTATE)})
-    t = SeparatedState(code, fmap({"r": Available(EMPTY_LSTATE)}), EMPTY_LSTATE)
+    table = universe_table(U)
+    code = table.intern(lstate(stack={"x": (1, 1)}))
+    s = sep_state(U, code=lstate(stack={"x": (1, 1)}),
+                  resources={"r": Available(EMPTY_LSTATE)})
+    t = SeparatedState.build(table, code, fmap({"r": Available(0)}), 0)
     assert s == t and hash(s) == hash(t)
-    assert s.tensor == code
-    assert hash(s) == hash((code, s.resources, EMPTY_LSTATE))
+    assert s.tensor == code and s.table is table
+    assert hash(s) == hash((code, s.resources, 0))
     assert SeparatedState.__match_args__ == ("code", "resources", "frame")
-    assert "tensor" not in repr(s)
+    assert "tensor" not in repr(s) and "table" not in repr(s)
 
 
 def test_a_separated_state_keeps_its_text_and_code_locks():
-    s = sep_state(code=lstate(stack={"x": (1, 1)}),
+    s = sep_state(U, code=lstate(stack={"x": (1, 1)}),
                   resources={"p": Available(EMPTY_LSTATE), "q": HELD_BY_FRAME,
                              "r": HELD_BY_CODE})
     assert s.text is None and s.code_locks is None
@@ -123,7 +127,7 @@ def test_a_separated_state_keeps_its_text_and_code_locks():
     assert text == "code={x=1@1|} ; res=[p:avail{|} q:F r:C] ; frame={|}"
     assert locks == {"r"}
     assert sep_state_to_text(s) is text and s.dom_code() is locks
-    t = SeparatedState(s.code, s.resources, s.frame)
+    t = SeparatedState.build(s.table, s.code, s.resources, s.frame)
     assert s == t and hash(s) == hash(t) and "text" not in repr(s)
 
 
@@ -193,7 +197,7 @@ _VALID = {
     "Universe": (("x",), (1,), (0, 1), (1,), ("r",)),
     "CodeTransition": (mstate(), INop(), mstate(), "ok"),
     "Trace": (mstate(), (), mstate()),
-    "SeparatedState": (EMPTY_LSTATE, fmap(), EMPTY_LSTATE),
+    "SeparatedState": (0, fmap(), 0),
     "WinningSpec": (FTrue(), fmap(), FTrue(), 2, True),
 }
 
@@ -240,7 +244,7 @@ def test_shape_methods_match_the_per_class_oracle(cls):
 def test_post_init_still_runs():
     full = lstate(stack={"x": (1, 1)})
     with pytest.raises(SeparationError):
-        SeparatedState(full, fmap(), full)
+        sep_state(U, full, (), full)
     with pytest.raises(TraceError):
         CodeTransition(mstate(), INop(), mstate(), "maybe")
     with pytest.raises(TraceError):

@@ -5,11 +5,11 @@ import ast
 import gc
 from pathlib import Path
 
-from sepgame.machine import mstate
 from sepgame.semantics import enumerate_traces
 from sepgame.syntax import parse_program, parse_universe
 from sepgame.traces import Trace
 
+from .builders import mstate
 from .conftest import EXHAUSTIVE_UNIVERSE
 
 SRC = Path(__file__).parent.parent / "src" / "sepgame"

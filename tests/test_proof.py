@@ -3,7 +3,9 @@ import pytest
 from sepgame import proof, soundness
 from sepgame.logic import entails
 from sepgame.proof import check_proof, formulas_match, normalize
-from sepgame.syntax import RULE_ARITY, parse_formula, parse_proof, parse_universe
+from sepgame.syntax import RULE_ARITY, parse_proof, parse_universe
+
+from .builders import parse_formula
 from .conftest import CORPUS, PROGRAMS, corpus_text
 from .printers import proof_to_text
 

@@ -2,9 +2,8 @@ import pytest
 
 from sepgame import machine
 from sepgame.logic import erase, lstate_from_text
-from sepgame.machine import (ABORT, ERROR, IAcquire, INop, IRelease,
-                             MachineState, Return, eval_bool, instr_to_text,
-                             machine_step, mstate)
+from sepgame.machine import (ABORT, ERROR, IAcquire, INop, IRelease, MachineState,
+                             Return, eval_bool, instr_to_text, machine_step)
 from sepgame.semantics import (IN, NOTIN, RETURNS, AtomTS, EnumerationBudget,
                                AtomW, GuardTS, GuardW, HideTS, HideW, ParTS, ParW,
                                SeqLeftW, SeqSplitW, SeqTS,
@@ -14,6 +13,7 @@ from sepgame.syntax import (Assign, FEq, FTrue, Lit, Var, parse_program,
                             parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace, restrict, shuffles
 
+from .builders import mstate, prefix
 from .conftest import PROGRAMS, corpus_text
 from .trace_algebra import hide, par_compose, seq_compose
 
@@ -252,7 +252,7 @@ def test_prefix_closure_on_enumerated_traces(u):
     sys = denote(prog, u)
     for t, ret, _ in enumerate_traces(prog, [S0], u):
         for k in range(len(t)):
-            assert sys.member(t.prefix(k))[0] != NOTIN
+            assert sys.member(prefix(t, k))[0] != NOTIN
 
 
 def test_returns_decompose_through_witnesses(u):
@@ -388,7 +388,7 @@ def test_interleavings_of_thread_traces_are_members():
     for t in interleavings:
         assert whole.member(t)[0] == RETURNS, _labels(t)
         for k in range(len(t)):
-            assert whole.member(t.prefix(k))[0] != NOTIN, (_labels(t), k)
+            assert whole.member(prefix(t, k))[0] != NOTIN, (_labels(t), k)
 
 
 def _well_bracketed(r, t):
@@ -539,7 +539,7 @@ def _agrees_with_search(prog, inits, u, policy=None):
     found = {t: (RETURNS if ret else IN, w)
              for t, ret, w in enumerate_traces(prog, inits, u, policy=policy)}
     for t, answer in found.items():
-        assert all(t.prefix(k) in found for k in range(len(t))), _labels(t)
+        assert all(prefix(t, k) in found for k in range(len(t))), _labels(t)
         assert sys.member(t) == answer == _search_member(sys, t), _labels(t)
     return len(found)
 

@@ -3,32 +3,33 @@ from fractions import Fraction
 import pytest
 
 from sepgame.game import TraceGame, winning_spec
-from sepgame.logic import (EMPTY_LSTATE, erase, lstate, tensor, tensor_all,
-                           universe_table)
-from sepgame.machine import (IAcquire, INop, IRelease, MachineState, Return,
-                             machine_step, mstate)
+from sepgame.logic import EMPTY_LSTATE, erase, tensor, universe_table
+from sepgame.machine import IAcquire, INop, IRelease, MachineState, Return, machine_step
 from sepgame.maps import fmap
 from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
-                                SeparatedState, SeparationError, combine,
-                                enumerate_eve_moves, legal_adam_move,
-                                legal_eve_move, sep_state, sep_state_to_text,
-                                separations)
+                                SeparationError, enumerate_eve_moves, legal_eve_move,
+                                sep_state_to_text, separations)
 from sepgame.syntax import Assign, FTrue, Lit, parse_universe
 from sepgame.traces import CodeTransition, Trace
 
+from .builders import (combine, legal_adam_move, lstate, mstate, pieces, return_keys,
+                       sep_state, tensor_all)
+
 HALF = Fraction(1, 2)
 TOP = Fraction(1)
+U = parse_universe("vars = x, y\nlocs = 2\nvals = 0..3\n"
+                   "perms = 1/2, 1\nlocks = r\nmaxlen = 4\n")
 
 
 @pytest.fixture(scope="module")
 def u():
-    return parse_universe("vars = x, y\nlocs = 2\nvals = 0..3\n"
-                          "perms = 1/2, 1\nlocks = r\nmaxlen = 4\n")
+    return U
 
 
 def _perm_profile(s):
-    return {("s", k): p for k, (_, p) in s.tensor.stack.items()} | \
-           {("h", k): p for k, (_, p) in s.tensor.heap.items()}
+    tensor = s.table.state(s.tensor)
+    return {("s", k): p for k, (_, p) in tensor.stack.items()} | \
+           {("h", k): p for k, (_, p) in tensor.heap.items()}
 
 
 def permission_conserving(s, s2) -> bool:
@@ -43,69 +44,75 @@ def _outcomes(s, m, u):
     return machine_step(combine(s), m, u)
 
 
-def test_combine_example():
-    s = sep_state(code=lstate(stack={"x": (1, HALF)}),
+def _legal(s, m, s2, outcomes):
+    """legal_eve_move under the machine keys of these outcomes."""
+    return legal_eve_move(s, m, s2, return_keys(outcomes, s.table))
+
+
+def test_combine_example(u):
+    s = sep_state(u, code=lstate(stack={"x": (1, HALF)}),
                   resources={"r": Available(lstate(stack={"y": (2, TOP)}))},
                   frame=lstate(stack={"x": (1, HALF)}))
     assert combine(s) == mstate(stack={"x": 1, "y": 2})
+    assert s.machine_key() == (s.table.intern(lstate(stack={"x": (1, TOP), "y": (2, TOP)})),
+                               frozenset())
 
 
-def test_held_resources_are_locked():
-    s = sep_state(resources={"r": HELD_BY_CODE})
+def test_held_resources_are_locked(u):
+    s = sep_state(u, resources={"r": HELD_BY_CODE})
     assert combine(s).locked == frozenset(["r"])
-    s2 = sep_state(resources={"r": HELD_BY_FRAME})
+    s2 = sep_state(u, resources={"r": HELD_BY_FRAME})
     assert combine(s2).locked == frozenset(["r"])
 
 
-def test_invariant_violation_rejected():
+def test_invariant_violation_rejected(u):
     with pytest.raises(SeparationError):
-        sep_state(code=lstate(stack={"x": (1, TOP)}),
+        sep_state(u, code=lstate(stack={"x": (1, TOP)}),
                   frame=lstate(stack={"x": (2, TOP)}))
 
 
 def test_acquire_move_legality(u):
     inv = lstate(stack={"y": (2, TOP)})
-    s = sep_state(code=lstate(stack={"x": (0, TOP)}),
-                  resources={"r": Available(inv)})
-    absorbed = tensor(s.code, inv)
-    s2 = SeparatedState(absorbed, fmap({"r": HELD_BY_CODE}), EMPTY_LSTATE)
+    code = lstate(stack={"x": (0, TOP)})
+    s = sep_state(u, code=code, resources={"r": Available(inv)})
+    absorbed = tensor(code, inv)
+    s2 = sep_state(u, absorbed, {"r": HELD_BY_CODE})
     m = IAcquire("r")
-    assert legal_eve_move(s, m, s2, _outcomes(s, m, u))
+    assert _legal(s, m, s2, _outcomes(s, m, u))
     # leaving the resource available violates the acquire condition
-    bad = SeparatedState(absorbed, fmap({"r": Available(EMPTY_LSTATE)}),
-                         EMPTY_LSTATE)
-    assert not legal_eve_move(s, m, bad, _outcomes(s, m, u))
+    bad = sep_state(u, absorbed, {"r": Available(EMPTY_LSTATE)})
+    assert not _legal(s, m, bad, _outcomes(s, m, u))
 
 
 def test_eve_moves_never_error(u):
     # an assignment whose value leaves the range has only an error step
-    s = sep_state(code=lstate(stack={"x": (0, TOP)}),
+    s = sep_state(u, code=lstate(stack={"x": (0, TOP)}),
                   resources={"r": Available(EMPTY_LSTATE)})
     m = Assign("x", Lit(9))
-    assert not legal_eve_move(s, m, s, _outcomes(s, m, u))
+    assert not _legal(s, m, s, _outcomes(s, m, u))
 
 
 def test_adam_moves(u):
-    s = sep_state(code=lstate(stack={"x": (0, TOP)}),
-                  resources={"r": Available(EMPTY_LSTATE)},
-                  frame=lstate(stack={"y": (0, TOP)}))
+    code, frame = lstate(stack={"x": (0, TOP)}), lstate(stack={"y": (0, TOP)})
+    empty = {"r": Available(EMPTY_LSTATE)}
+    s = sep_state(u, code, empty, frame)
     # the frame may rewrite its own variables
-    s2 = SeparatedState(s.code, s.resources, lstate(stack={"y": (3, TOP)}))
+    s2 = sep_state(u, code, empty, lstate(stack={"y": (3, TOP)}))
     assert legal_adam_move(s, s2)
     # the frame may take an available resource
-    s3 = SeparatedState(s.code, fmap({"r": HELD_BY_FRAME}), s.frame)
+    s3 = sep_state(u, code, {"r": HELD_BY_FRAME}, frame)
     assert legal_adam_move(s, s3)
     # it may not free a code-held one
-    held = SeparatedState(s.code, fmap({"r": HELD_BY_CODE}), s.frame)
-    freed = SeparatedState(s.code, fmap({"r": Available(EMPTY_LSTATE)}), s.frame)
+    held = sep_state(u, code, {"r": HELD_BY_CODE}, frame)
+    freed = sep_state(u, code, empty, frame)
     assert not legal_adam_move(held, freed)
     # and never touches the code fragment
-    s4 = SeparatedState(lstate(stack={"x": (1, TOP)}), s.resources, s.frame)
+    s4 = sep_state(u, lstate(stack={"x": (1, TOP)}), empty, frame)
     assert not legal_adam_move(s, s4)
 
 
 def test_enumerate_eve_moves_nop_identity(u):
-    s = sep_state(code=lstate(stack={"x": (0, TOP)}),
+    s = sep_state(u, code=lstate(stack={"x": (0, TOP)}),
                   resources={"r": Available(EMPTY_LSTATE)})
     m = INop()
     moves = list(enumerate_eve_moves(s, m, _outcomes(s, m, u), combine(s), u))
@@ -114,7 +121,7 @@ def test_enumerate_eve_moves_nop_identity(u):
 
 def test_enumerate_eve_moves_release_splits(u):
     code = lstate(stack={"x": (0, TOP), "y": (1, TOP)})
-    s = sep_state(code=code, resources={"r": HELD_BY_CODE})
+    s = sep_state(u, code=code, resources={"r": HELD_BY_CODE})
     target = combine(s).with_locked(frozenset())
     m = IRelease("r")
     moves = list(enumerate_eve_moves(s, m, _outcomes(s, m, u), target, u))
@@ -123,26 +130,26 @@ def test_enumerate_eve_moves_release_splits(u):
         assert isinstance(s2.resources["r"], Available)
         assert combine(s2) == target
     # every split of the code fragment shows up, including keep-all and give-all
-    released = {s2.resources["r"].state for s2 in moves}
+    released = {pieces(s2)[1]["r"] for s2 in moves}
     assert EMPTY_LSTATE in released
     assert code in released
 
 
 def test_eve_moves_map_to_code_transitions(u):
-    s = sep_state(code=lstate(stack={"x": (0, TOP)}),
+    s = sep_state(u, code=lstate(stack={"x": (0, TOP)}),
                   resources={"r": Available(EMPTY_LSTATE)})
     m = Assign("x", Lit(1))
     outcomes = _outcomes(s, m, u)
     (out,) = outcomes
     moves = list(enumerate_eve_moves(s, m, outcomes, out.state, u))
     for s2 in moves:
-        assert legal_eve_move(s, m, s2, outcomes)
+        assert _legal(s, m, s2, outcomes)
         assert Return(combine(s2)) in machine_step(combine(s), m, u)
         assert s2.frame == s.frame        # Eve preserves the frame
     # legality as defined does not force permission conservation; the
     # diagnostic tells the conserving moves apart
     conserving = [s2 for s2 in moves if permission_conserving(s, s2)]
-    assert sep_state(code=lstate(stack={"x": (1, TOP)}),
+    assert sep_state(u, code=lstate(stack={"x": (1, TOP)}),
                      resources={"r": Available(EMPTY_LSTATE)}) in conserving
     assert len(conserving) < len(moves)
 
@@ -162,7 +169,7 @@ def _eve_texts(s, m, target, u):
 
 
 def test_eve_move_order_assign(u2):
-    s = sep_state(code=lstate(stack={"x": (0, TOP)}),
+    s = sep_state(u2, code=lstate(stack={"x": (0, TOP)}),
                   resources={"r": Available(EMPTY_LSTATE)})
     assert _eve_texts(s, Assign("x", Lit(1)), mstate(stack={"x": 1}), u2) == [
         "code={x=1@1/2|} ; res=[r:avail{|}] ; frame={|}",
@@ -171,7 +178,7 @@ def test_eve_move_order_assign(u2):
 
 
 def test_eve_move_order_acquire(u2):
-    s = sep_state(code=lstate(stack={"x": (0, TOP)}),
+    s = sep_state(u2, code=lstate(stack={"x": (0, TOP)}),
                   resources={"r": Available(lstate(stack={"y": (1, TOP)}))})
     target = mstate(stack={"x": 0, "y": 1}, locked={"r"})
     assert _eve_texts(s, IAcquire("r"), target, u2) == [
@@ -183,7 +190,7 @@ def test_eve_move_order_acquire(u2):
 
 
 def test_eve_move_order_release(u2):
-    s = sep_state(code=lstate(stack={"x": (0, TOP)}), resources={"r": HELD_BY_CODE})
+    s = sep_state(u2, code=lstate(stack={"x": (0, TOP)}), resources={"r": HELD_BY_CODE})
     assert _eve_texts(s, IRelease("r"), mstate(stack={"x": 0}), u2) == [
         "code={|} ; res=[r:avail{x=0@1/2|}] ; frame={|}",
         "code={|} ; res=[r:avail{x=0@1|}] ; frame={|}",
@@ -210,7 +217,7 @@ def _cases():
     empty = Available(EMPTY_LSTATE)
 
     def st(code, r, frame=EMPTY_LSTATE):
-        return SeparatedState(code, fmap({"r": r}), frame)
+        return sep_state(U, code, {"r": r}, frame)
 
     memory = {"x": 0, "y": 2}
     return {
@@ -242,9 +249,9 @@ def test_each_lock_condition_rejects_its_move(u, case):
     s, m, good, bad, extra = CASES[case]
     outcomes = _outcomes(s, m, u) | frozenset(extra)
     assert Return(combine(bad)) in outcomes and bad.frame == s.frame
-    assert not legal_eve_move(s, m, bad, outcomes)
+    assert not _legal(s, m, bad, outcomes)
     if good is not None:
-        assert legal_eve_move(s, m, good, outcomes)
+        assert _legal(s, m, good, outcomes)
 
 
 def _one_step_game(s, m, u):
@@ -295,17 +302,43 @@ def test_separations_states_come_with_their_tensor(case):
     u = parse_universe(f"vars = x, y\nlocs = 2\nvals = 0..1\nperms = {perms}\n"
                        "locks = q, r\n")
     table = universe_table(u)
+    code = None if code is None else table.intern(code)
     states = separations(target, code, fmap(entries), None, u)
     assert len(states) > 10
     off = 0
     for s in states:
-        whole = tensor_all([s.code, *(e.state for _, e in s.resources.items()
-                                      if isinstance(e, Available)), s.frame])
+        code, resources, frame = pieces(s)
+        whole = tensor_all([code, *(p for p in resources.values() if p is not None), frame])
         held = frozenset(r for r, e in s.resources.items()
                          if not isinstance(e, Available))
-        assert s.tensor == whole
+        assert s.tensor == table.intern(whole)
         assert combine(s) == MachineState(erase(whole), held)
-        if whole in table.index:
-            assert s.tensor is table.states[table.index[whole]]
-        off += whole not in table.index
+        assert s.machine_key() == (table.intern(lstate(
+            {k: (v, 1) for k, v in target.memory.stack.items()},
+            {k: (v, 1) for k, v in target.memory.heap.items()})), held)
+        off += s.tensor >= len(table.states)
     assert off == {"off the table": len(states), "no permission": 6}.get(case, 0)
+
+
+# --- the lock conditions enumerate_eve_moves tests before it builds anything -------
+
+def test_no_eve_move_acquires_a_resource_that_is_not_available(u):
+    """An acquire whose outcome test passes, from an Adam state whose frame
+    holds the resource, has no move."""
+    s = sep_state(u, code=lstate(stack={"x": (0, TOP)}), resources={"r": HELD_BY_FRAME})
+    m = IAcquire("r")
+    outcomes = machine_step(mstate(stack={"x": 0}), m, u)
+    target = mstate(stack={"x": 0}, locked={"r"})
+    assert Return(target) in outcomes
+    assert list(enumerate_eve_moves(s, m, outcomes, target, u)) == []
+
+
+def test_no_eve_move_releases_a_resource_the_code_does_not_hold(u):
+    """A release whose outcome test passes, from an Adam state whose frame
+    holds the resource, has no move."""
+    s = sep_state(u, code=lstate(stack={"x": (0, TOP)}), resources={"r": HELD_BY_FRAME})
+    m = IRelease("r")
+    outcomes = machine_step(mstate(stack={"x": 0}, locked={"r"}), m, u)
+    target = mstate(stack={"x": 0})
+    assert Return(target) in outcomes
+    assert list(enumerate_eve_moves(s, m, outcomes, target, u)) == []

@@ -22,16 +22,15 @@ import pytest
 
 from sepgame.game import (NoWin, SolvedStrategy, TraceGame, check_winning_strategy,
                           sat_sep, solve_eve, winning_spec)
-from sepgame.logic import EMPTY_LSTATE
+from sepgame.logic import universe_table
 from sepgame.maps import fmap
-from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
-                                SeparatedState, enumerate_eve_moves,
-                                legal_adam_move, legal_eve_move)
-from sepgame.syntax import (FTrue, Lit, Store, parse_formula, parse_proof,
-                            parse_universe)
-from sepgame.machine import IAcquire, IRelease, machine_step, mstate
+from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME, SeparatedState,
+                                enumerate_eve_moves, legal_eve_move)
+from sepgame.syntax import FTrue, Lit, Store, parse_proof, parse_universe
+from sepgame.machine import IAcquire, IRelease, machine_step
 from sepgame.traces import ERR, CodeTransition, Trace
 
+from .builders import legal_adam_move, mstate, parse_formula
 from .test_checker_memo import (_Asking, _chain_games, _extracted_games,
                                 _strategy_chain_games)
 from .test_game import _every_assignment
@@ -267,12 +266,13 @@ def _every_separated_state(target, u):
     particular order, with no test on its pieces."""
     free = sorted(set(u.locks) - target.locked)
     held = sorted(target.locked)
+    table = universe_table(u)
     for owners in itertools.product((HELD_BY_CODE, HELD_BY_FRAME), repeat=len(held)):
         for (code, *avail, frame), _ in _every_assignment(
-                target.memory, EMPTY_LSTATE, 2 + len(free), u):
+                target.memory, 0, 2 + len(free), u):
             entries = dict(zip(held, owners)) | {
                 r: Available(p) for r, p in zip(free, avail)}
-            yield SeparatedState(code, fmap(entries), frame)
+            yield SeparatedState.build(table, code, fmap(entries), frame)
 
 
 @pytest.mark.parametrize("name", ["lock_transfer", "lock_pair", "strategy-chain"])
@@ -308,7 +308,7 @@ def test_moves_depend_only_on_their_keys(name):
             k = i // 2 - 1
             moves = game.eve(i, s2)
             assert set(moves) == {s3 for s3 in satisfying(i + 1) if legal_eve_move(
-                s2, t.steps[k].instr, s3, game.outcomes[k])}
+                s2, t.steps[k].instr, s3, game.returns[k])}
             assert moves == solver.eve(i, s2)
             codes = [(s3.code, s3.dom_code()) for s3 in moves]
             key = _eve_key(t, i, s2)

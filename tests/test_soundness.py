@@ -15,18 +15,19 @@ from sepgame import game, separation
 from sepgame.game import (NoWin, TraceGame, check_winning_strategy, solve_eve,
                           winning_spec)
 from sepgame.logic import (EMPTY_LSTATE, erase, lstate_from_text, lstate_to_text,
-                           satisfies, substates, tensor_all, universe_table)
+                           satisfies, substates, universe_table)
 from sepgame.machine import MachineState
 from sepgame.maps import fmap
 from sepgame.proof import check_proof
 from sepgame.semantics import enumerate_traces
-from sepgame.separation import (HELD_BY_CODE, Available, SeparatedState, combine,
+from sepgame.separation import (HELD_BY_CODE, Available, SeparatedState, machine_key,
                                 sep_state_to_text)
 from sepgame.soundness import (ExtractedStrategy, ExtractionFailure,
                                SoundnessAlarm, drive_play, verify_corollary)
 from sepgame.syntax import FTrue, Star, parse_proof, parse_universe
 from sepgame.traces import Trace
 
+from .builders import combine, pieces, tensor_all
 from .conftest import CORPUS, bench_script, corpus_text
 
 # program -> (non-error traces, play nodes the checker explores over them,
@@ -187,7 +188,8 @@ def test_verify_starts_at_an_initial_position_and_ends_in_the_post(name):
     starts = full = 0
     for init in inits:
         a, b = next((a, b) for a, b in substates(init, u) if satisfies(a, node.pre, rho, u))
-        initial = SeparatedState(a, fmap({r: Available(EMPTY_LSTATE) for r in u.locks}), b)
+        initial = SeparatedState.build(table, table.intern(a), fmap(
+            {r: Available(table.intern(EMPTY_LSTATE)) for r in u.locks}), table.intern(b))
         start = MachineState(erase(init), frozenset())
         for t, returning, _ in enumerate_traces(node.cmd, [start], u, policy="passive"):
             if t.errored:
@@ -200,7 +202,7 @@ def test_verify_starts_at_an_initial_position_and_ends_in_the_post(name):
             except ExtractionFailure:
                 continue
             if len(play) == spec.last and returning:
-                assert satisfies(play[-1].code, node.post, rho, u)
+                assert satisfies(table.state(play[-1].code), node.post, rho, u)
                 full += 1
     assert starts > len(inits) > 0
     assert (full > 0) == (name in CHAIN)     # seq_load_store: ROADMAP item 1
@@ -247,7 +249,7 @@ def test_memo_and_stored_tensors_are_never_stale(tmp_path, capsys, monkeypatch):
     (vals = 0..1) and over lock_transfer from its inits, every memoised
     separations tuple equals a fresh enumeration, in order, and every state
     it holds keeps the tensor of its pieces and combines as that tensor
-    does."""
+    does (`machine_key`)."""
     memo = separation.separations
     calls = set()
 
@@ -270,12 +272,14 @@ def test_memo_and_stored_tensors_are_never_stale(tmp_path, capsys, monkeypatch):
         cached = memo(*args)
         assert cached == memo.__wrapped__(*args)
         for s in cached:
-            pieces = [s.code, *(e.state for _, e in s.resources.items()
-                                if isinstance(e, Available)), s.frame]
+            code, resources, frame = pieces(s)
+            whole = tensor_all([code, *(p for p in resources.values() if p is not None),
+                                frame])
             locked = frozenset(r for r, e in s.resources.items()
                                if not isinstance(e, Available))
-            assert s.tensor == tensor_all(pieces)
-            assert combine(s) == MachineState(erase(tensor_all(pieces)), locked)
+            assert s.tensor == s.table.intern(whole)
+            assert combine(s) == MachineState(erase(whole), locked)
+            assert s.machine_key() == machine_key(combine(s), s.table)
         held += len(cached)
     assert held > 1000
 
@@ -311,7 +315,7 @@ def test_kept_texts_and_code_locks_are_never_stale(tmp_path, capsys, monkeypatch
     assert len(responses) > 100 and len(states) > 1000
     assert sum(s.text is not None for s in states) >= 76
     for s in states:
-        fresh = SeparatedState(s.code, s.resources, s.frame)
+        fresh = SeparatedState.build(s.table, s.code, s.resources, s.frame)
         assert sep_state_to_text(s) == sep_state_to_text(fresh)
         assert s.dom_code() == frozenset(
             r for r, e in s.resources.items() if e == HELD_BY_CODE)

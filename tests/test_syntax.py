@@ -5,15 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from sepgame.syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, FAnd,
-                            FEq, FFalse, FImplies, FNot, FOr, Forall, FTrue,
-                            IfC, Lit, Load, Mul, Own, ParC, ParseError,
-                            PointsTo, ResourceC, SeqC, Skip, Star, Store, Token,
-                            Var, While, WithWhen,
-                            formula_to_text, parse_formula,
-                            parse_program, parse_proof, parse_universe,
-                            program_to_text, tokenize)
+from sepgame.syntax import (Add, AllocC, Assign, DisposeC, Emp, Exists, FAnd, FEq,
+                            FFalse, FImplies, FNot, FOr, Forall, FTrue, IfC, Lit, Load,
+                            Mul, Own, ParC, ParseError, PointsTo, ResourceC, SeqC, Skip,
+                            Star, Store, Token, Var, While, WithWhen, formula_to_text,
+                            parse_program, parse_proof, parse_universe, program_to_text,
+                            tokenize)
 
+from .builders import parse_formula
 from .conftest import CORPUS, PROGRAMS, corpus_text
 from .printers import proof_to_text, universe_to_text
 

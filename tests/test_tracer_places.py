@@ -21,10 +21,13 @@ SPANS = tracer.FUNCTION_SPANS | tracer.GENERATOR_SPANS
 # the logic.satisfies span keeps its places in game, soundness and logic.
 # soundness stopped calling adam_extensions and empty_winning_plays when
 # every walker of a play came to read the rules from game.TraceGame; both
-# spans keep their places in game.
+# spans keep their places in game.  game stopped calling satisfies when
+# sat_sep came to test one models bit per piece on the pieces' table
+# indices (UniverseTable.holds); the logic.satisfies span keeps its places
+# in soundness and logic.
 GONE = {("sepgame.game", "component_assignments"), ("sepgame.cli", "satisfies"),
         ("sepgame.soundness", "adam_extensions"),
-        ("sepgame.soundness", "empty_winning_plays")}
+        ("sepgame.soundness", "empty_winning_plays"), ("sepgame.game", "satisfies")}
 
 SPAN_PLACES = sorted({(name, place, attr)
                       for name, places in SPANS.items()

@@ -3,11 +3,12 @@ import math
 
 import pytest
 
-from sepgame.machine import INop, IAcquire, instr_to_text, mstate
+from sepgame.machine import INop, IAcquire, instr_to_text
 from sepgame.semantics import enumerate_traces
 from sepgame.syntax import Assign, Lit, parse_program, parse_universe
 from sepgame.traces import (ERR, OK, CodeTransition, Trace, TraceError, restrict,
                             shuffles, step_to_text, trace_to_lines)
+from .builders import mstate
 from .conftest import EXHAUSTIVE_UNIVERSE, TraceGen
 from .trace_algebra import hide, par_compose, par_compose_by_shuffle, seq_compose
 from .test_machine import _oracle_mstate_to_text
