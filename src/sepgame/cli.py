@@ -2,8 +2,8 @@
 
 Exit codes: 0 pass; 1 logical failure (rejected proof, counterexample,
 unwinnable game, a strategy that cannot be extracted or breaks its own
-invariants, a vacuous `game` / `solve` run whose trace has no initial
-refinement, or a vacuous `verify` run that checks no trace and finds no
+invariants, a trace with no initial refinement in `game`, `solve` or
+`verify`, or a vacuous `verify` run that checks no trace and finds no
 failure); 2 usage or I/O error or malformed input, a negative `--maxlen`,
 `--max-traces` or `--budget` included; 3 enumeration budget exceeded.
 
@@ -293,17 +293,13 @@ def cmd_game(args) -> int:
         lines.extend(replay_lines(play, t, strat.spec, u))
     else:
         lines.append("replay: no winning initial state (vacuous game)")
-    if strat.initials:
-        check = check_winning_strategy(strat, t, strat.spec, u, budget=args.budget)
-        verdict, reason = check.verdict, check.reason
-    else:
-        verdict, reason = "vacuous", "no initial refinement"
+    check = check_winning_strategy(strat, t, strat.spec, u, budget=args.budget)
     lines.append("")
-    lines.append(f"strategy check: {verdict} ({reason})")
+    lines.append(f"strategy check: {check.verdict} ({check.reason})")
     _write_out("\n".join(lines), args.output)
-    if verdict == "unknown":
+    if check.verdict == "unknown":
         return 3
-    return 0 if verdict == "pass" else 1
+    return 0 if check else 1
 
 
 def cmd_solve(args) -> int:

@@ -147,7 +147,10 @@ class TraceGame:
     `last`: Adam moves at an odd position i < last, Eve plays code step
     i // 2 at an even one.  `outcomes` holds each code step's `machine_step`
     outcomes from its pre-state, which every Adam state before it combines
-    into, `returns` their machine keys, and `keys[i]` that of position i."""
+    into, `returns` their machine keys, and `keys[i]` that of position i.
+    Eve owes the post: on a returning trace, a play at last - 1 is won only
+    if Adam can move to the final position, keeping Eve's code fragment.
+    Elsewhere a position with no Adam move ends the play, won by Eve."""
 
     def __init__(self, t: Trace, spec: WinningSpec, u: Universe):
         self.t, self.spec, self.u = t, spec, u
@@ -197,7 +200,7 @@ class TraceGame:
 
 class CheckResult:
     def __init__(self, verdict: str, reason: str = "", counterexample: tuple = ()):
-        # verdict: "pass" | "fail" | "unknown"
+        # verdict: "pass" | "fail" | "unknown" | "vacuous" (no initial refinement)
         self.verdict, self.reason, self.counterexample = verdict, reason, counterexample
 
     def __bool__(self):
@@ -211,7 +214,10 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
     Checks: (a) every reachable play is winning and every Eve response is a
     legal move combining into the trace, (b) every empty winning play is
     accepted, (c) every winning Adam extension with a pending code step gets
-    an Eve response.
+    an Eve response, (d) on a returning trace, every play at last - 1 has an
+    Adam move to the final position, since Eve owes the post there; elsewhere
+    a position with no Adam move ends the play.  A game with no initial
+    refinement is vacuous, not won.
 
     A strategy is a function of (key, position, state): each question is
     asked and judged once, and a play node that meets it again pushes
@@ -228,6 +234,8 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
             return CheckResult("fail", "initial state does not refine the source", (s,))
         if s not in game.initials:
             return CheckResult("fail", "accepted initial play is not winning", (s,))
+    if not game.initials:
+        return CheckResult("vacuous", "no initial refinement")
 
     visited = set()
     judged = set()       # (position, Adam state, key) asked and judged
@@ -242,7 +250,10 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
         if budget is not None and explored > budget:
             return CheckResult("unknown", "enumeration budget exceeded", play)
         if i == game.last - 1:
-            continue  # only the final Adam move remains; any refinement wins
+            if spec.returning and not game.adam(i, s):
+                return CheckResult(
+                    "fail", f"no refinement satisfies the post at position {i + 1}", play)
+            continue
         for s2 in game.adam(i, s):
             if (i + 1, s2, key) in judged:
                 continue
@@ -310,8 +321,11 @@ class SolvedStrategy:
         self._explored += 1
         if self.budget is not None and self._explored > self.budget:
             raise EnumerationBudget(f"more than {self.budget} solver nodes")
-        ok = self._adam[key] = i >= self.game.last - 1 or all(
-            self._some_move_survives(i + 1, s2) for s2 in self.game.adam(i, s))
+        if i < self.game.last - 1:
+            ok = all(self._some_move_survives(i + 1, s2) for s2 in self.game.adam(i, s))
+        else:       # Eve owes the post at the final position of a returning trace
+            ok = not self.game.spec.returning or bool(self.game.adam(i, s))
+        self._adam[key] = ok
         return ok
 
     def _some_move_survives(self, i: int, s2: SeparatedState) -> bool:

@@ -35,7 +35,7 @@ from sepgame.syntax import (FTrue, Own, Star, parse_program, parse_proof,
 
 from .builders import combine, mstate
 from .conftest import corpus_text
-from .test_soundness import CHAIN
+from .test_soundness import CHAIN, FALSE_TRIPLE
 
 
 def _checker_without_memo(strat, t, spec, u, budget=None) -> CheckResult:
@@ -50,6 +50,8 @@ def _checker_without_memo(strat, t, spec, u, budget=None) -> CheckResult:
             return CheckResult("fail", "initial state does not refine the source", (s,))
         if s not in game.initials:
             return CheckResult("fail", "accepted initial play is not winning", (s,))
+    if not game.initials:
+        return CheckResult("vacuous", "no initial refinement")
 
     visited = set()
     frontier = [(1, s, accepted[s], (s,)) for s in game.initials]
@@ -63,6 +65,9 @@ def _checker_without_memo(strat, t, spec, u, budget=None) -> CheckResult:
         if budget is not None and explored > budget:
             return CheckResult("unknown", "enumeration budget exceeded", play)
         if i == game.last - 1:
+            if spec.returning and not game.adam(i, s):
+                return CheckResult(
+                    "fail", f"no refinement satisfies the post at position {i + 1}", play)
             continue
         for s2 in game.adam(i, s):
             responses = list(strat.respond(key, i + 1, s2))
@@ -144,6 +149,21 @@ def test_the_memo_changes_no_verdict_on_the_chain(name):
     for strat, t, spec in games:
         new, old = _both(strat, t, spec, u)
         assert new == old and new[0] == "pass"
+
+
+def test_the_memo_changes_no_verdict_on_the_false_triple():
+    """Both checkers fail the false triple's returning traces at the final
+    position, with the same counterexample play."""
+    u = parse_universe(corpus_text("framed_assign.uni"))
+    inits = [lstate_from_text(line) for line in
+             corpus_text("framed_assign.inits").splitlines() if line.strip()]
+    _, games = _extracted_games(u, parse_proof(FALSE_TRIPLE), inits)
+    verdicts = []
+    for strat, t, spec in games:
+        new, old = _both(strat, t, spec, u)
+        assert new == old
+        verdicts.append(new[0])
+    assert sorted(verdicts) == ["fail", "fail", "pass", "pass"]
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN))

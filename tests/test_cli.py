@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -111,11 +112,19 @@ def test_verify_rejects_inits_outside_the_precondition(tmp_path, capsys):
         ["ext_conseq"])
 
 
-def test_verify_refers_a_proof_with_a_context_to_the_game(capsys):
+def test_verify_plays_the_game_of_a_proof_with_a_context(capsys):
+    """The game puts the context's resources into its initial positions.
+    40 of conj_precise's 200 traces have no initial refinement and fail
+    rather than pass vacuously; the other 80 returning traces raise the conj
+    audit's alarm (ROADMAP item 1)."""
     code, out, err = _main(_verb("verify", "conj_precise"), capsys)
     assert (code, err) == (1, "")
-    assert json.loads(out) == _verify_report("conj_precise", [
-        {"reason": "context is not empty; use game-level checking"}], [])
+    report = json.loads(out)
+    assert (report["traces_checked"], report["returning"]) == (200, 100)
+    assert Counter((f["reason"], f["trace_len"]) for f in report["failures"]) == {
+        ("no initial refinement", 0): 20,
+        ("no initial refinement", 1): 20,
+        ("soundness alarm: root: conj audit failed on the second postcondition", 1): 80}
 
 
 def test_extraction_failure_is_a_report_entry(capsys):
@@ -144,8 +153,10 @@ def _verify_false_triple(tmp_path, capsys, *extra):
 
 
 FALSE_TRIPLE_FAILURES = [
-    {"init": "{x=0@1,y=3@1|}", "reason": "play stalled after 3 states", "trace_len": 1},
-    {"init": "{x=2@1,y=0@1|}", "reason": "play stalled after 3 states", "trace_len": 1}]
+    {"init": "{x=0@1,y=3@1|}", "trace_len": 1,
+     "reason": "no refinement satisfies the post at position 4"},
+    {"init": "{x=2@1,y=0@1|}", "trace_len": 1,
+     "reason": "no refinement satisfies the post at position 4"}]
 
 
 def test_verify_refutes_the_false_triple(tmp_path, capsys):
@@ -187,6 +198,21 @@ def test_emit_replays_of_the_false_triple(tmp_path, capsys):
     code, report, err = _verify_false_triple(tmp_path, capsys, "--emit-replays")
     assert (code, err, report["failures"]) == (1, "", FALSE_TRIPLE_FAILURES)
     assert report["replays"] == FALSE_TRIPLE_REPLAYS
+
+
+@pytest.mark.parametrize("verb, line", [
+    ("game", "strategy check: fail (no refinement satisfies the post at position 4)"),
+    ("solve", "counterexample initial: code={x=0@1,y=0@1|} ; res=[r:avail{|}] ; frame={|}"),
+])
+def test_game_and_solve_refute_the_false_triple(tmp_path, capsys, verb, line):
+    """Trace 11 runs `x := 1` from x = 0, y = 0: Eve's code fragment breaks
+    the post's x = 2, so Adam has no move to the final position 4."""
+    proof = tmp_path / "false_triple.proof"
+    proof.write_text(FALSE_TRIPLE)
+    code, out, err = _main([verb, _corpus("framed_assign", ".csl"), str(proof),
+                            "-u", _corpus("framed_assign", ".uni"), "--allow-extensions",
+                            "--maxlen", "3", "--trace-index", "11"], capsys)
+    assert (code, out.splitlines()[-1], err) == (1, line, "")
 
 
 @pytest.mark.parametrize("name, index, message", [
@@ -244,8 +270,12 @@ def test_covered_game_and_solve_exit_0(capsys, verb, line):
     assert out.splitlines()[-1] == line
 
 
-ALLOC_PROOF = """(ext_alloc pre: own_1(x) * (X = 0) cmd: x := alloc(0)
-           post: own_1(x) * (x |-> X) val: [X = 0])
+# ext_alloc's own post has no model (ROADMAP item 1), so the proof weakens
+# it to one that has
+ALLOC_PROOF = """(ext_conseq pre: own_1(x) * (X = 0) cmd: x := alloc(0)
+             post: own_1(x) and (x |-> X) val: [X = 0]
+  (ext_alloc pre: own_1(x) * (X = 0) cmd: x := alloc(0)
+             post: own_1(x) * (x |-> X) val: [X = 0]))
 """
 
 

@@ -34,19 +34,30 @@ from .builders import legal_adam_move, mstate, parse_formula
 from .test_checker_memo import (_Asking, _chain_games, _extracted_games,
                                 _strategy_chain_games)
 from .test_game import _every_assignment
-from .test_soundness import CHAIN, SEQ_PROOF, _load
+from .test_soundness import CHAIN, FALSE_TRIPLE, SEQ_PROOF, _load
 
 
 class _SolverWithoutProjection:
     """`SolvedStrategy` before the projection: whether Eve survives is kept
     per (position, separated state), and Eve's moves per (position, Adam
-    state)."""
+    state).  On a returning trace, a state at the last but one position
+    survives when some separated state of the target satisfying the post
+    keeps its code fragment and code-held locks (`legal_adam_move`)."""
 
     def __init__(self, t, spec, u):
         self.game = TraceGame(t, spec, u)
         self.initials = self.game.initials
         self._explored = 0
         self._memo, self._eve = {}, {}
+        self._finals = None
+
+    def finals(self):
+        """Every separated state of the target that satisfies the post."""
+        if self._finals is None:
+            game, spec = self.game, self.game.spec
+            self._finals = [s2 for s2 in _every_separated_state(game.state(game.last), game.u)
+                            if sat_sep(s2, spec.predicate_at(game.last), spec.rho, game.u)]
+        return self._finals
 
     def eve(self, i, s):
         hit = self._eve.get((i, s))
@@ -63,10 +74,12 @@ class _SolverWithoutProjection:
             return hit
         self._explored += 1
         if i >= self.game.last - 1:
-            return True
-        ok = self._memo[i, s] = all(
-            any(self.survives(i + 2, s3) for s3 in self.eve(i + 1, s2))
-            for s2 in self.game.adam(i, s))
+            ok = not self.game.spec.returning or any(
+                legal_adam_move(s, s2) for s2 in self.finals())
+        else:
+            ok = all(any(self.survives(i + 2, s3) for s3 in self.eve(i + 1, s2))
+                     for s2 in self.game.adam(i, s))
+        self._memo[i, s] = ok
         return ok
 
     def initial_nodes(self):
@@ -127,6 +140,15 @@ def test_the_projection_changes_no_solution(name):
         fewer += new < old
         asked += n
     assert asked and (fewer or name == "framed_assign")
+
+
+def test_both_solvers_hold_eve_to_the_post():
+    """On the false triple's returning traces `x := 1` breaks the post, and
+    both solvers find no win, with the same counterexample."""
+    u, _, _, inits = _load("framed_assign")
+    _, games = _extracted_games(u, parse_proof(FALSE_TRIPLE), inits)
+    lost = [_same_solutions(t, spec, u) is None for _, t, spec in games]
+    assert sorted(lost) == [False, False, True, True]
 
 
 def test_the_projection_keeps_the_losing_initial_state():
