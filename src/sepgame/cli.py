@@ -17,11 +17,22 @@ The names this module reads from a layer are module globals all the same:
 a verb binds them before it runs, keeping a name already bound, and
 `__getattr__` imports a name's layer on first access.  So a wrapper patched
 onto a name here (the benchmark's tracer does that) is what the verb calls.
+
+`process_main` is the process entry, run by `python -m sepgame.cli` and by
+the `sepgame` script.  Once `main` has written the verdict it freezes the
+heap (`gc.freeze`), so the interpreter's collections at exit skip every
+object alive by then: the caches, universe tables and records a verdict
+builds, and the interpreter's own.  On a `check` over a two-location
+universe those passes took longer than the check itself.  `main` itself freezes nothing and
+importing this module registers nothing, because tests and the benchmark's
+tracer call `main` in process, where a freeze would keep their objects for
+the rest of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import os
 import sys
@@ -173,24 +184,25 @@ def _load_checked_proof(args, u):
     return node, result
 
 
-def _full_perm_states(u):
-    """The logical states over the universe that hold every slot whole."""
-    return [sigma for sigma in all_logical_states(u)
+def _full_perm_states(states):
+    """The logical states among `states` that hold every slot whole."""
+    return [sigma for sigma in states
             if all(p == 1 for _, (_, p) in sigma.stack.items() + sigma.heap.items())]
 
 
 def _full_perm_inits(pre, rho, u):
-    """Initial logical states for the corollary: every full-permission state
-    over the universe satisfying P * true, read off the universe table's
-    models (rho binds every logical variable of an accepted proof)."""
+    """Initial logical states for the corollary: the universe table's
+    full-permission states satisfying P * true, in the table's order, read
+    off its models (rho binds every logical variable of an accepted proof)."""
     table = universe_table(u)
     models = table.models(Star(pre, FTrue()), rho)
-    chosen = {sigma for i, sigma in enumerate(table.states) if models >> i & 1}
-    return [sigma for sigma in _full_perm_states(u) if sigma in chosen]
+    return _full_perm_states(sigma for i, sigma in enumerate(table.states)
+                             if models >> i & 1)
 
 
 def _full_perm_machine_states(u):
-    return {MachineState(erase(sigma), frozenset()) for sigma in _full_perm_states(u)}
+    return {MachineState(erase(sigma), frozenset())
+            for sigma in _full_perm_states(all_logical_states(u))}
 
 
 def cmd_run(args) -> int:
@@ -401,5 +413,14 @@ def main(argv=None) -> int:
         raise
 
 
+def process_main() -> int:
+    """`main` on the process's arguments, then a frozen heap: the verdict is
+    written (stdout flushed, an --output file closed) by the time `main`
+    returns, and the collections at exit pass over no object alive now."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())
