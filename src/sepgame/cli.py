@@ -37,9 +37,9 @@ import importlib
 import os
 import sys
 
-from .syntax import (AllocC, Assign, FTrue, Load, Own, ParseError, ResourceC, Star,
-                     Var, WithWhen, is_logical_name, parse_program, parse_proof,
-                     parse_universe, subterms)
+from .syntax import (AllocC, Assign, Load, Own, ParseError, ResourceC, Var, WithWhen,
+                     is_logical_name, parse_program, parse_proof, parse_universe,
+                     subterms)
 
 # The names this module reads from each layer past syntax.
 _LAYERS = {
@@ -52,7 +52,7 @@ _LAYERS = {
     "separation": ("sep_state_to_text",),
     "game": ("NoWin", "check_winning_strategy", "replay_lines", "solve_eve"),
     "soundness": ("ExtractedStrategy", "ExtractionFailure", "SoundnessAlarm",
-                  "drive_play", "verify_corollary"),
+                  "initial_condition", "verify_corollary"),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
 
@@ -190,12 +190,13 @@ def _full_perm_states(states):
             if all(p == 1 for _, (_, p) in sigma.stack.items() + sigma.heap.items())]
 
 
-def _full_perm_inits(pre, rho, u):
+def _full_perm_inits(node, rho, u):
     """Initial logical states for the corollary: the universe table's
-    full-permission states satisfying P * true, in the table's order, read
-    off its models (rho binds every logical variable of an accepted proof)."""
+    full-permission states satisfying `initial_condition`, in the table's
+    order, read off its models (rho binds every logical variable of an
+    accepted proof)."""
     table = universe_table(u)
-    models = table.models(Star(pre, FTrue()), rho)
+    models = table.models(initial_condition(node), rho)
     return _full_perm_states(sigma for i, sigma in enumerate(table.states)
                              if models >> i & 1)
 
@@ -257,7 +258,7 @@ def cmd_verify(args) -> int:
         inits = [_read_lstate(line, u) for line in _read(args.inits).splitlines()
                  if line.strip() and not line.strip().startswith("#")]
     else:
-        inits = _full_perm_inits(node.pre, result.valuation, u)
+        inits = _full_perm_inits(node, result.valuation, u)
     report = verify_corollary(result, node, inits, u, maxlen=args.maxlen,
                               emit_replays=args.emit_replays,
                               program_label=args.program,
@@ -299,13 +300,12 @@ def cmd_game(args) -> int:
              f"returning={'yes' if ret else 'no'}"]
     lines.extend(trace_to_lines(t))
     lines.append("")
-    play = drive_play(strat)
-    if play:
+    check = check_winning_strategy(strat, t, strat.spec, u, budget=args.budget)
+    if check.play:
         lines.append("replay:")
-        lines.extend(replay_lines(play, t, strat.spec, u))
+        lines.extend(replay_lines(check.play, t, strat.spec, u))
     else:
         lines.append("replay: no winning initial state (vacuous game)")
-    check = check_winning_strategy(strat, t, strat.spec, u, budget=args.budget)
     lines.append("")
     lines.append(f"strategy check: {check.verdict} ({check.reason})")
     _write_out("\n".join(lines), args.output)

@@ -4,11 +4,12 @@ Eve solver used as an independent oracle.
 A play over a trace of length p visits positions 1..2p+2; odd-to-even moves
 are Adam's (environment), even-to-odd moves are Eve's (one code step).
 `TraceGame` is the one owner of a trace's rules, built once by the trace's
-`WinningSpec` and read by the checker, the solver, the extracted strategy
-and `drive_play`: the positions and their machine states, the initial
-refinements, Adam's moves (the refinements of the next machine state that
-keep the code fragment and satisfy the next predicate), Eve's moves and
-their judge.
+`WinningSpec` and read by the checker, the solver and the extracted
+strategy: the positions and their machine states, the initial refinements,
+Adam's moves (the refinements of the next machine state that keep the code
+fragment and satisfy the next predicate), Eve's moves and their judge.  The
+checker is the one walker of a strategy's plays, and the play its verdict
+rests on is the replay that `game` and `verify --emit-replays` print.
 
 A position's predicate has one definition, `separation.piece_test`: the code
 against pre, an available resource against its context invariant; the frame
@@ -199,9 +200,9 @@ class TraceGame:
 # --- strategy checking --------------------------------------------------------------
 
 class CheckResult:
-    def __init__(self, verdict: str, reason: str = "", counterexample: tuple = ()):
+    def __init__(self, verdict: str, reason: str = "", play: tuple = ()):
         # verdict: "pass" | "fail" | "unknown" | "vacuous" (no initial refinement)
-        self.verdict, self.reason, self.counterexample = verdict, reason, counterexample
+        self.verdict, self.reason, self.play = verdict, reason, play
 
     def __bool__(self):
         return self.verdict == "pass"
@@ -218,6 +219,12 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
     Adam move to the final position, since Eve owes the post there; elsewhere
     a position with no Adam move ends the play.  A game with no initial
     refinement is vacuous, not won.
+
+    The result's play is the one its verdict rests on: on a fail or an
+    unknown, the play at the node that failed or broke the budget; on a
+    pass, the first play the search ends, at last - 1 with Adam's first
+    move to the final position when he has one, or at an odd position
+    where Adam has no move; on a vacuous game, none.
 
     A strategy is a function of (key, position, state): each question is
     asked and judged once, and a play node that meets it again pushes
@@ -240,7 +247,7 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
     visited = set()
     judged = set()       # (position, Adam state, key) asked and judged
     frontier = [(1, s, accepted[s], (s,)) for s in game.initials]
-    explored = 0
+    explored, ended = 0, ()     # ended: the first play the search ends
     while frontier:
         i, s, key, play = frontier.pop()
         if (i, s, key) in visited:
@@ -250,11 +257,16 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
         if budget is not None and explored > budget:
             return CheckResult("unknown", "enumeration budget exceeded", play)
         if i == game.last - 1:
-            if spec.returning and not game.adam(i, s):
+            moves = game.adam(i, s) if spec.returning or not ended else ()
+            if spec.returning and not moves:
                 return CheckResult(
                     "fail", f"no refinement satisfies the post at position {i + 1}", play)
+            ended = ended or play + moves[:1]
             continue
-        for s2 in game.adam(i, s):
+        moves = game.adam(i, s)
+        if not moves:
+            ended = ended or play
+        for s2 in moves:
             if (i + 1, s2, key) in judged:
                 continue
             judged.add((i + 1, s2, key))
@@ -271,7 +283,7 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
                     return CheckResult("fail", fault, play + (s2, s3))
                 if (i + 2, s3, key2) not in visited:
                     frontier.append((i + 2, s3, key2, play + (s2, s3)))
-    return CheckResult("pass", f"explored {explored} play nodes")
+    return CheckResult("pass", f"explored {explored} play nodes", ended)
 
 
 # --- brute-force solver ----------------------------------------------------------------

@@ -52,9 +52,6 @@ class LogicalState(Node):
         return not (self.stack._dict or self.heap._dict)
 
 
-EMPTY_LSTATE = LogicalState()
-
-
 def _join(a: fmap, b: fmap):
     if not b._dict:
         return a

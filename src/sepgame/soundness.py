@@ -43,8 +43,8 @@ from __future__ import annotations
 
 from . import game as game_layer
 from .game import replay_lines, winning_spec
-from .logic import (EMPTY_LSTATE, TOP, erase, first_split, from_slots,
-                    lstate_to_text, satisfies, slots, substates, universe_table)
+from .logic import (TOP, erase, first_split, from_slots, lstate_to_text, satisfies,
+                    slots, universe_table)
 from .machine import ABORT, IAcquire, IRelease, MachineState, eval_expr
 from .maps import fmap
 from .proof import ProofCheckResult
@@ -413,38 +413,16 @@ class ExtractedStrategy:
         return [(s2, key2)]
 
 
-# --- driving plays and the corollary -------------------------------------------------
+# --- the corollary -------------------------------------------------------------------
 
-def drive_play(strat, initial=None):
-    """Unfold one play of the strategy along its game's trace, preferring
-    identity Adam moves; returns the tuple of visited states (possibly
-    partial).  Each of the strategy's moves is judged by the game, and a
-    faulty one raises SoundnessAlarm."""
-    initials = dict(strat.initial_nodes())
-    state = next(iter(initials), None) if initial is None else initial
-    if state not in initials:
-        return ()
-    key = initials[state]
-    play = (state,)
-    game = strat.game
-    for i in range(1, game.last, 2):
-        moves = game.adam(i, state)
-        nxt = state if state in moves else next(iter(moves), None)
-        if nxt is None:
-            break
-        state = nxt
-        play += (state,)
-        if i + 1 == game.last:
-            break
-        responses = strat.respond(key, i + 1, state)
-        if not responses:
-            break
-        state, key = responses[0]
-        fault = game.eve_fault(i + 1, play[-1], state)
-        if fault is not None:
-            raise SoundnessAlarm(f"extracted move: {fault}")
-        play += (state,)
-    return play
+def initial_condition(node):
+    """P * I_1 * ... * I_n * true for the proof's precondition P and its
+    context's invariants I_r: the initial states whose games have an
+    initial position (the rest of the state goes to the frame)."""
+    f = node.pre
+    for _, inv in node.ctx.items():
+        f = Star(f, inv)
+    return Star(f, FTrue())
 
 
 def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
@@ -452,17 +430,16 @@ def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
                      program_label="", proof_label="") -> dict:
     """Check the corollary of an accepted proof (`sepgame verify` reports a
     rejected one itself) under the passive environment, by the game alone:
-    from every initial state satisfying P * true, no trace errs, and on every
-    other trace the extracted strategy passes `check_winning_strategy`, which
-    holds Eve to the post at the final position and fails a vacuous game.
+    from every initial state satisfying `initial_condition`, no trace errs,
+    and on every other trace the extracted strategy passes
+    `check_winning_strategy`, which holds Eve to the post at the final
+    position and fails a vacuous game.
 
-    Failures list the initial states outside P * true first, then the failing
-    traces in enumeration order.  A strategy that cannot be extracted or
-    breaks its own invariants on a trace is a failure of that trace.  A
-    replay drives one play from the init's first split (a, b) in `substates`
-    order with a satisfying P: code a, every resource available and empty,
-    frame b; with an empty context, an initial position of every trace's
-    game (tests/test_soundness.py says why).
+    Failures list the initial states outside that condition first, then the
+    failing traces in enumeration order.  A strategy that cannot be
+    extracted or breaks its own invariants on a trace is a failure of that
+    trace.  The replay of a checked trace is the play the checker's verdict
+    rests on (`CheckResult.play`).
     """
     report = {
         "program": program_label,
@@ -475,27 +452,21 @@ def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
         "extension_rules_used": sorted({tag for _, tag in check.extensions_used}),
     }
     rho = check.valuation
-    pre_true = Star(node.pre, FTrue())
+    condition = initial_condition(node)
     inits = sorted(inits, key=lstate_to_text)
-    starts = [init for init in inits if satisfies(init, pre_true, rho, u)]
+    starts = [init for init in inits if satisfies(init, condition, rho, u)]
     report["failures"] += [{"init": lstate_to_text(init),
                             "reason": "initial state does not satisfy P * true"}
                            for init in inits if init not in starts]
-    table = universe_table(u)
-    empty = fmap({r: Available(table.intern(EMPTY_LSTATE)) for r in u.locks})
     replays = []
     for init in starts:
-        label, initial = lstate_to_text(init), None
-        if emit_replays:
-            a, b = next((a, b) for a, b in substates(init, u)
-                        if satisfies(a, node.pre, rho, u))
-            initial = SeparatedState.build(table, table.intern(a), empty, table.intern(b))
+        label = lstate_to_text(init)
         start = MachineState(erase(init), frozenset())
         for t, returning, _ in enumerate_traces(node.cmd, [start], u,
                                                 maxlen=maxlen, policy="passive"):
             report["traces_checked"] += 1
             report["returning"] += int(returning)
-            reason, replay = _judge_trace(node, t, u, rho, initial)
+            reason, replay = _judge_trace(node, t, u, rho, emit_replays)
             if reason is not None:
                 report["failures"].append(
                     {"init": label, "trace_len": len(t), "reason": reason})
@@ -506,19 +477,18 @@ def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
     return report
 
 
-def _judge_trace(node, t: Trace, u: Universe, rho: fmap, initial):
-    """Why one passive trace breaks the corollary, or None; and, given an
-    initial state, the replay of the play driven from it."""
+def _judge_trace(node, t: Trace, u: Universe, rho: fmap, emit_replay: bool):
+    """Why one passive trace breaks the corollary, or None; and, when asked
+    for, the replay of the checked trace's play."""
     if t.errored:
         return "error step in a passive-environment trace", None
     try:
         strat = ExtractedStrategy(node, t, u, rho)
         # read off the module, so that a wrapper patched onto it sees the call
         result = game_layer.check_winning_strategy(strat, t, strat.spec, u)
-        play = None if initial is None else drive_play(strat, initial=initial)
     except ExtractionFailure as exc:
         return f"extraction failed: {exc}", None
     except SoundnessAlarm as exc:
         return f"soundness alarm: {exc}", None
-    replay = None if play is None else replay_lines(play, t, strat.spec, u)
+    replay = replay_lines(result.play, t, strat.spec, u) if emit_replay else None
     return (None if result else result.reason), replay

@@ -4,13 +4,14 @@ table's indices and enumerates moves directly."""
 
 from fractions import Fraction
 
-from sepgame.logic import (EMPTY_LSTATE, LogicalState, erase, first_split, tensor,
-                           universe_table)
+from sepgame.logic import LogicalState, erase, first_split, tensor, universe_table
 from sepgame.machine import MachineState, MemoryState, Return
 from sepgame.maps import fmap
 from sepgame.separation import Available, HeldBy, SeparatedState, machine_key
 from sepgame.syntax import _Parser, _parse
 from sepgame.traces import Trace
+
+EMPTY_LSTATE = LogicalState()       # emp, the unit of the tensor
 
 
 def lstate(stack=(), heap=()) -> LogicalState:

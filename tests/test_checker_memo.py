@@ -1,8 +1,8 @@
 """The strategy checker asks and judges each (position, Adam state, key)
 once.  `_checker_without_memo` is the checker as it was before: it asks the
 strategy about every edge of the play graph and judges every answer again.
-Both must return the same verdict, reason and counterexample play, on
-passing strategies, on strategies that fail in each of the ways the judge
+Both must return the same verdict, reason and play, the passing play
+included, on passing strategies, on strategies that fail in each of the ways the judge
 knows, and under every budget.
 
 Why a question met again may push nothing: its first asker, a node at
@@ -55,7 +55,7 @@ def _checker_without_memo(strat, t, spec, u, budget=None) -> CheckResult:
 
     visited = set()
     frontier = [(1, s, accepted[s], (s,)) for s in game.initials]
-    explored = 0
+    explored, ended = 0, ()
     while frontier:
         i, s, key, play = frontier.pop()
         if (i, s, key) in visited:
@@ -64,12 +64,16 @@ def _checker_without_memo(strat, t, spec, u, budget=None) -> CheckResult:
         explored += 1
         if budget is not None and explored > budget:
             return CheckResult("unknown", "enumeration budget exceeded", play)
+        moves = game.adam(i, s)
         if i == game.last - 1:
-            if spec.returning and not game.adam(i, s):
+            if spec.returning and not moves:
                 return CheckResult(
                     "fail", f"no refinement satisfies the post at position {i + 1}", play)
+            ended = ended or play + moves[:1]
             continue
-        for s2 in game.adam(i, s):
+        if not moves:
+            ended = ended or play
+        for s2 in moves:
             responses = list(strat.respond(key, i + 1, s2))
             if not responses:
                 return CheckResult(
@@ -83,15 +87,14 @@ def _checker_without_memo(strat, t, spec, u, budget=None) -> CheckResult:
                     return CheckResult("fail", fault, play + (s2, s3))
                 if (i + 2, s3, key2) not in visited:
                     frontier.append((i + 2, s3, key2, play + (s2, s3)))
-    return CheckResult("pass", f"explored {explored} play nodes")
+    return CheckResult("pass", f"explored {explored} play nodes", ended)
 
 
 def _both(strat, t, spec, u, budget=None):
     """The results of the checker and of the oracle, as comparable tuples."""
     new = check_winning_strategy(strat, t, spec, u, budget)
     old = _checker_without_memo(strat, t, spec, u, budget)
-    return ((new.verdict, new.reason, new.counterexample),
-            (old.verdict, old.reason, old.counterexample))
+    return ((new.verdict, new.reason, new.play), (old.verdict, old.reason, old.play))
 
 
 def _extracted_games(u, node, inits):
@@ -153,7 +156,7 @@ def test_the_memo_changes_no_verdict_on_the_chain(name):
 
 def test_the_memo_changes_no_verdict_on_the_false_triple():
     """Both checkers fail the false triple's returning traces at the final
-    position, with the same counterexample play."""
+    position, with the same play."""
     u = parse_universe(corpus_text("framed_assign.uni"))
     inits = [lstate_from_text(line) for line in
              corpus_text("framed_assign.inits").splitlines() if line.strip()]

@@ -113,18 +113,29 @@ def test_verify_rejects_inits_outside_the_precondition(tmp_path, capsys):
 
 
 def test_verify_plays_the_game_of_a_proof_with_a_context(capsys):
-    """The game puts the context's resources into its initial positions.
-    40 of conj_precise's 200 traces have no initial refinement and fail
-    rather than pass vacuously; the other 80 returning traces raise the conj
-    audit's alarm (ROADMAP item 1)."""
+    """The game puts the context's resources into its initial positions, so
+    `verify` picks the inits satisfying P * I_r * true: every one of
+    conj_precise's 160 traces has an initial refinement, and its 80
+    returning traces raise the conj audit's alarm (ROADMAP item 1)."""
     code, out, err = _main(_verb("verify", "conj_precise"), capsys)
     assert (code, err) == (1, "")
     report = json.loads(out)
-    assert (report["traces_checked"], report["returning"]) == (200, 100)
+    assert (report["traces_checked"], report["returning"]) == (160, 80)
     assert Counter((f["reason"], f["trace_len"]) for f in report["failures"]) == {
-        ("no initial refinement", 0): 20,
-        ("no initial refinement", 1): 20,
         ("soundness alarm: root: conj audit failed on the second postcondition", 1): 80}
+
+
+def test_emit_replays_under_a_context(capsys):
+    """A replay is the checker's play, so under a context it starts at an
+    initial position of the game: r holds y, which its invariant owns."""
+    code, out, err = _main(_verb("verify", "conj_precise", "--emit-replays", "--inits",
+                                 _corpus("conj_precise", ".inits")), capsys)
+    assert (code, err) == (1, "")
+    (replay,) = json.loads(out)["replays"]
+    assert (replay["init"], replay["trace_len"]) == ("{x=0@1,y=0@1|}", 0)
+    assert replay["lines"] == [
+        f"{label} -> code={{x=0@1|}} ; res=[r:avail{{y=0@1|}}] ; frame={{|}} ; P{i} ; pass"
+        for i, label in enumerate(["I start", "A env"], start=1)]
 
 
 def test_extraction_failure_is_a_report_entry(capsys):
@@ -192,12 +203,35 @@ FALSE_TRIPLE_REPLAYS = [
 
 
 def test_emit_replays_of_the_false_triple(tmp_path, capsys):
-    """A replay of every trace, the refuted ones included.  A refuted
-    length-1 trace replays as three lines, all pass: the replay stops before
-    the position that failed (ROADMAP item 12)."""
+    """A replay of every checked trace, the refuted ones included: the play
+    the checker's verdict rests on.  A refuted length-1 trace replays as the
+    checker's counterexample, three lines, all pass: Adam has no move from
+    its last state to the final position 4, so the post fails there
+    (ROADMAP item 12)."""
     code, report, err = _verify_false_triple(tmp_path, capsys, "--emit-replays")
     assert (code, err, report["failures"]) == (1, "", FALSE_TRIPLE_FAILURES)
     assert report["replays"] == FALSE_TRIPLE_REPLAYS
+
+
+def _play_false_triple(tmp_path, capsys, verb):
+    """game or solve on trace 11 of the false triple at maxlen 3."""
+    proof = tmp_path / "false_triple.proof"
+    proof.write_text(FALSE_TRIPLE)
+    return _main([verb, _corpus("framed_assign", ".csl"), str(proof),
+                  "-u", _corpus("framed_assign", ".uni"), "--allow-extensions",
+                  "--maxlen", "3", "--trace-index", "11"], capsys)
+
+
+def test_game_replays_the_counterexample_of_the_false_triple(tmp_path, capsys):
+    """`game` prints the checker's play as its replay: on a refuted trace,
+    the counterexample that ends where Adam has no move to the post."""
+    code, out, err = _play_false_triple(tmp_path, capsys, "game")
+    assert (code, err) == (1, "")
+    assert out.split("replay:\n")[1].splitlines() == _replay(
+        "I start -> code={x=0@1,y=0@1|}",
+        "A env -> code={x=0@1,y=0@1|}",
+        "E x := 1 -> code={x=1@1,y=0@1|}") + [
+        "", "strategy check: fail (no refinement satisfies the post at position 4)"]
 
 
 @pytest.mark.parametrize("verb, line", [
@@ -207,11 +241,7 @@ def test_emit_replays_of_the_false_triple(tmp_path, capsys):
 def test_game_and_solve_refute_the_false_triple(tmp_path, capsys, verb, line):
     """Trace 11 runs `x := 1` from x = 0, y = 0: Eve's code fragment breaks
     the post's x = 2, so Adam has no move to the final position 4."""
-    proof = tmp_path / "false_triple.proof"
-    proof.write_text(FALSE_TRIPLE)
-    code, out, err = _main([verb, _corpus("framed_assign", ".csl"), str(proof),
-                            "-u", _corpus("framed_assign", ".uni"), "--allow-extensions",
-                            "--maxlen", "3", "--trace-index", "11"], capsys)
+    code, out, err = _play_false_triple(tmp_path, capsys, verb)
     assert (code, out.splitlines()[-1], err) == (1, line, "")
 
 

@@ -10,8 +10,8 @@ from sepgame.game import (NoWin, SeparatedPredicate, SolvedStrategy, TraceGame,
                           adam_extensions, check_winning_strategy,
                           empty_winning_plays, replay_lines, sat_sep,
                           solve_eve, trace_state, winning_spec)
-from sepgame.logic import (EMPTY_LSTATE, _sat, erase, from_slots, lstate_from_text,
-                           lstate_to_text, slots, universe_table)
+from sepgame.logic import (_sat, erase, from_slots, lstate_from_text, lstate_to_text,
+                           slots, universe_table)
 from sepgame.machine import IAcquire, MachineState, MemoryState, machine_step
 from sepgame.maps import fmap
 from sepgame.proof import check_proof
@@ -19,13 +19,12 @@ from sepgame.semantics import enumerate_traces
 from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME, SeparatedState,
                                 enumerate_eve_moves, sep_state_to_text,
                                 separations)
-from sepgame.soundness import SoundnessAlarm, drive_play
 from sepgame.syntax import (AllocC, Assign, FTrue, Lit, Own, Store, parse_proof,
                             parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace
 
-from .builders import (combine, lstate, mstate, parse_formula, return_keys, sep_state,
-                       tensor_all)
+from .builders import (EMPTY_LSTATE, combine, lstate, mstate, parse_formula, return_keys,
+                       sep_state, tensor_all)
 from .conftest import CORPUS, PROGRAMS, bench_script, corpus_text
 from .test_logic import _random_formula
 
@@ -154,7 +153,7 @@ def test_checker_requires_responses(u):
     initials = empty_winning_plays(t.source, spec, u)
     res = check_winning_strategy(_Mute(initials), t, spec, u)
     assert res.verdict == "fail" and "no Eve response" in res.reason
-    assert res.counterexample   # the stuck play comes back
+    assert res.play   # the stuck play comes back
 
 
 class _Faulty:
@@ -191,7 +190,7 @@ def _off_the_trace(game, position, state):
                                          (_off_the_trace, "Eve move leaves the trace")])
 def test_the_game_judges_every_eve_move_it_is_given(move, fault):
     """`TraceGame.eve_fault` is the one judge of a strategy's moves: the
-    checker fails on a faulty move and `drive_play` raises on it."""
+    checker fails on a faulty move, with the play that ends in it."""
     u = parse_universe("vars = x\nlocs = 2, 3\nvals = 0..1\nperms = 1\nlocks = r\n")
     pre, m = mstate(stack={"x": 0}), AllocC("x", Lit(0))
     post = min((o.state for o in machine_step(pre, m, u)),
@@ -201,8 +200,7 @@ def test_the_game_judges_every_eve_move_it_is_given(move, fault):
     strat = _Faulty(t, spec, u, move)
     res = check_winning_strategy(strat, t, spec, u)
     assert (res.verdict, res.reason) == ("fail", fault)
-    with pytest.raises(SoundnessAlarm, match=f"^extracted move: {fault}$"):
-        drive_play(strat)
+    assert len(res.play) == 3 and res.play[2] == move(strat.game, 2, res.play[1])
 
 
 def test_solver_finds_assignment_strategy(u):
@@ -258,8 +256,9 @@ def test_replay_lines_shape(u):
     assert all(line.endswith("pass") for line in lines)
 
 
-# The order of Adam's moves is part of the contract: `drive_play` takes the
-# first refinement when the identity move does not satisfy the predicate.
+# The order of Adam's moves is part of the contract: the strategy checker
+# walks them in this order, so the play it returns, which `game` and
+# `verify --emit-replays` print, depends on it.
 
 _ANY = SeparatedPredicate(FTrue(), fmap())
 _HALF_X = sep_state(U, code=lstate(stack={"x": (0, Fraction(1, 2))}),

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from sepgame.game import SeparatedPredicate, sat_sep, winning_spec
-from sepgame.logic import EMPTY_LSTATE, _sat, erase, lstate_to_text, tensor, universe_table
+from sepgame.logic import _sat, erase, lstate_to_text, tensor, universe_table
 from sepgame.machine import MachineState, Return, machine_step
 from sepgame.maps import fmap
 from sepgame.proof import check_proof
@@ -22,7 +22,8 @@ from sepgame.soundness import ExtractedStrategy
 from sepgame.syntax import FTrue, Own, Star, parse_proof, parse_universe
 from sepgame.traces import CodeTransition, Trace
 
-from .builders import lstate, mstate, parse_formula, pieces, sep_state, tensor_all
+from .builders import (EMPTY_LSTATE, lstate, mstate, parse_formula, pieces, sep_state,
+                       tensor_all)
 
 TOP = Fraction(1)
 

@@ -19,7 +19,7 @@ import pytest
 import sepgame
 import sepgame.soundness   # with what it imports, defines every Node subclass
 from sepgame import maps
-from sepgame.logic import EMPTY_LSTATE, LogicalState, universe_table
+from sepgame.logic import LogicalState, universe_table
 from sepgame.machine import INop, MachineState, MemoryState
 from sepgame.maps import Node, fmap
 from sepgame.separation import (HELD_BY_CODE, HELD_BY_FRAME, Available, SeparatedState,
@@ -28,7 +28,7 @@ from sepgame.syntax import (Add, Emp, FTrue, Lit, ParseError, Universe, Var,
                             parse_universe)
 from sepgame.traces import CodeTransition, TraceError
 
-from .builders import lstate, mstate, sep_state
+from .builders import EMPTY_LSTATE, lstate, mstate, sep_state
 
 SRC = Path(sepgame.__file__).parent
 U = parse_universe("vars = x\nlocs = 2\nvals = 0..1\nperms = 1/2, 1\nlocks = p, q, r\n")

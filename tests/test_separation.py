@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sepgame.game import TraceGame, winning_spec
-from sepgame.logic import EMPTY_LSTATE, erase, tensor, universe_table
+from sepgame.logic import erase, tensor, universe_table
 from sepgame.machine import IAcquire, INop, IRelease, MachineState, Return, machine_step
 from sepgame.maps import fmap
 from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
@@ -12,8 +12,8 @@ from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
 from sepgame.syntax import Assign, FTrue, Lit, parse_universe
 from sepgame.traces import CodeTransition, Trace
 
-from .builders import (combine, legal_adam_move, lstate, mstate, pieces, return_keys,
-                       sep_state, tensor_all)
+from .builders import (EMPTY_LSTATE, combine, legal_adam_move, lstate, mstate, pieces,
+                       return_keys, sep_state, tensor_all)
 
 HALF = Fraction(1, 2)
 TOP = Fraction(1)
@@ -154,8 +154,8 @@ def test_eve_moves_map_to_code_transitions(u):
     assert len(conserving) < len(moves)
 
 
-# The order in which Eve's moves are enumerated is part of the contract:
-# `drive_play` and the replays of `verify --emit-replays` take the first one.
+# The order in which Eve's moves are enumerated is part of the contract: the
+# solver's strategy answers with its surviving moves in this order.
 
 @pytest.fixture(scope="module")
 def u2():

@@ -14,17 +14,16 @@ import pytest
 from sepgame import game, separation
 from sepgame.game import (NoWin, TraceGame, check_winning_strategy, solve_eve,
                           winning_spec)
-from sepgame.logic import (EMPTY_LSTATE, erase, lstate_from_text, lstate_to_text,
-                           satisfies, substates, universe_table)
+from sepgame.logic import (erase, lstate_from_text, lstate_to_text, satisfies,
+                           universe_table)
 from sepgame.machine import MachineState
-from sepgame.maps import fmap
 from sepgame.proof import check_proof
 from sepgame.semantics import enumerate_traces
 from sepgame.separation import (HELD_BY_CODE, Available, SeparatedState, machine_key,
                                 sep_state_to_text)
 from sepgame.soundness import (ExtractedStrategy, ExtractionFailure,
-                               SoundnessAlarm, verify_corollary)
-from sepgame.syntax import FTrue, Star, parse_proof, parse_universe
+                               SoundnessAlarm, initial_condition, verify_corollary)
+from sepgame.syntax import parse_proof, parse_universe
 from sepgame.traces import Trace
 
 from .builders import combine, pieces, tensor_all
@@ -126,9 +125,9 @@ def test_the_game_chain_refutes_the_false_triple():
             verdicts.append((returning, result.verdict, isinstance(solved, NoWin)))
             if returning:
                 assert result.reason == "no refinement satisfies the post at position 4"
-                assert len(result.counterexample) == 3
+                assert len(result.play) == 3
                 assert not satisfies(universe_table(u).state(
-                    result.counterexample[-1].code), node.post, check.valuation, u)
+                    result.play[-1].code), node.post, check.valuation, u)
     assert sorted(verdicts) == [(False, "pass", False)] * 2 + [(True, "fail", True)] * 2
 
 
@@ -166,36 +165,30 @@ def test_corollary_reports_no_failures(name):
     assert report["traces_checked"] > 0
 
 
-@pytest.mark.parametrize("name", sorted(CHAIN) + ["seq_load_store"])
+@pytest.mark.parametrize("name", sorted(CHAIN) + ["seq_load_store", "conj_precise"])
 def test_verify_starts_at_an_initial_position_and_ends_in_the_post(name):
-    """Why `verify_corollary` on a proof with an empty context is never
-    vacuous, and where its replays start.  From every state satisfying
-    P * true (every share, not only full ones), on every non-error passive
-    trace, the first split (a, b) in `substates` order with a satisfying P
-    exists, since the state satisfies P * true.  Code a, every resource
-    available and empty, and frame b is an initial position of the trace's
-    game: the shares of a and b come from `_slot_splits`, so each lies in
-    {0} or perms, which `component_assignments` enumerates, and the empty
-    context constrains no resource.  That the plays end in the post is the
-    checker's to judge: Eve owes it at the final position
+    """Why `verify_corollary` is never vacuous: from every state satisfying
+    `initial_condition`, P * I_1 * ... * I_n * true (every share, not only
+    the full ones `verify` picks by default), every non-error passive trace
+    has an initial refinement.  The context's resources are available and
+    hold states satisfying their invariants, the code a state satisfying P,
+    and the frame the rest.  Under P * true alone, conj_precise's inits
+    without y would have none: its invariant owns y.  That the plays end in
+    the post is the checker's to judge: Eve owes it at the final position
     (`test_the_game_chain_refutes_the_false_triple`)."""
     u, node, _, _ = _load(name)
-    assert not len(node.ctx)
     rho = check_proof(node, u, allow_extensions=True).valuation
     table = universe_table(u)
-    models = table.models(Star(node.pre, FTrue()), rho)
+    models = table.models(initial_condition(node), rho)
     inits = [sigma for i, sigma in enumerate(table.states) if models >> i & 1]
     starts = 0
     for init in inits:
-        a, b = next((a, b) for a, b in substates(init, u) if satisfies(a, node.pre, rho, u))
-        initial = SeparatedState.build(table, table.intern(a), fmap(
-            {r: Available(table.intern(EMPTY_LSTATE)) for r in u.locks}), table.intern(b))
         start = MachineState(erase(init), frozenset())
         for t, returning, _ in enumerate_traces(node.cmd, [start], u, policy="passive"):
             if t.errored:
                 continue
             spec = winning_spec(node.pre, node.ctx, node.post, t, returning, rho)
-            assert initial in TraceGame(t, spec, u).initials
+            assert TraceGame(t, spec, u).initials, (lstate_to_text(init), len(t))
             starts += 1
     assert starts > len(inits) > 0
 
