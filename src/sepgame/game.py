@@ -200,9 +200,11 @@ class TraceGame:
 # --- strategy checking --------------------------------------------------------------
 
 class CheckResult:
-    def __init__(self, verdict: str, reason: str = "", play: tuple = ()):
+    def __init__(self, verdict: str, reason: str = "", play: tuple = (), explored: int = 0):
         # verdict: "pass" | "fail" | "unknown" | "vacuous" (no initial refinement)
+        # explored: play nodes visited; 0 when vacuous, budget + 1 when unknown
         self.verdict, self.reason, self.play = verdict, reason, play
+        self.explored = explored
 
     def __bool__(self):
         return self.verdict == "pass"
@@ -255,12 +257,12 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
         visited.add((i, s, key))
         explored += 1
         if budget is not None and explored > budget:
-            return CheckResult("unknown", "enumeration budget exceeded", play)
+            return CheckResult("unknown", "enumeration budget exceeded", play, explored)
         if i == game.last - 1:
             moves = game.adam(i, s) if spec.returning or not ended else ()
             if spec.returning and not moves:
-                return CheckResult(
-                    "fail", f"no refinement satisfies the post at position {i + 1}", play)
+                reason = f"no refinement satisfies the post at position {i + 1}"
+                return CheckResult("fail", reason, play, explored)
             ended = ended or play + moves[:1]
             continue
         moves = game.adam(i, s)
@@ -272,18 +274,18 @@ def check_winning_strategy(strat, t: Trace, spec: WinningSpec, u: Universe,
             judged.add((i + 1, s2, key))
             responses = list(strat.respond(key, i + 1, s2))
             if not responses:
-                return CheckResult(
-                    "fail", f"no Eve response at position {i + 1}", play + (s2,))
+                return CheckResult("fail", f"no Eve response at position {i + 1}",
+                                   play + (s2,), explored)
             for s3, key2 in responses:
                 fault = game.eve_fault(i + 1, s2, s3)
                 if fault is None and not sat_sep(s3, spec.predicate_at(i + 2),
                                                  spec.rho, u):
                     fault = "losing Eve move"
                 if fault is not None:
-                    return CheckResult("fail", fault, play + (s2, s3))
+                    return CheckResult("fail", fault, play + (s2, s3), explored)
                 if (i + 2, s3, key2) not in visited:
                     frontier.append((i + 2, s3, key2, play + (s2, s3)))
-    return CheckResult("pass", f"explored {explored} play nodes", ended)
+    return CheckResult("pass", f"explored {explored} play nodes", ended, explored)
 
 
 # --- brute-force solver ----------------------------------------------------------------

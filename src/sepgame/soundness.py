@@ -36,13 +36,14 @@ All choice points are resolved by deterministic search in enumeration order.
 A failed search raises ExtractionFailure naming the rule node; an
 inconsistent reconstruction raises SoundnessAlarm.  Traces ending in an
 error step admit no lifted move, and the game makes those positions
-unreachable for provable programs.
+unreachable for provable programs.  The corollary's one walk,
+`judged_traces`, checks the strategy extracted on every other trace.
 """
 
 from __future__ import annotations
 
 from . import game as game_layer
-from .game import replay_lines, winning_spec
+from .game import CheckResult, replay_lines, winning_spec
 from .logic import (TOP, erase, first_split, from_slots, lstate_to_text, satisfies,
                     slots, universe_table)
 from .machine import ABORT, IAcquire, IRelease, MachineState, eval_expr
@@ -52,7 +53,7 @@ from .semantics import (HideW, NOTIN, ParW, RETURNS, SeqLeftW, SeqSplitW,
                         denote, enumerate_traces)
 from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                          SeparatedState, SeparationError, join)
-from .syntax import FTrue, Star, Universe
+from .syntax import FTrue, Star, Universe, formula_to_text
 from .traces import ERR, Trace, restrict
 
 
@@ -425,6 +426,27 @@ def initial_condition(node):
     return Star(f, FTrue())
 
 
+def judged_traces(node, inits, u: Universe, rho: fmap, maxlen=None):
+    """The corollary's walk: (init, trace, returning, strategy, verdict) per
+    passive trace of each init in turn.  The verdict is the checker's on the
+    extracted strategy, or the ExtractionFailure or SoundnessAlarm raised
+    (the strategy is None if building it raised); on an error trace both
+    are None."""
+    for init in inits:
+        start = MachineState(erase(init), frozenset())
+        for t, returning, _ in enumerate_traces(node.cmd, [start], u,
+                                                maxlen=maxlen, policy="passive"):
+            strat = verdict = None
+            try:
+                if not t.errored:
+                    strat = ExtractedStrategy(node, t, u, rho)
+                    # read off the module, so that a wrapper patched onto it sees the call
+                    verdict = game_layer.check_winning_strategy(strat, t, strat.spec, u)
+            except (ExtractionFailure, SoundnessAlarm) as exc:
+                verdict = exc
+            yield init, t, returning, strat, verdict
+
+
 def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
                      maxlen=None, emit_replays=False,
                      program_label="", proof_label="") -> dict:
@@ -432,8 +454,8 @@ def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
     rejected one itself) under the passive environment, by the game alone:
     from every initial state satisfying `initial_condition`, no trace errs,
     and on every other trace the extracted strategy passes
-    `check_winning_strategy`, which holds Eve to the post at the final
-    position and fails a vacuous game.
+    `check_winning_strategy` (the records of `judged_traces`), which holds
+    Eve to the post at the final position and fails a vacuous game.
 
     Failures list the initial states outside that condition first, then the
     failing traces in enumeration order.  A strategy that cannot be
@@ -455,40 +477,27 @@ def verify_corollary(check: ProofCheckResult, node, inits, u: Universe,
     condition = initial_condition(node)
     inits = sorted(inits, key=lstate_to_text)
     starts = [init for init in inits if satisfies(init, condition, rho, u)]
-    report["failures"] += [{"init": lstate_to_text(init),
-                            "reason": "initial state does not satisfy P * true"}
+    rejected = f"initial state does not satisfy {formula_to_text(condition)}"
+    report["failures"] += [{"init": lstate_to_text(init), "reason": rejected}
                            for init in inits if init not in starts]
     replays = []
-    for init in starts:
-        label = lstate_to_text(init)
-        start = MachineState(erase(init), frozenset())
-        for t, returning, _ in enumerate_traces(node.cmd, [start], u,
-                                                maxlen=maxlen, policy="passive"):
-            report["traces_checked"] += 1
-            report["returning"] += int(returning)
-            reason, replay = _judge_trace(node, t, u, rho, emit_replays)
-            if reason is not None:
-                report["failures"].append(
-                    {"init": label, "trace_len": len(t), "reason": reason})
-            if replay is not None:
-                replays.append({"init": label, "trace_len": len(t), "lines": replay})
+    for init, t, returning, strat, verdict in judged_traces(node, starts, u, rho, maxlen):
+        report["traces_checked"] += 1
+        report["returning"] += int(returning)
+        if verdict is None:
+            reason = "error step in a passive-environment trace"
+        elif isinstance(verdict, ExtractionFailure):
+            reason = f"extraction failed: {verdict}"
+        elif isinstance(verdict, SoundnessAlarm):
+            reason = f"soundness alarm: {verdict}"
+        else:
+            reason = None if verdict else verdict.reason
+        where = {"init": lstate_to_text(init), "trace_len": len(t)}
+        if reason is not None:
+            report["failures"].append({**where, "reason": reason})
+        if emit_replays and isinstance(verdict, CheckResult):
+            replays.append({**where,
+                            "lines": replay_lines(verdict.play, t, strat.spec, u)})
     if emit_replays:
         report["replays"] = replays
     return report
-
-
-def _judge_trace(node, t: Trace, u: Universe, rho: fmap, emit_replay: bool):
-    """Why one passive trace breaks the corollary, or None; and, when asked
-    for, the replay of the checked trace's play."""
-    if t.errored:
-        return "error step in a passive-environment trace", None
-    try:
-        strat = ExtractedStrategy(node, t, u, rho)
-        # read off the module, so that a wrapper patched onto it sees the call
-        result = game_layer.check_winning_strategy(strat, t, strat.spec, u)
-    except ExtractionFailure as exc:
-        return f"extraction failed: {exc}", None
-    except SoundnessAlarm as exc:
-        return f"soundness alarm: {exc}", None
-    replay = replay_lines(result.play, t, strat.spec, u) if emit_replay else None
-    return (None if result else result.reason), replay

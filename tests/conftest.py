@@ -3,6 +3,7 @@ import random
 import sys
 from pathlib import Path
 
+from sepgame.logic import lstate_from_text
 from sepgame.machine import IAcquire, INop, IRelease, MachineState, MemoryState
 from sepgame.maps import fmap
 from sepgame.syntax import Assign, Lit, Var
@@ -21,6 +22,12 @@ PROGRAMS = ["par_writes", "framed_assign", "lock_transfer", "lock_pair",
 
 def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text()
+
+
+def corpus_inits(name: str) -> list:
+    """The logical states of the corpus program's .inits file."""
+    return [lstate_from_text(line)
+            for line in corpus_text(f"{name}.inits").splitlines() if line.strip()]
 
 
 def bench_script(name: str):

@@ -21,9 +21,7 @@ import pytest
 
 from sepgame.game import (CheckResult, TraceGame, check_winning_strategy, sat_sep,
                           solve_eve, winning_spec)
-from sepgame.logic import (all_logical_states, erase, lstate_from_text, lstate_to_text,
-                           satisfies)
-from sepgame.machine import MachineState
+from sepgame.logic import all_logical_states, satisfies
 from sepgame.maps import fmap
 from sepgame.proof import check_proof
 from sepgame.semantics import enumerate_traces
@@ -34,8 +32,8 @@ from sepgame.syntax import (FTrue, Own, Star, parse_program, parse_proof,
                             parse_universe)
 
 from .builders import combine, mstate
-from .conftest import corpus_text
-from .test_soundness import CHAIN, FALSE_TRIPLE
+from .conftest import corpus_inits, corpus_text
+from .test_soundness import CHAIN, FALSE_TRIPLE, _checked_traces
 
 
 def _checker_without_memo(strat, t, spec, u, budget=None) -> CheckResult:
@@ -101,22 +99,15 @@ def _extracted_games(u, node, inits):
     """(extracted strategy, trace, spec) on every non-error passive trace
     from the inits."""
     rho = check_proof(node, u, allow_extensions=True).valuation
-    out = []
-    for init in sorted(inits, key=lstate_to_text):
-        start = MachineState(erase(init), frozenset())
-        for t, _, _ in enumerate_traces(node.cmd, [start], u, policy="passive"):
-            if not t.errored:
-                strat = ExtractedStrategy(node, t, u, rho)
-                out.append((strat, t, strat.spec))
-    return u, out
+    return u, [(strat, t, strat.spec)
+               for t, _, strat, _ in _checked_traces(u, node, rho, inits)]
 
 
 def _chain_games(name):
     """The games of a corpus program from its corpus inits."""
-    inits = [lstate_from_text(line)
-             for line in corpus_text(f"{name}.inits").splitlines() if line.strip()]
     return _extracted_games(parse_universe(corpus_text(f"{name}.uni")),
-                            parse_proof(corpus_text(f"{name}.proof")), inits)
+                            parse_proof(corpus_text(f"{name}.proof")),
+                            corpus_inits(name))
 
 
 def _strategy_chain_games():
@@ -158,9 +149,8 @@ def test_the_memo_changes_no_verdict_on_the_false_triple():
     """Both checkers fail the false triple's returning traces at the final
     position, with the same play."""
     u = parse_universe(corpus_text("framed_assign.uni"))
-    inits = [lstate_from_text(line) for line in
-             corpus_text("framed_assign.inits").splitlines() if line.strip()]
-    _, games = _extracted_games(u, parse_proof(FALSE_TRIPLE), inits)
+    _, games = _extracted_games(u, parse_proof(FALSE_TRIPLE),
+                                corpus_inits("framed_assign"))
     verdicts = []
     for strat, t, spec in games:
         new, old = _both(strat, t, spec, u)
@@ -185,7 +175,7 @@ def test_respond_is_asked_once_per_distinct_question(name):
 def test_every_budget_cuts_the_search_at_the_same_node():
     u, games = _chain_games("lock_pair")
     for strat, t, spec in games:
-        explored = int(check_winning_strategy(strat, t, spec, u).reason.split()[1])
+        explored = check_winning_strategy(strat, t, spec, u).explored
         for budget in range(explored + 2):
             new, old = _both(strat, t, spec, u, budget)
             assert new == old

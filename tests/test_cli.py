@@ -100,16 +100,28 @@ def _verify_report(name, failures, extension_rules_used):
             "universe": {"env": "passive", "maxlen": 6}}
 
 
-def test_verify_rejects_inits_outside_the_precondition(tmp_path, capsys):
+def _verify_rejects(tmp_path, capsys, name, states, condition, extension_rules_used):
+    """verify from inits none of which satisfies `initial_condition`: each
+    is a failure that names the condition."""
     inits = tmp_path / "outside.inits"
-    inits.write_text("{x=0@1/2,y=3@1|}\n{|}\n")
-    code, out, err = _main(_verb("verify", "framed_assign", "--inits", str(inits)),
-                           capsys)
+    inits.write_text("".join(f"{state}\n" for state in states))
+    code, out, err = _main(_verb("verify", name, "--inits", str(inits)), capsys)
     assert (code, err) == (1, "")
-    assert json.loads(out) == _verify_report("framed_assign", [
-        {"init": "{x=0@1/2,y=3@1|}", "reason": "initial state does not satisfy P * true"},
-        {"init": "{|}", "reason": "initial state does not satisfy P * true"}],
-        ["ext_conseq"])
+    assert json.loads(out) == _verify_report(name, [
+        {"init": state, "reason": f"initial state does not satisfy {condition}"}
+        for state in states], extension_rules_used)
+
+
+def test_verify_rejects_inits_outside_the_precondition(tmp_path, capsys):
+    _verify_rejects(tmp_path, capsys, "framed_assign", ["{x=0@1/2,y=3@1|}", "{|}"],
+                    "(own_1(x) * own_1(y)) * true", ["ext_conseq"])
+
+
+def test_verify_rejects_inits_outside_the_context_invariants(tmp_path, capsys):
+    """The init owns x, but not the y that r's invariant owns."""
+    _verify_rejects(tmp_path, capsys, "conj_precise", ["{x=0@1|}"],
+                    "((own_1(x) * (X = 1) and own_1(x) * (Z = 1)) * "
+                    "(own_1(y) and not (own_1(y) * not emp))) * true", [])
 
 
 def test_verify_plays_the_game_of_a_proof_with_a_context(capsys):
@@ -123,6 +135,28 @@ def test_verify_plays_the_game_of_a_proof_with_a_context(capsys):
     assert (report["traces_checked"], report["returning"]) == (160, 80)
     assert Counter((f["reason"], f["trace_len"]) for f in report["failures"]) == {
         ("soundness alarm: root: conj audit failed on the second postcondition", 1): 80}
+
+
+def test_verify_reports_the_error_steps_of_the_store_axiom(tmp_path, capsys):
+    """`verify`'s error-step failure.  The `store` axiom
+    {3 |-> -} [3] := x {3 |-> x} owns no share of the x it stores (ROADMAP
+    item 1): from each of the 20 inits without x its step errs, and its 80
+    returning traces fail at the final position.  Item 1's store fix makes
+    the axiom own x, so it will have to move this test onto an input that
+    still reaches the error-step path."""
+    program, proof = tmp_path / "store.csl", tmp_path / "store.proof"
+    program.write_text("[3] := x\n")
+    proof.write_text("(store pre: 3 |-> - cmd: [3] := x post: 3 |-> x)\n")
+    code, out, err = _main(["verify", str(program), str(proof), "-u",
+                            _corpus("seq_load_store", ".uni"), "--maxlen", "3"], capsys)
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert (report["traces_checked"], report["returning"]) == (200, 80)
+    assert Counter((f["reason"], f["trace_len"]) for f in report["failures"]) == {
+        ("error step in a passive-environment trace", 1): 20,
+        ("no refinement satisfies the post at position 4", 1): 80}
+    assert all("x=" not in f["init"] for f in report["failures"]
+               if f["reason"].startswith("error step"))
 
 
 def test_emit_replays_under_a_context(capsys):

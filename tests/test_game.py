@@ -10,8 +10,7 @@ from sepgame.game import (NoWin, SeparatedPredicate, SolvedStrategy, TraceGame,
                           adam_extensions, check_winning_strategy,
                           empty_winning_plays, replay_lines, sat_sep,
                           solve_eve, trace_state, winning_spec)
-from sepgame.logic import (_sat, erase, from_slots, lstate_from_text, lstate_to_text,
-                           slots, universe_table)
+from sepgame.logic import _sat, erase, from_slots, lstate_to_text, slots, universe_table
 from sepgame.machine import IAcquire, MachineState, MemoryState, machine_step
 from sepgame.maps import fmap
 from sepgame.proof import check_proof
@@ -19,13 +18,13 @@ from sepgame.semantics import enumerate_traces
 from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME, SeparatedState,
                                 enumerate_eve_moves, sep_state_to_text,
                                 separations)
-from sepgame.syntax import (AllocC, Assign, FTrue, Lit, Own, Store, parse_proof,
+from sepgame.syntax import (AllocC, Assign, FFalse, FTrue, Lit, Own, Store, parse_proof,
                             parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace
 
 from .builders import (EMPTY_LSTATE, combine, lstate, mstate, parse_formula, return_keys,
                        sep_state, tensor_all)
-from .conftest import CORPUS, PROGRAMS, bench_script, corpus_text
+from .conftest import CORPUS, PROGRAMS, bench_script, corpus_inits, corpus_text
 from .test_logic import _random_formula
 
 TOP = Fraction(1)
@@ -210,6 +209,23 @@ def test_solver_finds_assignment_strategy(u):
     assert not isinstance(strat, NoWin) and strat != "unknown"
     res = check_winning_strategy(strat, t, spec, u)
     assert res.verdict == "pass"
+
+
+def test_explored_counts_the_play_nodes_on_every_verdict(u):
+    """`CheckResult.explored` is the count a pass's reason names, budget + 1
+    when the budget runs out, and 0 on a vacuous game."""
+    t = _assign_trace(u)
+    spec = winning_spec(Own(TOP, "x"), fmap(), Own(TOP, "x"), t, returning=True)
+    strat = solve_eve(t, spec, u)
+    passed = check_winning_strategy(strat, t, spec, u)
+    assert passed.verdict == "pass" and passed.explored > 1
+    assert passed.reason == f"explored {passed.explored} play nodes"
+    for budget in range(passed.explored):
+        cut = check_winning_strategy(strat, t, spec, u, budget)
+        assert (cut.verdict, cut.explored) == ("unknown", budget + 1)
+    empty = winning_spec(FFalse(), fmap(), FTrue(), t, returning=True)
+    vacuous = check_winning_strategy(solve_eve(t, empty, u), t, empty, u)
+    assert (vacuous.verdict, vacuous.explored) == ("vacuous", 0)
 
 
 def test_solver_reports_unliftable_error_step(u):
@@ -446,8 +462,7 @@ def test_pruned_moves_equal_filtered_separations(name, monkeypatch):
     u = parse_universe(corpus_text(f"{name}.uni"))
     node = parse_proof(corpus_text(f"{name}.proof"))
     rho = check_proof(node, u, allow_extensions=True).valuation
-    inits = [lstate_from_text(line)
-             for line in corpus_text(f"{name}.inits").splitlines() if line.strip()]
+    inits = corpus_inits(name)
     adam_calls = []
     real_adam_extensions = game.adam_extensions
 

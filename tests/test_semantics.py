@@ -1,7 +1,7 @@
 import pytest
 
 from sepgame import machine
-from sepgame.logic import erase, lstate_from_text
+from sepgame.logic import erase
 from sepgame.machine import (ABORT, ERROR, IAcquire, INop, IRelease, MachineState,
                              Return, eval_bool, instr_to_text, machine_step)
 from sepgame.semantics import (IN, NOTIN, RETURNS, AtomTS, EnumerationBudget,
@@ -14,7 +14,7 @@ from sepgame.syntax import (Assign, FEq, FTrue, Lit, Var, parse_program,
 from sepgame.traces import ERR, OK, CodeTransition, Trace, restrict, shuffles
 
 from .builders import mstate, prefix
-from .conftest import PROGRAMS, corpus_text
+from .conftest import PROGRAMS, corpus_inits, corpus_text
 from .trace_algebra import hide, par_compose, seq_compose
 
 
@@ -415,8 +415,7 @@ def test_hide_preimages_are_well_bracketed(name):
     the code's side, and hiding it gives back the trace."""
     u = parse_universe(corpus_text(f"{name}.uni"))
     prog = parse_program(corpus_text(f"{name}.csl"))
-    inits = [MachineState(erase(lstate_from_text(line)), frozenset())
-             for line in corpus_text(f"{name}.inits").splitlines() if line.strip()]
+    inits = [MachineState(erase(init), frozenset()) for init in corpus_inits(name)]
     seen = 0
     for t, _, w in enumerate_traces(prog, inits, u):
         assert isinstance(w, HideW)
@@ -547,8 +546,7 @@ def _agrees_with_search(prog, inits, u, policy=None):
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_member_agrees_with_search_on_the_corpus(name):
     u = parse_universe(corpus_text(f"{name}.uni"))
-    inits = [MachineState(erase(lstate_from_text(line)), frozenset())
-             for line in corpus_text(f"{name}.inits").splitlines() if line.strip()]
+    inits = [MachineState(erase(init), frozenset()) for init in corpus_inits(name)]
     assert _agrees_with_search(parse_program(corpus_text(f"{name}.csl")), inits, u)
 
 

@@ -12,22 +12,20 @@ import re
 import pytest
 
 from sepgame import game, separation
-from sepgame.game import (NoWin, TraceGame, check_winning_strategy, solve_eve,
-                          winning_spec)
-from sepgame.logic import (erase, lstate_from_text, lstate_to_text, satisfies,
-                           universe_table)
+from sepgame.game import CheckResult, NoWin, TraceGame, solve_eve, winning_spec
+from sepgame.logic import erase, lstate_from_text, lstate_to_text, satisfies, universe_table
 from sepgame.machine import MachineState
 from sepgame.proof import check_proof
 from sepgame.semantics import enumerate_traces
 from sepgame.separation import (HELD_BY_CODE, Available, SeparatedState, machine_key,
                                 sep_state_to_text)
-from sepgame.soundness import (ExtractedStrategy, ExtractionFailure,
-                               SoundnessAlarm, initial_condition, verify_corollary)
+from sepgame.soundness import (ExtractedStrategy, ExtractionFailure, SoundnessAlarm,
+                               initial_condition, judged_traces, verify_corollary)
 from sepgame.syntax import parse_proof, parse_universe
 from sepgame.traces import Trace
 
 from .builders import combine, pieces, tensor_all
-from .conftest import CORPUS, bench_script, corpus_text
+from .conftest import CORPUS, bench_script, corpus_inits, corpus_text
 
 # program -> (non-error traces, play nodes the checker explores over them,
 #             (position, code fragment, code-held locks) questions the
@@ -63,9 +61,7 @@ def _load(name):
     node = parse_proof(corpus_text(f"{name}.proof"))
     check = check_proof(node, u, allow_extensions=True)
     assert check.ok, check.violations
-    inits = [lstate_from_text(line)
-             for line in corpus_text(f"{name}.inits").splitlines() if line.strip()]
-    return u, node, check, inits
+    return u, node, check, corpus_inits(name)
 
 
 def _chain(name):
@@ -74,23 +70,29 @@ def _chain(name):
     return _chain_of(*_load(name))
 
 
+def _checked_traces(u, node, rho, inits):
+    """`judged_traces` from the inits sorted by text, without the error traces
+    or the init; a verdict that is an exception is raised."""
+    for _, t, returning, strat, verdict in judged_traces(
+            node, sorted(inits, key=lstate_to_text), u, rho):
+        if isinstance(verdict, Exception):
+            raise verdict
+        if verdict is not None:
+            yield t, returning, strat, verdict
+
+
 def _chain_of(u, node, check, inits):
     traces = nodes = solver_nodes = initials = 0
-    for init in sorted(inits, key=lstate_to_text):
-        start = MachineState(erase(init), frozenset())
-        for t, _, _ in enumerate_traces(node.cmd, [start], u, policy="passive"):
-            if t.errored:
-                continue
-            strat = ExtractedStrategy(node, t, u, check.valuation)
-            assert strat.initials, "no initial refinement"
-            result = check_winning_strategy(strat, t, strat.spec, u)
-            assert result.verdict == "pass", result.reason
-            solved = solve_eve(t, strat.spec, u)
-            assert not isinstance(solved, (NoWin, str)), solved
-            traces += 1
-            nodes += int(result.reason.split()[1])
-            solver_nodes += solved._explored
-            initials += len(strat.initials)
+    for t, _, strat, result in _checked_traces(u, node, check.valuation, inits):
+        assert strat.initials, "no initial refinement"
+        assert result.verdict == "pass", result.reason
+        assert result.reason == f"explored {result.explored} play nodes"
+        solved = solve_eve(t, strat.spec, u)
+        assert not isinstance(solved, (NoWin, str)), solved
+        traces += 1
+        nodes += result.explored
+        solver_nodes += solved._explored
+        initials += len(strat.initials)
     return traces, nodes, solver_nodes, initials
 
 
@@ -114,21 +116,57 @@ def test_the_game_chain_refutes_the_false_triple():
     check = check_proof(node, u, allow_extensions=True)
     assert check.ok, check.violations
     verdicts = []
-    for init in inits:
-        start = MachineState(erase(init), frozenset())
-        for t, returning, _ in enumerate_traces(node.cmd, [start], u, policy="passive"):
-            if t.errored:
-                continue
-            strat = ExtractedStrategy(node, t, u, check.valuation)
-            result = check_winning_strategy(strat, t, strat.spec, u)
-            solved = solve_eve(t, strat.spec, u)
-            verdicts.append((returning, result.verdict, isinstance(solved, NoWin)))
-            if returning:
-                assert result.reason == "no refinement satisfies the post at position 4"
-                assert len(result.play) == 3
-                assert not satisfies(universe_table(u).state(
-                    result.play[-1].code), node.post, check.valuation, u)
+    for t, returning, strat, result in _checked_traces(u, node, check.valuation, inits):
+        solved = solve_eve(t, strat.spec, u)
+        verdicts.append((returning, result.verdict, isinstance(solved, NoWin)))
+        if returning:
+            assert result.reason == "no refinement satisfies the post at position 4"
+            assert len(result.play) == 3
+            assert not satisfies(universe_table(u).state(
+                result.play[-1].code), node.post, check.valuation, u)
     assert sorted(verdicts) == [(False, "pass", False)] * 2 + [(True, "fail", True)] * 2
+
+
+def _kind(verdict):
+    """A record's verdict as text: the checker's verdict, or the exception's type."""
+    return verdict.verdict if isinstance(verdict, CheckResult) else type(verdict).__name__
+
+
+SEQ_LOAD_STORE_INITS = ["{x=0@1|2=1@1,3=0@1}", "{x=3@1|2=1@1,3=2@1}"]
+
+
+@pytest.mark.parametrize("name, records", [
+    ("seq_load_store", [(init, n, "ExtractionFailure" if n == 2 else "pass")
+                        for init in SEQ_LOAD_STORE_INITS for n in range(3)]),
+    ("conj_precise", [("{x=0@1,y=0@1|}", 0, "pass"),
+                      ("{x=0@1,y=0@1|}", 1, "SoundnessAlarm")]),
+])
+def test_judged_traces_are_the_traces_verify_reports(name, records):
+    """One record per (init, trace) from the corpus inits, in order: item
+    1's two known defects are a record's verdict, not an escape, and the
+    failing records are `verify_corollary`'s failures."""
+    u, node, check, inits = _load(name)
+    judged = [(lstate_to_text(init), len(t), _kind(verdict)) for init, t, _, _, verdict
+              in judged_traces(node, sorted(inits, key=lstate_to_text), u, check.valuation)]
+    assert judged == records
+    report = verify_corollary(check, node, inits, u)
+    assert report["traces_checked"] == len(records)
+    assert [(f["init"], f["trace_len"]) for f in report["failures"]] == [
+        (init, n) for init, n, kind in records if kind != "pass"]
+
+
+def test_an_error_trace_is_judged_by_no_strategy():
+    """The `store` axiom owns no share of the x it stores (ROADMAP item 1):
+    from a state without x its step errs, and that trace's record has no
+    strategy and no verdict.  The empty trace before it is checked."""
+    u = parse_universe(corpus_text("seq_load_store.uni"))
+    node = parse_proof("(store pre: 3 |-> - cmd: [3] := x post: 3 |-> x)")
+    rho = check_proof(node, u).valuation
+    (_, empty, _, strat, verdict), (_, erring, returning, *rest) = judged_traces(
+        node, [lstate_from_text("{|3=0@1}")], u, rho, maxlen=1)
+    assert (len(empty), isinstance(strat, ExtractedStrategy), _kind(verdict)) == (
+        0, True, "pass")
+    assert (len(erring), erring.errored, returning, rest) == (1, True, False, [None, None])
 
 
 # No accepted corpus proof goes through seq (seq_load_store fails at its
