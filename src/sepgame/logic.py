@@ -132,13 +132,6 @@ def _sub_pairs(sigma: LogicalState, u: Universe) -> tuple:
     return tuple(out)
 
 
-def substates(sigma: LogicalState, u: Universe):
-    """All ordered pairs (a, b) with a * b == sigma, permissions drawn from
-    the universe's declared set (or transferred whole); smallest left part
-    first."""
-    return iter(_sub_pairs(sigma, u))
-
-
 # --- satisfaction ----------------------------------------------------------------
 
 def eval_formula_expr(e, sigma: LogicalState, rho: fmap):
@@ -174,10 +167,10 @@ def satisfies(sigma: LogicalState, f, rho: fmap, u: Universe) -> bool:
 
 
 def first_split(i: int, fa, fb, rho: fmap, u: Universe):
-    """The first split (a, b) of state i in `substates` order with a
+    """The first split (a, b) of state i in `_sub_pairs` order with a
     satisfying fa and b satisfying fb, as a pair of indices, or None: a scan
     of the index splits against the models, or, for an interned state or a
-    variable rho leaves unbound, of `substates` asking `satisfies`."""
+    variable rho leaves unbound, of `_sub_pairs` asking `satisfies`."""
     table = universe_table(u)
     left = table.mask(fa, rho) if i < len(table.states) else None
     right = None if left is None else table.mask(fb, rho)
@@ -281,9 +274,6 @@ class _Splits:
         if self.found[i] is None:
             self.found[i] = self.build(i)
         return self.found[i]
-
-    def __len__(self):
-        return len(self.found)
 
 
 class UniverseTable:

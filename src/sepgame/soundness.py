@@ -19,10 +19,10 @@ of the separated state and its premises' views:
     premise, started on the segment's first step: seq's left premise, then
     its right premise once the left has returned; a guard's test value
     picks the premise (the arm of if, the body of while and with, lifted
-    once per unfolding) and a failed test admits no move; the guard's own
-    steps move by their instruction: the test nop is an identity, with's
-    acquire absorbs the resource's content and its release splits off a
-    fragment satisfying the invariant (smallest candidate first);
+    once per unfolding); the guard's own steps move by their instruction:
+    the test nop is an identity, with's acquire absorbs the resource's
+    content and its release splits off a fragment satisfying the invariant
+    (smallest candidate first);
   * conj plays its first premise and audits the second's claims, raising an
     alarm on divergence;
   * consequence changes no move, so its premise lifts in its place.
@@ -34,10 +34,11 @@ and frame, conj and consequence hand their own answer to their premise.
 
 All choice points are resolved by deterministic search in enumeration order.
 A failed search raises ExtractionFailure naming the rule node; an
-inconsistent reconstruction raises SoundnessAlarm.  Traces ending in an
-error step admit no lifted move, and the game makes those positions
-unreachable for provable programs.  The corollary's one walk,
-`judged_traces`, checks the strategy extracted on every other trace.
+inconsistent reconstruction raises SoundnessAlarm.  Eve has no move at a
+code step that errs, a trace's last step: `ExtractedStrategy.respond` says
+so without asking a lifter, and every `eve` returns a move.  The
+corollary's one walk, `judged_traces`, checks the strategy extracted on
+every trace that does not err.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .semantics import (HideW, NOTIN, ParW, RETURNS, SeqLeftW, SeqSplitW,
 from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
                          SeparatedState, SeparationError, join)
 from .syntax import FTrue, Star, Universe, formula_to_text
-from .traces import ERR, Trace, restrict
+from .traces import Trace, restrict
 
 
 class ExtractionFailure(Exception):
@@ -111,15 +112,12 @@ class _Lifter:
         raise NotImplementedError
 
     def eve(self, residue, k, code, resources):
-        """Lift code step k; returns (code', resource updates, residue')
-        or None when no lifted move exists."""
+        """Lift code step k, which does not err; returns (code', resource
+        updates, residue')."""
         raise NotImplementedError
 
 
 class AtomLifter(_Lifter):
-    def _setup(self):
-        self.dead = bool(self.t.steps) and self.t.steps[0].status == ERR
-
     def start(self, code):
         return ()
 
@@ -147,8 +145,6 @@ class AtomLifter(_Lifter):
         return table.intern(from_slots([(*c, v, p) for c, (v, p) in cells.items()]))
 
     def eve(self, residue, k, code, resources):
-        if self.dead or not self.t.steps:
-            return None
         post = self.t.steps[0].post.memory
         cmd = self.node.cmd
         tag = self.node.tag
@@ -202,10 +198,8 @@ class ParLifter(_Lifter):
         local = sum(1 for x in self.route[:k] if x == tag)
         side = tag - 1       # shuffle tags are 1 (left) and 2 (right)
         parts, inners = list(residue[:2]), list(residue[2:])
-        out = self.lifters[side].eve(inners[side], local, parts[side], resources)
-        if out is None:
-            return None
-        parts[side], updates, inners[side] = out
+        parts[side], updates, inners[side] = self.lifters[side].eve(
+            inners[side], local, parts[side], resources)
         return self._join(*parts, self.apart), updates, (*parts, *inners)
 
 
@@ -222,10 +216,7 @@ class ConjLifter(_Lifter):
         return (self.inner.start(code),)
 
     def eve(self, residue, k, code, resources):
-        out = self.inner.eve(residue[0], k, code, resources)
-        if out is None:
-            return None
-        code2, updates, inner2 = out
+        code2, updates, inner2 = self.inner.eve(residue[0], k, code, resources)
         if self.returning and k == len(self.t) and \
                 not self.table.holds(code2, self.audit_post, self.rho):
             raise SoundnessAlarm(
@@ -249,10 +240,7 @@ class ResLifter(_Lifter):
 
     def eve(self, residue, k, code, resources):
         virt, a, r1 = residue
-        out = self.inner.eve(r1, k, a, resources.set(self.r, virt))
-        if out is None:
-            return None
-        a2, updates, r1b = out
+        a2, updates, r1b = self.inner.eve(r1, k, a, resources.set(self.r, virt))
         updates = dict(updates)
         if self.r in updates:
             virt = updates.pop(self.r)
@@ -323,24 +311,15 @@ class GuardLifter(_Lifter):
             if offset <= length:
                 break
             offset -= length
-        else:
-            return None
         if lifter is None:
-            return self._own_step(self.t.steps[k - 1], idx, code, resources)
+            return self._own_step(self.t.steps[k - 1].instr, idx, code, resources)
         if idx != seg_idx:
             inner = lifter.start(code)
-        out = lifter.eve(inner, offset, code, resources)
-        if out is None:
-            return None
-        code2, updates, inner2 = out
+        code2, updates, inner2 = lifter.eve(inner, offset, code, resources)
         return code2, updates, (idx, inner2)
 
-    def _own_step(self, step, idx, code, resources):
-        """The guard's test, acquire or release step; an error step (a
-        failed test) has no move."""
-        if step.status == ERR:
-            return None
-        m = step.instr
+    def _own_step(self, m, idx, code, resources):
+        """The guard's test, acquire or release step, m its instruction."""
         if isinstance(m, IAcquire):
             entry = resources[m.lock]
             if not isinstance(entry, Available):
@@ -399,11 +378,12 @@ class ExtractedStrategy:
     def respond(self, key, position, state):
         """Eve's lifted move from an Adam state at an even position, neither
         checked here: both callers pass only states satisfying the position's
-        predicate and judge the move with `TraceGame.eve_fault`."""
-        out = self.lifter.eve(key, position // 2, state.code, state.resources)
-        if out is None:
+        predicate and judge the move with `TraceGame.eve_fault`; none at an
+        erring code step (one with no successful outcome)."""
+        k = position // 2
+        if not self.game.returns[k - 1]:
             return []
-        code2, updates, key2 = out
+        code2, updates, key2 = self.lifter.eve(key, k, state.code, state.resources)
         res2 = state.resources
         for r, entry in updates.items():
             res2 = res2.set(r, entry)

@@ -859,6 +859,8 @@ def formula_to_text(f, level=0) -> str:
         case Forall(v, b):
             s = f"forall {v}. {formula_to_text(b, 0)}"
             return f"({s})" if level > 0 else s
+        case Exists(v, PointsTo(a, p, Var(w))) if w == v == _fresh_logical(expr_vars(a)):
+            return _points_to_text(a, p, "-")     # the parser's `E |-> -` sugar
         case Exists(v, b):
             s = f"exists {v}. {formula_to_text(b, 0)}"
             return f"({s})" if level > 0 else s
@@ -867,8 +869,10 @@ def formula_to_text(f, level=0) -> str:
         case FEq(l, r):
             return f"({expr_to_text(l)} = {expr_to_text(r)})"
         case PointsTo(a, p, v):
-            if p == 1:
-                return f"({expr_to_text(a)} |-> {expr_to_text(v)})"
-            return f"({expr_to_text(a)} |->[{perm_to_text(p)}] {expr_to_text(v)})"
+            return _points_to_text(a, p, expr_to_text(v))
     raise TypeError(f)
 
+
+def _points_to_text(a, p: Fraction, value: str) -> str:
+    arrow = "|->" if p == 1 else f"|->[{perm_to_text(p)}]"
+    return f"({expr_to_text(a)} {arrow} {value})"

@@ -4,7 +4,8 @@ table's indices and enumerates moves directly."""
 
 from fractions import Fraction
 
-from sepgame.logic import LogicalState, erase, first_split, tensor, universe_table
+from sepgame.logic import (LogicalState, _sub_pairs, erase, first_split, tensor,
+                           universe_table)
 from sepgame.machine import MachineState, MemoryState, Return
 from sepgame.maps import fmap
 from sepgame.separation import Available, HeldBy, SeparatedState, machine_key
@@ -90,3 +91,10 @@ def first_split_states(sigma: LogicalState, fa, fb, rho, u):
     table = universe_table(u)
     found = first_split(table.intern(sigma), fa, fb, rho, u)
     return found and tuple(map(table.state, found))
+
+
+def substates(sigma: LogicalState, u):
+    """All ordered pairs (a, b) with a * b == sigma, permissions drawn from
+    the universe's declared set (or transferred whole); smallest left part
+    first."""
+    return iter(_sub_pairs(sigma, u))

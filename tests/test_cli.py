@@ -124,6 +124,12 @@ def test_verify_rejects_inits_outside_the_context_invariants(tmp_path, capsys):
                     "(own_1(y) and not (own_1(y) * not emp))) * true", [])
 
 
+def test_verify_rejects_inits_outside_a_points_to_precondition(tmp_path, capsys):
+    """The reason prints the precondition's `3 |-> -` as written."""
+    _verify_rejects(tmp_path, capsys, "seq_load_store", ["{x=0@1|2=1@1}", "{|}"],
+                    "((2 |->[1/2] 1) * own_1(x) * (3 |-> -)) * true", ["ext_conseq"])
+
+
 def test_verify_plays_the_game_of_a_proof_with_a_context(capsys):
     """The game puts the context's resources into its initial positions, so
     `verify` picks the inits satisfying P * I_r * true: every one of
@@ -137,18 +143,23 @@ def test_verify_plays_the_game_of_a_proof_with_a_context(capsys):
         ("soundness alarm: root: conj audit failed on the second postcondition", 1): 80}
 
 
-def test_verify_reports_the_error_steps_of_the_store_axiom(tmp_path, capsys):
-    """`verify`'s error-step failure.  The `store` axiom
-    {3 |-> -} [3] := x {3 |-> x} owns no share of the x it stores (ROADMAP
-    item 1): from each of the 20 inits without x its step errs, and its 80
-    returning traces fail at the final position.  Item 1's store fix makes
-    the axiom own x, so it will have to move this test onto an input that
-    still reaches the error-step path."""
+def store_axiom_argv(tmp_path, verb, *extra):
+    """argv for a verb on the `store` axiom {3 |-> -} [3] := x {3 |-> x}
+    over seq_load_store's universe at maxlen 3."""
     program, proof = tmp_path / "store.csl", tmp_path / "store.proof"
     program.write_text("[3] := x\n")
     proof.write_text("(store pre: 3 |-> - cmd: [3] := x post: 3 |-> x)\n")
-    code, out, err = _main(["verify", str(program), str(proof), "-u",
-                            _corpus("seq_load_store", ".uni"), "--maxlen", "3"], capsys)
+    return [verb, str(program), str(proof), "-u", _corpus("seq_load_store", ".uni"),
+            "--maxlen", "3", *extra]
+
+
+def test_verify_reports_the_error_steps_of_the_store_axiom(tmp_path, capsys):
+    """`verify`'s error-step failure.  The `store` axiom owns no share of
+    the x it stores (ROADMAP item 1): from each of the 20 inits without x
+    its step errs, and its 80 returning traces fail at the final position.
+    Item 1's store fix makes the axiom own x, so it will have to move this
+    test onto an input that still reaches the error-step path."""
+    code, out, err = _main(store_axiom_argv(tmp_path, "verify"), capsys)
     assert (code, err) == (1, "")
     report = json.loads(out)
     assert (report["traces_checked"], report["returning"]) == (200, 80)
@@ -157,6 +168,32 @@ def test_verify_reports_the_error_steps_of_the_store_axiom(tmp_path, capsys):
         ("no refinement satisfies the post at position 4", 1): 80}
     assert all("x=" not in f["init"] for f in report["failures"]
                if f["reason"].startswith("error step"))
+
+
+def test_eve_has_no_move_at_the_error_step_of_the_store_axiom(tmp_path, capsys):
+    """Eve's one no-move: the store axiom's trace 3 is one erring step, from
+    an init without x, so the extracted strategy answers nothing at
+    position 2 and the solver finds no winning strategy.  Item 1's store fix
+    makes the axiom own x, so it will have to move this test onto another
+    erring input."""
+    code, out, err = _main(store_axiom_argv(tmp_path, "game", "--trace-index", "3"),
+                           capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "trace 3 length=1 returning=no",
+        "source { | 2=0 3=0 | }",
+        "step err { | 2=0 3=0 | } ; [3] := x ; { | 2=0 3=0 | }",
+        "target { | 2=0 3=0 | }",
+        "",
+        "replay:",
+        "I start -> code={|3=0@1} ; res=[r:avail{|}] ; frame={|2=0@1} ; P1 ; pass",
+        "A env -> code={|3=0@1} ; res=[r:avail{|}] ; frame={|2=0@1/2} ; P2 ; pass",
+        "",
+        "strategy check: fail (no Eve response at position 2)"]
+    code, out, err = _main(store_axiom_argv(tmp_path, "solve", "--trace-index", "3"),
+                           capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == "solver verdict: no winning strategy"
 
 
 def test_emit_replays_under_a_context(capsys):

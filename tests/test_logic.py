@@ -8,7 +8,7 @@ from sepgame import logic
 from sepgame.logic import (LogicalState, UniverseTable, UncoveredLogicalVariable, _sat,
                            _slot_splits, all_logical_states, def_formula, entails, erase,
                            is_precise, lstate_from_text, lstate_to_text, perm_add,
-                           satisfies, substates, tensor, universe_table)
+                           satisfies, tensor, universe_table)
 from sepgame.machine import MemoryState
 from sepgame.maps import fmap
 from sepgame.proof import check_proof
@@ -16,7 +16,8 @@ from sepgame.syntax import (Emp, Exists, FAnd, FEq, FFalse, FImplies, FNot, FOr,
                             FTrue, Lit, Own, PointsTo, Star, Var, parse_proof,
                             parse_universe)
 
-from .builders import EMPTY_LSTATE, first_split_states, lstate, parse_formula, tensor_all
+from .builders import (EMPTY_LSTATE, first_split_states, lstate, parse_formula, substates,
+                       tensor_all)
 from .conftest import PROGRAMS, corpus_text
 
 HALF = Fraction(1, 2)

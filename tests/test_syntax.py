@@ -190,6 +190,40 @@ def test_formula_round_trip_random():
         assert parse_formula(formula_to_text(f)) == f
 
 
+def _node_formulas(node):
+    """The pre, post, context invariants and formula parameters of every
+    node of a derivation tree."""
+    yield node.pre
+    yield node.post
+    yield from (inv for _, inv in node.ctx.items())
+    yield from (node.params[k] for k in ("R", "inv") if k in node.params)
+    for child in node.children:
+        yield from _node_formulas(child)
+
+
+def test_corpus_formulas_round_trip():
+    """Every formula of the corpus proofs, `E |-> -` sugar included, prints
+    to a text that re-parses to itself."""
+    formulas = [f for path in sorted(CORPUS.rglob("*.proof"))
+                for f in _node_formulas(parse_proof(path.read_text()))]
+    texts = [formula_to_text(f) for f in formulas]
+    assert (len(formulas), sum("|-> -" in text for text in texts)) == (160, 7)
+    assert [parse_formula(text) for text in texts] == formulas
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("3 |-> -", "(3 |-> -)"),
+    ("x + 1 |->[1/2] -", "(x + 1 |->[1/2] -)"),
+    ("exists X_1. (3 |-> X_1)", "(3 |-> -)"),
+    ("exists X_1. (X_1 |-> X_1)", "exists X_1. (X_1 |-> X_1)"),
+    ("exists X_2. (3 |-> X_2)", "exists X_2. (3 |-> X_2)"),
+])
+def test_points_to_sugar_prints_back(text, printed):
+    """`E |-> -` is the parser's `exists X_k. (E |-> X_k)` for the first
+    X_k that E does not name; the printer writes exactly those back."""
+    assert formula_to_text(parse_formula(text)) == printed
+
+
 def _tests_of(c):
     """The tests of every if, while and with in a command."""
     match c:
