@@ -50,7 +50,8 @@ _LAYERS = {
     "semantics": ("EnumerationBudget", "enumerate_traces"),
     "traces": ("trace_to_lines",),
     "separation": ("sep_state_to_text",),
-    "game": ("NoWin", "check_winning_strategy", "replay_lines", "solve_eve"),
+    "game": ("NoWin", "check_winning_strategy", "replay_lines", "solve_eve",
+             "winning_spec"),
     "soundness": ("ExtractedStrategy", "ExtractionFailure", "SoundnessAlarm",
                   "initial_condition", "verify_corollary"),
 }
@@ -270,10 +271,10 @@ def cmd_verify(args) -> int:
     return 0 if not report["failures"] else 1
 
 
-def _strategy_on_trace(args):
-    """The universe, the trace at --trace-index, whether it returns and the
-    strategy extracted from the checked proof on it; None, once reported,
-    when the proof is rejected or proves another program."""
+def _proof_on_trace(args):
+    """The universe, the trace at --trace-index, whether it returns, the
+    checked proof and its valuation; None, once reported, when the proof is
+    rejected or proves another program."""
     _load(*_LAYERS)
     u, prog = _load_program(args)
     node, result = _load_checked_proof(args, u)
@@ -287,15 +288,16 @@ def _strategy_on_trace(args):
                               maxlen=args.maxlen)
     for i, (t, ret, _) in enumerate(traces):
         if i == args.trace_index:
-            return u, t, ret, ExtractedStrategy(node, t, u, result.valuation)
+            return u, t, ret, node, result.valuation
     raise UsageError(f"trace index {args.trace_index} out of range")
 
 
 def cmd_game(args) -> int:
-    picked = _strategy_on_trace(args)
+    picked = _proof_on_trace(args)
     if picked is None:
         return 1
-    u, t, ret, strat = picked
+    u, t, ret, node, rho = picked
+    strat = ExtractedStrategy(node, t, u, rho)
     lines = [f"trace {args.trace_index} length={len(t)} "
              f"returning={'yes' if ret else 'no'}"]
     lines.extend(trace_to_lines(t))
@@ -315,11 +317,12 @@ def cmd_game(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    picked = _strategy_on_trace(args)
+    picked = _proof_on_trace(args)
     if picked is None:
         return 1
-    u, t, _, strat = picked
-    verdict = solve_eve(t, strat.spec, u, budget=args.budget)
+    u, t, ret, node, rho = picked
+    spec = winning_spec(node.pre, node.ctx, node.post, t, ret, rho)
+    verdict = solve_eve(t, spec, u, budget=args.budget)
     if verdict == "unknown":
         _write_out("solver verdict: unknown (budget exceeded)", args.output)
         return 3

@@ -14,9 +14,8 @@ rests on is the replay that `game` and `verify --emit-replays` print.
 A position's predicate has one definition, `separation.piece_test`: the code
 against pre, an available resource against its context invariant; the frame
 is unconstrained.  `sat_sep` asks it of every piece, one models bit each: a
-piece is an index into the universe's table, interned past the enumerated
-states when the table does not hold it (`separation`), so equal indices are
-equal states and the judge of Eve's moves compares integers.  Adam's
+piece is an index into the universe's table (`separation`), so equal
+indices are equal states and the judge of Eve's moves compares integers.  Adam's
 refinements and Eve's moves are built by the memoised
 `separation.separations`, which tests each piece as soon as it is chosen,
 so every state it builds satisfies the predicate.  Adam's moves from a

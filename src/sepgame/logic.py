@@ -1,4 +1,4 @@
-"""Permissions, logical states, the separation tensor and formula satisfaction.
+"""Permissions, logical states, their substates and formula satisfaction.
 
 Permissions are rationals in (0,1] under addition; 1 is the write permission
 and admits no multiple.  Quantifiers and substate splits range over a declared
@@ -9,12 +9,10 @@ are bit operations.  An atom or a `*` reads only the cells of its support,
 so it is decided on the states that hold no other cell (`*` over their
 splits as index pairs) and the answers are widened to every state.  A state
 satisfies a formula when its index's bit is set.
-A state outside the enumerated ones (a cell whose share is no permission,
-such as 3/4 under 1/4, 1/2 and 1, or whose value or variable the universe
-does not declare) is interned: the table gives it the next index past them
-the first time it is met.  Only such a state, or a logical variable the
-valuation leaves unbound, is decided state by state by `_sat`, so that the
-variable is reported where it is met.
+The permission set is closed under its sums (`Universe`) and the machine
+writes only declared values, so every state met is an enumerated one.  Only
+a formula whose valuation leaves a logical variable unbound is decided
+state by state by `_sat`, so that the variable is reported where it is met.
 """
 
 from __future__ import annotations
@@ -38,54 +36,12 @@ class UncoveredLogicalVariable(Exception):
     pass
 
 
-def perm_add(p: Fraction, q: Fraction):
-    """Sum of two permissions, or None when the sum leaves (0,1]."""
-    s = p + q
-    return s if s <= 1 else None
-
-
 class LogicalState(Node):
     stack: fmap = fmap()   # var -> (value, perm)
     heap: fmap = fmap()    # loc -> (value, perm)
 
     def is_empty(self):
         return not (self.stack._dict or self.heap._dict)
-
-
-def _join(a: fmap, b: fmap):
-    if not b._dict:
-        return a
-    if not a._dict:
-        return b
-    out = dict(a._dict)
-    for k, (v, p) in b._dict.items():
-        if k not in out:
-            out[k] = (v, p)
-            continue
-        v0, p0 = out[k]
-        if v0 != v:
-            return None
-        s = perm_add(p0, p)
-        if s is None:
-            return None
-        out[k] = (v, s)
-    return fmap(out)
-
-
-def tensor(a: LogicalState, b: LogicalState):
-    """Separation product; None when values disagree or permissions overflow.
-    `emp` is its unit: with an empty operand it returns the other one."""
-    if b.is_empty():
-        return a
-    if a.is_empty():
-        return b
-    stack = _join(a.stack, b.stack)
-    if stack is None:
-        return None
-    heap = _join(a.heap, b.heap)
-    if heap is None:
-        return None
-    return LogicalState(stack, heap)
 
 
 def erase(sigma: LogicalState) -> MemoryState:
@@ -163,16 +119,16 @@ def satisfies(sigma: LogicalState, f, rho: fmap, u: Universe) -> bool:
     """The satisfaction judgement between a logical state and a formula, on
     the state's index (`UniverseTable.holds`)."""
     table = universe_table(u)
-    return table.holds(table.intern(sigma), f, rho)
+    return table.holds(table.index[sigma], f, rho)
 
 
 def first_split(i: int, fa, fb, rho: fmap, u: Universe):
     """The first split (a, b) of state i in `_sub_pairs` order with a
     satisfying fa and b satisfying fb, as a pair of indices, or None: a scan
-    of the index splits against the models, or, for an interned state or a
-    variable rho leaves unbound, of `_sub_pairs` asking `satisfies`."""
+    of the index splits against the models, or, for a variable rho leaves
+    unbound, of `_sub_pairs` asking `satisfies`."""
     table = universe_table(u)
-    left = table.mask(fa, rho) if i < len(table.states) else None
+    left = table.mask(fa, rho)
     right = None if left is None else table.mask(fb, rho)
     if right is not None:
         for a, b in table.splits[i]:
@@ -181,7 +137,7 @@ def first_split(i: int, fa, fb, rho: fmap, u: Universe):
         return None
     for a, b in _sub_pairs(table.state(i), u):
         if satisfies(a, fa, rho, u) and satisfies(b, fb, rho, u):
-            return table.intern(a), table.intern(b)
+            return table.index[a], table.index[b]
     return None
 
 
@@ -285,9 +241,7 @@ class UniverseTable:
     index * |perms| + perm index.  `parts` holds each cell's digits times its
     weight; `digits[k][d]` is the mask of the states whose cell k has digit
     d; `splits[i]`, built on first use, is state i's splits as (left index,
-    right index) pairs in `_sub_pairs` order.  A state past the enumerated
-    ones gets its index from `intern`, which `state` reads back; equal
-    indices name one state.
+    right index) pairs in `_sub_pairs` order.  Equal indices name one state.
 
     A formula's support is the cells its truth can read: none for true and
     false; a variable's cell for `own`; the program variables' cells for
@@ -332,22 +286,14 @@ class UniverseTable:
                              key=lambda k: (self.cells[k][0] == "h", self.cells[k][1]))
         self.splits = _Splits(self._state_splits, n)
         self._models, self._unbound, self._support = {}, {}, {}
-        self.extra, self._masks, self.joins, self.wholes = [], {}, {}, {}  # joins: separation
+        self._masks, self.joins, self.wholes = {}, {}, {}       # joins: separation
 
     @functools.cached_property
     def index(self) -> dict:
         return {sigma: i for i, sigma in enumerate(self.states)}
 
-    def intern(self, sigma: LogicalState) -> int:
-        """sigma's index; a state not enumerated gets the next free one."""
-        i = self.index.get(sigma)
-        if i is None:
-            i = self.index[sigma] = len(self.states) + len(self.extra)
-            self.extra.append(sigma)
-        return i
-
     def state(self, i: int) -> LogicalState:
-        return self.states[i] if i < len(self.states) else self.extra[i - len(self.states)]
+        return self.states[i]
 
     def mask(self, f, rho: fmap):
         """f's models under rho, None when rho leaves a variable of f unbound;
@@ -359,9 +305,9 @@ class UniverseTable:
         return hit[2]
 
     def holds(self, i: int, f, rho: fmap) -> bool:
-        """State i's bit of `mask`; `_sat` for an interned state or None mask."""
-        mask = self.mask(f, rho) if i < len(self.states) else None
-        return _sat(self.state(i), f, rho, self.u) if mask is None else mask >> i & 1 == 1
+        """State i's bit of `mask`; `_sat` when the mask is None."""
+        mask = self.mask(f, rho)
+        return _sat(self.states[i], f, rho, self.u) if mask is None else mask >> i & 1 == 1
 
     def _state_splits(self, i: int) -> tuple:
         pairs = [(0, 0)]

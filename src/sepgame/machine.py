@@ -135,7 +135,8 @@ def machine_step(s: MachineState, m, u: Universe) -> frozenset:
 
     The empty set means no step exists (a blocked lock), which is distinct
     from {Error}.  Values written outside the universe's range are an Error;
-    alloc returns one outcome per free location.
+    alloc returns one outcome per free location, an Error for one outside
+    the range, as alloc writes it into its variable.
     """
     mu, L = s.memory, s.locked
     match m:
@@ -164,7 +165,7 @@ def machine_step(s: MachineState, m, u: Universe) -> frozenset:
             for loc in u.locations:
                 if loc not in mu.heap:
                     mu2 = MemoryState(mu.stack.set(x, loc), mu.heap.set(loc, v))
-                    outs.append(Return(s.with_memory(mu2)))
+                    outs.append(Return(s.with_memory(mu2)) if loc in u.values else ERROR)
             return frozenset(outs)
         case DisposeC(e):
             loc = eval_expr(e, mu)

@@ -4,21 +4,18 @@ A separated state cuts one logical state into pieces (the code's, one per
 available resource, the frame's) and combines into a machine state by
 tensoring them, forgetting permissions and locking exactly the held
 resources.  Each piece, and the tensor, is an index into the universe's
-`UniverseTable`: an enumerated state's index spells its cells, one digit
-each, and any other state (a share sum that is no permission, an allocated
-location, an undeclared value) is interned past them, so equal indices are
-equal states.  Permissions form a partial commutative monoid (Bornat et
-al., POPL 2005): a tensor joins digits cell by cell (`join`).
+`UniverseTable`, which spells its cells, one digit each, so equal indices
+are equal states.  Permissions form a partial commutative monoid (Bornat et
+al., POPL 2005), closed in the universe under its defined sums: a tensor
+joins digits cell by cell (`join`) and stays in the table.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
-from .logic import (TOP, LogicalState, erase, from_slots, lstate_to_text, slots,
-                    tensor, universe_table)
+from .logic import erase, lstate_to_text, slots, universe_table
 from .machine import MachineState, MemoryState, Return, locks, locks_minus, \
     locks_plus
 from .maps import Node, fmap
@@ -95,8 +92,7 @@ class SeparatedState(Node):
 # --- index arithmetic, memoised on the table ------------------------------------------
 
 def join(table, a: int, b: int):
-    """The index of the tensor of states a and b, or None when undefined; a
-    sum that is no permission, or an interned state, takes `tensor`."""
+    """The index of the tensor of states a and b, or None when undefined."""
     if not a or not b:      # index 0 is emp, the unit
         return a + b
     key = (a, b) if a < b else (b, a)
@@ -109,22 +105,16 @@ def join(table, a: int, b: int):
 def _join(table, a: int, b: int):
     r, perms = table.radix, table.u.perms
     out = 0
-    if b < len(table.states):
-        for w in table.weights:
-            da, db = a // w % r, b // w % r
-            if da and db:       # digit 1 + value index * |perms| + perm index
-                pa, pb = (da - 1) % len(perms), (db - 1) % len(perms)
-                total = perms[pa] + perms[pb]
-                if da - pa != db - pb or total > 1:
-                    return None
-                if total not in perms:
-                    break
-                da += perms.index(total) - pa
-            out += (da or db) * w
-        else:
-            return out
-    sigma = tensor(table.state(a), table.state(b))
-    return None if sigma is None else table.intern(sigma)
+    for w in table.weights:
+        da, db = a // w % r, b // w % r
+        if da and db:       # digit 1 + value index * |perms| + perm index
+            pa, pb = (da - 1) % len(perms), (db - 1) % len(perms)
+            total = perms[pa] + perms[pb]
+            if da - pa != db - pb or total > 1:
+                return None
+            da += perms.index(total) - pa
+        out += (da or db) * w
+    return out
 
 
 def tensor_of(table, pieces):
@@ -141,15 +131,9 @@ def whole(table, i: int) -> int:
 
 
 def _held_whole(table, mu: MemoryState) -> int:
-    total = 0       # the sum of the cells' digits at the write permission
-    for kind, cells in (("s", mu.stack._dict), ("h", mu.heap._dict)):
-        for k, v in cells.items():
-            part = table.parts.get((kind, k, v))
-            if part is None:        # an undeclared cell or value
-                return table.intern(LogicalState(*(fmap({k: (v, TOP) for k, v in m.items()})
-                                                   for m in (mu.stack, mu.heap))))
-            total += part[-1]
-    return total
+    """The index of mu held whole: its cells' digits at the write permission."""
+    return (sum(table.parts["s", k, v][-1] for k, v in mu.stack._dict.items())
+            + sum(table.parts["h", k, v][-1] for k, v in mu.heap._dict.items()))
 
 
 def machine_key(m: MachineState, table) -> tuple:
@@ -198,52 +182,34 @@ def component_assignments(mu: MemoryState, fixed: int, n: int,
     a fixed component, so that everything tensors and erases exactly to mu.
 
     Each component is chosen, in order, as a table index, a cell's share
-    adding its `parts` entry; a cell no universe state holds (an allocated
-    location, an undeclared variable) adds a digit above the table's
-    indices, interned when tested or yielded.  Shares are integers over the
-    lcm of the denominators; a cell takes 0 or a permission that keeps its
+    adding its `parts` entry.  Shares are integers over the lcm of the
+    permissions' denominators; a cell takes 0 or a permission that keeps its
     total at most 1, and above 0 after the last component.  tests[i], when
-    given, is None or a pair (formula, rho) component i must satisfy
-    (`UniverseTable.holds`), dropped as soon as it does not.
+    given, is None or a pair (formula, rho) component i must satisfy (its
+    models bit), dropped as soon as it does not.
 
     Yields pairs (n-tuple of indices, index of the tensor of them and the
     fixed component), cell-major: by the first cell's shares of components
     0..n-1, then the second cell's, and so on, each share ordered as 0 and
-    then the permissions.  The tensor is read off the per-cell totals: their
-    digits when every total is a permission of a table cell, else interned
-    once per totals vector.  Yields nothing when the fixed component
-    disagrees with mu.
+    then the permissions.  The tensor is read off the per-cell totals, each
+    a permission, as the set is closed under its sums.  Yields nothing when
+    the fixed component disagrees with mu.
     """
     table = universe_table(u)
-    size = len(table.states)
     cells = ([("s", k, v) for k, v in mu.stack.items()]
              + [("h", k, v) for k, v in mu.heap.items()])
     fixed_cells = {(kind, k): (v, p) for kind, k, v, p in slots(table.state(fixed))}
     if not fixed_cells.keys() <= {(kind, k) for kind, k, _ in cells}:
         return
-    scale = math.lcm(*(p.denominator for p in u.perms),
-                     *(p.denominator for _, p in fixed_cells.values()))
+    scale = math.lcm(*(p.denominator for p in u.perms))
     shares = (0,) + tuple(int(p * scale) for p in u.perms)
-    totals, parts, off_table = [], [], []
+    totals, parts = [], []
     for kind, k, v in cells:
         v0, p0 = fixed_cells.get((kind, k), (v, 0))
         if v0 != v:
             return
         totals.append(int(p0 * scale))
-        part = table.parts.get((kind, k, v))
-        if part is None:
-            weight = size * len(shares) ** len(off_table)
-            part = tuple(j * weight for j in range(len(shares)))
-            off_table.append((kind, k, v))
-        parts.append(part)
-
-    def piece(a):
-        if a < size:
-            return a
-        rest, a = divmod(a, size)
-        return table.intern(from_slots(slots(table.states[a]) + [
-            (*cell, ((0,) + u.perms)[rest // len(shares) ** m % len(shares)])
-            for m, cell in enumerate(off_table)]))
+        parts.append(table.parts[kind, k, v])
 
     # (indices so far, per-cell totals, sort key: one digit per share, cell-major)
     partial = [((), tuple(totals), 0)]
@@ -262,23 +228,13 @@ def component_assignments(mu: MemoryState, fixed: int, n: int,
                 picks = [(a + x, ts + (t2,), o + y)
                          for a, ts, o in picks for x, t2, y in options]
             grown += [(chosen + (a,), ts, o) for a, ts, o in picks
-                      if mask is None or (mask >> a & 1 if a < size
-                                          else table.holds(piece(a), f, rho))]
+                      if mask is None or mask >> a & 1]
         partial = grown
     partial.sort(key=lambda a: a[2])
     digit = {q: j for j, q in enumerate(shares)}
-    tensors = {}
     for chosen, totals, _ in partial:
         if all(totals):
-            joined = tensors.get(totals)
-            if joined is None:
-                digits = [digit.get(t) for t in totals]
-                joined = tensors[totals] = (
-                    table.intern(from_slots([(*cell, Fraction(t, scale))
-                                             for cell, t in zip(cells, totals)]))
-                    if off_table or None in digits else
-                    sum(part[j] for part, j in zip(parts, digits)))
-            yield tuple(piece(a) for a in chosen), joined
+            yield chosen, sum(part[digit[t]] for part, t in zip(parts, totals))
 
 
 @functools.lru_cache(maxsize=None)

@@ -45,15 +45,13 @@ from __future__ import annotations
 
 from . import game as game_layer
 from .game import CheckResult, replay_lines, winning_spec
-from .logic import (TOP, erase, first_split, from_slots, lstate_to_text, satisfies,
-                    slots, universe_table)
+from .logic import erase, first_split, lstate_to_text, satisfies, universe_table
 from .machine import ABORT, IAcquire, IRelease, MachineState, eval_expr
 from .maps import fmap
 from .proof import ProofCheckResult
 from .semantics import (HideW, NOTIN, ParW, RETURNS, SeqLeftW, SeqSplitW,
                         denote, enumerate_traces)
-from .separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
-                         SeparatedState, SeparationError, join)
+from .separation import Available, HELD_BY_CODE, SeparatedState, SeparationError, join
 from .syntax import FTrue, Star, Universe, formula_to_text
 from .traces import Trace, restrict
 
@@ -133,16 +131,10 @@ class AtomLifter(_Lifter):
 
     def _put(self, code: int, kind, key, value=None) -> int:
         """The code with cell (kind, key) held whole at value, or dropped."""
-        table, cell = self.table, (kind, key)
-        part = None if value is None else table.parts.get((kind, key, value))
-        if code < len(table.states) and cell in table.cells and (value is None or part):
-            w = table.weights[table.cells.index(cell)]
-            return code - code // w % table.radix * w + (part[-1] if part else 0)
-        cells = {(c_kind, c_key): (v, p) for c_kind, c_key, v, p in slots(table.state(code))}
-        cells.pop(cell, None)
-        if value is not None:
-            cells[cell] = (value, TOP)
-        return table.intern(from_slots([(*c, v, p) for c, (v, p) in cells.items()]))
+        table = self.table
+        w = table.weights[table.cells.index((kind, key))]
+        held = 0 if value is None else table.parts[kind, key, value][-1]
+        return code - code // w % table.radix * w + held
 
     def eve(self, residue, k, code, resources):
         post = self.t.steps[0].post.memory
@@ -242,10 +234,7 @@ class ResLifter(_Lifter):
         virt, a, r1 = residue
         a2, updates, r1b = self.inner.eve(r1, k, a, resources.set(self.r, virt))
         updates = dict(updates)
-        if self.r in updates:
-            virt = updates.pop(self.r)
-            if virt == HELD_BY_FRAME:
-                raise SoundnessAlarm(f"{self.path}: virtual resource went to the frame")
+        virt = updates.pop(self.r, virt)
         if isinstance(virt, Available):
             merged = self._join(a2, virt.state,
                                 "virtual resource content no longer composes")

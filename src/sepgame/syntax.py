@@ -16,6 +16,7 @@ pattern (`tokenize`); universe configs are read line by line.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -252,6 +253,9 @@ class Universe(Node):
         for p in self.perms:
             if not (0 < p <= 1):
                 raise ParseError(f"permission {p} outside (0,1]")
+        for p, q in itertools.combinations_with_replacement(sorted(self.perms), 2):
+            if p + q <= 1 and p + q not in self.perms:
+                raise ParseError(f"permission set is not closed under sums: {p} + {q} = {p + q}")
         if self.env_policy not in ("passive", "move-list", "exhaustive"):
             raise ParseError(f"unknown env policy {self.env_policy!r}")
         if self.maxlen < 0:

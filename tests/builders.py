@@ -1,11 +1,12 @@
 """Constructors and definitions the tests write states and checks with, which
 the package itself does not need: it builds its states from the universe
-table's indices and enumerates moves directly."""
+table's indices, joins them digit by digit and enumerates moves directly.
+`tensor` is the separation product on logical states, the reference
+`separation.join` is checked against."""
 
 from fractions import Fraction
 
-from sepgame.logic import (LogicalState, _sub_pairs, erase, first_split, tensor,
-                           universe_table)
+from sepgame.logic import LogicalState, _sub_pairs, erase, first_split, universe_table
 from sepgame.machine import MachineState, MemoryState, Return
 from sepgame.maps import fmap
 from sepgame.separation import Available, HeldBy, SeparatedState, machine_key
@@ -36,6 +37,48 @@ def prefix(t: Trace, k: int) -> Trace:
     return Trace(t.source, t.steps[:k], t.steps[k].pre)
 
 
+def perm_add(p: Fraction, q: Fraction):
+    """Sum of two permissions, or None when the sum leaves (0,1]."""
+    s = p + q
+    return s if s <= 1 else None
+
+
+def _join(a: fmap, b: fmap):
+    if not b._dict:
+        return a
+    if not a._dict:
+        return b
+    out = dict(a._dict)
+    for k, (v, p) in b._dict.items():
+        if k not in out:
+            out[k] = (v, p)
+            continue
+        v0, p0 = out[k]
+        if v0 != v:
+            return None
+        s = perm_add(p0, p)
+        if s is None:
+            return None
+        out[k] = (v, s)
+    return fmap(out)
+
+
+def tensor(a: LogicalState, b: LogicalState):
+    """Separation product; None when values disagree or permissions overflow.
+    `emp` is its unit: with an empty operand it returns the other one."""
+    if b.is_empty():
+        return a
+    if a.is_empty():
+        return b
+    stack = _join(a.stack, b.stack)
+    if stack is None:
+        return None
+    heap = _join(a.heap, b.heap)
+    if heap is None:
+        return None
+    return LogicalState(stack, heap)
+
+
 def tensor_all(states):
     """The tensor of the logical states, emp for none; None when undefined."""
     acc = EMPTY_LSTATE
@@ -50,10 +93,10 @@ def sep_state(u, code=EMPTY_LSTATE, resources=(), frame=EMPTY_LSTATE) -> Separat
     """The separated state of these logical pieces on u's table; an
     available resource is given as Available(logical state)."""
     table = universe_table(u)
-    entries = {r: Available(table.intern(e.state)) if isinstance(e, Available) else e
+    entries = {r: Available(table.index[e.state]) if isinstance(e, Available) else e
                for r, e in dict(resources).items()}
-    return SeparatedState.build(table, table.intern(code), fmap(entries),
-                                table.intern(frame))
+    return SeparatedState.build(table, table.index[code], fmap(entries),
+                                table.index[frame])
 
 
 def pieces(s: SeparatedState) -> tuple:
@@ -89,7 +132,7 @@ def legal_adam_move(s: SeparatedState, s2: SeparatedState) -> bool:
 def first_split_states(sigma: LogicalState, fa, fb, rho, u):
     """`logic.first_split` on a logical state, its split as logical states."""
     table = universe_table(u)
-    found = first_split(table.intern(sigma), fa, fb, rho, u)
+    found = first_split(table.index[sigma], fa, fb, rho, u)
     return found and tuple(map(table.state, found))
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from sepgame import cli
 
-from .conftest import CORPUS, EXHAUSTIVE_UNIVERSE
+from .conftest import CORPUS, EXHAUSTIVE_UNIVERSE, corpus_text
 from .test_soundness import FALSE_TRIPLE
 
 UNIVERSE = "vars = x\nlocs = 2\nvals = 0..1\nperms = 1/2, 1\nlocks = r\nmaxlen = 2\n"
@@ -385,15 +385,38 @@ ALLOC_PROOF = """(ext_conseq pre: own_1(x) * (X = 0) cmd: x := alloc(0)
     ("solve", "solver verdict: winning strategy found (9 initial states)"),
 ])
 def test_game_and_solve_past_an_allocation(tmp_path, capsys, verb, line):
-    """After `x := alloc(0)` on tiny.uni, x holds location 2, a value outside
-    vals, so the code's piece is no universe state: Eve still moves onto it."""
+    """After `x := alloc(0)` on tiny.uni widened to vals = 0..3, x holds
+    location 2, a declared value: Eve moves onto the allocated cell."""
     (tmp_path / "a.csl").write_text("x := alloc(0)\n")
     (tmp_path / "a.proof").write_text(ALLOC_PROOF)
+    (tmp_path / "a.uni").write_text(corpus_text("tiny.uni").replace("vals = 0..1",
+                                                                     "vals = 0..3"))
     code, out, err = _main([verb, str(tmp_path / "a.csl"), str(tmp_path / "a.proof"),
-                            "-u", _corpus("tiny", ".uni"), "--allow-extensions",
-                            "--trace-index", "16"], capsys)
+                            "-u", str(tmp_path / "a.uni"), "--allow-extensions",
+                            "--trace-index", "36"], capsys)
     assert (code, out.splitlines()[-1], err) == (0, line, "")
     assert verb == "solve" or "step ok {x=0 y=0 |  | } ; x := alloc(0) ; {x=2 y=0 | 2=0 | }" in out
+
+
+def test_an_allocation_outside_the_values_errs(tmp_path, capsys):
+    """On tiny.uni the free locations 2 and 3 are no declared values, so
+    `x := alloc(0)` errs instead of making a state `run --init` would refuse."""
+    (tmp_path / "a.csl").write_text("x := alloc(0)\n")
+    code, out, err = _main(["run", str(tmp_path / "a.csl"), "-u", _corpus("tiny", ".uni"),
+                            "--init", "{x=0@1,y=0@1|}"], capsys)
+    assert (code, err) == (0, "")
+    assert "step err {x=0 y=0 |  | } ; x := alloc(0) ; {x=0 y=0 |  | }" in out.splitlines()
+    assert out.splitlines()[-1] == "total 2 traces, 0 returning"
+
+
+def test_a_permission_set_not_closed_under_sums_exits_2(tmp_path, capsys):
+    uni = tmp_path / "open.uni"
+    uni.write_text(UNIVERSE.replace("perms = 1/2, 1", "perms = 1/4, 1/2, 1"))
+    code, out, err = _main(["check", _corpus("framed_assign", ".proof"), "-u", str(uni),
+                            "--allow-extensions"], capsys)
+    assert code == 2
+    assert out == "" and err == ("sepgame: permission set is not closed under sums: "
+                                 "1/4 + 1/2 = 3/4\n")
 
 
 MOVE_UNIVERSE = UNIVERSE.replace("maxlen = 2\n", "maxlen = 2\nenv = move-list\n")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepgame import game, logic, separation, soundness
+from sepgame import game, separation, soundness
 from sepgame.game import (NoWin, SeparatedPredicate, SolvedStrategy, TraceGame,
                           adam_extensions, check_winning_strategy,
                           empty_winning_plays, replay_lines, sat_sep,
@@ -22,6 +22,7 @@ from sepgame.syntax import (AllocC, Assign, FFalse, FTrue, Lit, Own, Store, pars
                             parse_universe)
 from sepgame.traces import ERR, OK, CodeTransition, Trace
 
+from . import builders
 from .builders import (EMPTY_LSTATE, combine, lstate, mstate, parse_formula, return_keys,
                        sep_state, tensor_all)
 from .conftest import CORPUS, PROGRAMS, bench_script, corpus_inits, corpus_text
@@ -190,7 +191,7 @@ def _off_the_trace(game, position, state):
 def test_the_game_judges_every_eve_move_it_is_given(move, fault):
     """`TraceGame.eve_fault` is the one judge of a strategy's moves: the
     checker fails on a faulty move, with the play that ends in it."""
-    u = parse_universe("vars = x\nlocs = 2, 3\nvals = 0..1\nperms = 1\nlocks = r\n")
+    u = parse_universe("vars = x\nlocs = 2, 3\nvals = 0..3\nperms = 1\nlocks = r\n")
     pre, m = mstate(stack={"x": 0}), AllocC("x", Lit(0))
     post = min((o.state for o in machine_step(pre, m, u)),
                key=lambda s: s.memory.stack["x"])
@@ -337,8 +338,8 @@ def test_adam_has_no_move_that_frees_a_code_held_lock(u):
 def _every_assignment(mu, fixed, n, u, tests=()):
     """component_assignments without tests, written out the plain way: every
     vector of n shares per cell whose total lies in (0,1], cell-major, with
-    the tensor of the fixed component and the n pieces, as logical states
-    interned in the universe table."""
+    the tensor of the fixed component and the n pieces, as the indices of
+    their logical states in the universe table."""
     table = universe_table(u)
     fixed = table.state(fixed)
     cells = ([("s", k, v) for k, v in mu.stack.items()]
@@ -358,48 +359,42 @@ def _every_assignment(mu, fixed, n, u, tests=()):
         parts = tuple(from_slots([(kind, k, v, qs[i])
                                   for (kind, k, v), qs in zip(cells, choice)])
                       for i in range(n))
-        yield tuple(map(table.intern, parts)), table.intern(tensor_all([fixed, *parts]))
+        yield tuple(table.index[p] for p in parts), table.index[tensor_all([fixed, *parts])]
 
 
-@pytest.mark.parametrize("perms", ["1/4, 1/2, 1", "1/3, 2/3, 1"])
+@pytest.mark.parametrize("perms", ["1/4, 1/2, 3/4, 1", "1/3, 2/3, 1"])
 def test_indexed_builder_equals_the_filtered_product(perms):
     """On permissions the corpus never uses, component_assignments (pieces as
     universe-table indices, tests as model bits) yields the plain share
     product filtered by _sat, in the same order, each piece the index of its
-    logical state.  Memories may hold cells no universe state
-    holds: a value outside vals (an allocated location) or an undeclared
-    variable."""
+    logical state."""
     u = parse_universe(f"vars = x, y\nlocs = 1\nvals = 0..1\nperms = {perms}\n"
                        "locks = r\n")
     table = universe_table(u)
     rng = random.Random(2017)
     cells = [("s", x) for x in u.variables] + [("h", loc) for loc in u.locations]
-    # fixed shares include sums that are no permission, such as 3/4
-    sums = sorted({p + q for p in u.perms for q in (0, *u.perms) if p + q <= 1})
-    yielded = off_table = 0
+    yielded = 0
     for _ in range(200):
         n = rng.choice([1, 2, 3])
-        held = {cell: rng.choice(u.values) if rng.random() < 0.9 else 2
-                for cell in rng.sample(cells + [("s", "z")],
-                                       rng.randint(0, 3 if n < 3 else 2))}
+        held = {cell: rng.choice(u.values)
+                for cell in rng.sample(cells, rng.randint(0, 3 if n < 3 else 2))}
         mu = MemoryState(fmap({k: v for (kind, k), v in held.items() if kind == "s"}),
                          fmap({k: v for (kind, k), v in held.items() if kind == "h"}))
         # mostly agreeing with mu; now and then a value or a cell it lacks
         fixed = from_slots([(kind, k, held.get((kind, k), 0) if rng.random() < 0.9
-                             else rng.choice(u.values), rng.choice(sums))
+                             else rng.choice(u.values), rng.choice(u.perms))
                             for kind, k in rng.sample(cells, rng.randint(0, 2))
                             if (kind, k) in held or rng.random() < 0.1])
         tests = [None if rng.random() < 0.5 else (_random_formula(rng, u, 2), fmap())
                  for _ in range(n)]
-        fixed = table.intern(fixed)
+        fixed = table.index[fixed]
         got = list(separation.component_assignments(mu, fixed, n, u, tests))
         assert got == [(parts, whole)
                        for parts, whole in _every_assignment(mu, fixed, n, u)
                        if all(t is None or _sat(table.state(part), *t, u)
                               for part, t in zip(parts, tests))]
-        off_table += sum(part >= len(table.states) for parts, _ in got for part in parts)
         yielded += len(got)
-    assert yielded > 2000 and off_table > 100
+    assert yielded > 2000
 
 
 @contextlib.contextmanager
@@ -560,7 +555,7 @@ def test_the_chain_joins_indices_and_renders_each_state_once(
     the extracted strategy, the checker and the solver each built the
     game."""
     joins, index_joins, asked, pieces = [0], [0], [], [0]
-    join, render, piece = logic._join, separation.sep_state_to_text, lstate_to_text
+    join, render, piece = builders._join, separation.sep_state_to_text, lstate_to_text
     index_join = separation._join
 
     def counting_join(a, b):
@@ -578,7 +573,7 @@ def test_the_chain_joins_indices_and_renders_each_state_once(
     def counting_piece(sigma):
         pieces[0] += 1
         return piece(sigma)
-    monkeypatch.setattr(logic, "_join", counting_join)
+    monkeypatch.setattr(builders, "_join", counting_join)
     monkeypatch.setattr(separation, "_join", counting_index_join)
     monkeypatch.setattr(separation, "lstate_to_text", counting_piece)
     monkeypatch.setattr(game, "sep_state_to_text", asking)

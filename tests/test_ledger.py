@@ -1,16 +1,20 @@
-"""A statement ledger for `soundness.py` (ROADMAP items 9 and 10): every
-statement in a function body runs under one fixed in-process sweep, or is
-listed in UNREACHED with the reason no input of the sweep reaches it.
+"""A statement ledger per module (ROADMAP items 9 and 10): every statement
+in a function body of the module runs under the module's fixed in-process
+sweep, or is listed in its UNREACHED table with the reason no input of the
+sweep reaches it.
 
-The sweep: `verify_corollary` with replays on each corpus program from its
-.inits at maxlen 3, then on ROADMAP item 1's false triple, then the `store`
-axiom through `verify` and through `game --trace-index 3`, whose one step
-errs.  Only frames of `soundness.py` are traced, line by line; the tracer
-in place before is restored afterwards.  A statement is keyed by its
-function's qualified name and its first source line, stripped, so the table
-survives edits elsewhere in the module.  The test fails on a statement that
-neither ran nor is listed, and on a listed one that ran: the table only
-shrinks.
+`soundness.py`'s sweep: `verify_corollary` with replays on each corpus
+program from its .inits at maxlen 3, then on ROADMAP item 1's false
+triple, then the `store` axiom through `verify` and through `game
+--trace-index 3`, whose one step errs.  `separation.py`'s sweep is that
+one, then `solve_eve` on every trace `judged_traces` extracts a strategy
+on, from each corpus program's .inits at maxlen 3.  The memos that would
+let a sweep skip a module's bodies are emptied first.  Only frames of the
+module are traced, line by line; the tracer in place before is restored
+afterwards.  A statement is keyed by its function's qualified name and its
+first source line, stripped, so a table survives edits elsewhere in the
+module.  The test fails on a statement that neither ran nor is listed, and
+on a listed one that ran: the tables only shrink.
 """
 
 import ast
@@ -18,25 +22,22 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from sepgame import cli, soundness
+from sepgame import cli, game, separation, soundness
+from sepgame.logic import universe_table
 from sepgame.proof import check_proof
 from sepgame.syntax import parse_proof, parse_universe
 
-from .conftest import PROGRAMS, corpus_inits, corpus_text
+from .conftest import CORPUS, PROGRAMS, corpus_inits, corpus_text
 from .test_cli import store_axiom_argv
 from .test_soundness import FALSE_TRIPLE
 
-SOURCE = Path(soundness.__file__)
-
 SOUND = "the lifting stays consistent on every sweep input; only an unsound lifting reaches it"
-OFF_TABLE = ("every code fragment the sweep writes to is one the universe table "
-             "enumerates, and the written cell and value are the table's own")
 ABSTRACT = "abstract: every lifter class overrides it"
 WITNESS = ("a lifter is built on its node's own command's membership answer, and the "
            "semantics answers that command's shape with this witness type")
 
 # Statement key -> why no input of the sweep runs it.
-UNREACHED = {
+SOUNDNESS_UNREACHED = {
     '_Lifter._join: raise SoundnessAlarm(f"{self.path}: {reason}")': SOUND,
     "_Lifter.start: raise NotImplementedError": ABSTRACT,
     "_Lifter.eve: raise NotImplementedError": ABSTRACT,
@@ -44,13 +45,6 @@ UNREACHED = {
         "every corpus store and the store axiom write a literal address",
     'AtomLifter._owned_cell: raise SoundnessAlarm(f"{self.path}: {what} cell not owned")':
         "a checked store's precondition owns its cell whole, so the code fragment holds it",
-    "AtomLifter._put: cells = {(c_kind, c_key): (v, p) for c_kind, c_key, v, p in "
-    "slots(table.state(code))}": OFF_TABLE,
-    "AtomLifter._put: cells.pop(cell, None)": OFF_TABLE,
-    "AtomLifter._put: if value is not None:": OFF_TABLE,
-    "AtomLifter._put: cells[cell] = (value, TOP)": OFF_TABLE,
-    "AtomLifter._put: return table.intern(from_slots([(*c, v, p) for c, (v, p) in "
-    "cells.items()]))": OFF_TABLE,
     'AtomLifter.eve: elif tag == "ext_alloc":':
         "no corpus proof uses ext_alloc, ext_dispose or ext_skip",
     "AtomLifter.eve: loc = post.stack[cmd.var]": "no corpus proof uses ext_alloc",
@@ -68,9 +62,6 @@ UNREACHED = {
     "ConjLifter.eve: return code2, updates, (inner2,)":
         "conj_precise's returning traces all raise the post audit (ROADMAP item 1) "
         "and its other traces have no step",
-    'ResLifter.eve: raise SoundnessAlarm(f"{self.path}: virtual resource went to the frame")':
-        "no lifter makes a HELD_BY_FRAME update: `_own_step` gives HELD_BY_CODE or "
-        "Available (ROADMAP item 9)",
     "GuardLifter._own_step: raise SoundnessAlarm(":
         "an acquire step needs its lock free, and the game keeps a free lock's "
         "resource Available",
@@ -83,11 +74,36 @@ UNREACHED = {
     '{exc}")': SOUND,
 }
 
+NO_LOCK_STEP = "no root game takes a lock step: every corpus `with` sits under a `res`"
 
-def _statements():
-    """(key, first line) of every statement inside a function body of
-    soundness.py, docstrings excluded; a key's n-th repeat ends in ` #n`."""
-    text = SOURCE.read_text(encoding="utf-8")
+SEPARATION_UNREACHED = {
+    'SeparatedState.build: raise SeparationError("separated-state tensor is undefined")':
+        "`separations` passes the tensor it read off, and every move the sweep's "
+        "extracted strategies make has pieces that tensor",
+    "_join: return None":
+        "every join the sweep asks for is of pieces of one state that tensors",
+    "component_assignments: return":
+        "the fixed pieces are the code of a state refining the target, or what an Eve "
+        "move keeps of a state the step's outcome holds, so the target holds their cells",
+    "legal_eve_move: return False":
+        "`eve_fault` judges only the extracted strategies' moves, which keep the frame "
+        "and combine into an outcome of the step on every sweep input",
+    "enumerate_eve_moves: return iter(())":
+        "Eve's moves are asked for only onto the trace's next state at a step that "
+        "does not err, and the trace's step returns that state",
+    "enumerate_eve_moves: if not isinstance(entries.get(r), Available):": NO_LOCK_STEP,
+    "enumerate_eve_moves: return iter(()) #2": NO_LOCK_STEP,
+    "enumerate_eve_moves: entries[r] = HELD_BY_CODE": NO_LOCK_STEP,
+    "enumerate_eve_moves: if entries.get(r) != HELD_BY_CODE:": NO_LOCK_STEP,
+    "enumerate_eve_moves: return iter(()) #3": NO_LOCK_STEP,
+    "enumerate_eve_moves: entries[r] = None": NO_LOCK_STEP,
+}
+
+
+def _statements(source):
+    """(key, first line) of every statement inside a function body of the
+    source file, docstrings excluded; a key's n-th repeat ends in ` #n`."""
+    text = source.read_text(encoding="utf-8")
     lines, tree = text.splitlines(), ast.parse(text)
     docstrings = {f.body[0] for f in ast.walk(tree)
                   if isinstance(f, ast.FunctionDef) and ast.get_docstring(f) is not None}
@@ -111,7 +127,7 @@ def _statements():
     return found
 
 
-def _sweep(tmp_path):
+def _soundness_sweep(tmp_path):
     for name in PROGRAMS:
         _verify(name, corpus_text(f"{name}.proof"))
     _verify("framed_assign", FALSE_TRIPLE)
@@ -119,17 +135,47 @@ def _sweep(tmp_path):
     cli.main(store_axiom_argv(tmp_path, "game", "--trace-index", "3"))
 
 
-def _verify(name, proof):
+def _separation_sweep(tmp_path):
+    _soundness_sweep(tmp_path)
+    for name in PROGRAMS:
+        u, node, check = _checked(name, corpus_text(f"{name}.proof"))
+        for _, t, _, strat, _ in soundness.judged_traces(node, corpus_inits(name), u,
+                                                         check.valuation, maxlen=3):
+            if strat is not None:
+                game.solve_eve(t, strat.spec, u)
+
+
+def _checked(name, proof):
     u = parse_universe(corpus_text(f"{name}.uni"))
     node = parse_proof(proof)
-    check = check_proof(node, u, allow_extensions=True)
+    return u, node, check_proof(node, u, allow_extensions=True)
+
+
+def _verify(name, proof):
+    u, node, check = _checked(name, proof)
     soundness.verify_corollary(check, node, corpus_inits(name), u, maxlen=3,
                                emit_replays=True)
 
 
-def _lines_run(tmp_path):
-    """The lines of soundness.py that run under the sweep."""
-    ran, path = set(), soundness.__file__
+# (module, sweep, UNREACHED) per module the ledger covers
+LEDGERS = [(soundness, _soundness_sweep, SOUNDNESS_UNREACHED),
+           (separation, _separation_sweep, SEPARATION_UNREACHED)]
+
+
+def _forget_memos():
+    """Empty the memos of separated states and of index joins and wholes,
+    so that a sweep runs the bodies it asks about."""
+    separation.separations.cache_clear()
+    game._refinements.cache_clear()
+    for uni in CORPUS.glob("*.uni"):
+        table = universe_table(parse_universe(uni.read_text()))
+        table.joins.clear()
+        table.wholes.clear()
+
+
+def _lines_run(module, sweep, tmp_path):
+    """The lines of the module that run under the sweep."""
+    ran, path = set(), module.__file__
 
     def on_line(frame, event, arg):
         if event == "line":
@@ -139,17 +185,20 @@ def _lines_run(tmp_path):
     def on_call(frame, event, arg):
         return on_line if frame.f_code.co_filename == path else None
 
+    _forget_memos()
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        _sweep(tmp_path)
+        sweep(tmp_path)
     finally:
         sys.settrace(previous)
     return ran
 
 
 def test_every_statement_runs_or_is_listed(tmp_path):
-    ran = _lines_run(tmp_path)
-    unrun = {key for key, line in _statements() if line not in ran}
-    assert sorted(unrun - UNREACHED.keys()) == [], "neither run nor listed"
-    assert sorted(UNREACHED.keys() - unrun) == [], "listed, but ran or gone"
+    for module, sweep, unreached in LEDGERS:
+        ran = _lines_run(module, sweep, tmp_path)
+        unrun = {key for key, line in _statements(Path(module.__file__)) if line not in ran}
+        where = module.__name__
+        assert sorted(unrun - unreached.keys()) == [], f"{where}: neither run nor listed"
+        assert sorted(unreached.keys() - unrun) == [], f"{where}: listed, but ran or gone"

@@ -7,8 +7,8 @@ import pytest
 from sepgame import logic
 from sepgame.logic import (LogicalState, UniverseTable, UncoveredLogicalVariable, _sat,
                            _slot_splits, all_logical_states, def_formula, entails, erase,
-                           is_precise, lstate_from_text, lstate_to_text, perm_add,
-                           satisfies, tensor, universe_table)
+                           is_precise, lstate_from_text, lstate_to_text, satisfies,
+                           universe_table)
 from sepgame.machine import MemoryState
 from sepgame.maps import fmap
 from sepgame.proof import check_proof
@@ -16,8 +16,8 @@ from sepgame.syntax import (Emp, Exists, FAnd, FEq, FFalse, FImplies, FNot, FOr,
                             FTrue, Lit, Own, PointsTo, Star, Var, parse_proof,
                             parse_universe)
 
-from .builders import (EMPTY_LSTATE, first_split_states, lstate, parse_formula, substates,
-                       tensor_all)
+from .builders import (EMPTY_LSTATE, first_split_states, lstate, parse_formula, perm_add,
+                       substates, tensor, tensor_all)
 from .conftest import PROGRAMS, corpus_text
 
 HALF = Fraction(1, 2)
@@ -61,8 +61,8 @@ def test_erase_examples():
 
 
 def test_satisfies_own_exact_permission(u):
-    full = lstate(stack={"x": (5, TOP)})
-    half = lstate(stack={"x": (5, HALF)})
+    full = lstate(stack={"x": (3, TOP)})
+    half = lstate(stack={"x": (3, HALF)})
     assert satisfies(full, Own(TOP, "x"), fmap(), u)
     assert not satisfies(half, Own(TOP, "x"), fmap(), u)
 
@@ -230,20 +230,10 @@ def test_unbound_logical_variable_is_met_as_in_the_scan(u1):
 
 
 def test_satisfies_off_the_table():
+    """A logical variable the valuation leaves unbound is reported only
+    where an evaluation meets it."""
     u = parse_universe("vars = x\nlocs = 1\nvals = 0..1\n"
-                       "perms = 1/4, 1/2, 1\nlocks = r\n")
-    three_quarters = lstate(stack={"x": (1, Fraction(3, 4))})
-    assert universe_table(u).intern(three_quarters) >= len(universe_table(u).states)
-    quarter, half = Own(Fraction(1, 4), "x"), Own(HALF, "x")
-    assert satisfies(three_quarters, Star(quarter, half), fmap(), u)
-    assert not satisfies(three_quarters, Star(half, half), fmap(), u)
-    assert satisfies(three_quarters, Own(Fraction(3, 4), "x"), fmap(), u)
-    # a value the universe does not declare, such as an allocated location
-    located = lstate(stack={"x": (2, TOP)})
-    assert located not in universe_table(u).index
-    assert satisfies(located, Own(TOP, "x"), fmap(), u)
-    assert not satisfies(located, Star(Own(TOP, "x"), Own(TOP, "x")), fmap(), u)
-    # an unbound logical variable is reported only where an evaluation meets it
+                       "perms = 1/4, 1/2, 3/4, 1\nlocks = r\n")
     free = FEq(Var("x"), Var("X"))
     assert not satisfies(lstate(heap={1: (0, TOP)}), free, fmap(), u)
     with pytest.raises(UncoveredLogicalVariable):
@@ -477,29 +467,10 @@ def test_first_split_equals_the_substates_scan(name):
 
 
 def test_first_split_off_the_table_and_unbound():
-    """A state outside the table (a 3/4 share under perms 1/4, 1/2 and 1) and
-    a logical variable the valuation leaves unbound: the same split, the same
-    failure, or the same exception as the scan."""
-    u = parse_universe("vars = x, y\nlocs = 2\nvals = 0..1\n"
-                       "perms = 1/4, 1/2, 1\nlocks = r\n")
-    quarter, half = Own(Fraction(1, 4), "x"), Own(HALF, "x")
-    three_quarters = lstate(stack={"x": (1, Fraction(3, 4))})
-    assert universe_table(u).intern(three_quarters) >= len(universe_table(u).states)
+    """A logical variable the valuation leaves unbound, met only where the
+    scan meets it: the same split, the same failure, or the same exception
+    as the scan."""
     free = FEq(Var("x"), Var("X"))
-    cases = [(three_quarters, half, quarter, fmap()),
-             (three_quarters, quarter, half, fmap()),
-             (three_quarters, half, half, fmap()),
-             (three_quarters, free, FTrue(), fmap({"X": 1})),
-             (three_quarters, free, FTrue(), fmap())]
-    outcomes = [_outcome(first_split_states, *case, u) for case in cases]
-    assert outcomes == [_outcome(_scan_first_split, *case, u) for case in cases]
-    assert outcomes[:5] == [
-        (lstate(stack={"x": (1, HALF)}), lstate(stack={"x": (1, Fraction(1, 4))})),
-        (lstate(stack={"x": (1, Fraction(1, 4))}), lstate(stack={"x": (1, HALF)})),
-        None,
-        (lstate(stack={"x": (1, Fraction(1, 4))}), lstate(stack={"x": (1, HALF)})),
-        ("raises", UncoveredLogicalVariable, "X")]
-    # on the table, the unbound variable is met only where the scan meets it
     u = parse_universe(SPLIT_UNIVERSES["strategy-chain"])
     cases = [(sigma, FAnd(Own(TOP, "x"), free), FTrue(), fmap())
              for sigma in universe_table(u).states]

@@ -131,6 +131,17 @@ def test_alloc_nondeterminism(u):
     assert mstate(stack={"x": 3}, heap={3: 1}) in posts
 
 
+def test_alloc_of_a_location_outside_the_values_errs():
+    """alloc writes the location into its variable, so a free location that
+    is no declared value is an Error, as any write outside the range is."""
+    tiny = parse_universe(corpus_text("tiny.uni"))
+    s, m = mstate(stack={"x": 0, "y": 0}), AllocC("x", Lit(0))
+    assert machine_step(s, m, tiny) == frozenset([ERROR])
+    u = parse_universe("vars = x, y\nlocs = 1, 2\nvals = 0..1\nperms = 1/2, 1\nlocks = r\n")
+    assert machine_step(s, m, u) == frozenset(
+        [Return(mstate(stack={"x": 1, "y": 0}, heap={1: 0})), ERROR])
+
+
 def test_locks_examples():
     assert locks_plus(IAcquire("r")) == frozenset(["r"])
     assert locks_minus(IAcquire("r")) == frozenset()

@@ -107,7 +107,7 @@ def test_fmap_order_is_only_among_fmaps():
 
 def test_separated_state_equality_and_hash_ignore_its_tensor():
     table = universe_table(U)
-    code = table.intern(lstate(stack={"x": (1, 1)}))
+    code = table.index[lstate(stack={"x": (1, 1)})]
     s = sep_state(U, code=lstate(stack={"x": (1, 1)}),
                   resources={"r": Available(EMPTY_LSTATE)})
     t = SeparatedState.build(table, code, fmap({"r": Available(0)}), 0)

@@ -1,19 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from sepgame.game import TraceGame, winning_spec
-from sepgame.logic import erase, tensor, universe_table
+from sepgame.logic import erase, universe_table
 from sepgame.machine import IAcquire, INop, IRelease, MachineState, Return, machine_step
 from sepgame.maps import fmap
 from sepgame.separation import (Available, HELD_BY_CODE, HELD_BY_FRAME,
-                                SeparationError, enumerate_eve_moves, legal_eve_move,
-                                sep_state_to_text, separations)
+                                SeparationError, enumerate_eve_moves, join,
+                                legal_eve_move, sep_state_to_text, separations, whole)
 from sepgame.syntax import Assign, FTrue, Lit, parse_universe
 from sepgame.traces import CodeTransition, Trace
 
 from .builders import (EMPTY_LSTATE, combine, legal_adam_move, lstate, mstate, pieces,
-                       return_keys, sep_state, tensor_all)
+                       return_keys, sep_state, tensor, tensor_all)
 
 HALF = Fraction(1, 2)
 TOP = Fraction(1)
@@ -54,7 +55,7 @@ def test_combine_example(u):
                   resources={"r": Available(lstate(stack={"y": (2, TOP)}))},
                   frame=lstate(stack={"x": (1, HALF)}))
     assert combine(s) == mstate(stack={"x": 1, "y": 2})
-    assert s.machine_key() == (s.table.intern(lstate(stack={"x": (1, TOP), "y": (2, TOP)})),
+    assert s.machine_key() == (s.table.index[lstate(stack={"x": (1, TOP), "y": (2, TOP)})],
                                frozenset())
 
 
@@ -276,19 +277,11 @@ def test_the_game_judges_a_broken_lock_condition_illegal(u, case):
 # --- the states separations builds come with their tensor ----------------------------
 
 def _known_tensor_cases():
-    quarter = lstate(stack={"x": (0, Fraction(1, 4))})
     return {
-        # a value and a location outside the universe, as ext_alloc makes
-        "off the table": ("1/2, 1", mstate(stack={"x": 5}, heap={7: 1}), None,
-                          {"q": None, "r": None}),
-        # 1/4 given and 1/2 chosen make 3/4, no permission
-        "no permission": ("1/4, 1/2, 1", mstate(stack={"x": 0}), quarter,
-                          {"q": None, "r": None}),
-        "on the table": ("1/2, 1", mstate(stack={"x": 0, "y": 1}, heap={2: 0},
-                                          locked={"q"}), None,
+        "on the table": (mstate(stack={"x": 0, "y": 1}, heap={2: 0}, locked={"q"}),
                          {"q": HELD_BY_FRAME, "r": None}),
         # held entries the target does not lock, as an off-trace Eve move asks
-        "held, not locked": ("1/2, 1", mstate(stack={"x": 0, "y": 1}), None,
+        "held, not locked": (mstate(stack={"x": 0, "y": 1}),
                              {"q": HELD_BY_CODE, "r": None}),
     }
 
@@ -296,28 +289,46 @@ def _known_tensor_cases():
 @pytest.mark.parametrize("case", sorted(_known_tensor_cases()))
 def test_separations_states_come_with_their_tensor(case):
     """Every state's kept tensor is the tensor of its pieces, read off the
-    universe table when every cell total is a permission of a table cell and
-    built otherwise, and it combines into the machine state its pieces do."""
-    perms, target, code, entries = _known_tensor_cases()[case]
-    u = parse_universe(f"vars = x, y\nlocs = 2\nvals = 0..1\nperms = {perms}\n"
+    universe table, and it combines into the machine state its pieces do."""
+    target, entries = _known_tensor_cases()[case]
+    u = parse_universe("vars = x, y\nlocs = 2\nvals = 0..1\nperms = 1/2, 1\n"
                        "locks = q, r\n")
     table = universe_table(u)
-    code = None if code is None else table.intern(code)
-    states = separations(target, code, fmap(entries), None, u)
+    states = separations(target, None, fmap(entries), None, u)
     assert len(states) > 10
-    off = 0
     for s in states:
         code, resources, frame = pieces(s)
         whole = tensor_all([code, *(p for p in resources.values() if p is not None), frame])
         held = frozenset(r for r, e in s.resources.items()
                          if not isinstance(e, Available))
-        assert s.tensor == table.intern(whole)
+        assert s.tensor == table.index[whole]
         assert combine(s) == MachineState(erase(whole), held)
-        assert s.machine_key() == (table.intern(lstate(
+        assert s.machine_key() == (table.index[lstate(
             {k: (v, 1) for k, v in target.memory.stack.items()},
-            {k: (v, 1) for k, v in target.memory.heap.items()})), held)
-        off += s.tensor >= len(table.states)
-    assert off == {"off the table": len(states), "no permission": 6}.get(case, 0)
+            {k: (v, 1) for k, v in target.memory.heap.items()})], held)
+
+
+def test_the_index_join_and_whole_agree_with_the_logical_tensor():
+    """On every pair of a sample of table states, `join` is the index of the
+    logical `tensor` of the states, or None with it, and `whole` names one
+    state exactly for equal erasures.  Shares of 1/4 and 1/2 join to 3/4."""
+    u = parse_universe("vars = x, y\nlocs = 2\nvals = 0..1\nperms = 1/4, 1/2, 3/4, 1\n"
+                       "locks = r\n")
+    table = universe_table(u)
+    sample = random.Random(26).sample(range(len(table.states)), 60)
+    undefined = defined = 0
+    for a in sample:
+        for b in sample:
+            sigma = tensor(table.state(a), table.state(b))
+            joined = join(table, a, b)
+            assert joined == (None if sigma is None else table.index[sigma])
+            undefined += joined is None
+            defined += joined is not None
+            assert (whole(table, a) == whole(table, b)) == \
+                (erase(table.state(a)) == erase(table.state(b)))
+    assert undefined and defined
+    quarter, half = (table.index[lstate(stack={"x": (1, Fraction(n, 4))})] for n in (1, 2))
+    assert table.state(join(table, quarter, half)) == lstate(stack={"x": (1, Fraction(3, 4))})
 
 
 # --- the lock conditions enumerate_eve_moves tests before it builds anything -------

@@ -300,7 +300,7 @@ def test_memo_and_stored_tensors_are_never_stale(tmp_path, capsys, monkeypatch):
                                 frame])
             locked = frozenset(r for r, e in s.resources.items()
                                if not isinstance(e, Available))
-            assert s.tensor == s.table.intern(whole)
+            assert s.tensor == s.table.index[whole]
             assert combine(s) == MachineState(erase(whole), locked)
             assert s.machine_key() == machine_key(combine(s), s.table)
         held += len(cached)

@@ -55,8 +55,7 @@ def statement(node, u, maxlen=None, rho=None):
             if t.errored:
                 failing += 1
             elif returning:
-                # a target holding a cell the universe does not declare
-                # (ext_alloc) would have no index here
+                # every target has an index: machine writes stay in the range
                 whole = memories[t.target.memory]
                 failing += not post >> whole & 1
     return len(inits), traces, failing

@@ -105,6 +105,18 @@ def test_parse_universe_empty_range():
         parse_universe("vars = x\nlocs = 2\nvals = 0..-1\nperms = 1\nlocks = r\n")
 
 
+def test_parse_universe_permissions_closed_under_sums():
+    """Every sum of two permissions that stays at most 1 is a permission, so
+    every piece of a state is a universe state; the first pair in ascending
+    order that breaks this is named."""
+    text = "vars = x\nlocs = 2\nvals = 0..1\nperms = {}\nlocks = r\n"
+    with pytest.raises(ParseError) as exc:
+        parse_universe(text.format("1/4, 1/2, 1"))
+    assert str(exc.value) == "permission set is not closed under sums: 1/4 + 1/2 = 3/4"
+    for perms in ("1/4, 1/2, 3/4, 1", "1/3, 2/3, 1", "1/2, 1", "1"):
+        assert parse_universe(text.format(perms)).perms[-1] == 1
+
+
 # --- round-trips over randomly generated ASTs ---------------------------------
 
 def _rand_expr(rng, depth):
